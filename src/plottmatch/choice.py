@@ -281,6 +281,8 @@ class UtilityThreshold(ChoiceFunction):
     def __post_init__(self):
         if len(self.utilities) != self.universe_size:
             raise ValueError("one utility per contract required")
+        if any(u != u for u in self.utilities):
+            raise ValueError("a NaN utility has no place in the order")
 
     def _choose_mask(self, xmask: int) -> int:
         best = -1
@@ -463,9 +465,36 @@ class PlottReport:
     trials: int | None = None
 
 
-def _heredity_scan(table: np.ndarray, n: int):
-    """First (B, A=B∖{c}, element) violating Heredity, in (B, c) order."""
+def _lift(mask: int, place) -> int:
+    """The mask of local indices j mapped to the global indices ``place[j]``."""
+    out = 0
+    for j in _bits(mask):
+        out |= 1 << place[j]
+    return out
+
+
+def _rank_keys(masks: np.ndarray, place) -> np.ndarray:
+    """Renumber local masks so that integer order is the order of their lifts.
+
+    Local index j becomes its rank among ``place``; a lifted mask compares by
+    its highest global bit, so ranks preserve that order in k bits.
+    """
+    if list(place) == sorted(place):
+        return masks
+    keys = np.zeros_like(masks)
+    for r, j in enumerate(sorted(range(len(place)), key=place.__getitem__)):
+        keys |= (masks >> j & 1) << r
+    return keys
+
+
+def _heredity_scan(table: np.ndarray, n: int, place):
+    """Least (B, A=B∖{c}, element) violating Heredity, in (B, c) order.
+
+    Masks are local; the order, and the choice of the lowest offending
+    element, follow the global indices ``place``.
+    """
     masks = np.arange(1 << n, dtype=np.int64)
+    keys = _rank_keys(masks, place)
     best = None
     for c in range(n):
         bit = 1 << c
@@ -474,19 +503,21 @@ def _heredity_scan(table: np.ndarray, n: int):
         bad = table[rows] & subs & ~table[subs]
         hits = np.nonzero(bad)[0]
         if hits.size:
-            b = int(rows[hits[0]])
-            if best is None or (b, c) < (best[0], best[1]):
-                best = (b, c, int(bad[hits[0]]))
+            k = hits[np.argmin(keys[rows[hits]])]
+            b = int(rows[k])
+            if best is None or (keys[b], place[c]) < (keys[best[0]], place[best[1]]):
+                best = (b, c, int(bad[k]))
     if best is None:
         return None
     b, c, offending = best
-    element = (offending & -offending).bit_length() - 1
+    element = min(_bits(offending), key=place.__getitem__)
     return b, b ^ (1 << c), element
 
 
-def _outcast_scan(table: np.ndarray, n: int):
-    """First (X, Y=X∖{c}) violating Outcast, in (X, c) order."""
+def _outcast_scan(table: np.ndarray, n: int, place):
+    """Least (X, Y=X∖{c}) violating Outcast, in (X, c) order of ``place``."""
     masks = np.arange(1 << n, dtype=np.int64)
+    keys = _rank_keys(masks, place)
     best = None
     for c in range(n):
         bit = 1 << c
@@ -495,8 +526,8 @@ def _outcast_scan(table: np.ndarray, n: int):
         bad = table[subs] != table[rows]
         hits = np.nonzero(bad)[0]
         if hits.size:
-            x = int(rows[hits[0]])
-            if best is None or (x, c) < (best[0], best[1]):
+            x = int(rows[hits[np.argmin(keys[rows[hits]])]])
+            if best is None or (keys[x], place[c]) < (keys[best[0]], place[best[1]]):
                 best = (x, c)
     if best is None:
         return None
@@ -504,32 +535,73 @@ def _outcast_scan(table: np.ndarray, n: int):
     return x, x ^ (1 << c)
 
 
+def _plott_witness(cf: ChoiceFunction, cap: int, place):
+    """The least Plott violation of cf, with masks lifted through ``place``.
+
+    Returns None when cf is path independent, else ``(0, B, A, element)``
+    for Heredity or ``(1, X, Y)`` for Outcast, so that tuple order puts
+    Heredity first and then the least set. Orders, quotas and utilities are
+    path independent by construction, and so is any union of path
+    independent functions (Aizerman–Malishevski). An aggregate acts on each
+    block alone, G(X) = ∪ G_i(X ∩ block_i), so it is path independent
+    exactly when every part is, and each violation of a part, with the
+    other blocks empty, is the least violation of the whole with that
+    contract. Everything else is scanned over its own table, which must fit
+    under ``cap``.
+    """
+    if type(cf) in (LinearOrderMax, QuotaByOrder, UtilityThreshold):
+        return None
+    if type(cf) is Aggregate:
+        hits = (_plott_witness(part, cap, tuple(place[g] for g in block))
+                for block, part in zip(cf.blocks, cf.parts))
+        return min((w for w in hits if w is not None), default=None)
+    if type(cf) is UnionChoice and all(
+            _plott_witness(part, cap, place) is None for part in cf.parts):
+        return None
+    n = cf.universe_size
+    if n > cap:
+        raise CapExceeded(f"exhaustive check needs universe_size <= {cap}, got {n}")
+    table = choice_table(cf)
+    hit = _heredity_scan(table, n, place)
+    if hit is not None:
+        b, a, element = hit
+        return 0, _lift(b, place), _lift(a, place), place[element]
+    hit = _outcast_scan(table, n, place)
+    if hit is not None:
+        x, y = hit
+        return 1, _lift(x, place), _lift(y, place)
+    return None
+
+
 def is_plott(cf: ChoiceFunction, mode: str = "exhaustive", *, cap: int = EXHAUSTIVE_CAP,
              seed: int = 0, trials: int = SAMPLED_TRIALS) -> PlottReport:
     """Check Heredity and Outcast, whose conjunction is path independence.
 
-    Exhaustive mode scans every one-element removal, which by induction
-    decides both axioms over all subset pairs; it requires the universe to
-    fit under ``cap``. Sampled mode draws ``trials`` random subset pairs
-    (each element kept by an independent fair coin) under a recorded seed.
-    The first violation found is returned as a witness, heredity first.
+    Exhaustive mode is exact at any universe size. It walks the structure
+    of cf: orders, quotas and utilities pass by construction, a union
+    passes when its parts do, and an aggregate is path independent exactly
+    when every block's part is, because it chooses block by block. Only the
+    remaining tables (explicit ones, failing unions, other functions) are
+    scanned, every one-element removal over their own 2^k rows, which by
+    induction decides both axioms over all subset pairs; each scanned
+    table must fit under ``cap``. The witness is the one a scan of the
+    whole function's table would return: heredity first, then the least
+    set. Sampled mode, a diagnostic that proves nothing, draws ``trials``
+    random subset pairs (each element kept by an independent fair coin)
+    under a recorded seed.
     """
     n = cf.universe_size
     if mode == "exhaustive":
-        if n > cap:
-            raise CapExceeded(f"exhaustive check needs universe_size <= {cap}, got {n}")
-        table = choice_table(cf)
-        hit = _heredity_scan(table, n)
-        if hit is not None:
-            b, a, element = hit
+        hit = _plott_witness(cf, cap, range(n))
+        if hit is None:
+            return PlottReport(True, "exhaustive")
+        if hit[0] == 0:
+            _, b, a, element = hit
             witness = (ContractSet(n, b), ContractSet(n, a), element)
             return PlottReport(False, "exhaustive", heredity_witness=witness)
-        hit = _outcast_scan(table, n)
-        if hit is not None:
-            x, y = hit
-            return PlottReport(False, "exhaustive",
-                               outcast_witness=(ContractSet(n, x), ContractSet(n, y)))
-        return PlottReport(True, "exhaustive")
+        _, x, y = hit
+        return PlottReport(False, "exhaustive",
+                           outcast_witness=(ContractSet(n, x), ContractSet(n, y)))
     if mode != "sampled":
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     rng = random.Random(seed)

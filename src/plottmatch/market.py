@@ -25,10 +25,11 @@ workers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .choice import (
-    EXHAUSTIVE_CAP,
     Aggregate,
     ChoiceFunction,
     ContractSet,
@@ -84,18 +85,33 @@ class MarketInstance:
     def labels(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.contracts)
 
+    @cached_property
+    def _blocks(self) -> dict[str, tuple[int, ...]]:
+        """Every agent's block, built in one pass over the contracts."""
+        firms = {a: [] for a in self.firms}
+        workers = {a: [] for a in self.workers}
+        for i, c in enumerate(self.contracts):
+            if c.firm in firms:
+                firms[c.firm].append(i)
+            if c.worker in workers:
+                workers[c.worker].append(i)
+        return {a: tuple(b) for a, b in (*workers.items(), *firms.items())}
+
     def block_of(self, agent: str) -> tuple[int, ...]:
-        if agent in self.firms:
-            return tuple(i for i, c in enumerate(self.contracts) if c.firm == agent)
-        if agent in self.workers:
-            return tuple(i for i, c in enumerate(self.contracts) if c.worker == agent)
-        raise UnknownAgent(f"no agent named {agent!r}")
+        if agent not in self._blocks:
+            raise UnknownAgent(f"no agent named {agent!r}")
+        return self._blocks[agent]
+
+    @cached_property
+    def _specs(self) -> dict[str, ChoiceSpec]:
+        """Each agent's choice spec by name, the first one when repeated."""
+        return {s.agent: s for s in reversed(self.specs)}
 
     def spec_of(self, agent: str) -> ChoiceSpec:
-        for s in self.specs:
-            if s.agent == agent:
-                return s
-        raise UnknownAgent(f"no choice spec for agent {agent!r}")
+        spec = self._specs.get(agent)
+        if spec is None:
+            raise UnknownAgent(f"no choice spec for agent {agent!r}")
+        return spec
 
 
 def _parse_number(token: str, lineno: int):
@@ -104,9 +120,12 @@ def _parse_number(token: str, lineno: int):
     except ValueError:
         pass
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"expected a number, got {token!r}", lineno) from None
+    if math.isnan(value):
+        raise ParseError(f"expected a number, got {token!r}", lineno)
+    return value
 
 
 def _parse_keyvals(rest: str, lineno: int) -> dict[str, str]:
@@ -121,14 +140,13 @@ def _parse_keyvals(rest: str, lineno: int) -> dict[str, str]:
     return out
 
 
-def _local_set_mask(text: str, local_labels, lineno: int, all_labels) -> int:
+def _local_set_mask(text: str, index_of, lineno: int, all_labels) -> int:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"expected a brace-delimited set, got {text!r}", lineno)
     body = text[1:-1].strip()
     if not body:
         return 0
-    index_of = {lab: i for i, lab in enumerate(local_labels)}
     mask = 0
     for part in body.split(","):
         part = part.strip()
@@ -141,15 +159,15 @@ def _local_set_mask(text: str, local_labels, lineno: int, all_labels) -> int:
     return mask
 
 
-def _build_explicit(agent, block, local_labels, body, header_line, all_labels):
+def _build_explicit(agent, block, index_of, body, header_line, all_labels):
     k = len(block)
     rows: dict[int, int] = {}
     for lineno, line in body:
         left, sep, right = line.partition("->")
         if not sep:
             raise ParseError("expected '{...} -> {...}'", lineno)
-        xmask = _local_set_mask(left.strip(), local_labels, lineno, all_labels)
-        chosen = _local_set_mask(right.strip(), local_labels, lineno, all_labels)
+        xmask = _local_set_mask(left.strip(), index_of, lineno, all_labels)
+        chosen = _local_set_mask(right.strip(), index_of, lineno, all_labels)
         if xmask in rows:
             raise ParseError("duplicate table row", lineno)
         if xmask == 0 and chosen != 0:
@@ -164,13 +182,12 @@ def _build_explicit(agent, block, local_labels, body, header_line, all_labels):
     return ExplicitTable(k, tuple(rows[m] for m in range(1 << k)))
 
 
-def _parse_order_ids(body, local_labels, agent, header_line, all_labels):
+def _parse_order_ids(body, index_of, agent, header_line, all_labels):
     if len(body) != 1:
         raise ParseError(
             f"agent {agent!r}: expected one line of contract ids, got {len(body)}",
             header_line)
     lineno, line = body[0]
-    index_of = {lab: i for i, lab in enumerate(local_labels)}
     order = []
     for token in line.split():
         if token not in index_of:
@@ -179,7 +196,7 @@ def _parse_order_ids(body, local_labels, agent, header_line, all_labels):
                     f"contract {token!r} belongs to another agent", lineno)
             raise ParseError(f"unknown contract id {token!r}", lineno)
         order.append(index_of[token])
-    if sorted(order) != list(range(len(local_labels))):
+    if sorted(order) != list(range(len(index_of))):
         raise ParseError(
             f"order must list every contract of agent {agent!r} exactly once", lineno)
     return tuple(order)
@@ -193,9 +210,12 @@ def parse_instance(text: str) -> MarketInstance:
     ContractOutsideBlock when a choice spec mentions a foreign contract,
     PartialTable for explicit tables that do not cover their block.
     """
-    firms: list[str] = []
-    workers: list[str] = []
+    # agent ids in declaration order, as dicts for constant-time lookups
+    firms: dict[str, None] = {}
+    workers: dict[str, None] = {}
     contracts: list[Contract] = []
+    contract_ids: set[str] = set()
+    spec_agents: set[str] = set()
     contract_lines_seen = False
     # (agent, keyvals, header lineno, body [(lineno, line), ...])
     raw_specs: list[tuple[str, dict[str, str], int, list]] = []
@@ -223,7 +243,7 @@ def parse_instance(text: str) -> MarketInstance:
                 ids = rest.split()
                 if len(set(ids)) != len(ids):
                     raise ParseError(f"duplicate id in [{name}]", lineno)
-                target.extend(ids)
+                target.update(dict.fromkeys(ids))
                 section = None
             elif name == "contracts":
                 if len(head) != 1 or rest:
@@ -238,8 +258,9 @@ def parse_instance(text: str) -> MarketInstance:
                 agent = head[1]
                 if agent not in firms and agent not in workers:
                     raise UnknownAgent(f"no agent named {agent!r}", lineno)
-                if any(s[0] == agent for s in raw_specs):
+                if agent in spec_agents:
                     raise ParseError(f"duplicate [choice] for agent {agent!r}", lineno)
+                spec_agents.add(agent)
                 keyvals = _parse_keyvals(rest, lineno)
                 if "kind" not in keyvals:
                     raise ParseError("[choice] requires kind=", lineno)
@@ -255,8 +276,9 @@ def parse_instance(text: str) -> MarketInstance:
                     "contract line must be 'id firm worker' plus optional utilities",
                     lineno)
             cid, firm, worker = tokens[:3]
-            if any(c.id == cid for c in contracts):
+            if cid in contract_ids:
                 raise ParseError(f"duplicate contract id {cid!r}", lineno)
+            contract_ids.add(cid)
             if firm not in firms:
                 raise UnknownAgent(f"no firm named {firm!r}", lineno)
             if worker not in workers:
@@ -271,7 +293,7 @@ def parse_instance(text: str) -> MarketInstance:
         else:
             raise ParseError("directive outside any section", lineno)
 
-    overlap = set(firms) & set(workers)
+    overlap = firms.keys() & workers.keys()
     if overlap:
         raise ParseError(f"agent id on both sides: {sorted(overlap)[0]!r}")
 
@@ -282,7 +304,7 @@ def parse_instance(text: str) -> MarketInstance:
     specs = []
     for agent, keyvals, header_line, body in raw_specs:
         block = instance_stub.block_of(agent)
-        local_labels = tuple(all_labels[g] for g in block)
+        index_of = {all_labels[g]: j for j, g in enumerate(block)}
         kind = keyvals.pop("kind")
         acceptable_text = keyvals.pop("acceptable", None)
         quota_text = keyvals.pop("q", None)
@@ -293,13 +315,12 @@ def parse_instance(text: str) -> MarketInstance:
         if quota_text is not None and kind != "quota":
             raise ParseError("q= only applies to kind=quota", header_line)
         if kind == "explicit":
-            cf = _build_explicit(agent, block, local_labels, body, header_line,
-                                 all_labels)
+            cf = _build_explicit(agent, block, index_of, body, header_line, all_labels)
         elif kind in ("order", "quota"):
-            order = _parse_order_ids(body, local_labels, agent, header_line, all_labels)
+            order = _parse_order_ids(body, index_of, agent, header_line, all_labels)
             acceptable = (1 << len(block)) - 1
             if acceptable_text is not None:
-                acceptable = _local_set_mask(acceptable_text, local_labels,
+                acceptable = _local_set_mask(acceptable_text, index_of,
                                              header_line, all_labels)
             if kind == "order":
                 cf = LinearOrderMax(len(block), order, acceptable)
@@ -327,9 +348,8 @@ def parse_instance(text: str) -> MarketInstance:
             raise ParseError(f"unknown kind {kind!r}", header_line)
         specs.append(ChoiceSpec(agent, kind, block, cf))
 
-    have = {s.agent for s in specs}
     for agent in (*firms, *workers):
-        if agent not in have and instance_stub.block_of(agent):
+        if agent not in spec_agents and instance_stub.block_of(agent):
             raise ParseError(f"agent {agent!r} has contracts but no [choice] section")
 
     return MarketInstance(tuple(firms), tuple(workers), contracts_t, tuple(specs))
@@ -375,8 +395,10 @@ def aggregate_sides(m: MarketInstance, *, certify: bool = True) -> SidePair:
     """Build the two aggregate sides: G from the firms, F from the workers.
 
     Blocks follow agent declaration order; agents without contracts get the
-    empty choice function. Certification is exhaustive when the universe
-    fits the table cap and sampled above it.
+    empty choice function. Certification is exact at any size: a side
+    chooses block by block, so it is path independent exactly when every
+    agent's function is, and only explicit tables are scanned, each over
+    its own 2^k rows.
     """
     n = m.universe_size
 
@@ -391,5 +413,4 @@ def aggregate_sides(m: MarketInstance, *, certify: bool = True) -> SidePair:
 
     G = one_side(m.firms)
     F = one_side(m.workers)
-    mode = "exhaustive" if n <= EXHAUSTIVE_CAP else "sampled"
-    return side_pair(F, G, certify=certify, mode=mode)
+    return side_pair(F, G, certify=certify)

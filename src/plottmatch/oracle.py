@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import (
-    EXHAUSTIVE_CAP,
     ContractSet,
     LinearOrderMax,
     UnionChoice,
@@ -181,8 +180,9 @@ def generate_instance(seed: int, universe_size: int, side_spec) -> SidePair:
     Each side is a union of k random total orders (Fisher-Yates under one
     seeded generator) with independent random acceptable sets; k comes
     from side_spec as (k_workers, k_firms), or one int for both. Unions of
-    order maximizers are path-independent by construction, and both sides
-    are re-verified before returning.
+    order maximizers are path-independent by construction
+    (Aizerman–Malishevski), which the exact check of side_pair recognises
+    at any size without a scan; both sides pass it before returning.
     """
     if isinstance(side_spec, int):
         side_spec = (side_spec, side_spec)
@@ -203,8 +203,7 @@ def generate_instance(seed: int, universe_size: int, side_spec) -> SidePair:
 
     F = one_side(k_f)
     G = one_side(k_g)
-    mode = "exhaustive" if n <= EXHAUSTIVE_CAP else "sampled"
-    sides = side_pair(F, G, mode=mode)
+    sides = side_pair(F, G)
     if not sides.certified:
         raise InternalError("union of order maximizers failed the Plott check")
     return sides

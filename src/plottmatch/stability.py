@@ -15,20 +15,25 @@ sets, and comparative statics under a weakened worker side.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .choice import (
     EXHAUSTIVE_CAP,
+    Aggregate,
     ChoiceFunction,
     ContractSet,
     PlottReport,
+    _lift,
+    _rank_keys,
     choice_table,
     closure_star,
     format_set,
     is_plott,
 )
 from .errors import (
+    CapExceeded,
     EmptyList,
     InternalError,
     NotCertified,
@@ -39,8 +44,6 @@ from .errors import (
     UniverseMismatch,
 )
 from .hyperorders import BlairRelation, blair_leq
-
-SAMPLED_DOMINANCE_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -66,15 +69,18 @@ class SidePair:
         return SidePair(self.G, self.F, self.certified, self.g_report, self.f_report)
 
 
-def side_pair(F: ChoiceFunction, G: ChoiceFunction, *, certify: bool = True,
-              mode: str = "exhaustive") -> SidePair:
-    """Pair two sides, checking path independence of both unless told not to."""
+def side_pair(F: ChoiceFunction, G: ChoiceFunction, *, certify: bool = True) -> SidePair:
+    """Pair two sides, checking path independence of both unless told not to.
+
+    The check is exact at any size: a side that acts block by block is path
+    independent exactly when every agent's function is (see is_plott).
+    """
     if F.universe_size != G.universe_size:
         raise UniverseMismatch("both sides must share one universe")
     if not certify:
         return SidePair(F, G, False)
-    f_report = is_plott(F, mode)
-    g_report = is_plott(G, mode)
+    f_report = is_plott(F)
+    g_report = is_plott(G)
     return SidePair(F, G, f_report.is_plott and g_report.is_plott, f_report, g_report)
 
 
@@ -315,22 +321,31 @@ def blair_compare_stable(sides: SidePair, S: ContractSet, T: ContractSet) -> str
     return "incomparable"
 
 
-def _dominates(F: ChoiceFunction, F2: ChoiceFunction, *, seed: int = 0):
-    """Check choose(F,X) ⊆ choose(F2,X) everywhere; returns a witness mask or None.
+def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
+    """Check choose(F,X) ⊆ choose(F2,X) everywhere; returns the least failing X mask or None.
 
-    Exhaustive under the table cap, sampled above it (seed recorded in the
-    default; the universe sizes this package targets stay under the cap).
+    Exact at any size when F and F2 are aggregates over the same blocks:
+    both choose block by block, so dominance holds exactly when it holds on
+    every block whose parts differ, and a block's least failing slice, with
+    the other blocks empty, is the least failing set of the whole with a
+    contract there. Those blocks and any other pair of functions are
+    compared through whole tables, which must fit under the table cap.
     """
-    n = F.universe_size
-    if n <= EXHAUSTIVE_CAP:
-        bad = (choice_table(F) & ~choice_table(F2)).nonzero()[0]
-        return int(bad[0]) if bad.size else None
-    rng = random.Random(seed)
-    for _ in range(SAMPLED_DOMINANCE_TRIALS):
-        x = rng.getrandbits(n)
-        if F._choose_mask(x) & ~F2._choose_mask(x):
-            return x
-    return None
+    if isinstance(F, Aggregate) and isinstance(F2, Aggregate) and F.blocks == F2.blocks:
+        pairs = [(block, p, q) for block, p, q in zip(F.blocks, F.parts, F2.parts) if p != q]
+    else:
+        pairs = [(range(F.universe_size), F, F2)]
+    for block, _, _ in pairs:
+        if len(block) > EXHAUSTIVE_CAP:
+            raise CapExceeded(f"dominance check needs tables of at most {EXHAUSTIVE_CAP} "
+                              f"contracts, got {len(block)}")
+    least = None
+    for block, p, q in pairs:
+        bad = (choice_table(p) & ~choice_table(q)).nonzero()[0]
+        if bad.size:
+            x = _lift(int(bad[np.argmin(_rank_keys(bad, block))]), block)
+            least = x if least is None else min(least, x)
+    return least
 
 
 def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
@@ -340,7 +355,7 @@ def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
     Starting from the stable pair of S, the pair (closure_star(G,S),
     closure_star(F′, closure_star(F,S))) is semi-stable under (F′, G);
     σ from there yields S′ with S ⪯_G S′ and S′ ⪯_F S (original F), both
-    asserted. Dominance of F′ over F is verified, not assumed.
+    asserted. Dominance of F′ over F is verified exactly, not assumed.
     """
     _require_certified(sides)
     if f_prime.universe_size != sides.universe_size:

@@ -1,0 +1,66 @@
+from __future__ import annotations
+
+import random
+
+import pytest
+
+
+def _format(labels, mask: int) -> str:
+    return "{" + ",".join(lab for j, lab in enumerate(labels) if mask >> j & 1) + "}"
+
+
+def _spec(agent: str, kind: str, ids: list[str], rng: random.Random) -> list[str]:
+    """One [choice] section of the given kind over the agent's contract ids."""
+    order = ids[:]
+    rng.shuffle(order)
+    if kind == "order":
+        return [f"[choice {agent}] kind=order", " ".join(order)]
+    if kind == "quota":
+        return [f"[choice {agent}] kind=quota q=2", " ".join(order)]
+    if kind == "utility":
+        return [f"[choice {agent}] kind=utility"]
+    # explicit: the union of the best offers under two orders, path independent
+    second = ids[:]
+    rng.shuffle(second)
+    rows = [f"[choice {agent}] kind=explicit"]
+    for x in range(1 << len(ids)):
+        chosen = 0
+        for ranking in (order, second):
+            best = next((ids.index(c) for c in ranking if x >> ids.index(c) & 1), None)
+            if best is not None:
+                chosen |= 1 << best
+        rows.append(f"{_format(ids, x)} -> {_format(ids, chosen)}")
+    return rows
+
+
+def make_market_text(workers: int, firms: int, per_worker: int, seed: int,
+                     worker_kinds=("order",), firm_kinds=("quota",)) -> str:
+    """A seeded market of workers × per_worker contracts.
+
+    Each worker contracts with ``per_worker`` distinct random firms; every
+    contract carries random utilities. Kinds are cycled over the agents of
+    each side; quotas are 2 and explicit tables are unions of two orders.
+    """
+    rng = random.Random(seed)
+    lines = ["[firms] " + " ".join(f"f{i}" for i in range(firms)),
+             "[workers] " + " ".join(f"w{i}" for i in range(workers)),
+             "[contracts]"]
+    of_firm = {f"f{i}": [] for i in range(firms)}
+    of_worker = {f"w{i}": [] for i in range(workers)}
+    for w in range(workers):
+        for f in rng.sample(range(firms), per_worker):
+            cid = f"c{len(lines) - 3}"
+            lines.append(f"{cid} f{f} w{w} {rng.randrange(-2, 20)} {rng.randrange(-2, 20)}")
+            of_firm[f"f{f}"].append(cid)
+            of_worker[f"w{w}"].append(cid)
+    for kinds, blocks in ((firm_kinds, of_firm), (worker_kinds, of_worker)):
+        for i, (agent, ids) in enumerate(blocks.items()):
+            if ids:
+                lines.extend(_spec(agent, kinds[i % len(kinds)], ids, rng))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def market_text():
+    """The seeded market generator, ``make_market_text``."""
+    return make_market_text

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plottmatch import (
@@ -41,6 +41,10 @@ ORD3_G = LinearOrderMax(3, (2, 1, 0))
 
 def cs(n, *indices):
     return ContractSet.from_indices(n, indices)
+
+
+def _as_table(cf) -> ExplicitTable:
+    return ExplicitTable(cf.universe_size, tuple(int(v) for v in choice_table(cf)))
 
 
 def _definition_plott(cf) -> bool:
@@ -231,8 +235,11 @@ def test_plott_positives():
 def test_is_plott_mode_and_cap():
     with pytest.raises(ValueError):
         is_plott(EX2_G, "guess")
-    with pytest.raises(CapExceeded):
-        is_plott(ORD3_G, cap=2)
+    # the cap bounds the tables that are scanned: explicit ones
+    with pytest.raises(CapExceeded, match=r"^exhaustive check needs universe_size <= 2, got 3$"):
+        is_plott(_as_table(ORD3_G), cap=2)
+    # an order is path independent by construction and scans nothing
+    assert is_plott(ORD3_G, cap=2).is_plott
 
 
 def test_sampled_mode_finds_the_ex2_violation():
@@ -246,6 +253,84 @@ def test_sampled_mode_finds_the_ex2_violation():
 def test_sampled_mode_passes_plott_functions():
     report = is_plott(EX1_F, "sampled", seed=7, trials=500)
     assert report.is_plott and report.seed == 7 and report.trials == 500
+
+
+def test_non_plott_agent_in_a_large_aggregate_is_rejected_under_every_seed():
+    # a 14-contract top-one order, except that the full block keeps its best
+    # two: every violation needs the whole block, which random probes rarely draw
+    k = 14
+    full = (1 << k) - 1
+    best_two = ExplicitTable(k, tuple(0b11 if m == full else m & -m for m in range(1 << k)))
+    block = tuple(range(1, 43, 3))
+    rest = [g for g in range(44) if g not in block]
+    blocks = (tuple(rest[:10]), block, tuple(rest[10:20]), tuple(rest[20:]))
+    parts = (LinearOrderMax(10, tuple(range(9, -1, -1))), best_two,
+             QuotaByOrder(10, tuple(range(10)), 2), UtilityThreshold(10, tuple(range(10))))
+    agg = Aggregate(44, blocks, parts)
+    block_mask = sum(1 << g for g in block)
+    for seed in range(10):
+        report = is_plott(agg, seed=seed)
+        assert not report.is_plott and report.mode == "exhaustive"
+        b, a, element = report.heredity_witness
+        assert b.mask & ~block_mask == 0 and a < b and len(b) - len(a) == 1
+        assert element in agg.choose(b) and element in a and element not in agg.choose(a)
+        assert report == is_plott(agg)
+    # the sampled diagnostic misses it under some seeds
+    assert any(is_plott(agg, "sampled", seed=seed).is_plott for seed in range(10))
+
+
+@st.composite
+def orders(draw, n):
+    return tuple(draw(st.permutations(range(n))))
+
+
+@st.composite
+def structural_functions(draw, n):
+    """An order, quota, utility or union function on n contracts."""
+    kind = draw(st.sampled_from(("order", "quota", "utility", "union")))
+    if kind == "order":
+        return LinearOrderMax(n, draw(orders(n)), draw(st.integers(0, (1 << n) - 1)))
+    if kind == "quota":
+        return QuotaByOrder(n, draw(orders(n)), draw(st.integers(0, n)),
+                            draw(st.integers(0, (1 << n) - 1)))
+    if kind == "utility":
+        return UtilityThreshold(n, tuple(draw(st.lists(st.integers(-3, 5), min_size=n,
+                                                        max_size=n))))
+    return union(draw(st.lists(structural_functions(n), min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(structural_functions))
+def test_by_construction_verdict_matches_a_table_scan(cf):
+    report = is_plott(cf)
+    assert report.is_plott
+    assert report == is_plott(_as_table(cf))
+
+
+@st.composite
+def aggregates_with_a_bad_block(draw):
+    """Aggregates of at most 12 contracts, blocks in shuffled global order."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = sum(sizes)
+    places = draw(st.permutations(range(n)))
+    blocks, parts, start = [], [], 0
+    for k in sizes:
+        blocks.append(tuple(places[start:start + k]))
+        start += k
+        if draw(st.booleans()):
+            parts.append(draw(selection_tables(k)))
+        else:
+            parts.append(draw(structural_functions(k)))
+    assume(any(not is_plott(p).is_plott for p in parts))
+    return Aggregate(n, tuple(blocks), tuple(parts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(aggregates_with_a_bad_block())
+def test_lifted_witness_equals_the_whole_table_witness(agg):
+    report = is_plott(agg)
+    assert not report.is_plott
+    assert report == is_plott(_as_table(agg))
 
 
 @given(selection_tables())

@@ -69,10 +69,22 @@ def test_check_outcast_witness_wording(capsys, tmp_path):
     assert out == "NOT PLOTT: outcast violated at X={a,b}, Y={a}\n"
 
 
-def test_check_cap_overflow_is_a_domain_error(capsys):
-    code, out, err = run(capsys, "check", ORD3, "--side", "G", "--cap", "2")
+def test_check_cap_overflow_is_a_domain_error(capsys, tmp_path):
+    # ord3's firm as an explicit table: only explicit tables are scanned
+    rows = ("{} -> {}", "{x} -> {x}", "{y} -> {y}", "{x,y} -> {y}", "{z} -> {z}",
+            "{x,z} -> {z}", "{y,z} -> {z}", "{x,y,z} -> {z}")
+    doc = ("[firms] firm1\n[workers] worker1\n[contracts]\n"
+           "x firm1 worker1\ny firm1 worker1\nz firm1 worker1\n"
+           "[choice worker1] kind=order\nx y z\n"
+           "[choice firm1] kind=explicit\n" + "\n".join(rows) + "\n")
+    path = tmp_path / "ord3_explicit.mkt"
+    path.write_text(doc)
+    code, out, err = run(capsys, "check", str(path), "--side", "G", "--cap", "2")
     assert code == 1 and out == ""
     assert err == "error: exhaustive check needs universe_size <= 2, got 3\n"
+    # the order-kind original scans nothing, so the cap does not bind
+    code, out, _ = run(capsys, "check", ORD3, "--side", "G", "--cap", "2")
+    assert code == 0 and out.startswith("PLOTT (exhaustive)\n")
 
 
 def test_check_skips_the_audit_above_its_cap(capsys, tmp_path):
@@ -87,6 +99,17 @@ def test_check_skips_the_audit_above_its_cap(capsys, tmp_path):
     assert code == 0
     assert out == ("PLOTT (exhaustive)\n"
                    "lehmann: skipped (universe exceeds audit cap)\n")
+
+
+def test_check_is_exact_above_the_table_cap(capsys, tmp_path, market_text):
+    path = tmp_path / "mixed24.mkt"
+    path.write_text(market_text(8, 6, 3, seed=3, worker_kinds=("order", "explicit", "quota"),
+                                firm_kinds=("quota", "utility", "explicit")))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0 and err == ""
+    skipped = "lehmann: skipped (universe exceeds audit cap)"
+    assert out == (f"F: PLOTT (exhaustive)\nF: {skipped}\n"
+                   f"G: PLOTT (exhaustive)\nG: {skipped}\n")
 
 
 # ---------------------------------------------------------------------------

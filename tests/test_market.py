@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from plottmatch import (
+    Aggregate,
     ContractOutsideBlock,
     ContractSet,
     ExplicitTable,
@@ -103,6 +104,15 @@ def test_float_utilities():
                        "[choice f1] kind=order\na\n[choice w1] kind=utility\n")
     assert m.contracts[0].u_worker == 1.5 and m.contracts[0].u_firm == -0.5
     assert m.spec_of("w1").cf == UtilityThreshold(1, (1.5,))
+
+
+def test_nan_utilities_are_rejected():
+    # a NaN utility would break the order that makes kind=utility path independent
+    with pytest.raises(ParseError, match="line 4: expected a number, got 'nan'"):
+        parse_instance("[firms] f1\n[workers] w1\n[contracts]\na f1 w1 nan 1\n"
+                       "[choice f1] kind=order\na\n[choice w1] kind=utility\n")
+    with pytest.raises(ValueError):
+        UtilityThreshold(2, (1.0, float("nan")))
 
 
 def test_agent_without_contracts_needs_no_spec():
@@ -266,3 +276,18 @@ def test_aggregation_reports_the_bad_side():
     b, a, element = sides.f_report.heredity_witness
     assert (b.mask, a.mask, element) == (0b11, 0b10, 1)
     assert aggregate_sides(parse_instance(read("ex2.mkt")), certify=False).f_report is None
+
+
+def test_certifying_a_large_market_evaluates_no_side(market_text, monkeypatch):
+    m = parse_instance(market_text(300, 300, 3, seed=5))
+    assert m.universe_size == 900
+    calls = []
+    original = Aggregate._choose_mask
+
+    def counted(self, xmask):
+        calls.append(xmask)
+        return original(self, xmask)
+
+    monkeypatch.setattr(Aggregate, "_choose_mask", counted)
+    sides = aggregate_sides(m)
+    assert sides.certified and calls == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from plottmatch import (
     Aggregate,
     BlairRelation,
+    CapExceeded,
     ContractSet,
     EmptyList,
     ExplicitTable,
@@ -24,6 +26,7 @@ from plottmatch import (
     StablePair,
     UniverseMismatch,
     UtilityThreshold,
+    aggregate_sides,
     blair_compare_stable,
     blair_leq,
     comparative_statics,
@@ -33,6 +36,7 @@ from plottmatch import (
     lattice_join,
     lattice_meet,
     pair_to_set,
+    parse_instance,
     phi_step,
     run_to_fixpoint,
     semi_stable_pair,
@@ -41,7 +45,9 @@ from plottmatch import (
     side_pair,
     union,
 )
+from plottmatch.choice import choice_table
 from plottmatch.oracle import enumerate_stable_sets, generate_instance, semi_stable_masks
+from plottmatch.stability import _dominates
 
 POLAR2 = side_pair(LinearOrderMax(2, (0, 1)), LinearOrderMax(2, (1, 0)))
 ORD3 = side_pair(LinearOrderMax(3, (0, 1, 2)), LinearOrderMax(3, (2, 1, 0)))
@@ -397,3 +403,60 @@ def test_statics_on_generated_markets():
         for s in _stable_sets(sides):
             s_prime = comparative_statics(sides, f_prime, s)
             assert is_stable_set(new_sides, s_prime).stable
+
+
+def _raised_quotas(m):
+    """The market's worker side with every worker quota raised by one."""
+    specs = tuple(replace(s, cf=replace(s.cf, quota=s.cf.quota + 1))
+                  if s.kind == "quota" and s.agent in m.workers else s for s in m.specs)
+    return aggregate_sides(replace(m, specs=specs), certify=False).F
+
+
+def test_statics_above_the_table_cap(market_text):
+    m = parse_instance(market_text(8, 6, 3, seed=11, worker_kinds=("quota", "order", "explicit"),
+                                   firm_kinds=("order", "quota", "utility", "explicit")))
+    assert m.universe_size == 24
+    sides = aggregate_sides(m)
+    assert sides.certified
+    f_prime = _raised_quotas(m)
+    s_prime = comparative_statics(sides, f_prime, side_optimal(sides, "F"))
+    assert is_stable_set(side_pair(f_prime, sides.G), s_prime).stable
+    # the original side does not dominate its weakening back
+    with pytest.raises(NotDominated):
+        comparative_statics(side_pair(f_prime, sides.G), sides.F,
+                            side_optimal(side_pair(f_prime, sides.G), "F"))
+
+
+def test_dominance_above_the_cap_needs_shared_blocks():
+    big = LinearOrderMax(17, tuple(range(17)))
+    with pytest.raises(CapExceeded):
+        _dominates(big, QuotaByOrder(17, tuple(range(17)), 2))
+    # equal parts of one block are never tabulated, whatever their size
+    agg = Aggregate(17, (tuple(range(17)),), (big,))
+    assert _dominates(agg, Aggregate(17, agg.blocks, (big,))) is None
+
+
+@st.composite
+def aggregate_pairs(draw):
+    """Two aggregates of at most 12 contracts over the same shuffled blocks."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = sum(sizes)
+    places = draw(st.permutations(range(n)))
+    blocks, parts, parts2, start = [], [], [], 0
+    for k in sizes:
+        blocks.append(tuple(places[start:start + k]))
+        start += k
+        for out in (parts, parts2):
+            table = [0] + [draw(st.integers(0, (1 << k) - 1)) & m for m in range(1, 1 << k)]
+            out.append(ExplicitTable(k, tuple(table)))
+    return (Aggregate(n, tuple(blocks), tuple(parts)),
+            Aggregate(n, tuple(blocks), tuple(parts2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(aggregate_pairs())
+def test_blockwise_dominance_matches_the_whole_tables(pair):
+    F, F2 = pair
+    bad = (choice_table(F) & ~choice_table(F2)).nonzero()[0]
+    assert _dominates(F, F2) == (int(bad[0]) if bad.size else None)
+    assert _dominates(F, F) is None
