@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -31,6 +31,14 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _lift(mask: int, place) -> int:
+    """The mask of local indices j mapped to the global indices ``place[j]``."""
+    out = 0
+    for j in _bits(mask):
+        out |= 1 << place[j]
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,6 +171,16 @@ class ChoiceFunction:
 
     def _choose_mask(self, xmask: int) -> int:
         raise NotImplementedError
+
+    def _scope(self, c: int) -> int:
+        """A mask around contract c on which the function acts alone.
+
+        For every X, G(X) ∩ scope = G(X ∩ scope) and G(X) ∖ scope =
+        G(X ∖ scope), so whether c is chosen, or whether adding c changes
+        the choice, is decided inside the scope. The whole universe in
+        general; an aggregate narrows it to c's block.
+        """
+        return (1 << self.universe_size) - 1
 
     def choose(self, X: ContractSet) -> ContractSet:
         """Evaluate the function on X. The result is always a subset of X."""
@@ -330,6 +348,53 @@ class UnionChoice(ChoiceFunction):
         return chosen
 
 
+def _top_choice(bits, acceptable: int, quota: int, xmask: int) -> int:
+    """The first ``quota`` members of ``xmask ∩ acceptable`` along ``bits``."""
+    live = xmask & acceptable
+    if live.bit_count() <= quota:
+        return live
+    chosen = 0
+    for bit in bits:
+        if live & bit:
+            chosen |= bit
+            quota -= 1
+            if not quota:
+                return chosen
+    return chosen
+
+
+def _local_choice(part: ChoiceFunction, bit_pairs, xmask: int) -> int:
+    """Gather xmask into the part's local indices, choose, lift back.
+
+    ``bit_pairs`` holds one (global bit, local bit) pair per block member.
+    """
+    local = 0
+    for gbit, lbit in bit_pairs:
+        if xmask & gbit:
+            local |= lbit
+    picked = part._choose_mask(local)
+    chosen = 0
+    for gbit, lbit in bit_pairs:
+        if picked & lbit:
+            chosen |= gbit
+    return chosen
+
+
+def _compile(block, part: ChoiceFunction):
+    """One part as a chooser on global masks that lie within its block.
+
+    Orders and quotas (utilities through their order) become a tuple of
+    global bits best-first; any other part keeps its own local indices.
+    """
+    if type(part) is UtilityThreshold:
+        part = part.as_order()
+    if type(part) in (LinearOrderMax, QuotaByOrder):
+        quota = part.quota if type(part) is QuotaByOrder else 1
+        bits = tuple(1 << block[j] for j in part.order if part.acceptable_mask >> j & 1)
+        return partial(_top_choice, bits, sum(bits) if quota else 0, quota)
+    return partial(_local_choice, part, tuple((1 << g, 1 << j) for j, g in enumerate(block)))
+
+
 @dataclass(frozen=True)
 class Aggregate(ChoiceFunction):
     """Blockwise choice: a partition of the universe with one function per block.
@@ -337,6 +402,10 @@ class Aggregate(ChoiceFunction):
     ``blocks[i]`` lists the global indices owned by part i, in the order that
     maps them onto that part's local universe 0..len(block)-1. The choice on X
     is the disjoint union of each part's choice on its slice of X.
+
+    Each part is compiled once into a chooser on global masks, indexed by
+    the contracts of its block, so that an evaluation visits only the
+    blocks that X touches.
     """
 
     universe_size: int
@@ -346,28 +415,41 @@ class Aggregate(ChoiceFunction):
     def __post_init__(self):
         if len(self.blocks) != len(self.parts):
             raise ValueError("one choice function per block required")
+        n = self.universe_size
         seen = 0
+        owner = [None] * n
         for block, part in zip(self.blocks, self.parts):
             if part.universe_size != len(block):
                 raise ValueError("part universe must match its block size")
+            mask = 0
             for g in block:
-                bit = 1 << g
-                if not 0 <= g < self.universe_size or seen & bit:
+                if not 0 <= g < n:
                     raise ValueError("blocks must partition the universe")
-                seen |= bit
-        if seen != (1 << self.universe_size) - 1:
+                mask |= 1 << g
+            if seen & mask or mask.bit_count() != len(block):
+                raise ValueError("blocks must partition the universe")
+            seen |= mask
+            if block:
+                entry = (mask, _compile(block, part))
+                for g in block:
+                    owner[g] = entry
+        if seen != (1 << n) - 1:
             raise ValueError("blocks must cover the whole universe")
+        # contract -> (its block's global mask, that block's chooser); not a field
+        object.__setattr__(self, "_owner", tuple(owner))
 
     def _choose_mask(self, xmask: int) -> int:
+        owner = self._owner
         chosen = 0
-        for block, part in zip(self.blocks, self.parts):
-            local = 0
-            for j, g in enumerate(block):
-                local |= (xmask >> g & 1) << j
-            picked = part._choose_mask(local)
-            for j, g in enumerate(block):
-                chosen |= (picked >> j & 1) << g
+        while xmask:
+            block, choose = owner[xmask.bit_length() - 1]
+            part = xmask & block
+            chosen |= choose(part)
+            xmask ^= part
         return chosen
+
+    def _scope(self, c: int) -> int:
+        return self._owner[c][0]
 
 
 def union(cfs) -> UnionChoice:
@@ -393,12 +475,14 @@ def _order_fill(masks: np.ndarray, order, acceptable: int, chosen: np.ndarray,
         remaining &= ~hit
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
 def choice_table(cf: ChoiceFunction) -> np.ndarray:
     """The function's full table as a read-only array indexed by subset mask.
 
     Only available up to EXHAUSTIVE_CAP contracts; every exhaustive check in
-    the package runs off this table.
+    the package runs off this table. The 64 most recent tables are kept, at
+    most 32 MiB at the cap: a check reuses the tables of the functions it
+    is given, and markets rarely repeat.
     """
     n = cf.universe_size
     if n > EXHAUSTIVE_CAP:
@@ -463,14 +547,6 @@ class PlottReport:
     outcast_witness: tuple[ContractSet, ContractSet] | None = None
     seed: int | None = None
     trials: int | None = None
-
-
-def _lift(mask: int, place) -> int:
-    """The mask of local indices j mapped to the global indices ``place[j]``."""
-    out = 0
-    for j in _bits(mask):
-        out |= 1 << place[j]
-    return out
 
 
 def _rank_keys(masks: np.ndarray, place) -> np.ndarray:
@@ -632,11 +708,10 @@ def is_plott(cf: ChoiceFunction, mode: str = "exhaustive", *, cap: int = EXHAUST
 def _closure_mask(cf: ChoiceFunction, xmask: int) -> int:
     chosen = cf._choose_mask(xmask)
     out = xmask
-    for c in range(cf.universe_size):
+    for c in _bits(((1 << cf.universe_size) - 1) & ~xmask):
         bit = 1 << c
-        if xmask & bit:
-            continue
-        if cf._choose_mask(xmask | bit) == chosen:
+        scope = cf._scope(c)
+        if cf._choose_mask((xmask | bit) & scope) == chosen & scope:
             out |= bit
     return out
 
@@ -646,7 +721,11 @@ def closure_star(cf: ChoiceFunction, X: ContractSet) -> ContractSet:
 
     For a path-independent function this equals X plus every single contract
     whose addition leaves the choice unchanged; callers must certify path
-    independence themselves, the behavior is undefined otherwise.
+    independence themselves, the behavior is undefined otherwise. Adding c
+    can change the choice only inside c's scope, where the function acts
+    alone: for an aggregate, c's block, since it chooses block by block.
+    So the test G(X ∪ {c}) = G(X) is made as G((X ∪ {c}) ∩ scope) =
+    G(X) ∩ scope, one evaluation of a single agent per outside contract.
     """
     if X.universe_size != cf.universe_size:
         raise UniverseMismatch("closure over a foreign universe")

@@ -136,17 +136,23 @@ def is_stable_set(sides: SidePair, S: ContractSet) -> StabilityCheck:
     """Check S1 (both sides keep S) and S2 (no outside contract blocks).
 
     S1 is checked for F before G; S2 scans outside contracts in index
-    order, so the reported witness is deterministic.
+    order, so the reported witness is deterministic. Whether a side
+    chooses c from S ∪ {c} is decided inside c's scope, where that side
+    acts alone (for an aggregate, c's block, since it chooses block by
+    block), so S2 evaluates each side on (S ∪ {c}) ∩ scope: one agent per
+    side, not the whole side.
     """
     if S.universe_size != sides.universe_size:
         raise UniverseMismatch("set outside the market universe")
-    if sides.F.choose(S) != S:
+    F, G = sides.F, sides.G
+    if F.choose(S) != S:
         return StabilityCheck(False, "S1", side="F")
-    if sides.G.choose(S) != S:
+    if G.choose(S) != S:
         return StabilityCheck(False, "S1", side="G")
     for c in S.complement():
-        added = S.add(c)
-        if c in sides.F.choose(added) and c in sides.G.choose(added):
+        bit = 1 << c
+        added = S.mask | bit
+        if F._choose_mask(added & F._scope(c)) & bit and G._choose_mask(added & G._scope(c)) & bit:
             return StabilityCheck(False, "S2", contract=c)
     return StabilityCheck(True)
 
@@ -164,15 +170,43 @@ def is_stable_set_via_closure(sides: SidePair, S: ContractSet) -> bool:
     return covered == ContractSet.full(sides.universe_size)
 
 
-def semi_stable_pair(sides: SidePair, Y: ContractSet, Z: ContractSet) -> SemiStablePair:
-    """Validate SSP1 (Y ∪ Z = C) and SSP2 (choose(G,Y) ⊆ choose(F,Z))."""
+def _ssp_masks(sides: SidePair, Y: ContractSet, Z: ContractSet) -> tuple[int, int]:
+    """Validate SSP1 and SSP2 on (Y, Z); return the masks of choose(G,Y), choose(F,Z)."""
     if Y.universe_size != sides.universe_size or Z.universe_size != sides.universe_size:
         raise UniverseMismatch("pair outside the market universe")
     if (Y | Z) != ContractSet.full(sides.universe_size):
         raise NotSemiStable("SSP1 fails: Y and Z do not cover the universe")
-    if not sides.G.choose(Y) <= sides.F.choose(Z):
+    gy = sides.G._choose_mask(Y.mask)
+    fz = sides.F._choose_mask(Z.mask)
+    if gy & ~fz:
         raise NotSemiStable("SSP2 fails: choose(G,Y) is not within choose(F,Z)")
+    return gy, fz
+
+
+def semi_stable_pair(sides: SidePair, Y: ContractSet, Z: ContractSet) -> SemiStablePair:
+    """Validate SSP1 (Y ∪ Z = C) and SSP2 (choose(G,Y) ⊆ choose(F,Z))."""
+    _ssp_masks(sides, Y, Z)
     return SemiStablePair(Y, Z)
+
+
+def _phi(sides: SidePair, p: SemiStablePair, fz: int):
+    """Φ on a validated pair p whose choose(F,Z) is fz.
+
+    Returns the new pair, choose(G,fz), and the new pair's choose(G,Y')
+    and choose(F,Z'), which its validation computed; the new pair must be
+    semi-stable and above p in the (Y grows, Z shrinks) order.
+    """
+    n = sides.universe_size
+    gfz = sides.G._choose_mask(fz)
+    y = ContractSet(n, p.Y.mask | fz)
+    z = ContractSet(n, (p.Z.mask & ~fz) | gfz)
+    try:
+        gy, fz2 = _ssp_masks(sides, y, z)
+    except NotSemiStable as exc:
+        raise InternalError("update left the semi-stable family") from exc
+    if not (p.Y <= y and z <= p.Z):
+        raise InternalError("update left the componentwise order")
+    return SemiStablePair(y, z), gfz, gy, fz2
 
 
 def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
@@ -182,15 +216,8 @@ def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     in the (Y grows, Z shrinks) order, both enforced.
     """
     _require_certified(sides)
-    p = semi_stable_pair(sides, p.Y, p.Z)
-    fz = sides.F.choose(p.Z)
-    try:
-        new = semi_stable_pair(sides, p.Y | fz, (p.Z - fz) | sides.G.choose(fz))
-    except NotSemiStable as exc:
-        raise InternalError("update left the semi-stable family") from exc
-    if not (p.Y <= new.Y and new.Z <= p.Z):
-        raise InternalError("update left the componentwise order")
-    return new
+    _, fz = _ssp_masks(sides, p.Y, p.Z)
+    return _phi(sides, p, fz)[0]
 
 
 def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
@@ -202,25 +229,32 @@ def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
     InternalError. At the fixpoint, choose(F,Z) = choose(G,choose(F,Z))
     and choose(G,Y) = choose(F,Z) are both asserted, making
     S = choose(G,Y) stable with stable pair (Y, Z).
+
+    Each application is phi_step's, except that the input's choose(G,Y)
+    and choose(F,Z) are carried from the validation of the step that
+    produced it rather than computed again: the same checks on the same
+    pair, three side evaluations per application and two for p0. The
+    sides themselves evaluate only the agents a set touches (see
+    Aggregate).
     """
     _require_certified(sides)
-    p = semi_stable_pair(sides, p0.Y, p0.Z)
+    gy, fz = _ssp_masks(sides, p0.Y, p0.Z)
+    p = SemiStablePair(p0.Y, p0.Z)
     steps = [p]
     limit = sides.universe_size + 2
     while True:
-        nxt = phi_step(sides, p)
+        nxt, gfz, next_gy, next_fz = _phi(sides, p, fz)
         if nxt == p:
             break
         steps.append(nxt)
-        p = nxt
+        p, gy, fz = nxt, next_gy, next_fz
         if len(steps) > limit:
             raise InternalError("dynamics exceeded the |C|+2 step bound")
-    fz = sides.F.choose(p.Z)
-    if sides.G.choose(fz) != fz:
+    if gfz != fz:
         raise InternalError("fixpoint reached with choose(G,choose(F,Z)) != choose(F,Z)")
-    if sides.G.choose(p.Y) != fz:
+    if gy != fz:
         raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
-    result = StablePair(p.Y, p.Z, fz)
+    result = StablePair(p.Y, p.Z, ContractSet(sides.universe_size, fz))
     return ProcessTrace(tuple(steps), len(steps) - 1, result)
 
 

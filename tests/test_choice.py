@@ -167,6 +167,11 @@ def test_aggregate_validation():
         Aggregate(2, ((0, 1),), (one,))  # part size mismatch
     with pytest.raises(ValueError):
         Aggregate(2, ((0,),), (one, one))
+    two = LinearOrderMax(2, (0, 1))
+    with pytest.raises(ValueError):
+        Aggregate(2, ((0, 0),), (two,))  # repeated inside one block
+    with pytest.raises(ValueError):
+        Aggregate(2, ((0, 2),), (two,))  # index outside the universe
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +346,64 @@ def test_exhaustive_check_agrees_with_the_definition(cf):
 @given(plott_sides())
 def test_generated_unions_are_path_independent(sides):
     assert _definition_plott(sides.F) and _definition_plott(sides.G)
+
+
+# ---------------------------------------------------------------------------
+# compiled aggregates
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mixed_aggregates(draw):
+    """Aggregates of at most 12 contracts over every kind of part.
+
+    Blocks lie in shuffled global order; empty agents, as aggregate_sides
+    builds them, are mixed in.
+    """
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    n = sum(sizes)
+    places = draw(st.permutations(range(n)))
+    blocks, parts, start = [], [], 0
+    for k in sizes:
+        blocks.append(tuple(places[start:start + k]))
+        start += k
+        if k == 0:
+            parts.append(ExplicitTable(0, (0,)))
+        elif draw(st.booleans()):
+            parts.append(draw(selection_tables(k)))
+        else:
+            parts.append(draw(structural_functions(k)))
+    return Aggregate(n, tuple(blocks), tuple(parts))
+
+
+def _reference_choice(agg, xmask: int) -> int:
+    """The union of each part's local choice, gathered and lifted by hand."""
+    chosen = 0
+    for block, part in zip(agg.blocks, agg.parts):
+        local = sum(1 << j for j, g in enumerate(block) if xmask >> g & 1)
+        picked = part._choose_mask(local)
+        chosen |= sum(1 << g for j, g in enumerate(block) if picked >> j & 1)
+    return chosen
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_aggregates())
+def test_compiled_aggregate_matches_the_local_choices(agg):
+    for x in range(1 << agg.universe_size):
+        assert agg._choose_mask(x) == _reference_choice(agg, x)
+    for block in agg.blocks:
+        for g in block:
+            assert agg._scope(g) == sum(1 << h for h in block)
+
+
+def test_compiled_quota_edges():
+    order = (2, 0, 1)
+    for q, acceptable in ((0, 0b111), (1, 0b011), (3, 0b110), (5, 0b111)):
+        part = QuotaByOrder(3, order, q, acceptable)
+        agg = Aggregate(5, ((4, 1, 3), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
+        for x in range(32):
+            assert agg._choose_mask(x) == _reference_choice(agg, x)
+    assert ORD3_G._scope(1) == 0b111
 
 
 # ---------------------------------------------------------------------------

@@ -23,18 +23,21 @@ from plottmatch import (
     QuotaByOrder,
     S1Violated,
     SemiStablePair,
+    StabilityCheck,
     StablePair,
     UniverseMismatch,
     UtilityThreshold,
     aggregate_sides,
     blair_compare_stable,
     blair_leq,
+    closure_star,
     comparative_statics,
     format_trace,
     is_stable_set,
     is_stable_set_via_closure,
     lattice_join,
     lattice_meet,
+    nil_set,
     pair_to_set,
     parse_instance,
     phi_step,
@@ -460,3 +463,110 @@ def test_blockwise_dominance_matches_the_whole_tables(pair):
     bad = (choice_table(F) & ~choice_table(F2)).nonzero()[0]
     assert _dominates(F, F2) == (int(bad[0]) if bad.size else None)
     assert _dominates(F, F) is None
+
+
+# ---------------------------------------------------------------------------
+# scoped evaluation: one agent per question
+# ---------------------------------------------------------------------------
+
+
+def _whole_closure(cf, xmask: int) -> int:
+    """X plus every contract whose addition leaves the whole choice unchanged."""
+    chosen = cf._choose_mask(xmask)
+    return xmask | sum(1 << c for c in range(cf.universe_size)
+                       if not xmask >> c & 1 and cf._choose_mask(xmask | 1 << c) == chosen)
+
+
+def _whole_stability(sides, S) -> StabilityCheck:
+    """S1 then S2, each side evaluated on the whole set S ∪ {c}."""
+    if sides.F.choose(S) != S:
+        return StabilityCheck(False, "S1", side="F")
+    if sides.G.choose(S) != S:
+        return StabilityCheck(False, "S1", side="G")
+    for c in S.complement():
+        added = S.add(c)
+        if c in sides.F.choose(added) and c in sides.G.choose(added):
+            return StabilityCheck(False, "S2", contract=c)
+    return StabilityCheck(True)
+
+
+def _small_markets(market_text):
+    kinds = ("order", "quota", "utility", "explicit")
+    for seed in range(12):
+        m = parse_instance(market_text(4, 3, 2, seed=seed, worker_kinds=kinds[seed % 4:],
+                                       firm_kinds=kinds[::-1][seed % 3:]))
+        yield aggregate_sides(m)
+    for seed in range(12):
+        yield generate_instance(seed, 7, (1 + seed % 2, 1 + seed % 3))
+
+
+def test_scoped_closure_and_stability_equal_whole_evaluation(market_text):
+    seen = set()
+    for sides in _small_markets(market_text):
+        n = sides.universe_size
+        for cf in (sides.F, sides.G):
+            assert nil_set(cf).mask == _whole_closure(cf, 0)
+        for m in range(1 << n):
+            S = ContractSet(n, m)
+            for cf in (sides.F, sides.G):
+                assert closure_star(cf, S).mask == _whole_closure(cf, m)
+            check = is_stable_set(sides, S)
+            assert check == _whole_stability(sides, S)
+            seen.add(check.condition)
+    assert seen == {"S1", "S2", None}
+
+
+def _iterate_phi_step(sides, p):
+    steps = [p]
+    while True:
+        nxt = phi_step(sides, p)
+        if nxt == p:
+            return steps, StablePair(p.Y, p.Z, sides.G.choose(p.Y))
+        steps.append(nxt)
+        p = nxt
+
+
+def test_run_to_fixpoint_equals_iterated_phi_step(market_text):
+    rng = random.Random(7)
+    for sides in _small_markets(market_text):
+        for frame in (sides, sides.swap()):
+            n = frame.universe_size
+            offers = frame.F.choose(ContractSet.full(n)).mask
+            for y in (0, offers, offers & rng.getrandbits(n)):
+                start = semi_stable_pair(frame, ContractSet(n, y), ContractSet.full(n))
+                trace = run_to_fixpoint(frame, start)
+                steps, result = _iterate_phi_step(frame, start)
+                assert trace.steps == tuple(steps)
+                assert trace.terminated_at == len(steps) - 1
+                assert trace.result == result
+
+
+def test_large_market_evaluations_stay_within_one_agent(market_text, monkeypatch):
+    m = parse_instance(market_text(300, 300, 3, seed=5))
+    assert m.universe_size == 900
+    sides = aggregate_sides(m)
+    block_of = {}
+    for agg in (sides.F, sides.G):
+        for i, block in enumerate(agg.blocks):
+            for g in block:
+                block_of[id(agg), g] = i
+    calls = []
+    original = Aggregate._choose_mask
+
+    def counted(self, xmask):
+        calls.append(len({block_of[id(self), g] for g in ContractSet(900, xmask)}) > 1)
+        return original(self, xmask)
+
+    monkeypatch.setattr(Aggregate, "_choose_mask", counted)
+    for frame in (sides, sides.swap()):
+        start = semi_stable_pair(frame, ContractSet.empty(900), ContractSet.full(900))
+        calls.clear()
+        trace = run_to_fixpoint(frame, start)
+        assert len(calls) <= 3 * (trace.terminated_at + 1) + 2
+        S = trace.result.S
+        calls.clear()
+        assert is_stable_set(frame, S).stable
+        assert sum(calls) <= 2
+        calls.clear()
+        closure_star(frame.G, S)
+        assert sum(calls) <= 1
