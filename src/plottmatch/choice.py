@@ -7,14 +7,14 @@ condition) is equivalent to the pair Heredity + Outcast, which is what
 :func:`is_plott` verifies. On top of that sit the closure operator G*, the
 Nil-set of never-chosen contracts, unions of choice functions, and the
 decomposition of a path-independent function into a union of linear-order
-maximizers.
+maximizers. Orders, quotas and utility maximizers are one class,
+:class:`OrderChoice`: the top q acceptable contracts along a linear order.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import CapExceeded, EmptyList, InternalError, NotPlott, UniverseMis
 
 EXHAUSTIVE_CAP = 16
 DECOMPOSE_CAP = 8
-SAMPLED_TRIALS = 10_000
 
 
 def _bits(mask: int):
@@ -182,6 +181,19 @@ class ChoiceFunction:
         """
         return (1 << self.universe_size) - 1
 
+    def _table(self, masks: np.ndarray) -> np.ndarray:
+        """The choice on every mask of ``masks`` (all subsets, ascending)."""
+        return np.fromiter((self._choose_mask(m) for m in range(masks.size)),
+                           dtype=np.int64, count=masks.size)
+
+    def _chooser(self, place):
+        """This function on global masks, local index j sitting at ``place[j]``.
+
+        An aggregate compiles each part through it once; the default gathers
+        the mask into local indices, chooses, and lifts the choice back.
+        """
+        return partial(_local_choice, self, tuple((1 << g, 1 << j) for j, g in enumerate(place)))
+
     def choose(self, X: ContractSet) -> ContractSet:
         """Evaluate the function on X. The result is always a subset of X."""
         if X.universe_size != self.universe_size:
@@ -218,45 +230,23 @@ class ExplicitTable(ChoiceFunction):
     def _choose_mask(self, xmask: int) -> int:
         return self.table[xmask]
 
+    def _table(self, masks: np.ndarray) -> np.ndarray:
+        return np.array(self.table, dtype=np.int64)
+
 
 @dataclass(frozen=True)
-class LinearOrderMax(ChoiceFunction):
-    """Pick the best acceptable element of X under a strict total order.
+class OrderChoice(ChoiceFunction):
+    """Pick the top ``quota`` acceptable elements of X along a strict total order.
 
     ``order`` lists all contract indices best-first; ``acceptable_mask``
-    restricts which contracts can ever be chosen (default: all). The choice
-    is the order-maximum of X ∩ acceptable, or ∅ when that is empty.
+    restricts which contracts can ever be chosen (default: all). With quota
+    1 this is a linear-order maximizer, and :meth:`by_utility` builds a
+    utility maximizer as one. Every such function is path independent.
     """
 
     universe_size: int
     order: tuple[int, ...]
-    acceptable_mask: int = -1
-
-    def __post_init__(self):
-        n = self.universe_size
-        if sorted(self.order) != list(range(n)):
-            raise ValueError("order must be a permutation of all contract indices")
-        if self.acceptable_mask == -1:
-            object.__setattr__(self, "acceptable_mask", (1 << n) - 1)
-        if not 0 <= self.acceptable_mask < (1 << n):
-            raise ValueError("acceptable_mask outside the universe")
-
-    def _choose_mask(self, xmask: int) -> int:
-        live = xmask & self.acceptable_mask
-        for c in self.order:
-            bit = 1 << c
-            if live & bit:
-                return bit
-        return 0
-
-
-@dataclass(frozen=True)
-class QuotaByOrder(ChoiceFunction):
-    """Pick the top-q acceptable elements of X under a strict total order."""
-
-    universe_size: int
-    order: tuple[int, ...]
-    quota: int
+    quota: int = 1
     acceptable_mask: int = -1
 
     def __post_init__(self):
@@ -270,56 +260,40 @@ class QuotaByOrder(ChoiceFunction):
         if not 0 <= self.acceptable_mask < (1 << n):
             raise ValueError("acceptable_mask outside the universe")
 
+    @classmethod
+    def by_utility(cls, utilities) -> "OrderChoice":
+        """The utility maximizer: highest u ≥ 0 first, the lowest index on ties.
+
+        That is the order by (−u, index) with exactly the contracts of
+        utility u ≥ 0 acceptable.
+        """
+        n = len(utilities)
+        order = tuple(sorted(range(n), key=lambda i: (-utilities[i], i)))
+        return cls(n, order, 1, sum(1 << i for i, u in enumerate(utilities) if u >= 0))
+
+    @cached_property
+    def _top(self):
+        """The chooser on this function's own masks, built on first use."""
+        return self._chooser(range(self.universe_size))
+
     def _choose_mask(self, xmask: int) -> int:
-        live = xmask & self.acceptable_mask
-        chosen = 0
-        taken = 0
+        return self._top(xmask)
+
+    def _chooser(self, place):
+        """Choose straight on global bits: the acceptable ones, best-first."""
+        bits = tuple(1 << place[j] for j in self.order if self.acceptable_mask >> j & 1)
+        return partial(_top_choice, bits, sum(bits) if self.quota else 0, self.quota)
+
+    def _table(self, masks: np.ndarray) -> np.ndarray:
+        table = np.zeros_like(masks)
+        taken = np.zeros(masks.size, dtype=np.int8)  # at most EXHAUSTIVE_CAP
         for c in self.order:
-            if taken == self.quota:
-                break
-            bit = 1 << c
-            if live & bit:
-                chosen |= bit
-                taken += 1
-        return chosen
-
-
-@dataclass(frozen=True)
-class UtilityThreshold(ChoiceFunction):
-    """Pick the utility-maximal element of X among non-negative utilities.
-
-    Contracts with negative utility are never chosen; ties are broken by
-    the lowest contract index, so the function is single-valued and equals
-    the maximizer of a derived linear order.
-    """
-
-    universe_size: int
-    utilities: tuple
-
-    def __post_init__(self):
-        if len(self.utilities) != self.universe_size:
-            raise ValueError("one utility per contract required")
-        if any(u != u for u in self.utilities):
-            raise ValueError("a NaN utility has no place in the order")
-
-    def _choose_mask(self, xmask: int) -> int:
-        best = -1
-        for c in _bits(xmask):
-            u = self.utilities[c]
-            if u < 0:
-                continue
-            if best < 0 or u > self.utilities[best]:
-                best = c
-        return 0 if best < 0 else 1 << best
-
-    def as_order(self) -> LinearOrderMax:
-        """The equivalent single linear-order maximizer."""
-        order = tuple(sorted(range(self.universe_size), key=lambda i: (-self.utilities[i], i)))
-        acceptable = 0
-        for i, u in enumerate(self.utilities):
-            if u >= 0:
-                acceptable |= 1 << i
-        return LinearOrderMax(self.universe_size, order, acceptable)
+            if self.acceptable_mask >> c & 1:
+                got = masks & (1 << c)
+                got *= taken < self.quota
+                table |= got
+                taken += got != 0
+        return table
 
 
 @dataclass(frozen=True)
@@ -346,6 +320,12 @@ class UnionChoice(ChoiceFunction):
         for part in self.parts:
             chosen |= part._choose_mask(xmask)
         return chosen
+
+    def _table(self, masks: np.ndarray) -> np.ndarray:
+        table = np.zeros_like(masks)
+        for part in self.parts:
+            table |= choice_table(part)
+        return table
 
 
 def _top_choice(bits, acceptable: int, quota: int, xmask: int) -> int:
@@ -380,21 +360,6 @@ def _local_choice(part: ChoiceFunction, bit_pairs, xmask: int) -> int:
     return chosen
 
 
-def _compile(block, part: ChoiceFunction):
-    """One part as a chooser on global masks that lie within its block.
-
-    Orders and quotas (utilities through their order) become a tuple of
-    global bits best-first; any other part keeps its own local indices.
-    """
-    if type(part) is UtilityThreshold:
-        part = part.as_order()
-    if type(part) in (LinearOrderMax, QuotaByOrder):
-        quota = part.quota if type(part) is QuotaByOrder else 1
-        bits = tuple(1 << block[j] for j in part.order if part.acceptable_mask >> j & 1)
-        return partial(_top_choice, bits, sum(bits) if quota else 0, quota)
-    return partial(_local_choice, part, tuple((1 << g, 1 << j) for j, g in enumerate(block)))
-
-
 @dataclass(frozen=True)
 class Aggregate(ChoiceFunction):
     """Blockwise choice: a partition of the universe with one function per block.
@@ -403,9 +368,9 @@ class Aggregate(ChoiceFunction):
     maps them onto that part's local universe 0..len(block)-1. The choice on X
     is the disjoint union of each part's choice on its slice of X.
 
-    Each part is compiled once into a chooser on global masks, indexed by
-    the contracts of its block, so that an evaluation visits only the
-    blocks that X touches.
+    Each part is compiled once, through its ``_chooser``, into a chooser on
+    global masks, indexed by the contracts of its block, so that an
+    evaluation visits only the blocks that X touches.
     """
 
     universe_size: int
@@ -430,7 +395,7 @@ class Aggregate(ChoiceFunction):
                 raise ValueError("blocks must partition the universe")
             seen |= mask
             if block:
-                entry = (mask, _compile(block, part))
+                entry = (mask, part._chooser(block))
                 for g in block:
                     owner[g] = entry
         if seen != (1 << n) - 1:
@@ -451,6 +416,17 @@ class Aggregate(ChoiceFunction):
     def _scope(self, c: int) -> int:
         return self._owner[c][0]
 
+    def _table(self, masks: np.ndarray) -> np.ndarray:
+        table = np.zeros_like(masks)
+        for block, part in zip(self.blocks, self.parts):
+            local = np.zeros_like(masks)
+            for j, g in enumerate(block):
+                local |= (masks >> g & 1) << j
+            picked = choice_table(part)[local]
+            for j, g in enumerate(block):
+                table |= (picked >> j & 1) << g
+        return table
+
 
 def union(cfs) -> UnionChoice:
     """Union a nonempty list of choice functions over one shared universe."""
@@ -465,62 +441,20 @@ def union(cfs) -> UnionChoice:
 # ---------------------------------------------------------------------------
 
 
-def _order_fill(masks: np.ndarray, order, acceptable: int, chosen: np.ndarray,
-                remaining: np.ndarray):
-    for c in order:
-        if not acceptable >> c & 1:
-            continue
-        hit = remaining & ((masks >> c & 1) == 1)
-        chosen[hit] = 1 << c
-        remaining &= ~hit
-
-
 @lru_cache(maxsize=64)
 def choice_table(cf: ChoiceFunction) -> np.ndarray:
     """The function's full table as a read-only array indexed by subset mask.
 
     Only available up to EXHAUSTIVE_CAP contracts; every exhaustive check in
-    the package runs off this table. The 64 most recent tables are kept, at
-    most 32 MiB at the cap: a check reuses the tables of the functions it
-    is given, and markets rarely repeat.
+    the package runs off this table, which each class builds in its own
+    ``_table``. The 64 most recent tables are kept, at most 32 MiB at the
+    cap: a check reuses the tables of the functions it is given, and
+    markets rarely repeat.
     """
     n = cf.universe_size
     if n > EXHAUSTIVE_CAP:
         raise CapExceeded(f"full tables are capped at {EXHAUSTIVE_CAP} contracts")
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    if isinstance(cf, ExplicitTable):
-        table = np.array(cf.table, dtype=np.int64)
-    elif isinstance(cf, LinearOrderMax):
-        table = np.zeros(size, dtype=np.int64)
-        _order_fill(masks, cf.order, cf.acceptable_mask, table, np.ones(size, dtype=bool))
-    elif isinstance(cf, UtilityThreshold):
-        table = choice_table(cf.as_order()).copy()
-    elif isinstance(cf, QuotaByOrder):
-        table = np.zeros(size, dtype=np.int64)
-        taken = np.zeros(size, dtype=np.int64)
-        for c in cf.order:
-            if not cf.acceptable_mask >> c & 1:
-                continue
-            take = ((masks >> c & 1) == 1) & (taken < cf.quota)
-            table[take] |= 1 << c
-            taken += take
-    elif isinstance(cf, UnionChoice):
-        table = np.zeros(size, dtype=np.int64)
-        for part in cf.parts:
-            table |= choice_table(part)
-    elif isinstance(cf, Aggregate):
-        table = np.zeros(size, dtype=np.int64)
-        for block, part in zip(cf.blocks, cf.parts):
-            local = np.zeros(size, dtype=np.int64)
-            for j, g in enumerate(block):
-                local |= (masks >> g & 1) << j
-            picked = choice_table(part)[local]
-            for j, g in enumerate(block):
-                table |= (picked >> j & 1) << g
-    else:
-        table = np.fromiter((cf._choose_mask(m) for m in range(size)),
-                            dtype=np.int64, count=size)
+    table = cf._table(np.arange(1 << n, dtype=np.int64))
     table.setflags(write=False)
     return table
 
@@ -542,11 +476,8 @@ class PlottReport:
     """
 
     is_plott: bool
-    mode: str
     heredity_witness: tuple[ContractSet, ContractSet, int] | None = None
     outcast_witness: tuple[ContractSet, ContractSet] | None = None
-    seed: int | None = None
-    trials: int | None = None
 
 
 def _rank_keys(masks: np.ndarray, place) -> np.ndarray:
@@ -616,8 +547,8 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
 
     Returns None when cf is path independent, else ``(0, B, A, element)``
     for Heredity or ``(1, X, Y)`` for Outcast, so that tuple order puts
-    Heredity first and then the least set. Orders, quotas and utilities are
-    path independent by construction, and so is any union of path
+    Heredity first and then the least set. An OrderChoice is path
+    independent by construction, and so is any union of path
     independent functions (Aizerman–Malishevski). An aggregate acts on each
     block alone, G(X) = ∪ G_i(X ∩ block_i), so it is path independent
     exactly when every part is, and each violation of a part, with the
@@ -625,7 +556,7 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
     contract. Everything else is scanned over its own table, which must fit
     under ``cap``.
     """
-    if type(cf) in (LinearOrderMax, QuotaByOrder, UtilityThreshold):
+    if type(cf) is OrderChoice:
         return None
     if type(cf) is Aggregate:
         hits = (_plott_witness(part, cap, tuple(place[g] for g in block))
@@ -649,55 +580,28 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
     return None
 
 
-def is_plott(cf: ChoiceFunction, mode: str = "exhaustive", *, cap: int = EXHAUSTIVE_CAP,
-             seed: int = 0, trials: int = SAMPLED_TRIALS) -> PlottReport:
+def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
     """Check Heredity and Outcast, whose conjunction is path independence.
 
-    Exhaustive mode is exact at any universe size. It walks the structure
-    of cf: orders, quotas and utilities pass by construction, a union
-    passes when its parts do, and an aggregate is path independent exactly
-    when every block's part is, because it chooses block by block. Only the
-    remaining tables (explicit ones, failing unions, other functions) are
-    scanned, every one-element removal over their own 2^k rows, which by
-    induction decides both axioms over all subset pairs; each scanned
-    table must fit under ``cap``. The witness is the one a scan of the
-    whole function's table would return: heredity first, then the least
-    set. Sampled mode, a diagnostic that proves nothing, draws ``trials``
-    random subset pairs (each element kept by an independent fair coin)
-    under a recorded seed.
+    Exact at any universe size. The check walks the structure of cf: an
+    OrderChoice passes by construction, a union passes when its parts do,
+    and an aggregate is path independent exactly when every block's part
+    is, because it chooses block by block. Only the remaining tables
+    (explicit ones, failing unions, other functions) are scanned, every
+    one-element removal over their own 2^k rows, which by induction decides
+    both axioms over all subset pairs; each scanned table must fit under
+    ``cap``. The witness is the one a scan of the whole function's table
+    would return: heredity first, then the least set.
     """
     n = cf.universe_size
-    if mode == "exhaustive":
-        hit = _plott_witness(cf, cap, range(n))
-        if hit is None:
-            return PlottReport(True, "exhaustive")
-        if hit[0] == 0:
-            _, b, a, element = hit
-            witness = (ContractSet(n, b), ContractSet(n, a), element)
-            return PlottReport(False, "exhaustive", heredity_witness=witness)
-        _, x, y = hit
-        return PlottReport(False, "exhaustive",
-                           outcast_witness=(ContractSet(n, x), ContractSet(n, y)))
-    if mode != "sampled":
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        bmask = rng.getrandbits(n) if n else 0
-        amask = bmask & (rng.getrandbits(n) if n else 0)
-        offending = cf._choose_mask(bmask) & amask & ~cf._choose_mask(amask)
-        if offending:
-            element = (offending & -offending).bit_length() - 1
-            witness = (ContractSet(n, bmask), ContractSet(n, amask), element)
-            return PlottReport(False, "sampled", heredity_witness=witness,
-                               seed=seed, trials=trials)
-        xmask = rng.getrandbits(n) if n else 0
-        gx = cf._choose_mask(xmask)
-        ymask = gx | (xmask & ~gx & (rng.getrandbits(n) if n else 0))
-        if ymask != xmask and cf._choose_mask(ymask) != gx:
-            witness = (ContractSet(n, xmask), ContractSet(n, ymask))
-            return PlottReport(False, "sampled", outcast_witness=witness,
-                               seed=seed, trials=trials)
-    return PlottReport(True, "sampled", seed=seed, trials=trials)
+    hit = _plott_witness(cf, cap, range(n))
+    if hit is None:
+        return PlottReport(True)
+    if hit[0] == 0:
+        _, b, a, element = hit
+        return PlottReport(False, heredity_witness=(ContractSet(n, b), ContractSet(n, a), element))
+    _, x, y = hit
+    return PlottReport(False, outcast_witness=(ContractSet(n, x), ContractSet(n, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +715,7 @@ def _order_table_on(order: tuple[int, ...], active: int) -> dict[int, int]:
     return best
 
 
-def decompose_into_orders(cf: ChoiceFunction, *, cap: int = DECOMPOSE_CAP) -> list[LinearOrderMax]:
+def decompose_into_orders(cf: ChoiceFunction, *, cap: int = DECOMPOSE_CAP) -> list[OrderChoice]:
     """Write a path-independent function as a union of order maximizers.
 
     Every returned order ranks all contracts, accepts exactly the non-Nil
@@ -859,7 +763,7 @@ def decompose_into_orders(cf: ChoiceFunction, *, cap: int = DECOMPOSE_CAP) -> li
         if len(rest_cover) == len(demands):
             picked = rest
 
-    orders = [LinearOrderMax(n, candidates[k] + nil_tail, active) for k in picked]
+    orders = [OrderChoice(n, candidates[k] + nil_tail, 1, active) for k in picked]
     recombined = np.zeros(1 << n, dtype=np.int64)
     for o in orders:
         recombined |= choice_table(o)

@@ -25,7 +25,6 @@ from .hyperorders import AUDIT_CAP, DerivedLehmann, audit_lehmann_axioms, recons
 from .market import MarketInstance, aggregate_sides, parse_instance
 from .oracle import ENUMERATE_CAP, enumerate_stable_sets, format_catalog, verify_lattice
 from .stability import (
-    SidePair,
     format_trace,
     comparative_statics,
     blair_compare_stable,
@@ -47,11 +46,20 @@ def _parse_cli_set(text: str, labels, n: int) -> ContractSet:
         raise ParseError(str(exc)) from None
 
 
-def _require_plott_sides(sides: SidePair):
-    if sides.f_report is not None and not sides.f_report.is_plott:
-        raise NotCertified("side F is not path-independent")
-    if sides.g_report is not None and not sides.g_report.is_plott:
-        raise NotCertified("side G is not path-independent")
+def _cap(args, default: int) -> int:
+    """The --cap value when one was given, 0 included; the default otherwise."""
+    return default if args.cap is None else args.cap
+
+
+def _non_negative(text: str) -> int:
+    """Parse a --cap value; a negative one is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _targets(m: MarketInstance, args, *, default_both: bool):
@@ -71,9 +79,9 @@ def _targets(m: MarketInstance, args, *, default_both: bool):
     return [(None, sides.G, m.labels)]
 
 
-def _audit_lines(cf, labels, cap) -> list[str]:
+def _audit_lines(cf, labels, cap: int) -> list[str]:
     try:
-        report = audit_lehmann_axioms(DerivedLehmann(cf), cap=cap or AUDIT_CAP)
+        report = audit_lehmann_axioms(DerivedLehmann(cf), cap=cap)
     except CapExceeded:
         return ["lehmann: skipped (universe exceeds audit cap)"]
     verdicts = " ".join(
@@ -89,18 +97,11 @@ def _audit_lines(cf, labels, cap) -> list[str]:
 def cmd_check(args) -> int:
     m = _load(args.instance)
     for prefix, cf, labels in _targets(m, args, default_both=True):
-        if args.mode == "exhaustive":
-            report = is_plott(cf, "exhaustive", cap=args.cap or EXHAUSTIVE_CAP)
-        else:
-            report = is_plott(cf, "sampled", seed=args.seed)
+        report = is_plott(cf, cap=_cap(args, EXHAUSTIVE_CAP))
         lines = []
         if report.is_plott:
-            if report.mode == "exhaustive":
-                lines.append("PLOTT (exhaustive)")
-            else:
-                lines.append(f"PLOTT (sampled, seed={report.seed}, "
-                             f"trials={report.trials})")
-            lines.extend(_audit_lines(cf, labels, args.cap))
+            lines.append("PLOTT (exhaustive)")
+            lines.extend(_audit_lines(cf, labels, _cap(args, AUDIT_CAP)))
         elif report.heredity_witness is not None:
             b, a, element = report.heredity_witness
             lines.append(
@@ -119,7 +120,7 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     m = _load(args.instance)
     sides = aggregate_sides(m)
-    _require_plott_sides(sides)
+    sides.require_certified()
     frame = sides if args.favor == "F" else sides.swap()
     n = m.universe_size
     start = semi_stable_pair(frame, ContractSet.empty(n), ContractSet.full(n))
@@ -133,7 +134,7 @@ def cmd_solve(args) -> int:
 def cmd_enumerate(args) -> int:
     m = _load(args.instance)
     sides = aggregate_sides(m)
-    catalog = enumerate_stable_sets(sides, cap=args.cap or ENUMERATE_CAP)
+    catalog = enumerate_stable_sets(sides, cap=_cap(args, ENUMERATE_CAP))
     if args.catalog:
         print(format_catalog(catalog, m.labels), end="")
         return 0
@@ -148,8 +149,8 @@ def cmd_enumerate(args) -> int:
 def cmd_lattice(args) -> int:
     m = _load(args.instance)
     sides = aggregate_sides(m)
-    _require_plott_sides(sides)
-    catalog = enumerate_stable_sets(sides, cap=args.cap or ENUMERATE_CAP)
+    sides.require_certified()
+    catalog = enumerate_stable_sets(sides, cap=_cap(args, ENUMERATE_CAP))
     report = verify_lattice(catalog, sides, m.labels)
     print(f"stable sets: {report.sets}")
     print(f"bottom: {format_set(catalog.bottom(), m.labels)}")
@@ -166,7 +167,7 @@ def cmd_lattice(args) -> int:
 def cmd_compare(args) -> int:
     m = _load(args.instance)
     sides = aggregate_sides(m)
-    _require_plott_sides(sides)
+    sides.require_certified()
     S = _parse_cli_set(args.set_a, m.labels, m.universe_size)
     T = _parse_cli_set(args.set_b, m.labels, m.universe_size)
     print(blair_compare_stable(sides, S, T))
@@ -179,7 +180,7 @@ def cmd_statics(args) -> int:
     if m2.labels != m.labels:
         raise ParseError("weakened instance must declare the same contracts")
     sides = aggregate_sides(m)
-    _require_plott_sides(sides)
+    sides.require_certified()
     f_prime = aggregate_sides(m2, certify=False).F
     S = _parse_cli_set(args.stable_set, m.labels, m.universe_size)
     s_prime = comparative_statics(sides, f_prime, S)
@@ -193,14 +194,14 @@ def cmd_statics(args) -> int:
 def cmd_lehmann(args) -> int:
     m = _load(args.instance)
     [(prefix, cf, labels)] = _targets(m, args, default_both=False)
-    report = is_plott(cf, cap=args.cap or EXHAUSTIVE_CAP)
+    report = is_plott(cf, cap=_cap(args, EXHAUSTIVE_CAP))
     if not report.is_plott:
         target = f"agent {args.agent}" if args.agent else f"side {args.side or 'G'}"
         raise NotCertified(f"{target} is not path-independent")
-    for line in _audit_lines(cf, labels, args.cap):
+    for line in _audit_lines(cf, labels, _cap(args, AUDIT_CAP)):
         print(line)
     if args.roundtrip:
-        rebuilt = reconstruct_choice(DerivedLehmann(cf), cap=args.cap or AUDIT_CAP)
+        rebuilt = reconstruct_choice(DerivedLehmann(cf), cap=_cap(args, AUDIT_CAP))
         total = 1 << cf.universe_size
         bad = sum(1 for x in range(total) if rebuilt.table[x] != cf._choose_mask(x))
         if bad == 0:
@@ -213,7 +214,7 @@ def cmd_lehmann(args) -> int:
 def cmd_decompose(args) -> int:
     m = _load(args.instance)
     [(prefix, cf, labels)] = _targets(m, args, default_both=False)
-    orders = decompose_into_orders(cf, cap=args.cap or DECOMPOSE_CAP)
+    orders = decompose_into_orders(cf, cap=_cap(args, DECOMPOSE_CAP))
     n = cf.universe_size
     full = (1 << n) - 1
     for o in orders:
@@ -228,9 +229,7 @@ def cmd_decompose(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks and any randomized work")
-    common.add_argument("--cap", type=int, default=None,
+    common.add_argument("--cap", type=_non_negative, default=None,
                         help="override the exhaustive-scan size cap")
 
     parser = argparse.ArgumentParser(
@@ -249,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     target = p.add_mutually_exclusive_group()
     target.add_argument("--agent", help="check one agent's own choice function")
     target.add_argument("--side", choices=("F", "G"), help="check one aggregate side")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
 
     p = add("solve", cmd_solve, "run the dynamics to a stable set")
     p.add_argument("--favor", choices=("F", "G"), default="F",

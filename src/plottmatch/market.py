@@ -20,7 +20,9 @@ Kinds: ``explicit`` (body: one `{...} -> {...}` line per subset of the
 block), ``order`` (body: all block ids best-first; optional `acceptable=`),
 ``quota`` (like order plus `q=<int>`), ``utility`` (no body; uses the
 contract utilities, the firm coordinate for firms, the worker one for
-workers).
+workers). The last three all parse into one :class:`OrderChoice`: order
+and quota as written (q = 1 for order), utility as the order by
+(−u, index) that accepts exactly the contracts with u ≥ 0.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from .choice import (
     ChoiceFunction,
     ContractSet,
     ExplicitTable,
-    LinearOrderMax,
-    QuotaByOrder,
-    UtilityThreshold,
+    OrderChoice,
     format_set,
 )
 from .errors import ContractOutsideBlock, ParseError, PartialTable, UnknownAgent
@@ -140,6 +140,15 @@ def _parse_keyvals(rest: str, lineno: int) -> dict[str, str]:
     return out
 
 
+def _local_index(label: str, index_of, lineno: int, all_labels) -> int:
+    """The index of a contract id within the agent's block."""
+    if label not in index_of:
+        if label in all_labels:
+            raise ContractOutsideBlock(f"contract {label!r} belongs to another agent", lineno)
+        raise ParseError(f"unknown contract id {label!r}", lineno)
+    return index_of[label]
+
+
 def _local_set_mask(text: str, index_of, lineno: int, all_labels) -> int:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -149,13 +158,7 @@ def _local_set_mask(text: str, index_of, lineno: int, all_labels) -> int:
         return 0
     mask = 0
     for part in body.split(","):
-        part = part.strip()
-        if part not in index_of:
-            if part in all_labels:
-                raise ContractOutsideBlock(
-                    f"contract {part!r} belongs to another agent", lineno)
-            raise ParseError(f"unknown contract id {part!r}", lineno)
-        mask |= 1 << index_of[part]
+        mask |= 1 << _local_index(part.strip(), index_of, lineno, all_labels)
     return mask
 
 
@@ -188,14 +191,7 @@ def _parse_order_ids(body, index_of, agent, header_line, all_labels):
             f"agent {agent!r}: expected one line of contract ids, got {len(body)}",
             header_line)
     lineno, line = body[0]
-    order = []
-    for token in line.split():
-        if token not in index_of:
-            if token in all_labels:
-                raise ContractOutsideBlock(
-                    f"contract {token!r} belongs to another agent", lineno)
-            raise ParseError(f"unknown contract id {token!r}", lineno)
-        order.append(index_of[token])
+    order = [_local_index(token, index_of, lineno, all_labels) for token in line.split()]
     if sorted(order) != list(range(len(index_of))):
         raise ParseError(
             f"order must list every contract of agent {agent!r} exactly once", lineno)
@@ -216,7 +212,7 @@ def parse_instance(text: str) -> MarketInstance:
     contracts: list[Contract] = []
     contract_ids: set[str] = set()
     spec_agents: set[str] = set()
-    contract_lines_seen = False
+    sections_seen: set[str] = set()  # [firms], [workers] and [contracts]
     # (agent, keyvals, header lineno, body [(lineno, line), ...])
     raw_specs: list[tuple[str, dict[str, str], int, list]] = []
     section = None
@@ -237,9 +233,10 @@ def parse_instance(text: str) -> MarketInstance:
             if name in ("firms", "workers"):
                 if len(head) != 1:
                     raise ParseError(f"[{name}] takes its ids after the bracket", lineno)
-                target = firms if name == "firms" else workers
-                if target:
+                if name in sections_seen:
                     raise ParseError(f"duplicate [{name}] section", lineno)
+                sections_seen.add(name)
+                target = firms if name == "firms" else workers
                 ids = rest.split()
                 if len(set(ids)) != len(ids):
                     raise ParseError(f"duplicate id in [{name}]", lineno)
@@ -248,9 +245,9 @@ def parse_instance(text: str) -> MarketInstance:
             elif name == "contracts":
                 if len(head) != 1 or rest:
                     raise ParseError("[contracts] header takes no arguments", lineno)
-                if contract_lines_seen:
+                if name in sections_seen:
                     raise ParseError("duplicate [contracts] section", lineno)
-                contract_lines_seen = True
+                sections_seen.add(name)
                 section = "contracts"
             elif name == "choice":
                 if len(head) != 2:
@@ -318,19 +315,18 @@ def parse_instance(text: str) -> MarketInstance:
             cf = _build_explicit(agent, block, index_of, body, header_line, all_labels)
         elif kind in ("order", "quota"):
             order = _parse_order_ids(body, index_of, agent, header_line, all_labels)
-            acceptable = (1 << len(block)) - 1
+            acceptable = -1
             if acceptable_text is not None:
                 acceptable = _local_set_mask(acceptable_text, index_of,
                                              header_line, all_labels)
-            if kind == "order":
-                cf = LinearOrderMax(len(block), order, acceptable)
-            else:
+            q = 1
+            if kind == "quota":
                 if quota_text is None:
                     raise ParseError("kind=quota requires q=", header_line)
                 q = _parse_number(quota_text, header_line)
                 if not isinstance(q, int) or q < 0:
                     raise ParseError("q= must be a non-negative integer", header_line)
-                cf = QuotaByOrder(len(block), order, q, acceptable)
+            cf = OrderChoice(len(block), order, q, acceptable)
         elif kind == "utility":
             if body:
                 raise ParseError("kind=utility takes no body", body[0][0])
@@ -343,7 +339,7 @@ def parse_instance(text: str) -> MarketInstance:
                         f"contract {all_labels[g]!r} has no utilities but agent "
                         f"{agent!r} uses kind=utility", header_line)
                 utilities.append(u)
-            cf = UtilityThreshold(len(block), tuple(utilities))
+            cf = OrderChoice.by_utility(utilities)
         else:
             raise ParseError(f"unknown kind {kind!r}", header_line)
         specs.append(ChoiceSpec(agent, kind, block, cf))

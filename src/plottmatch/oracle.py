@@ -16,7 +16,7 @@ import numpy as np
 
 from .choice import (
     ContractSet,
-    LinearOrderMax,
+    OrderChoice,
     UnionChoice,
     choice_table,
     format_set,
@@ -198,7 +198,7 @@ def generate_instance(seed: int, universe_size: int, side_spec) -> SidePair:
                 j = rng.randrange(i + 1)
                 order[i], order[j] = order[j], order[i]
             acceptable = rng.getrandbits(n) if n else 0
-            parts.append(LinearOrderMax(n, tuple(order), acceptable))
+            parts.append(OrderChoice(n, tuple(order), 1, acceptable))
         return UnionChoice(n, tuple(parts))
 
     F = one_side(k_f)

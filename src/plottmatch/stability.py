@@ -68,6 +68,14 @@ class SidePair:
         """The same market with the roles of the two sides exchanged."""
         return SidePair(self.G, self.F, self.certified, self.g_report, self.f_report)
 
+    def require_certified(self):
+        """Raise NotCertified unless both sides are certified, naming a failed side."""
+        for name, report in (("F", self.f_report), ("G", self.g_report)):
+            if report is not None and not report.is_plott:
+                raise NotCertified(f"side {name} is not path-independent")
+        if not self.certified:
+            raise NotCertified("operation requires both sides certified path-independent")
+
 
 def side_pair(F: ChoiceFunction, G: ChoiceFunction, *, certify: bool = True) -> SidePair:
     """Pair two sides, checking path independence of both unless told not to.
@@ -127,11 +135,6 @@ class StabilityCheck:
         return self.stable
 
 
-def _require_certified(sides: SidePair):
-    if not sides.certified:
-        raise NotCertified("operation requires both sides certified path-independent")
-
-
 def is_stable_set(sides: SidePair, S: ContractSet) -> StabilityCheck:
     """Check S1 (both sides keep S) and S2 (no outside contract blocks).
 
@@ -163,7 +166,7 @@ def is_stable_set_via_closure(sides: SidePair, S: ContractSet) -> bool:
     Preconditions: certified sides and S1 already holding; agrees with
     is_stable_set on every such S.
     """
-    _require_certified(sides)
+    sides.require_certified()
     if sides.F.choose(S) != S or sides.G.choose(S) != S:
         raise S1Violated("closure-based test requires choose(F,S) = choose(G,S) = S")
     covered = closure_star(sides.F, S) | closure_star(sides.G, S)
@@ -215,7 +218,7 @@ def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     The input is revalidated; the output is again semi-stable and moves up
     in the (Y grows, Z shrinks) order, both enforced.
     """
-    _require_certified(sides)
+    sides.require_certified()
     _, fz = _ssp_masks(sides, p.Y, p.Z)
     return _phi(sides, p, fz)[0]
 
@@ -237,7 +240,7 @@ def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
     sides themselves evaluate only the agents a set touches (see
     Aggregate).
     """
-    _require_certified(sides)
+    sides.require_certified()
     gy, fz = _ssp_masks(sides, p0.Y, p0.Z)
     p = SemiStablePair(p0.Y, p0.Z)
     steps = [p]
@@ -282,7 +285,7 @@ def pair_to_set(sides: SidePair, p: StablePair) -> ContractSet:
 
 def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:
     """The stable pair (closure_star(G,S), closure_star(F,S)) of a stable set."""
-    _require_certified(sides)
+    sides.require_certified()
     check = is_stable_set(sides, S)
     if not check:
         raise NotStable(f"set fails {check.condition}")
@@ -298,6 +301,7 @@ def side_optimal(sides: SidePair, favored: str) -> ContractSet:
     """The stable set best for one side: σ(∅, C), run with that side as F."""
     if favored not in ("F", "G"):
         raise ValueError("favored must be 'F' or 'G'")
+    sides.require_certified()  # before a swap renames the sides
     frame = sides if favored == "F" else sides.swap()
     return run_to_fixpoint(frame, _initial_pair(frame)).result.S
 
@@ -309,7 +313,7 @@ def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
     semi-stable, and runs σ; minimality of σ among stable sets above the
     start makes the result the join.
     """
-    _require_certified(sides)
+    sides.require_certified()
     pairs = [set_to_pair(sides, S) for S in stable_sets]
     if not pairs:
         raise EmptyList("join of zero stable sets")
@@ -327,6 +331,7 @@ def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
 
 def lattice_meet(sides: SidePair, stable_sets) -> ContractSet:
     """Greatest lower bound in the firm-side order: the join under swapped roles."""
+    sides.require_certified()  # before a swap renames the sides
     return lattice_join(sides.swap(), stable_sets)
 
 
@@ -336,7 +341,7 @@ def blair_compare_stable(sides: SidePair, S: ContractSet, T: ContractSet) -> str
     Returns "less", "greater", "equal", or "incomparable"; both directions
     holding forces S = T (antisymmetry on stable sets), which is asserted.
     """
-    _require_certified(sides)
+    sides.require_certified()
     for X in (S, T):
         check = is_stable_set(sides, X)
         if not check:
@@ -391,7 +396,7 @@ def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
     σ from there yields S′ with S ⪯_G S′ and S′ ⪯_F S (original F), both
     asserted. Dominance of F′ over F is verified exactly, not assumed.
     """
-    _require_certified(sides)
+    sides.require_certified()
     if f_prime.universe_size != sides.universe_size:
         raise UniverseMismatch("weakened side outside the market universe")
     witness = _dominates(sides.F, f_prime)

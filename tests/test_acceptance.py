@@ -33,7 +33,7 @@ from plottmatch import (
     union,
     verify_lattice,
 )
-from plottmatch.choice import LinearOrderMax
+from plottmatch.choice import OrderChoice
 from plottmatch.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -248,8 +248,8 @@ def test_criterion_09_comparative_statics(capsys, corpus, catalogs):
         sides = instances[i]
         n = sides.universe_size
         rng = random.Random(123456 + i)
-        extra = LinearOrderMax(n, tuple(rng.sample(range(n), n)),
-                               rng.randrange(1 << n))
+        extra = OrderChoice(n, tuple(rng.sample(range(n), n)), 1,
+                            rng.randrange(1 << n))
         f_prime = union(sides.F.parts + (extra,))
         stable = cats[i].stable_sets
         s = stable[rng.randrange(len(stable))]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,12 +16,10 @@ from plottmatch import (
     ContractSet,
     EmptyList,
     ExplicitTable,
-    LinearOrderMax,
     NotPlott,
-    QuotaByOrder,
+    OrderChoice,
     UnionChoice,
     UniverseMismatch,
-    UtilityThreshold,
     choice_table,
     closure_star,
     decompose_into_orders,
@@ -34,9 +34,9 @@ from plottmatch.oracle import generate_instance
 EX2_F = ExplicitTable(2, (0, 1, 0, 3))
 EX2_G = ExplicitTable(2, (0, 1, 2, 2))
 # worker/firm utilities of the six-contract example
-EX1_F = UtilityThreshold(6, (0, 10, 20, -10, 30, 5))
-EX1_G = UtilityThreshold(6, (20, 10, 0, 30, -10, 5))
-ORD3_G = LinearOrderMax(3, (2, 1, 0))
+EX1_F = OrderChoice.by_utility((0, 10, 20, -10, 30, 5))
+EX1_G = OrderChoice.by_utility((20, 10, 0, 30, -10, 5))
+ORD3_G = OrderChoice(3, (2, 1, 0))
 
 
 def cs(n, *indices):
@@ -99,45 +99,44 @@ def test_choose_is_a_subset_and_checks_universe():
 
 
 def test_linear_order_max():
-    f = LinearOrderMax(3, (2, 0, 1))
+    f = OrderChoice(3, (2, 0, 1))
     assert f.choose(cs(3, 0, 1)) == cs(3, 0)
     assert f.choose(cs(3, 1, 2)) == cs(3, 2)
     assert f.choose(cs(3)) == cs(3)
-    restricted = LinearOrderMax(3, (2, 0, 1), 0b011)
+    restricted = OrderChoice(3, (2, 0, 1), 1, 0b011)
     assert restricted.choose(cs(3, 2)) == cs(3)
     assert restricted.choose(cs(3, 1, 2)) == cs(3, 1)
     with pytest.raises(ValueError):
-        LinearOrderMax(3, (0, 1))
+        OrderChoice(3, (0, 1))
     with pytest.raises(ValueError):
-        LinearOrderMax(2, (0, 1), 0b100)
+        OrderChoice(2, (0, 1), 1, 0b100)
 
 
 def test_quota_by_order():
-    f = QuotaByOrder(3, (0, 1, 2), 2)
+    f = OrderChoice(3, (0, 1, 2), 2)
     assert f.choose(cs(3, 0, 1, 2)) == cs(3, 0, 1)
     assert f.choose(cs(3, 1, 2)) == cs(3, 1, 2)
-    assert QuotaByOrder(3, (0, 1, 2), 0).choose(cs(3, 0, 1)) == cs(3)
+    assert OrderChoice(3, (0, 1, 2), 0).choose(cs(3, 0, 1)) == cs(3)
     with pytest.raises(ValueError):
-        QuotaByOrder(3, (0, 1, 2), -1)
+        OrderChoice(3, (0, 1, 2), -1)
 
 
 def test_utility_threshold():
-    f = UtilityThreshold(3, (5, 5, -1))
+    f = OrderChoice.by_utility((5, 5, -1))
     assert f.choose(cs(3, 0, 1)) == cs(3, 0)  # tie goes to the lower index
     assert f.choose(cs(3, 2)) == cs(3)
     assert f.choose(cs(3, 1, 2)) == cs(3, 1)
-    with pytest.raises(ValueError):
-        UtilityThreshold(3, (1, 2))
 
 
 def test_utility_as_order_equivalence():
-    f = EX1_F
-    assert np.array_equal(choice_table(f), choice_table(f.as_order()))
+    # the order by (−u, index), accepting exactly u ≥ 0: all but d (u = −10)
+    assert EX1_F == OrderChoice(6, (4, 2, 1, 5, 0, 3), 1, 0b110111)
+    assert OrderChoice.by_utility((5, 5, -1)) == OrderChoice(3, (0, 1, 2), 1, 0b011)
 
 
 def test_union_choice():
-    a = LinearOrderMax(2, (0, 1))
-    b = LinearOrderMax(2, (1, 0))
+    a = OrderChoice(2, (0, 1))
+    b = OrderChoice(2, (1, 0))
     u = union([a, b])
     assert u.choose(cs(2, 0, 1)) == cs(2, 0, 1)
     assert u.choose(cs(2, 1)) == cs(2, 1)
@@ -146,19 +145,19 @@ def test_union_choice():
     with pytest.raises(EmptyList):
         UnionChoice(2, ())
     with pytest.raises(UniverseMismatch):
-        union([a, LinearOrderMax(3, (0, 1, 2))])
+        union([a, OrderChoice(3, (0, 1, 2))])
 
 
 def test_aggregate_blockwise():
     agg = Aggregate(4, ((0, 2), (1, 3)),
-                    (LinearOrderMax(2, (0, 1)), LinearOrderMax(2, (1, 0))))
+                    (OrderChoice(2, (0, 1)), OrderChoice(2, (1, 0))))
     # block one sees {a,c}, block two {b,d}; each picks its own best
     assert agg.choose(cs(4, 0, 1, 2, 3)) == cs(4, 0, 3)
     assert agg.choose(cs(4, 1, 2)) == cs(4, 1, 2)
 
 
 def test_aggregate_validation():
-    one = LinearOrderMax(1, (0,))
+    one = OrderChoice(1, (0,))
     with pytest.raises(ValueError):
         Aggregate(2, ((0,),), (one,))  # does not cover the universe
     with pytest.raises(ValueError):
@@ -167,7 +166,7 @@ def test_aggregate_validation():
         Aggregate(2, ((0, 1),), (one,))  # part size mismatch
     with pytest.raises(ValueError):
         Aggregate(2, ((0,),), (one, one))
-    two = LinearOrderMax(2, (0, 1))
+    two = OrderChoice(2, (0, 1))
     with pytest.raises(ValueError):
         Aggregate(2, ((0, 0),), (two,))  # repeated inside one block
     with pytest.raises(ValueError):
@@ -180,10 +179,10 @@ def test_aggregate_validation():
 
 
 def test_choice_table_matches_choose():
-    for cf in (EX2_F, EX2_G, EX1_F, ORD3_G, QuotaByOrder(3, (0, 1, 2), 2),
-               UnionChoice(2, (LinearOrderMax(2, (0, 1)), LinearOrderMax(2, (1, 0)))),
+    for cf in (EX2_F, EX2_G, EX1_F, ORD3_G, OrderChoice(3, (0, 1, 2), 2),
+               UnionChoice(2, (OrderChoice(2, (0, 1)), OrderChoice(2, (1, 0)))),
                Aggregate(3, ((0, 2), (1,)),
-                         (LinearOrderMax(2, (1, 0)), LinearOrderMax(1, (0,))))):
+                         (OrderChoice(2, (1, 0)), OrderChoice(1, (0,))))):
         table = choice_table(cf)
         assert not table.flags.writeable
         for m in range(1 << cf.universe_size):
@@ -233,13 +232,14 @@ def test_outcast_witness():
 
 
 def test_plott_positives():
-    for cf in (EX2_G, EX1_F, EX1_G, ORD3_G, QuotaByOrder(3, (0, 1, 2), 2)):
+    for cf in (EX2_G, EX1_F, EX1_G, ORD3_G, OrderChoice(3, (0, 1, 2), 2)):
         assert is_plott(cf).is_plott
 
 
 def test_is_plott_mode_and_cap():
-    with pytest.raises(ValueError):
-        is_plott(EX2_G, "guess")
+    # there is one mode, the exact check; no mode argument is taken
+    with pytest.raises(TypeError):
+        is_plott(EX2_G, "exhaustive")
     # the cap bounds the tables that are scanned: explicit ones
     with pytest.raises(CapExceeded, match=r"^exhaustive check needs universe_size <= 2, got 3$"):
         is_plott(_as_table(ORD3_G), cap=2)
@@ -247,41 +247,25 @@ def test_is_plott_mode_and_cap():
     assert is_plott(ORD3_G, cap=2).is_plott
 
 
-def test_sampled_mode_finds_the_ex2_violation():
-    report = is_plott(EX2_F, "sampled", seed=0)
-    assert not report.is_plott
-    assert report.mode == "sampled" and report.seed == 0 and report.trials == 10_000
-    b, a, element = report.heredity_witness
-    assert element in EX2_F.choose(b) and element not in EX2_F.choose(a)
-
-
-def test_sampled_mode_passes_plott_functions():
-    report = is_plott(EX1_F, "sampled", seed=7, trials=500)
-    assert report.is_plott and report.seed == 7 and report.trials == 500
-
-
 def test_non_plott_agent_in_a_large_aggregate_is_rejected_under_every_seed():
     # a 14-contract top-one order, except that the full block keeps its best
-    # two: every violation needs the whole block, which random probes rarely draw
+    # two: every violation needs the whole block, which random probes rarely
+    # draw; the exact check takes no seed, so one call stands for all of them
     k = 14
     full = (1 << k) - 1
     best_two = ExplicitTable(k, tuple(0b11 if m == full else m & -m for m in range(1 << k)))
     block = tuple(range(1, 43, 3))
     rest = [g for g in range(44) if g not in block]
     blocks = (tuple(rest[:10]), block, tuple(rest[10:20]), tuple(rest[20:]))
-    parts = (LinearOrderMax(10, tuple(range(9, -1, -1))), best_two,
-             QuotaByOrder(10, tuple(range(10)), 2), UtilityThreshold(10, tuple(range(10))))
+    parts = (OrderChoice(10, tuple(range(9, -1, -1))), best_two,
+             OrderChoice(10, tuple(range(10)), 2), OrderChoice.by_utility(tuple(range(10))))
     agg = Aggregate(44, blocks, parts)
     block_mask = sum(1 << g for g in block)
-    for seed in range(10):
-        report = is_plott(agg, seed=seed)
-        assert not report.is_plott and report.mode == "exhaustive"
-        b, a, element = report.heredity_witness
-        assert b.mask & ~block_mask == 0 and a < b and len(b) - len(a) == 1
-        assert element in agg.choose(b) and element in a and element not in agg.choose(a)
-        assert report == is_plott(agg)
-    # the sampled diagnostic misses it under some seeds
-    assert any(is_plott(agg, "sampled", seed=seed).is_plott for seed in range(10))
+    report = is_plott(agg)
+    assert not report.is_plott
+    b, a, element = report.heredity_witness
+    assert b.mask & ~block_mask == 0 and a < b and len(b) - len(a) == 1
+    assert element in agg.choose(b) and element in a and element not in agg.choose(a)
 
 
 @st.composite
@@ -294,13 +278,13 @@ def structural_functions(draw, n):
     """An order, quota, utility or union function on n contracts."""
     kind = draw(st.sampled_from(("order", "quota", "utility", "union")))
     if kind == "order":
-        return LinearOrderMax(n, draw(orders(n)), draw(st.integers(0, (1 << n) - 1)))
+        return OrderChoice(n, draw(orders(n)), 1, draw(st.integers(0, (1 << n) - 1)))
     if kind == "quota":
-        return QuotaByOrder(n, draw(orders(n)), draw(st.integers(0, n)),
-                            draw(st.integers(0, (1 << n) - 1)))
+        return OrderChoice(n, draw(orders(n)), draw(st.integers(0, n)),
+                           draw(st.integers(0, (1 << n) - 1)))
     if kind == "utility":
-        return UtilityThreshold(n, tuple(draw(st.lists(st.integers(-3, 5), min_size=n,
-                                                        max_size=n))))
+        return OrderChoice.by_utility(draw(st.lists(st.integers(-3, 5), min_size=n,
+                                                    max_size=n)))
     return union(draw(st.lists(structural_functions(n), min_size=1, max_size=3)))
 
 
@@ -399,11 +383,67 @@ def test_compiled_aggregate_matches_the_local_choices(agg):
 def test_compiled_quota_edges():
     order = (2, 0, 1)
     for q, acceptable in ((0, 0b111), (1, 0b011), (3, 0b110), (5, 0b111)):
-        part = QuotaByOrder(3, order, q, acceptable)
+        part = OrderChoice(3, order, q, acceptable)
         agg = Aggregate(5, ((4, 1, 3), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
         for x in range(32):
             assert agg._choose_mask(x) == _reference_choice(agg, x)
     assert ORD3_G._scope(1) == 0b111
+
+
+def _top_reference(order, quota: int, acceptable: int, x: int) -> int:
+    """The first ``quota`` acceptable members of x along ``order``."""
+    picked = [c for c in order if x >> c & 1 and acceptable >> c & 1][:quota]
+    return sum(1 << c for c in picked)
+
+
+def _utility_reference(utilities, x: int) -> int:
+    """The member of x of highest utility u ≥ 0, the lowest index on ties."""
+    offered = [i for i in range(len(utilities)) if x >> i & 1 and utilities[i] >= 0]
+    return 1 << max(offered, key=lambda i: (utilities[i], -i)) if offered else 0
+
+
+UTILITIES = st.one_of(st.integers(-2, 2),
+                      st.sampled_from((0.0, -0.0, 1.5, -0.5, math.inf, -math.inf)))
+
+
+@st.composite
+def order_choices(draw):
+    """An OrderChoice and its reference choice.
+
+    Built from an order (q = 0 and q > k included) or from utilities (ties,
+    negatives, -0.0 and infinities).
+    """
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        utilities = tuple(draw(st.lists(UTILITIES, min_size=n, max_size=n)))
+        return OrderChoice.by_utility(utilities), partial(_utility_reference, utilities)
+    order = draw(orders(n))
+    quota = draw(st.integers(0, n + 2))
+    acceptable = draw(st.integers(0, (1 << n) - 1))
+    return (OrderChoice(n, order, quota, acceptable),
+            partial(_top_reference, order, quota, acceptable))
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_choices(), st.data())
+def test_order_choice_matches_an_independent_reference(case, data):
+    cf, reference = case
+    n = cf.universe_size
+    # compiled inside an aggregate, shuffled among two contracts of another agent
+    place = data.draw(st.permutations(range(n + 2)))
+    other = sum(1 << g for g in place[n:])
+    agg = Aggregate(n + 2, (tuple(place[:n]), tuple(place[n:])),
+                    (cf, OrderChoice(2, (1, 0))))
+    table = choice_table(cf)
+
+    def lift(m):
+        return sum(1 << place[j] for j in range(n) if m >> j & 1)
+
+    for x in range(1 << n):
+        expected = reference(x)
+        assert cf._choose_mask(x) == expected
+        assert int(table[x]) == expected
+        assert agg._choose_mask(lift(x) | other) & ~other == lift(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +464,7 @@ def test_nil_sets():
     assert nil_set(EX1_F) == cs(6, 3)
     assert nil_set(EX1_G) == cs(6, 4)
     assert nil_set(ORD3_G) == cs(3)
-    assert nil_set(LinearOrderMax(3, (0, 1, 2), 0b001)) == cs(3, 1, 2)
+    assert nil_set(OrderChoice(3, (0, 1, 2), 1, 0b001)) == cs(3, 1, 2)
 
 
 def test_nil_is_neutral():
@@ -436,7 +476,7 @@ def test_nil_is_neutral():
 
 
 def test_invert_closure_recovers_the_choice():
-    for cf in (EX2_G, EX1_F, ORD3_G, QuotaByOrder(3, (0, 1, 2), 2)):
+    for cf in (EX2_G, EX1_F, ORD3_G, OrderChoice(3, (0, 1, 2), 2)):
         n = cf.universe_size
         for m in range(1 << n):
             x = ContractSet(n, m)
@@ -482,7 +522,7 @@ def test_decompose_single_order():
 
 
 def test_decompose_quota():
-    orders = decompose_into_orders(QuotaByOrder(3, (0, 1, 2), 2))
+    orders = decompose_into_orders(OrderChoice(3, (0, 1, 2), 2))
     assert [o.order for o in orders] == [(1, 2, 0), (0, 2, 1)]
     assert all(o.acceptable_mask == 0b111 for o in orders)
 

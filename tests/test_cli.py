@@ -50,13 +50,6 @@ def test_check_one_agent(capsys):
     assert out == f"PLOTT (exhaustive)\n{AUDIT_OK}\n"
 
 
-def test_check_sampled_mode(capsys):
-    code, out, _ = run(capsys, "check", ORD3, "--side", "G",
-                       "--mode", "sampled", "--seed", "7")
-    assert code == 0
-    assert out == f"PLOTT (sampled, seed=7, trials=10000)\n{AUDIT_OK}\n"
-
-
 def test_check_outcast_witness_wording(capsys, tmp_path):
     doc = ("[firms] f1\n[workers] w1\n[contracts]\na f1 w1\nb f1 w1\n"
            "[choice f1] kind=explicit\n"
@@ -85,6 +78,25 @@ def test_check_cap_overflow_is_a_domain_error(capsys, tmp_path):
     # the order-kind original scans nothing, so the cap does not bind
     code, out, _ = run(capsys, "check", ORD3, "--side", "G", "--cap", "2")
     assert code == 0 and out.startswith("PLOTT (exhaustive)\n")
+
+
+def test_cap_zero_is_honoured(capsys):
+    code, out, err = run(capsys, "check", EX2, "--side", "F", "--cap", "0")
+    assert code == 1 and out == ""
+    assert err == "error: exhaustive check needs universe_size <= 0, got 2\n"
+    # an order scans nothing, but the audit's cap of 0 does bind
+    code, out, _ = run(capsys, "check", ORD3, "--side", "G", "--cap", "0")
+    assert code == 0
+    assert out == "PLOTT (exhaustive)\nlehmann: skipped (universe exceeds audit cap)\n"
+    code, _, err = run(capsys, "enumerate", EX1, "--cap", "0")
+    assert code == 1 and err == "error: enumeration needs universe_size <= 0, got 6\n"
+
+
+def test_negative_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "check", EX2, "--side", "F", "--cap", "-1")
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --cap: must be non-negative, got -1\n")
+    assert run(capsys, "enumerate", EX1, "--cap", "x")[0] == 2
 
 
 def test_check_skips_the_audit_above_its_cap(capsys, tmp_path):

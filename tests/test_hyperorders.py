@@ -14,11 +14,9 @@ from plottmatch import (
     ExplicitTable,
     ExtensionalLehmann,
     InternalError,
-    LinearOrderMax,
-    QuotaByOrder,
+    OrderChoice,
     TableIncomplete,
     UniverseMismatch,
-    UtilityThreshold,
     audit_lehmann_axioms,
     blair_leq,
     choice_table,
@@ -31,10 +29,10 @@ from plottmatch import (
 )
 from plottmatch.oracle import generate_instance
 
-EX1_F = UtilityThreshold(6, (0, 10, 20, -10, 30, 5))
-EX1_G = UtilityThreshold(6, (20, 10, 0, 30, -10, 5))
-ORD3_G = LinearOrderMax(3, (2, 1, 0))
-QUOTA = QuotaByOrder(3, (0, 1, 2), 2)
+EX1_F = OrderChoice.by_utility((0, 10, 20, -10, 30, 5))
+EX1_G = OrderChoice.by_utility((20, 10, 0, 30, -10, 5))
+ORD3_G = OrderChoice(3, (2, 1, 0))
+QUOTA = OrderChoice(3, (0, 1, 2), 2)
 SMALL_PLOTT = (ORD3_G, QUOTA, ExplicitTable(2, (0, 1, 2, 2)))
 
 
@@ -195,7 +193,7 @@ def test_audit_flags_a_reflexive_pair():
 
 def test_audit_cap():
     with pytest.raises(CapExceeded):
-        audit_lehmann_axioms(DerivedLehmann(LinearOrderMax(9, tuple(range(9)))))
+        audit_lehmann_axioms(DerivedLehmann(OrderChoice(9, tuple(range(9)))))
 
 
 @given(plott_sides())

@@ -9,12 +9,10 @@ from plottmatch import (
     ContractOutsideBlock,
     ContractSet,
     ExplicitTable,
-    LinearOrderMax,
+    OrderChoice,
     ParseError,
     PartialTable,
-    QuotaByOrder,
     UnknownAgent,
-    UtilityThreshold,
     aggregate_sides,
     format_instance,
     parse_instance,
@@ -70,16 +68,16 @@ def test_parse_ex1():
     assert m.labels == ("a", "b", "c", "d", "e", "f")
     assert m.contracts[0].u_worker == 0 and m.contracts[0].u_firm == 20
     assert m.contracts[3].u_worker == -10
-    assert m.spec_of("worker1").cf == UtilityThreshold(6, (0, 10, 20, -10, 30, 5))
-    assert m.spec_of("firm1").cf == UtilityThreshold(6, (20, 10, 0, 30, -10, 5))
+    assert m.spec_of("worker1").cf == OrderChoice.by_utility((0, 10, 20, -10, 30, 5))
+    assert m.spec_of("firm1").cf == OrderChoice.by_utility((20, 10, 0, 30, -10, 5))
 
 
 def test_parse_quota_and_orders():
     m = parse_instance(read("quota.mkt"))
-    assert m.spec_of("firm1").cf == QuotaByOrder(3, (0, 1, 2), 2)
-    assert m.spec_of("worker1").cf == LinearOrderMax(3, (0, 1, 2))
+    assert m.spec_of("firm1").cf == OrderChoice(3, (0, 1, 2), 2)
+    assert m.spec_of("worker1").cf == OrderChoice(3, (0, 1, 2))
     m = parse_instance(read("ord3.mkt"))
-    assert m.spec_of("firm1").cf == LinearOrderMax(3, (2, 1, 0))
+    assert m.spec_of("firm1").cf == OrderChoice(3, (2, 1, 0))
 
 
 def test_block_and_spec_lookup():
@@ -103,7 +101,7 @@ def test_float_utilities():
     m = parse_instance("[firms] f1\n[workers] w1\n[contracts]\na f1 w1 1.5 -0.5\n"
                        "[choice f1] kind=order\na\n[choice w1] kind=utility\n")
     assert m.contracts[0].u_worker == 1.5 and m.contracts[0].u_firm == -0.5
-    assert m.spec_of("w1").cf == UtilityThreshold(1, (1.5,))
+    assert m.spec_of("w1").cf == OrderChoice.by_utility((1.5,))
 
 
 def test_nan_utilities_are_rejected():
@@ -111,8 +109,6 @@ def test_nan_utilities_are_rejected():
     with pytest.raises(ParseError, match="line 4: expected a number, got 'nan'"):
         parse_instance("[firms] f1\n[workers] w1\n[contracts]\na f1 w1 nan 1\n"
                        "[choice f1] kind=order\na\n[choice w1] kind=utility\n")
-    with pytest.raises(ValueError):
-        UtilityThreshold(2, (1.0, float("nan")))
 
 
 def test_agent_without_contracts_needs_no_spec():
@@ -176,6 +172,13 @@ def test_structural_parse_errors():
     _expect("[firms] f1\n[workers] w1\n[contracts]\na f1 w1 x y\n",
             ParseError, "line 4", "number")
     _expect("[firms] both\n[workers] both\n", ParseError, "both sides")
+
+
+def test_duplicate_agent_section_after_an_empty_one():
+    _expect("[firms]\n[firms] f1\n", ParseError, "line 2", "duplicate [firms]")
+    _expect("[workers]\n[workers] w1\n", ParseError, "line 2", "duplicate [workers]")
+    _expect("[firms] f1\n[workers]\n[contracts]\n[workers] w1\n",
+            ParseError, "line 4", "duplicate [workers]")
 
 
 def test_choice_section_errors():

@@ -9,9 +9,7 @@ from plottmatch import (
     CapExceeded,
     ContractSet,
     InternalError,
-    LinearOrderMax,
-    QuotaByOrder,
-    UtilityThreshold,
+    OrderChoice,
     aggregate_sides,
     enumerate_stable_sets,
     format_catalog,
@@ -28,15 +26,15 @@ from plottmatch.oracle import StableSetCatalog
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-POLAR2 = side_pair(LinearOrderMax(2, (0, 1)), LinearOrderMax(2, (1, 0)))
-EX1 = side_pair(UtilityThreshold(6, (0, 10, 20, -10, 30, 5)),
-                UtilityThreshold(6, (20, 10, 0, 30, -10, 5)))
-QUOTA = side_pair(LinearOrderMax(3, (0, 1, 2)), QuotaByOrder(3, (0, 1, 2), 2))
+POLAR2 = side_pair(OrderChoice(2, (0, 1)), OrderChoice(2, (1, 0)))
+EX1 = side_pair(OrderChoice.by_utility((0, 10, 20, -10, 30, 5)),
+                OrderChoice.by_utility((20, 10, 0, 30, -10, 5)))
+QUOTA = side_pair(OrderChoice(3, (0, 1, 2)), OrderChoice(3, (0, 1, 2), 2))
 DIAMOND = side_pair(
     Aggregate(4, ((0, 1), (2, 3)),
-              (LinearOrderMax(2, (0, 1)), LinearOrderMax(2, (0, 1)))),
+              (OrderChoice(2, (0, 1)), OrderChoice(2, (0, 1)))),
     Aggregate(4, ((0, 1), (2, 3)),
-              (LinearOrderMax(2, (1, 0)), LinearOrderMax(2, (1, 0)))))
+              (OrderChoice(2, (1, 0)), OrderChoice(2, (1, 0)))))
 
 
 def cs(n, *indices):
@@ -79,8 +77,8 @@ def test_enumerate_matches_the_scalar_check():
 
 
 def test_enumerate_cap():
-    big = side_pair(LinearOrderMax(17, tuple(range(17))),
-                    LinearOrderMax(17, tuple(range(17))), certify=False)
+    big = side_pair(OrderChoice(17, tuple(range(17))),
+                    OrderChoice(17, tuple(range(17))), certify=False)
     with pytest.raises(CapExceeded):
         enumerate_stable_sets(big)
 
@@ -162,7 +160,7 @@ def test_semi_stable_masks_match_the_factory():
 
 
 def test_semi_stable_cap():
-    big = side_pair(LinearOrderMax(11, tuple(range(11))),
-                    LinearOrderMax(11, tuple(range(11))), certify=False)
+    big = side_pair(OrderChoice(11, tuple(range(11))),
+                    OrderChoice(11, tuple(range(11))), certify=False)
     with pytest.raises(CapExceeded):
         semi_stable_masks(big)

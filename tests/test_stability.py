@@ -15,18 +15,16 @@ from plottmatch import (
     EmptyList,
     ExplicitTable,
     InternalError,
-    LinearOrderMax,
     NotCertified,
     NotDominated,
     NotSemiStable,
     NotStable,
-    QuotaByOrder,
+    OrderChoice,
     S1Violated,
     SemiStablePair,
     StabilityCheck,
     StablePair,
     UniverseMismatch,
-    UtilityThreshold,
     aggregate_sides,
     blair_compare_stable,
     blair_leq,
@@ -52,18 +50,18 @@ from plottmatch.choice import choice_table
 from plottmatch.oracle import enumerate_stable_sets, generate_instance, semi_stable_masks
 from plottmatch.stability import _dominates
 
-POLAR2 = side_pair(LinearOrderMax(2, (0, 1)), LinearOrderMax(2, (1, 0)))
-ORD3 = side_pair(LinearOrderMax(3, (0, 1, 2)), LinearOrderMax(3, (2, 1, 0)))
-QUOTA = side_pair(LinearOrderMax(3, (0, 1, 2)), QuotaByOrder(3, (0, 1, 2), 2))
-EX1 = side_pair(UtilityThreshold(6, (0, 10, 20, -10, 30, 5)),
-                UtilityThreshold(6, (20, 10, 0, 30, -10, 5)))
+POLAR2 = side_pair(OrderChoice(2, (0, 1)), OrderChoice(2, (1, 0)))
+ORD3 = side_pair(OrderChoice(3, (0, 1, 2)), OrderChoice(3, (2, 1, 0)))
+QUOTA = side_pair(OrderChoice(3, (0, 1, 2)), OrderChoice(3, (0, 1, 2), 2))
+EX1 = side_pair(OrderChoice.by_utility((0, 10, 20, -10, 30, 5)),
+                OrderChoice.by_utility((20, 10, 0, 30, -10, 5)))
 EX2 = side_pair(ExplicitTable(2, (0, 1, 0, 3)), ExplicitTable(2, (0, 1, 2, 2)))
 # two independent polarized blocks: four stable sets forming a diamond
 DIAMOND = side_pair(
     Aggregate(4, ((0, 1), (2, 3)),
-              (LinearOrderMax(2, (0, 1)), LinearOrderMax(2, (0, 1)))),
+              (OrderChoice(2, (0, 1)), OrderChoice(2, (0, 1)))),
     Aggregate(4, ((0, 1), (2, 3)),
-              (LinearOrderMax(2, (1, 0)), LinearOrderMax(2, (1, 0)))))
+              (OrderChoice(2, (1, 0)), OrderChoice(2, (1, 0)))))
 SMALL = (POLAR2, ORD3, QUOTA, EX1, DIAMOND)
 
 
@@ -96,6 +94,13 @@ def test_side_pair_certification():
     assert not blind.certified and blind.f_report is None
     with pytest.raises(UniverseMismatch):
         side_pair(POLAR2.F, ORD3.G)
+    # the failing side is named in the market's own roles, also before a swap
+    for call in (EX2.require_certified, lambda: side_optimal(EX2, "G"),
+                 lambda: lattice_meet(EX2, [cs(2, 0)])):
+        with pytest.raises(NotCertified, match=r"^side F is not path-independent$"):
+            call()
+    with pytest.raises(NotCertified, match=r"^operation requires both sides certified"):
+        blind.require_certified()
 
 
 def test_swap_exchanges_roles():
@@ -375,14 +380,14 @@ def test_statics_on_the_polarized_pair():
 
 
 def test_statics_rejects_non_dominating_input():
-    shrunk = LinearOrderMax(2, (0, 1), 0b01)
+    shrunk = OrderChoice(2, (0, 1), 1, 0b01)
     with pytest.raises(NotDominated):
         comparative_statics(POLAR2, shrunk, cs(2, 0))
 
 
 def test_statics_rejects_non_plott_weakening():
-    f = LinearOrderMax(3, (0, 1, 2), 0b001)
-    sides = side_pair(f, LinearOrderMax(3, (2, 1, 0)))
+    f = OrderChoice(3, (0, 1, 2), 1, 0b001)
+    sides = side_pair(f, OrderChoice(3, (2, 1, 0)))
     # keeps x whenever offered, keeps lone singletons, drops {y,z}: not outcast
     f_prime = ExplicitTable(3, (0, 1, 2, 1, 4, 1, 0, 1))
     with pytest.raises(NotCertified):
@@ -400,7 +405,7 @@ def test_statics_on_generated_markets():
         rng = random.Random(seed + 1)
         order = list(range(5))
         rng.shuffle(order)
-        extra = LinearOrderMax(5, tuple(order), rng.getrandbits(5))
+        extra = OrderChoice(5, tuple(order), 1, rng.getrandbits(5))
         f_prime = union(sides.F.parts + (extra,))
         new_sides = side_pair(f_prime, sides.G)
         for s in _stable_sets(sides):
@@ -431,9 +436,9 @@ def test_statics_above_the_table_cap(market_text):
 
 
 def test_dominance_above_the_cap_needs_shared_blocks():
-    big = LinearOrderMax(17, tuple(range(17)))
+    big = OrderChoice(17, tuple(range(17)))
     with pytest.raises(CapExceeded):
-        _dominates(big, QuotaByOrder(17, tuple(range(17)), 2))
+        _dominates(big, OrderChoice(17, tuple(range(17)), 2))
     # equal parts of one block are never tabulated, whatever their size
     agg = Aggregate(17, (tuple(range(17)),), (big,))
     assert _dominates(agg, Aggregate(17, agg.blocks, (big,))) is None
