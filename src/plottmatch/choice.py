@@ -7,7 +7,8 @@ condition) is equivalent to the pair Heredity + Outcast, which is what
 :func:`is_plott` verifies. On top of that sit the closure operator G*, the
 Nil-set of never-chosen contracts, unions of choice functions, and the
 decomposition of a path-independent function into a union of linear-order
-maximizers. Orders, quotas and utility maximizers are one class,
+maximizers, built one order per uncovered demand (X, x) with x ∈ G(X), up
+to the table cap. Orders, quotas and utility maximizers are one class,
 :class:`OrderChoice`: the top q acceptable contracts along a linear order.
 """
 
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import CapExceeded, EmptyList, InternalError, NotPlott, UniverseMismatch
 
 EXHAUSTIVE_CAP = 16
-DECOMPOSE_CAP = 8
 
 
 def _bits(mask: int):
@@ -666,63 +666,58 @@ def invert_closure(cf: ChoiceFunction, X: ContractSet) -> ContractSet:
 # ---------------------------------------------------------------------------
 
 
-def _submasks(mask: int):
-    """All submasks of mask, descending, including mask and 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _order_covering(choices: list[int], active: int, X: int, x: int) -> tuple[int, ...]:
+    """The order of :func:`decompose_into_orders` for the demand (X, x)."""
+    order, rest = [], active
+    while outside := choices[rest] & ~X:
+        order.append(next(_bits(outside)))
+        rest ^= 1 << order[-1]
+    if not choices[rest] >> x & 1:
+        raise InternalError("outcast fails: f(R) ⊆ X ⊆ R, yet x ∈ f(X) is not in f(R)")
+    order.append(x)
+    rest ^= 1 << x
+    while rest:
+        order.append(next(_bits(choices[rest])))
+        rest ^= 1 << order[-1]
+    return tuple(order)
 
 
-def _candidate_orders(table, active: int) -> list[tuple[int, ...]]:
-    """All total orders on the active contracts that stay pointwise inferior.
+@lru_cache(maxsize=None)
+def _pick_arrays(n: int):
+    """Read-only lookups for a universe of n contracts.
 
-    An order is pointwise inferior exactly when each element is chosen from
-    the set of elements remaining below it, so the orders are enumerated by
-    repeatedly picking any currently chosen element.
+    ``masks`` is 0..2^n-1; ``bit[c]`` is 1 << c, and ``bit[n]`` is 0 for no
+    pick; ``contract_of[1 << c]`` is c, and n for every other mask.
     """
-    out = []
-
-    def extend(prefix, remaining):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        for c in _bits(int(table[remaining])):
-            prefix.append(c)
-            extend(prefix, remaining ^ (1 << c))
-            prefix.pop()
-
-    extend([], active)
-    return out
+    masks = np.arange(1 << n, dtype=np.int64)
+    bit = np.append(1 << masks[:n], 0)
+    contract_of = np.full(1 << n, n, dtype=np.int8)
+    contract_of[bit[:n]] = masks[:n]
+    for a in (masks, bit, contract_of):
+        a.setflags(write=False)
+    return masks, bit, contract_of
 
 
-def _order_table_on(order: tuple[int, ...], active: int) -> dict[int, int]:
-    """Map each nonempty submask of active to its order-maximum element."""
-    position = {c: k for k, c in enumerate(order)}
-    best: dict[int, int] = {}
-    # ascending so the subproblem without the lowest bit is already solved
-    for sub in sorted(_submasks(active)):
-        if sub == 0:
-            continue
-        low = sub & -sub
-        rest = sub ^ low
-        c = low.bit_length() - 1
-        if rest and position[best[rest]] < position[c]:
-            c = best[rest]
-        best[sub] = c
-    return best
+def decompose_into_orders(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> list[OrderChoice]:
+    """Write a path-independent function f as a union of order maximizers.
 
+    The orders are built, not searched for. The demands (X, x) with x ∈ f(X)
+    are walked with X, then x, ascending, and each one that no order so far
+    covers gets a new order. (Such an X holds no Nil contract: the order
+    that covers X minus them covers X too.) The order starts from R = the
+    non-Nil contracts and ranks next, and removes from R, the lowest member
+    of f(R) outside X, until f(R) ⊆ X ⊆ R. Outcast then gives f(X) = f(R),
+    so x ∈ f(R) is ranked next (checked), and the lowest member of f(R)
+    follows each time until R is empty. Each step ranks a member of f(R)
+    above the rest of R, so the order is pointwise inferior to f, and it
+    picks x from X. A forward pass then drops every order whose demands the
+    others still cover. Each order is marked by its own table, kept as one
+    byte per subset and out of the choice-table cache.
 
-def decompose_into_orders(cf: ChoiceFunction, *, cap: int = DECOMPOSE_CAP) -> list[OrderChoice]:
-    """Write a path-independent function as a union of order maximizers.
-
-    Every returned order ranks all contracts, accepts exactly the non-Nil
-    ones, and is pointwise inferior to cf; their union reproduces cf on
-    every subset (asserted before returning). The cover is built greedily
-    over the demands {(X, x) : x chosen from X} and then greedily pruned,
-    which makes the result deterministic but not canonical or minimum-size.
+    Every returned order ranks all contracts, the Nil ones last, accepts
+    exactly the non-Nil ones, and is pointwise inferior to f; their union
+    reproduces f on every subset (asserted before returning). The result is
+    deterministic but neither canonical nor minimum-size.
     """
     n = cf.universe_size
     if n > cap:
@@ -734,39 +729,30 @@ def decompose_into_orders(cf: ChoiceFunction, *, cap: int = DECOMPOSE_CAP) -> li
     nil = _closure_mask(cf, 0)
     active = ((1 << n) - 1) & ~nil
     nil_tail = tuple(_bits(nil))
-    if active == 0:
-        return []
-
-    demands = []
-    for sub in _submasks(active):
-        if sub:
-            for x in _bits(int(table[sub])):
-                demands.append((sub, x))
-    covered_by = []
-    candidates = _candidate_orders(table, active)
-    for order in candidates:
-        best = _order_table_on(order, active)
-        covered_by.append(frozenset(i for i, (sub, x) in enumerate(demands) if best[sub] == x))
-
-    uncovered = set(range(len(demands)))
-    picked: list[int] = []
-    while uncovered:
-        gains = [len(cov & uncovered) for cov in covered_by]
-        k = max(range(len(candidates)), key=lambda i: gains[i])
-        if gains[k] == 0:
-            raise InternalError("pointwise-inferior orders fail to cover a demand")
-        picked.append(k)
-        uncovered -= covered_by[k]
-    for k in list(picked):
-        rest = [j for j in picked if j != k]
-        rest_cover = set().union(*(covered_by[j] for j in rest)) if rest else set()
-        if len(rest_cover) == len(demands):
-            picked = rest
-
-    orders = [OrderChoice(n, candidates[k] + nil_tail, 1, active) for k in picked]
-    recombined = np.zeros(1 << n, dtype=np.int64)
-    for o in orders:
-        recombined |= choice_table(o)
+    masks, bit, contract_of = _pick_arrays(n)
+    choices = table.tolist()
+    orders, picks = [], []  # picks[k][X]: the contract that order k picks from X
+    left = table.copy()  # the demands no order covers yet
+    while (pending := left.nonzero()[0]).size:
+        X = int(pending[0])
+        x = next(_bits(int(left[X])))
+        order = OrderChoice(n, _order_covering(choices, active, X, x) + nil_tail, 1, active)
+        picked = order._table(masks)
+        left &= ~picked
+        orders.append(order)
+        picks.append(contract_of[picked])
+    # uses[X, c]: how many orders pick c from X; no pick (c = n) never holds an order
+    uses = np.zeros((1 << n, n + 1), dtype=np.int32)
+    uses[:, n] = len(orders) + 1
+    for at in picks:
+        uses[masks, at] += 1
+    kept, recombined = [], np.zeros_like(masks)
+    for order, at in zip(orders, picks):
+        if uses[masks, at].min() > 1:  # another order makes each of its picks
+            uses[masks, at] -= 1
+        else:
+            kept.append(order)
+            recombined |= bit[at]
     if not np.array_equal(recombined, table):
         raise InternalError("decomposition union does not reproduce the function")
-    return orders
+    return kept

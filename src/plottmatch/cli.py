@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .choice import (
-    DECOMPOSE_CAP,
     EXHAUSTIVE_CAP,
     ContractSet,
     decompose_into_orders,
@@ -23,7 +22,7 @@ from .choice import (
 from .errors import CapExceeded, NotCertified, ParseError, PlottmatchError
 from .hyperorders import AUDIT_CAP, DerivedLehmann, audit_lehmann_axioms, reconstruct_choice
 from .market import MarketInstance, aggregate_sides, parse_instance
-from .oracle import ENUMERATE_CAP, enumerate_stable_sets, format_catalog, verify_lattice
+from .oracle import enumerate_stable_sets, format_catalog, verify_lattice
 from .stability import (
     format_trace,
     comparative_statics,
@@ -134,7 +133,7 @@ def cmd_solve(args) -> int:
 def cmd_enumerate(args) -> int:
     m = _load(args.instance)
     sides = aggregate_sides(m)
-    catalog = enumerate_stable_sets(sides, cap=_cap(args, ENUMERATE_CAP))
+    catalog = enumerate_stable_sets(sides, cap=_cap(args, EXHAUSTIVE_CAP))
     if args.catalog:
         print(format_catalog(catalog, m.labels), end="")
         return 0
@@ -150,7 +149,7 @@ def cmd_lattice(args) -> int:
     m = _load(args.instance)
     sides = aggregate_sides(m)
     sides.require_certified()
-    catalog = enumerate_stable_sets(sides, cap=_cap(args, ENUMERATE_CAP))
+    catalog = enumerate_stable_sets(sides, cap=_cap(args, EXHAUSTIVE_CAP))
     report = verify_lattice(catalog, sides, m.labels)
     print(f"stable sets: {report.sets}")
     print(f"bottom: {format_set(catalog.bottom(), m.labels)}")
@@ -214,7 +213,7 @@ def cmd_lehmann(args) -> int:
 def cmd_decompose(args) -> int:
     m = _load(args.instance)
     [(prefix, cf, labels)] = _targets(m, args, default_both=False)
-    orders = decompose_into_orders(cf, cap=_cap(args, DECOMPOSE_CAP))
+    orders = decompose_into_orders(cf, cap=_cap(args, EXHAUSTIVE_CAP))
     n = cf.universe_size
     full = (1 << n) - 1
     for o in orders:
@@ -239,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        capped = name in ("check", "enumerate", "lattice", "lehmann", "decompose")
+        p = sub.add_parser(name, parents=[common] if capped else [], help=help_text)
         p.add_argument("instance", help="instance file")
         p.set_defaults(func=func)
         return p

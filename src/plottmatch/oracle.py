@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import (
+    EXHAUSTIVE_CAP,
     ContractSet,
     OrderChoice,
     UnionChoice,
@@ -24,7 +25,6 @@ from .choice import (
 from .errors import CapExceeded, InternalError
 from .stability import SidePair, lattice_join, lattice_meet, side_pair
 
-ENUMERATE_CAP = 16
 SEMI_STABLE_CAP = 10
 
 
@@ -67,7 +67,7 @@ def _fingerprint(tf: np.ndarray, tg: np.ndarray, n: int) -> str:
     return digest.hexdigest()[:16]
 
 
-def enumerate_stable_sets(sides: SidePair, *, cap: int = ENUMERATE_CAP) -> StableSetCatalog:
+def enumerate_stable_sets(sides: SidePair, *, cap: int = EXHAUSTIVE_CAP) -> StableSetCatalog:
     """Scan every subset against S1/S2 and assemble the catalog.
 
     For certified sides the catalog is nonempty (finite form of the

@@ -542,6 +542,52 @@ def test_decompose_degenerate_and_errors():
         decompose_into_orders(ORD3_G, cap=2)
 
 
+def _assert_exact_decomposition(cf, orders):
+    """On every subset: the union is cf, each order is pointwise inferior,
+    and the Nil contracts come last, unacceptable."""
+    n = cf.universe_size
+    table = choice_table(cf)
+    nil = nil_set(cf)
+    union_table = np.zeros(1 << n, dtype=np.int64)
+    for o in orders:
+        ot = choice_table(o)
+        assert not np.any(ot & ~table)
+        union_table |= ot
+        assert set(o.order[n - len(nil):]) == set(nil)
+        assert o.acceptable_mask == nil.complement().mask
+    assert np.array_equal(union_table, table)
+
+
+@pytest.mark.parametrize("seed, n, k", [(9, 9, 3), (10, 10, 2), (11, 11, 3), (13, 13, 2),
+                                        (14, 14, 1), (16, 16, 3)])
+def test_decompose_unions_above_eight_contracts(seed, n, k):
+    sides = generate_instance(seed, n, k)
+    for cf in (sides.F, sides.G):
+        orders = decompose_into_orders(cf)
+        _assert_exact_decomposition(cf, orders)
+        assert orders == decompose_into_orders(cf)  # deterministic
+
+
+def test_decompose_a_quota_above_eight_contracts():
+    # ten contracts, three of them never acceptable, quota 3
+    cf = OrderChoice(10, (7, 2, 9, 0, 5, 3, 8, 1, 6, 4), 3, 0b1110101110)
+    orders = decompose_into_orders(cf)
+    _assert_exact_decomposition(cf, orders)
+    assert nil_set(cf).mask == 0b0001010001
+    assert len(orders) > 1
+
+
+def test_decompose_leaves_the_table_cache_alone():
+    cf = OrderChoice(5, (3, 0, 4, 1, 2), 2)
+    choice_table.cache_clear()
+    orders = decompose_into_orders(cf)
+    assert len(orders) > 1
+    assert choice_table.cache_info().currsize == 1
+    hits = choice_table.cache_info().hits
+    choice_table(cf)  # the one entry is the function's own table
+    assert choice_table.cache_info().hits == hits + 1
+
+
 @given(plott_sides())
 @settings(max_examples=50)
 def test_decompose_covers_and_stays_pointwise_inferior(sides):

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
+from plottmatch import OrderChoice, choice_table
 from plottmatch.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,6 +93,21 @@ def test_cap_zero_is_honoured(capsys):
     assert out == "PLOTT (exhaustive)\nlehmann: skipped (universe exceeds audit cap)\n"
     code, _, err = run(capsys, "enumerate", EX1, "--cap", "0")
     assert code == 1 and err == "error: enumeration needs universe_size <= 0, got 6\n"
+    code, _, err = run(capsys, "lattice", EX1, "--cap", "0")
+    assert code == 1 and err == "error: enumeration needs universe_size <= 0, got 6\n"
+    code, _, err = run(capsys, "lehmann", EX1, "--roundtrip", "--cap", "0")
+    assert code == 1 and err == "error: axiom audit needs universe_size <= 0, got 6\n"
+    code, _, err = run(capsys, "decompose", EX1, "--cap", "0")
+    assert code == 1 and err == "error: decomposition needs universe_size <= 0, got 6\n"
+
+
+def test_cap_is_a_usage_error_where_nothing_reads_it(capsys):
+    for args in (("solve", EX1), ("compare", EX1, "{a}", "{b}"),
+                 ("statics", POLAR2, POLAR2_WEAK, "{a}")):
+        code, out, err = run(capsys, *args, "--cap", "0")
+        assert code == 2 and out == ""
+        assert err.endswith("error: unrecognized arguments: --cap 0\n")
+        assert run(capsys, *args)[0] == 0
 
 
 def test_negative_cap_is_a_usage_error(capsys):
@@ -282,6 +300,27 @@ def test_decompose_marks_restricted_acceptance(capsys):
     assert code == 0
     assert out == ("order: e c b f a d acceptable={a,b,c,e,f}\n"
                    "union verified on 64/64 subsets\n")
+
+
+def test_decompose_a_twelve_contract_quota_agent(capsys, tmp_path):
+    ids = [f"c{i}" for i in range(12)]
+    doc = ("[firms] f1\n[workers] w1\n[contracts]\n"
+           + "".join(f"{c} f1 w1\n" for c in ids)
+           + "[choice f1] kind=quota q=3\n" + " ".join(ids) + "\n"
+           + "[choice w1] kind=order\n" + " ".join(ids) + "\n")
+    path = tmp_path / "quota12.mkt"
+    path.write_text(doc)
+    code, out, err = run(capsys, "decompose", str(path), "--agent", "f1")
+    assert code == 0 and err == ""
+    *lines, last = out.splitlines()
+    assert last == "union verified on 4096/4096 subsets"
+    orders = [line.removeprefix("order: ").split() for line in lines]
+    assert orders and all(sorted(o) == sorted(ids) for o in orders)
+    # every order picks one of the three best of X, and together they pick all three
+    union = np.zeros(1 << 12, dtype=np.int64)
+    for o in orders:
+        union |= choice_table(OrderChoice(12, tuple(ids.index(c) for c in o)))
+    assert np.array_equal(union, choice_table(OrderChoice(12, tuple(range(12)), 3)))
 
 
 def test_decompose_defaults_to_the_firm_side(capsys):
