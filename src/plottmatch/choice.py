@@ -226,6 +226,11 @@ class ExplicitTable(ChoiceFunction):
         for xmask, chosen in enumerate(self.table):
             if chosen & ~xmask:
                 raise ValueError(f"entry for mask {xmask} selects outside the subset")
+        # hashed once, not per cache lookup; not a field, so eq and repr ignore it
+        object.__setattr__(self, "_hash", hash((n, self.table)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _choose_mask(self, xmask: int) -> int:
         return self.table[xmask]
@@ -417,15 +422,22 @@ class Aggregate(ChoiceFunction):
         return self._owner[c][0]
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
-        table = np.zeros_like(masks)
+        # Built in block order: each part's table, lifted to global masks, is
+        # OR-ed onto every entry so far, so bit p of the index is contract
+        # at[p] (block 0's members lowest, in local order). Reshaped to one
+        # axis per bit, axis a being bit n-1-a, one transpose copy then puts
+        # contract g on bit g.
+        table, at = np.zeros(1, dtype=np.int64), []
         for block, part in zip(self.blocks, self.parts):
-            local = np.zeros_like(masks)
+            local = choice_table(part)
+            lifted = np.zeros_like(local)
             for j, g in enumerate(block):
-                local |= (masks >> g & 1) << j
-            picked = choice_table(part)[local]
-            for j, g in enumerate(block):
-                table |= (picked >> j & 1) << g
-        return table
+                lifted |= (local >> j & 1) << g
+            table = (lifted[:, None] | table[None, :]).reshape(-1)
+            at.extend(block)
+        n = self.universe_size
+        axes = sorted(range(n), key=lambda a: -at[n - 1 - a])
+        return table.reshape((2,) * n).transpose(axes).reshape(-1)
 
 
 def union(cfs) -> UnionChoice:

@@ -4,8 +4,9 @@ The Blair relation compares subsets by A ⪯ B ⟺ choose(A∪B) ⊆ B; the Lehm
 relation is the strict A ≺ B ⟺ choose(B) ≠ ∅ ∧ choose(A∪B) ∩ A = ∅. Both can
 be derived from a path-independent choice function; Lehmann relations can
 also be given extensionally as tables, which is what the axiom auditor is
-for. The L-operator and :func:`reconstruct_choice` implement the bijection
-between path-independent functions and relations satisfying L0 to L5.
+for. :func:`reconstruct_choice` implements the bijection between
+path-independent functions and relations satisfying L0 to L5, reading the
+L-operator off the audited relation matrix.
 """
 
 from __future__ import annotations
@@ -160,23 +161,67 @@ def _relation_matrix(rel, n: int) -> np.ndarray:
     if isinstance(rel, DerivedLehmann):
         t = choice_table(rel.cf)
         masks = np.arange(size, dtype=np.int64)
-        unions = masks[:, None] | masks[None, :]
-        return (t != 0)[None, :] & ((t[unions] & masks[:, None]) == 0)
+        return (t != 0) & ((t[masks[:, None] | masks] & masks[:, None]) == 0)
+    if rel.known_pairs is not None and not all(
+            (a, b) in rel.known_pairs for a in range(size) for b in range(size)):
+        raise TableIncomplete("audit requires a total extensional table")
     p = np.zeros((size, size), dtype=bool)
-    if rel.known_pairs is not None:
-        known = np.zeros((size, size), dtype=bool)
-        for a, b in rel.known_pairs:
-            known[a, b] = True
-        if not known.all():
-            raise TableIncomplete("audit requires a total extensional table")
     for a, b in rel.true_pairs:
         p[a, b] = True
     return p
 
 
 def _first_true(condition: np.ndarray):
-    hits = np.argwhere(condition)
-    return None if hits.size == 0 else tuple(int(v) for v in hits[0])
+    """The least index, in C order, at which condition holds; None if nowhere."""
+    at = int(condition.argmax()) if condition.size else None
+    if at is None or not condition.flat[at]:
+        return None
+    return tuple(int(v) for v in np.unravel_index(at, condition.shape))
+
+
+def _audit(rel, cap: int):
+    """The relation matrix p[A, B] = A ≺ B of rel, and its axiom report."""
+    n = rel.universe_size
+    if n > cap:
+        raise CapExceeded(f"axiom audit needs universe_size <= {cap}, got {n}")
+    p = _relation_matrix(rel, n)
+    masks = np.arange(1 << n, dtype=np.int64)
+    bits = 1 << masks[:n]
+    flip = masks[:, None] ^ bits  # flip[A, c]: A with c toggled
+    has = (masks[:, None] & bits) != 0  # has[A, c]: c ∈ A
+    cs = lambda m: ContractSet(n, int(m))
+    pair = lambda a, b: (cs(a), cs(b))
+
+    def check(name, bad, witness):
+        hit = _first_true(bad)
+        return AxiomCheck(name, hit is None, None if hit is None else witness(*hit))
+
+    l2 = None
+    for b, col in enumerate(p.T):
+        trues = col.nonzero()[0]
+        closed = col[trues[:, None] | trues]
+        if not closed.all():
+            i, j = _first_true(~closed)
+            l2 = (cs(trues[i]), cs(trues[j]), cs(b))
+            break
+    checks = (
+        check("L0", np.diagonal(p), lambda a: (cs(a),)),
+        # at [A, B, c]: c ∈ A and A ≺ B, yet A∖{c} ⊀ B
+        check("L1", has[:, None, :] & p[:, :, None] & ~p[flip].transpose(0, 2, 1),
+              lambda a, b, c: (cs(a ^ bits[c]), cs(a), cs(b))),
+        AxiomCheck("L2", l2 is None, l2),
+        # at [A, B, c]: c ∉ B and A ≺ B, yet A ⊀ B∪{c}
+        check("L3", ~has[None, :, :] & p[:, :, None] & ~p[:, flip],
+              lambda a, b, c: (cs(a), cs(b), cs(b | bits[c]))),
+        check("L4", p[masks[:, None], masks[:, None] | masks] & ~p, pair),
+        check("L5", ~p[0][:, None] & p[0] & ~p, pair),
+        # a float product counts paths exactly (at most 2^8) and runs on BLAS
+        check("transitivity", ((p.astype(np.float32) @ p.astype(np.float32)) > 0) & ~p, pair),
+    )
+    overall = all(c.passed for c in checks[:-1])
+    if overall and not checks[-1].passed:
+        raise InternalError("L0-L5 hold but transitivity fails; auditor bug")
+    return p, AxiomReport(checks, overall)
 
 
 def audit_lehmann_axioms(rel, *, cap: int = AUDIT_CAP) -> AxiomReport:
@@ -188,120 +233,45 @@ def audit_lehmann_axioms(rel, *, cap: int = AUDIT_CAP) -> AxiomReport:
     failure carries a witness tuple of the subsets involved. For a relation
     satisfying L0..L5, transitivity is a theorem; observing it fail while
     the axioms pass raises InternalError.
+
+    All run off the relation matrix p[A, B] = A ≺ B. L1 and L3 are each one
+    boolean array over (A, B, c), n·4^n entries (half a million at the cap),
+    the rest whole-matrix expressions; each witness is the first violation
+    in index order, (A, B, c) or (A, B). L2 scans the columns B up to the
+    first failing one: a whole (B, A1, A2) array has 8^n entries, and at
+    the cap it took over 100 times as long as the scan and 32 MiB more.
     """
-    n = rel.universe_size
-    if n > cap:
-        raise CapExceeded(f"axiom audit needs universe_size <= {cap}, got {n}")
-    size = 1 << n
-    p = _relation_matrix(rel, n)
-    masks = np.arange(size, dtype=np.int64)
-    cs = lambda m: ContractSet(n, int(m))
-    checks = []
-
-    hit = _first_true(np.diagonal(p))
-    checks.append(AxiomCheck("L0", hit is None,
-                             None if hit is None else (cs(hit[0]),)))
-
-    witness = None
-    for c in range(n):
-        bit = 1 << c
-        rows = (masks & bit) != 0
-        bad = p[rows] & ~p[masks[rows] ^ bit]
-        hit = _first_true(bad)
-        if hit is not None:
-            a = int(masks[rows][hit[0]])
-            cand = (cs(a ^ bit), cs(a), cs(hit[1]))
-            if witness is None or (a, hit[1]) < (witness[1].mask, witness[2].mask):
-                witness = cand
-    checks.append(AxiomCheck("L1", witness is None, witness))
-
-    witness = None
-    for b in range(size):
-        col = p[:, b]
-        trues = masks[col]
-        if trues.size == 0:
-            continue
-        bad = ~col[trues[:, None] | trues[None, :]]
-        hit = _first_true(bad)
-        if hit is not None:
-            witness = (cs(trues[hit[0]]), cs(trues[hit[1]]), cs(b))
-            break
-    checks.append(AxiomCheck("L2", witness is None, witness))
-
-    witness = None
-    for c in range(n):
-        bit = 1 << c
-        cols = (masks & bit) == 0
-        bad = p[:, cols] & ~p[:, masks[cols] ^ bit]
-        hit = _first_true(bad)
-        if hit is not None:
-            b = int(masks[cols][hit[1]])
-            cand = (cs(hit[0]), cs(b), cs(b | bit))
-            if witness is None or (hit[0], b) < (witness[0].mask, witness[1].mask):
-                witness = cand
-    checks.append(AxiomCheck("L3", witness is None, witness))
-
-    unions = masks[:, None] | masks[None, :]
-    bad = np.take_along_axis(p, unions, axis=1) & ~p
-    hit = _first_true(bad)
-    checks.append(AxiomCheck("L4", hit is None,
-                             None if hit is None else (cs(hit[0]), cs(hit[1]))))
-
-    essential = p[0]
-    bad = ~essential[:, None] & essential[None, :] & ~p
-    hit = _first_true(bad)
-    checks.append(AxiomCheck("L5", hit is None,
-                             None if hit is None else (cs(hit[0]), cs(hit[1]))))
-
-    composed = (p.astype(np.uint8) @ p.astype(np.uint8)) > 0
-    hit = _first_true(composed & ~p)
-    checks.append(AxiomCheck("transitivity", hit is None,
-                             None if hit is None else (cs(hit[0]), cs(hit[1]))))
-
-    overall = all(c.passed for c in checks[:-1])
-    if overall and not checks[-1].passed:
-        raise InternalError("L0-L5 hold but transitivity fails; auditor bug")
-    return AxiomReport(tuple(checks), overall)
+    return _audit(rel, cap)[1]
 
 
 # ---------------------------------------------------------------------------
-# L-operator and reconstruction
+# Reconstruction
 # ---------------------------------------------------------------------------
-
-
-def l_operator(rel, A: ContractSet) -> ContractSet:
-    """L(A) = negligible contracts ∪ {c : {c} ≺ A}.
-
-    A contract is negligible when its singleton is not essential, i.e.
-    ∅ ≺ {c} fails. For essential A this is the largest set preceding A.
-    """
-    if A.universe_size != rel.universe_size:
-        raise UniverseMismatch("relation and set must share one universe")
-    n = rel.universe_size
-    out = 0
-    for c in range(n):
-        bit = 1 << c
-        if not rel._prec_mask(0, bit) or rel._prec_mask(bit, A.mask):
-            out |= bit
-    return ContractSet(n, out)
 
 
 def reconstruct_choice(rel, *, cap: int = AUDIT_CAP) -> ExplicitTable:
     """Rebuild the choice function T(A) = A ∖ L(A) from a Lehmann relation.
 
-    Requires the audit to pass (AxiomsFail otherwise); the result is
-    certified path-independent, which the bijection guarantees, so a
-    failed certification raises InternalError.
+    L(A), the contracts c with ∅ ⊀ {c} or {c} ≺ A, is read off the audited
+    relation matrix. Requires the audit to pass (AxiomsFail otherwise); the
+    result is certified path independent, which the bijection guarantees,
+    so a failed certification raises InternalError. So does a derived
+    relation with choose(A∪{c}) ≠ choose(A) on a pair {c} ≺ A it reads.
     """
-    report = audit_lehmann_axioms(rel, cap=cap)
+    p, report = _audit(rel, cap)
     if not report.overall:
         raise AxiomsFail("relation fails the Lehmann axioms", report)
     n = rel.universe_size
-    table = []
-    for amask in range(1 << n):
-        l_mask = l_operator(rel, ContractSet(n, amask)).mask
-        table.append(amask & ~l_mask)
-    cf = ExplicitTable(n, tuple(table))
+    masks = np.arange(1 << n, dtype=np.int64)
+    bits = 1 << masks[:n]
+    essential = p[0, bits]
+    below = p[bits] & essential[:, None]  # below[c, A]: c essential, {c} ≺ A
+    if isinstance(rel, DerivedLehmann):
+        t = choice_table(rel.cf)
+        if (below & (t[masks | bits[:, None]] != t)).any():
+            raise InternalError("lehmann-true pair with choose(A∪B) != choose(B)")
+    l_masks = ((~essential[:, None] | below) * bits[:, None]).sum(axis=0)
+    cf = ExplicitTable(n, tuple((masks & ~l_masks).tolist()))
     if not is_plott(cf).is_plott:
         raise InternalError("reconstructed table is not path-independent")
     return cf

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the dynamics: stable sets
 are found by scanning every subset against the S1/S2 definitions, the
-Blair matrix is evaluated entry by entry, and lattice structure is read
-off the matrix. The engine is then tested against these answers.
+Blair matrix is evaluated entry by entry, lattice structure is read off
+the matrix, and the L-operator is evaluated one relation query at a time.
+The engine is then tested against these answers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .choice import (
     choice_table,
     format_set,
 )
-from .errors import CapExceeded, InternalError
+from .errors import CapExceeded, InternalError, UniverseMismatch
 from .stability import SidePair, lattice_join, lattice_meet, side_pair
 
 SEMI_STABLE_CAP = 10
@@ -62,8 +63,8 @@ class StableSetCatalog:
 def _fingerprint(tf: np.ndarray, tg: np.ndarray, n: int) -> str:
     digest = hashlib.sha256()
     digest.update(n.to_bytes(4, "little"))
-    digest.update(tf.astype(np.int64).tobytes())
-    digest.update(tg.astype(np.int64).tobytes())
+    digest.update(tf)  # int64 tables, hashed in place
+    digest.update(tg)
     return digest.hexdigest()[:16]
 
 
@@ -222,3 +223,20 @@ def semi_stable_masks(sides: SidePair, *, cap: int = SEMI_STABLE_CAP) -> list[tu
     ssp2 = (tg[masks][:, None] & ~tf[masks][None, :]) == 0
     ys, zs = np.nonzero(cover & ssp2)
     return [(int(y), int(z)) for y, z in zip(ys, zs)]
+
+
+def l_operator(rel, A: ContractSet) -> ContractSet:
+    """L(A) = negligible contracts ∪ {c : {c} ≺ A}, one query per contract.
+
+    A contract is negligible when its singleton is not essential, i.e.
+    ∅ ≺ {c} fails. For essential A this is the largest set preceding A.
+    """
+    if A.universe_size != rel.universe_size:
+        raise UniverseMismatch("relation and set must share one universe")
+    n = rel.universe_size
+    out = 0
+    for c in range(n):
+        bit = 1 << c
+        if not rel._prec_mask(0, bit) or rel._prec_mask(bit, A.mask):
+            out |= bit
+    return ContractSet(n, out)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 from functools import partial
 
@@ -187,6 +188,18 @@ def test_choice_table_matches_choose():
         assert not table.flags.writeable
         for m in range(1 << cf.universe_size):
             assert int(table[m]) == cf._choose_mask(m)
+
+
+def test_explicit_table_hash():
+    a, b = ExplicitTable(3, (0, 1, 2, 3, 4, 1, 4, 1)), ExplicitTable(3, (0, 1, 2, 3, 4, 1, 4, 1))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert repr(a) == "ExplicitTable(universe_size=3, table=(0, 1, 2, 3, 4, 1, 4, 1))"
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a)
+    table = choice_table(a)
+    hits = choice_table.cache_info().hits
+    assert choice_table(b) is table
+    assert choice_table.cache_info().hits == hits + 1
 
 
 @dataclass(frozen=True)
@@ -378,6 +391,45 @@ def test_compiled_aggregate_matches_the_local_choices(agg):
     for block in agg.blocks:
         for g in block:
             assert agg._scope(g) == sum(1 << h for h in block)
+
+
+@st.composite
+def table_aggregates(draw):
+    """Aggregates of at most 12 contracts, for the whole-table kernel.
+
+    Blocks lie in shuffled global order and may be empty, or be absent
+    (n = 0); a part is a selection table, an order, quota, utility or union
+    function, the generic fallback, or an aggregate of two sub-blocks.
+    """
+    sizes = draw(st.lists(st.integers(0, 4), max_size=3))
+    n = sum(sizes)
+    places = draw(st.permutations(range(n)))
+    blocks, parts, start = [], [], 0
+    for k in sizes:
+        blocks.append(tuple(places[start:start + k]))
+        start += k
+        kind = draw(st.sampled_from(("table", "structural", "generic", "aggregate")))
+        if kind == "table":
+            parts.append(draw(selection_tables(k)))
+        elif kind == "structural":
+            parts.append(draw(structural_functions(k)))
+        elif kind == "generic":
+            parts.append(_Identity(k))
+        else:
+            local, cut = draw(st.permutations(range(k))), draw(st.integers(0, k))
+            parts.append(Aggregate(k, (tuple(local[:cut]), tuple(local[cut:])),
+                                   (draw(selection_tables(cut)),
+                                    draw(structural_functions(k - cut)))))
+    return Aggregate(n, tuple(blocks), tuple(parts))
+
+
+@settings(max_examples=120, deadline=None)
+@given(table_aggregates())
+def test_aggregate_table_matches_each_subset(agg):
+    size = 1 << agg.universe_size
+    table = agg._table(np.arange(size, dtype=np.int64))
+    assert table.dtype == np.int64 and table.shape == (size,)
+    assert table.tolist() == [agg._choose_mask(x) for x in range(size)]
 
 
 def test_compiled_quota_edges():

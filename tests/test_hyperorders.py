@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,12 +25,12 @@ from plottmatch import (
     choice_table,
     closure_star,
     format_relation,
-    l_operator,
     lehmann_prec,
     parse_relation,
     reconstruct_choice,
 )
-from plottmatch.oracle import generate_instance
+from plottmatch.hyperorders import AUDIT_CAP, AxiomCheck, AxiomReport
+from plottmatch.oracle import generate_instance, l_operator
 
 EX1_F = OrderChoice.by_utility((0, 10, 20, -10, 30, 5))
 EX1_G = OrderChoice.by_utility((20, 10, 0, 30, -10, 5))
@@ -203,6 +206,107 @@ def test_audit_passes_generated_markets(sides):
     assert audit_lehmann_axioms(DerivedLehmann(sides.G)).overall
 
 
+def _loop_first_true(condition):
+    hits = np.argwhere(condition)
+    return None if hits.size == 0 else tuple(int(v) for v in hits[0])
+
+
+def _loop_audit(rel) -> AxiomReport:
+    """The audit as one loop per contract or column, queried pair by pair."""
+    n = rel.universe_size
+    size = 1 << n
+    p = np.array([[rel._prec_mask(a, b) for b in range(size)] for a in range(size)],
+                 dtype=bool)
+    masks = np.arange(size, dtype=np.int64)
+    c_s = lambda m: ContractSet(n, int(m))
+    checks = []
+    hit = _loop_first_true(np.diagonal(p))
+    checks.append(AxiomCheck("L0", hit is None, None if hit is None else (c_s(hit[0]),)))
+    witness = None
+    for c in range(n):
+        bit = 1 << c
+        rows = (masks & bit) != 0
+        hit = _loop_first_true(p[rows] & ~p[masks[rows] ^ bit])
+        if hit is not None:
+            a = int(masks[rows][hit[0]])
+            if witness is None or (a, hit[1]) < (witness[1].mask, witness[2].mask):
+                witness = (c_s(a ^ bit), c_s(a), c_s(hit[1]))
+    checks.append(AxiomCheck("L1", witness is None, witness))
+    witness = None
+    for b in range(size):
+        col = p[:, b]
+        trues = masks[col]
+        if trues.size == 0:
+            continue
+        hit = _loop_first_true(~col[trues[:, None] | trues[None, :]])
+        if hit is not None:
+            witness = (c_s(trues[hit[0]]), c_s(trues[hit[1]]), c_s(b))
+            break
+    checks.append(AxiomCheck("L2", witness is None, witness))
+    witness = None
+    for c in range(n):
+        bit = 1 << c
+        cols = (masks & bit) == 0
+        hit = _loop_first_true(p[:, cols] & ~p[:, masks[cols] ^ bit])
+        if hit is not None:
+            b = int(masks[cols][hit[1]])
+            if witness is None or (hit[0], b) < (witness[0].mask, witness[1].mask):
+                witness = (c_s(hit[0]), c_s(b), c_s(b | bit))
+    checks.append(AxiomCheck("L3", witness is None, witness))
+    unions = masks[:, None] | masks[None, :]
+    for name, bad in (("L4", np.take_along_axis(p, unions, axis=1) & ~p),
+                      ("L5", ~p[0][:, None] & p[0][None, :] & ~p),
+                      ("transitivity", ((p.astype(np.uint8) @ p.astype(np.uint8)) > 0) & ~p)):
+        hit = _loop_first_true(bad)
+        checks.append(AxiomCheck(name, hit is None,
+                                 None if hit is None else (c_s(hit[0]), c_s(hit[1]))))
+    return AxiomReport(tuple(checks), all(c.passed for c in checks[:-1]))
+
+
+def _perturbed_relations(count: int, seed: int):
+    """Derived relations of generated functions of 1-5 contracts, 0-3 pairs flipped."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 5)
+        sides = generate_instance(rng.randrange(10**6), n, rng.randint(1, 3))
+        base = DerivedLehmann(sides.F if i % 2 else sides.G)
+        size = 1 << n
+        pairs = {(a, b) for a in range(size) for b in range(size) if base._prec_mask(a, b)}
+        for _ in range(rng.randint(0, 3)):
+            pairs ^= {(rng.randrange(size), rng.randrange(size))}
+        yield ExtensionalLehmann.from_true_pairs(n, pairs)
+
+
+def test_audit_equals_the_loop_audit_on_perturbed_relations():
+    failed = {}
+    for rel in _perturbed_relations(1200, seed=7):
+        report = audit_lehmann_axioms(rel)
+        assert report == _loop_audit(rel)
+        for check in report.checks:
+            failed[check.name] = failed.get(check.name, 0) + (not check.passed)
+        if report.overall:
+            n = rel.universe_size
+            assert reconstruct_choice(rel).table == tuple(
+                a & ~l_operator(rel, ContractSet(n, a)).mask for a in range(1 << n))
+    assert all(failed[name] for name in
+               ("L0", "L1", "L2", "L3", "L4", "L5", "transitivity")), failed
+
+
+def test_audit_and_round_trip_memory_at_the_cap():
+    cf = generate_instance(8, AUDIT_CAP, 3).F
+    rel = DerivedLehmann(cf)
+    tracemalloc.start()
+    try:
+        report = audit_lehmann_axioms(rel)
+        rebuilt = reconstruct_choice(rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall
+    assert np.array_equal(choice_table(rebuilt), choice_table(cf))
+    assert peak < 8 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # L-operator and reconstruction
 # ---------------------------------------------------------------------------
@@ -242,6 +346,26 @@ def test_reconstruct_round_trips_generated_markets(sides):
     for cf in (sides.F, sides.G):
         rebuilt = reconstruct_choice(DerivedLehmann(cf))
         assert np.array_equal(choice_table(rebuilt), choice_table(cf))
+
+
+def _assert_rebuild_is_a_minus_l(cf):
+    rel = DerivedLehmann(cf)
+    n = cf.universe_size
+    rebuilt = reconstruct_choice(rel)
+    for a in range(1 << n):
+        assert rebuilt.table[a] == a & ~l_operator(rel, ContractSet(n, a)).mask
+
+
+def test_reconstruct_reads_the_l_operator():
+    for cf in SMALL_PLOTT + (EX1_F, EX1_G):
+        _assert_rebuild_is_a_minus_l(cf)
+
+
+@given(plott_sides())
+@settings(max_examples=50)
+def test_reconstruct_reads_the_l_operator_on_generated_markets(sides):
+    _assert_rebuild_is_a_minus_l(sides.F)
+    _assert_rebuild_is_a_minus_l(sides.G)
 
 
 def test_reconstruct_rejects_a_broken_relation():

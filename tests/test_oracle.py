@@ -66,6 +66,14 @@ def test_enumerate_quota_and_empty():
     assert enumerate_stable_sets(ex2).stable_sets == ()
 
 
+@pytest.mark.parametrize("name, fingerprint", [("ex1.mkt", "baa722402c2cd462"),
+                                               ("ex2.mkt", "635662ceda52918c"),
+                                               ("quota.mkt", "ac00ebf2df6d0edd")])
+def test_fingerprints_are_pinned(name, fingerprint):
+    sides = aggregate_sides(parse_instance((FIXTURES / name).read_text()))
+    assert enumerate_stable_sets(sides).fingerprint == fingerprint
+
+
 def test_enumerate_matches_the_scalar_check():
     for seed in range(10):
         sides = generate_instance(seed, 5, 2)
