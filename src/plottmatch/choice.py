@@ -506,52 +506,42 @@ def _rank_keys(masks: np.ndarray, place) -> np.ndarray:
     return keys
 
 
-def _heredity_scan(table: np.ndarray, n: int, place):
-    """Least (B, A=B∖{c}, element) violating Heredity, in (B, c) order.
+def _violation_scan(table: np.ndarray, n: int, place):
+    """The least Plott violation in a table, lifted through ``place``.
 
-    Masks are local; the order, and the choice of the lowest offending
-    element, follow the global indices ``place``.
+    One pass over the one-element removals A = B∖{c} of every row B ∋ c
+    records the least violation of each axiom: Heredity fails when some
+    element of G(B) ∩ A is not in G(A), Outcast when c ∉ G(B) yet G(A) ≠
+    G(B). Rows are ordered by their lifts, ties broken by ``place[c]``; the
+    Heredity witness names its lowest offending element in that order.
+    Returns ``_plott_witness``'s tuples: Heredity first, then Outcast.
     """
     masks = np.arange(1 << n, dtype=np.int64)
     keys = _rank_keys(masks, place)
-    best = None
+    least = [None, None]  # per axiom: (row key, place[c], row, c)
     for c in range(n):
         bit = 1 << c
         rows = masks[(masks & bit) != 0]
         subs = rows ^ bit
-        bad = table[rows] & subs & ~table[subs]
-        hits = np.nonzero(bad)[0]
-        if hits.size:
-            k = hits[np.argmin(keys[rows[hits]])]
-            b = int(rows[k])
-            if best is None or (keys[b], place[c]) < (keys[best[0]], place[best[1]]):
-                best = (b, c, int(bad[k]))
-    if best is None:
-        return None
-    b, c, offending = best
-    element = min(_bits(offending), key=place.__getitem__)
-    return b, b ^ (1 << c), element
-
-
-def _outcast_scan(table: np.ndarray, n: int, place):
-    """Least (X, Y=X∖{c}) violating Outcast, in (X, c) order of ``place``."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    keys = _rank_keys(masks, place)
-    best = None
-    for c in range(n):
-        bit = 1 << c
-        rows = masks[((masks & bit) != 0) & ((table & bit) == 0)]
-        subs = rows ^ bit
-        bad = table[subs] != table[rows]
-        hits = np.nonzero(bad)[0]
-        if hits.size:
-            x = int(rows[hits[np.argmin(keys[rows[hits]])]])
-            if best is None or (keys[x], place[c]) < (keys[best[0]], place[best[1]]):
-                best = (x, c)
-    if best is None:
-        return None
-    x, c = best
-    return x, x ^ (1 << c)
+        chosen, kept = table[rows], table[subs]
+        for axiom, bad in enumerate(((chosen & subs & ~kept) != 0,
+                                     ((chosen & bit) == 0) & (kept != chosen))):
+            hits = rows[bad]
+            if hits.size:
+                row = int(hits[np.argmin(keys[hits])])
+                hit = (int(keys[row]), place[c], row, c)
+                if least[axiom] is None or hit < least[axiom]:
+                    least[axiom] = hit
+    heredity, outcast = least
+    if heredity is not None:
+        *_, b, c = heredity
+        a = b ^ (1 << c)
+        element = min(_bits(int(table[b]) & a & ~int(table[a])), key=place.__getitem__)
+        return 0, _lift(b, place), _lift(a, place), place[element]
+    if outcast is not None:
+        *_, x, c = outcast
+        return 1, _lift(x, place), _lift(x ^ (1 << c), place)
+    return None
 
 
 def _plott_witness(cf: ChoiceFunction, cap: int, place):
@@ -580,16 +570,7 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
     n = cf.universe_size
     if n > cap:
         raise CapExceeded(f"exhaustive check needs universe_size <= {cap}, got {n}")
-    table = choice_table(cf)
-    hit = _heredity_scan(table, n, place)
-    if hit is not None:
-        b, a, element = hit
-        return 0, _lift(b, place), _lift(a, place), place[element]
-    hit = _outcast_scan(table, n, place)
-    if hit is not None:
-        x, y = hit
-        return 1, _lift(x, place), _lift(y, place)
-    return None
+    return _violation_scan(choice_table(cf), n, place)
 
 
 def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
@@ -617,7 +598,7 @@ def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
 
 
 # ---------------------------------------------------------------------------
-# Closure operator, Nil-set, inversion
+# Closure operator and Nil-set
 # ---------------------------------------------------------------------------
 
 
@@ -655,22 +636,6 @@ def nil_set(cf: ChoiceFunction) -> ContractSet:
     removing Nil contracts never changes any choice.
     """
     return closure_star(cf, ContractSet.empty(cf.universe_size))
-
-
-def invert_closure(cf: ChoiceFunction, X: ContractSet) -> ContractSet:
-    """Recover the choice on X from the closure operator.
-
-    Returns {x ∈ X : x ∉ closure_star(X∖{x})}; for path-independent
-    functions this equals choose(X) and serves as a cross-check.
-    """
-    if X.universe_size != cf.universe_size:
-        raise UniverseMismatch("inversion over a foreign universe")
-    out = 0
-    for x in _bits(X.mask):
-        bit = 1 << x
-        if not _closure_mask(cf, X.mask ^ bit) & bit:
-            out |= bit
-    return ContractSet(cf.universe_size, out)
 
 
 # ---------------------------------------------------------------------------

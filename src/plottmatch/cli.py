@@ -20,7 +20,7 @@ from .choice import (
     parse_set,
 )
 from .errors import CapExceeded, NotCertified, ParseError, PlottmatchError
-from .hyperorders import AUDIT_CAP, DerivedLehmann, audit_lehmann_axioms, reconstruct_choice
+from .hyperorders import AUDIT_CAP, DerivedLehmann, _audit, _rebuild, audit_lehmann_axioms
 from .market import MarketInstance, aggregate_sides, parse_instance
 from .oracle import enumerate_stable_sets, format_catalog, verify_lattice
 from .stability import (
@@ -63,8 +63,7 @@ def _non_negative(text: str) -> int:
 
 def _targets(m: MarketInstance, args, *, default_both: bool):
     """Resolve --agent/--side into (prefix, cf, labels) triples."""
-    agent = getattr(args, "agent", None)
-    side = getattr(args, "side", None)
+    agent, side = args.agent, args.side
     if agent is not None:
         spec = m.spec_of(agent)
         labels = tuple(m.labels[g] for g in spec.block)
@@ -78,11 +77,10 @@ def _targets(m: MarketInstance, args, *, default_both: bool):
     return [(None, sides.G, m.labels)]
 
 
-def _audit_lines(cf, labels, cap: int) -> list[str]:
-    try:
-        report = audit_lehmann_axioms(DerivedLehmann(cf), cap=cap)
-    except CapExceeded:
-        return ["lehmann: skipped (universe exceeds audit cap)"]
+SKIPPED = "lehmann: skipped (universe exceeds audit cap)"
+
+
+def _audit_lines(report, labels) -> list[str]:
     verdicts = " ".join(
         f"{c.name}={'pass' if c.passed else 'fail'}" for c in report.checks)
     lines = [f"lehmann: {verdicts}"]
@@ -100,7 +98,12 @@ def cmd_check(args) -> int:
         lines = []
         if report.is_plott:
             lines.append("PLOTT (exhaustive)")
-            lines.extend(_audit_lines(cf, labels, _cap(args, AUDIT_CAP)))
+            try:
+                audit = audit_lehmann_axioms(DerivedLehmann(cf), cap=_cap(args, AUDIT_CAP))
+            except CapExceeded:
+                lines.append(SKIPPED)
+            else:
+                lines.extend(_audit_lines(audit, labels))
         elif report.heredity_witness is not None:
             b, a, element = report.heredity_witness
             lines.append(
@@ -197,10 +200,19 @@ def cmd_lehmann(args) -> int:
     if not report.is_plott:
         target = f"agent {args.agent}" if args.agent else f"side {args.side or 'G'}"
         raise NotCertified(f"{target} is not path-independent")
-    for line in _audit_lines(cf, labels, _cap(args, AUDIT_CAP)):
+    rel = DerivedLehmann(cf)
+    try:
+        p, audit = _audit(rel, _cap(args, AUDIT_CAP))
+    except CapExceeded:
+        print(SKIPPED)
+        if args.roundtrip:
+            raise
+        return 0
+    for line in _audit_lines(audit, labels):
         print(line)
     if args.roundtrip:
-        rebuilt = reconstruct_choice(DerivedLehmann(cf), cap=_cap(args, AUDIT_CAP))
+        # reconstruct_choice on the matrix just audited, not auditing it again
+        rebuilt = _rebuild(rel, p, audit)
         total = 1 << cf.universe_size
         bad = sum(1 for x in range(total) if rebuilt.table[x] != cf._choose_mask(x))
         if bad == 0:
@@ -242,12 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common] if capped else [], help=help_text)
         p.add_argument("instance", help="instance file")
         p.set_defaults(func=func)
+        if name in ("check", "lehmann", "decompose"):
+            target = p.add_mutually_exclusive_group()
+            target.add_argument("--agent", help="use one agent's own choice function")
+            target.add_argument("--side", choices=("F", "G"), help="use one aggregate side")
         return p
 
-    p = add("check", cmd_check, "verify path independence and Lehmann axioms")
-    target = p.add_mutually_exclusive_group()
-    target.add_argument("--agent", help="check one agent's own choice function")
-    target.add_argument("--side", choices=("F", "G"), help="check one aggregate side")
+    add("check", cmd_check, "verify path independence and Lehmann axioms")
 
     p = add("solve", cmd_solve, "run the dynamics to a stable set")
     p.add_argument("--favor", choices=("F", "G"), default="F",
@@ -269,16 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stable_set", help="stable set of the original instance")
 
     p = add("lehmann", cmd_lehmann, "audit the Lehmann axioms of one side")
-    target = p.add_mutually_exclusive_group()
-    target.add_argument("--agent")
-    target.add_argument("--side", choices=("F", "G"))
     p.add_argument("--roundtrip", action="store_true",
                    help="rebuild the choice function from the relation and compare")
 
-    p = add("decompose", cmd_decompose, "write one side as a union of orders")
-    target = p.add_mutually_exclusive_group()
-    target.add_argument("--agent")
-    target.add_argument("--side", choices=("F", "G"))
+    add("decompose", cmd_decompose, "write one side as a union of orders")
 
     return parser
 

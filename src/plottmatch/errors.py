@@ -21,10 +21,6 @@ class NotPlott(PlottmatchError):
     """A path-independence violation was detected where none is allowed."""
 
 
-class TableIncomplete(PlottmatchError):
-    """An extensional hyper-relation table is missing an ordered pair."""
-
-
 class AxiomsFail(PlottmatchError):
     """A Lehmann relation failed its axiom audit.
 

@@ -15,35 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import (
-    ChoiceFunction,
-    ContractSet,
-    ExplicitTable,
-    choice_table,
-    format_set,
-    is_plott,
-    parse_set,
-)
-from .errors import (
-    AxiomsFail,
-    CapExceeded,
-    InternalError,
-    TableIncomplete,
-    UniverseMismatch,
-)
+from .choice import ChoiceFunction, ContractSet, ExplicitTable, choice_table, is_plott
+from .errors import AxiomsFail, CapExceeded, InternalError, UniverseMismatch
 
 AUDIT_CAP = 8
-
-
-@dataclass(frozen=True)
-class BlairRelation:
-    """The weak hyper-order A ⪯ B ⟺ choose(A∪B) ⊆ B of a generating function."""
-
-    cf: ChoiceFunction
-
-    @property
-    def universe_size(self) -> int:
-        return self.cf.universe_size
 
 
 @dataclass(frozen=True)
@@ -77,14 +52,12 @@ class DerivedLehmann:
 class ExtensionalLehmann:
     """A Lehmann relation stored as an explicit table of ordered pairs.
 
-    ``true_pairs`` holds the (A, B) masks related by ≺. A total table leaves
-    ``known_pairs`` as None (every unlisted pair is false); a partial table
-    lists the decided pairs and raises TableIncomplete on any other query.
+    ``true_pairs`` holds the (A, B) masks related by ≺; every unlisted pair
+    is false.
     """
 
     universe_size: int
     true_pairs: frozenset
-    known_pairs: frozenset | None = None
 
     @classmethod
     def from_true_pairs(cls, universe_size: int, pairs) -> "ExtensionalLehmann":
@@ -97,28 +70,18 @@ class ExtensionalLehmann:
         return cls(universe_size, frozenset(true_pairs))
 
     def _prec_mask(self, amask: int, bmask: int) -> bool:
-        pair = (amask, bmask)
-        if self.known_pairs is not None and pair not in self.known_pairs:
-            raise TableIncomplete(f"extensional table has no entry for pair {pair}")
-        return pair in self.true_pairs
+        return (amask, bmask) in self.true_pairs
 
 
-def lehmann_prec(rel, A: ContractSet, B: ContractSet) -> bool:
-    """Evaluate A ≺ B under a derived or extensional Lehmann relation."""
-    if A.universe_size != rel.universe_size or B.universe_size != rel.universe_size:
+def blair_leq(cf: ChoiceFunction, A: ContractSet, B: ContractSet) -> bool:
+    """Evaluate A ⪯ B, i.e. choose(A∪B) ⊆ B, in the Blair relation of cf."""
+    if A.universe_size != cf.universe_size or B.universe_size != cf.universe_size:
         raise UniverseMismatch("relation and sets must share one universe")
-    return rel._prec_mask(A.mask, B.mask)
-
-
-def blair_leq(rel: BlairRelation, A: ContractSet, B: ContractSet) -> bool:
-    """Evaluate A ⪯ B, i.e. choose(A∪B) ⊆ B, under the Blair relation."""
-    if A.universe_size != rel.universe_size or B.universe_size != rel.universe_size:
-        raise UniverseMismatch("relation and sets must share one universe")
-    chosen = rel.cf._choose_mask(A.mask | B.mask)
+    chosen = cf._choose_mask(A.mask | B.mask)
     if chosen & ~B.mask:
         return False
     # When it holds, outcast forces choose(A∪B) = choose(B) for Plott input.
-    if chosen != rel.cf._choose_mask(B.mask):
+    if chosen != cf._choose_mask(B.mask):
         raise InternalError("blair-true pair with choose(A∪B) != choose(B)")
     return True
 
@@ -162,9 +125,6 @@ def _relation_matrix(rel, n: int) -> np.ndarray:
         t = choice_table(rel.cf)
         masks = np.arange(size, dtype=np.int64)
         return (t != 0) & ((t[masks[:, None] | masks] & masks[:, None]) == 0)
-    if rel.known_pairs is not None and not all(
-            (a, b) in rel.known_pairs for a in range(size) for b in range(size)):
-        raise TableIncomplete("audit requires a total extensional table")
     p = np.zeros((size, size), dtype=bool)
     for a, b in rel.true_pairs:
         p[a, b] = True
@@ -258,7 +218,11 @@ def reconstruct_choice(rel, *, cap: int = AUDIT_CAP) -> ExplicitTable:
     so a failed certification raises InternalError. So does a derived
     relation with choose(A∪{c}) ≠ choose(A) on a pair {c} ≺ A it reads.
     """
-    p, report = _audit(rel, cap)
+    return _rebuild(rel, *_audit(rel, cap))
+
+
+def _rebuild(rel, p: np.ndarray, report: AxiomReport) -> ExplicitTable:
+    """reconstruct_choice from rel's relation matrix p and its audit report."""
     if not report.overall:
         raise AxiomsFail("relation fails the Lehmann axioms", report)
     n = rel.universe_size
@@ -275,39 +239,3 @@ def reconstruct_choice(rel, *, cap: int = AUDIT_CAP) -> ExplicitTable:
     if not is_plott(cf).is_plott:
         raise InternalError("reconstructed table is not path-independent")
     return cf
-
-
-# ---------------------------------------------------------------------------
-# Extensional relation files
-# ---------------------------------------------------------------------------
-
-
-def format_relation(rel, labels=None) -> str:
-    """Serialize a relation as `{A} < {B}` lines, one true pair per line.
-
-    Pairs are listed in (A, B) mask order; unlisted pairs are false, so the
-    output round-trips through parse_relation for any total relation.
-    """
-    n = rel.universe_size
-    lines = []
-    for amask in range(1 << n):
-        for bmask in range(1 << n):
-            if rel._prec_mask(amask, bmask):
-                lines.append(f"{format_set(ContractSet(n, amask), labels)} < "
-                             f"{format_set(ContractSet(n, bmask), labels)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_relation(text: str, labels, universe_size: int) -> ExtensionalLehmann:
-    """Parse `{A} < {B}` lines into a total extensional relation."""
-    pairs = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        left, sep, right = line.partition("<")
-        if not sep:
-            raise ValueError(f"expected '{{A}} < {{B}}', got {raw!r}")
-        pairs.append((parse_set(left, labels, universe_size),
-                      parse_set(right, labels, universe_size)))
-    return ExtensionalLehmann.from_true_pairs(universe_size, pairs)

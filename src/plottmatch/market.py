@@ -31,14 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .choice import (
-    Aggregate,
-    ChoiceFunction,
-    ContractSet,
-    ExplicitTable,
-    OrderChoice,
-    format_set,
-)
+from .choice import Aggregate, ChoiceFunction, ExplicitTable, OrderChoice
 from .errors import ContractOutsideBlock, ParseError, PartialTable, UnknownAgent
 from .stability import SidePair, side_pair
 
@@ -349,42 +342,6 @@ def parse_instance(text: str) -> MarketInstance:
             raise ParseError(f"agent {agent!r} has contracts but no [choice] section")
 
     return MarketInstance(tuple(firms), tuple(workers), contracts_t, tuple(specs))
-
-
-def format_instance(m: MarketInstance) -> str:
-    """Serialize an instance; the output reparses to an equal instance."""
-    out = []
-    out.append("[firms] " + " ".join(m.firms))
-    out.append("[workers] " + " ".join(m.workers))
-    out.append("[contracts]")
-    for c in m.contracts:
-        line = f"{c.id} {c.firm} {c.worker}"
-        if c.u_worker is not None:
-            line += f" {c.u_worker} {c.u_firm}"
-        out.append(line)
-    for s in m.specs:
-        local_labels = tuple(m.labels[g] for g in s.block)
-        header = f"[choice {s.agent}] kind={s.kind}"
-        body = []
-        if s.kind == "explicit":
-            cf = s.cf
-            k = cf.universe_size
-            for xmask, chosen in enumerate(cf.table):
-                left = format_set(ContractSet(k, xmask), local_labels)
-                right = format_set(ContractSet(k, chosen), local_labels)
-                body.append(f"{left} -> {right}")
-        elif s.kind in ("order", "quota"):
-            cf = s.cf
-            k = cf.universe_size
-            if s.kind == "quota":
-                header += f" q={cf.quota}"
-            if cf.acceptable_mask != (1 << k) - 1:
-                header += " acceptable=" + format_set(
-                    ContractSet(k, cf.acceptable_mask), local_labels)
-            body.append(" ".join(local_labels[i] for i in cf.order))
-        out.append(header)
-        out.extend(body)
-    return "\n".join(out) + "\n"
 
 
 def aggregate_sides(m: MarketInstance, *, certify: bool = True) -> SidePair:

@@ -4,7 +4,9 @@ Everything here is deliberately independent of the dynamics: stable sets
 are found by scanning every subset against the S1/S2 definitions, the
 Blair matrix is evaluated entry by entry, lattice structure is read off
 the matrix, and the L-operator is evaluated one relation query at a time.
-The engine is then tested against these answers.
+Stability via closures, the choice recovered from the closure operator
+and single Lehmann queries are the cross-checks of the same kind. The
+engine is then tested against these answers.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .choice import (
     OrderChoice,
     UnionChoice,
     choice_table,
+    closure_star,
     format_set,
 )
-from .errors import CapExceeded, InternalError, UniverseMismatch
+from .errors import CapExceeded, InternalError, S1Violated, UniverseMismatch
 from .stability import SidePair, lattice_join, lattice_meet, side_pair
 
 SEMI_STABLE_CAP = 10
@@ -223,6 +226,38 @@ def semi_stable_masks(sides: SidePair, *, cap: int = SEMI_STABLE_CAP) -> list[tu
     ssp2 = (tg[masks][:, None] & ~tf[masks][None, :]) == 0
     ys, zs = np.nonzero(cover & ssp2)
     return [(int(y), int(z)) for y, z in zip(ys, zs)]
+
+
+def is_stable_set_via_closure(sides: SidePair, S: ContractSet) -> bool:
+    """Stability via closures: S1 plus closure_star(F,S) ∪ closure_star(G,S) = C.
+
+    Preconditions: certified sides and S1 already holding; agrees with
+    is_stable_set on every such S.
+    """
+    sides.require_certified()
+    if sides.F.choose(S) != S or sides.G.choose(S) != S:
+        raise S1Violated("closure-based test requires choose(F,S) = choose(G,S) = S")
+    covered = closure_star(sides.F, S) | closure_star(sides.G, S)
+    return covered == ContractSet.full(sides.universe_size)
+
+
+def invert_closure(cf, X: ContractSet) -> ContractSet:
+    """Recover the choice on X from the closure operator.
+
+    Returns {x ∈ X : x ∉ closure_star(X∖{x})}; for path-independent
+    functions this equals choose(X) and serves as a cross-check.
+    """
+    if X.universe_size != cf.universe_size:
+        raise UniverseMismatch("inversion over a foreign universe")
+    kept = [x for x in X if x not in closure_star(cf, X.remove(x))]
+    return ContractSet.from_indices(cf.universe_size, kept)
+
+
+def lehmann_prec(rel, A: ContractSet, B: ContractSet) -> bool:
+    """Evaluate A ≺ B under a derived or extensional Lehmann relation."""
+    if A.universe_size != rel.universe_size or B.universe_size != rel.universe_size:
+        raise UniverseMismatch("relation and sets must share one universe")
+    return rel._prec_mask(A.mask, B.mask)
 
 
 def l_operator(rel, A: ContractSet) -> ContractSet:

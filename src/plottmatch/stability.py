@@ -40,23 +40,21 @@ from .errors import (
     NotDominated,
     NotSemiStable,
     NotStable,
-    S1Violated,
     UniverseMismatch,
 )
-from .hyperorders import BlairRelation, blair_leq
+from .hyperorders import blair_leq
 
 
 @dataclass(frozen=True)
 class SidePair:
     """The two sides of a market: F (workers) and G (firms) on one universe.
 
-    ``certified`` records that both sides passed a path-independence check;
+    ``f_report`` and ``g_report`` are the sides' path-independence checks;
     the dynamics and everything built on it refuse to run uncertified.
     """
 
     F: ChoiceFunction
     G: ChoiceFunction
-    certified: bool
     f_report: PlottReport | None = None
     g_report: PlottReport | None = None
 
@@ -64,9 +62,15 @@ class SidePair:
     def universe_size(self) -> int:
         return self.F.universe_size
 
+    @property
+    def certified(self) -> bool:
+        """Both sides were checked, and both are path independent."""
+        f, g = self.f_report, self.g_report
+        return f is not None and g is not None and f.is_plott and g.is_plott
+
     def swap(self) -> "SidePair":
         """The same market with the roles of the two sides exchanged."""
-        return SidePair(self.G, self.F, self.certified, self.g_report, self.f_report)
+        return SidePair(self.G, self.F, self.g_report, self.f_report)
 
     def require_certified(self):
         """Raise NotCertified unless both sides are certified, naming a failed side."""
@@ -86,10 +90,8 @@ def side_pair(F: ChoiceFunction, G: ChoiceFunction, *, certify: bool = True) -> 
     if F.universe_size != G.universe_size:
         raise UniverseMismatch("both sides must share one universe")
     if not certify:
-        return SidePair(F, G, False)
-    f_report = is_plott(F)
-    g_report = is_plott(G)
-    return SidePair(F, G, f_report.is_plott and g_report.is_plott, f_report, g_report)
+        return SidePair(F, G)
+    return SidePair(F, G, is_plott(F), is_plott(G))
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,15 @@ class StablePair:
 
 @dataclass(frozen=True)
 class ProcessTrace:
-    """A full Φ run: every visited pair, the fixpoint index, and its stable pair."""
+    """A full Φ run: every visited pair and its stable pair."""
 
     steps: tuple[SemiStablePair, ...]
-    terminated_at: int
     result: StablePair
+
+    @property
+    def terminated_at(self) -> int:
+        """The index of the fixpoint in ``steps``."""
+        return len(self.steps) - 1
 
 
 @dataclass(frozen=True)
@@ -158,19 +164,6 @@ def is_stable_set(sides: SidePair, S: ContractSet) -> StabilityCheck:
         if F._choose_mask(added & F._scope(c)) & bit and G._choose_mask(added & G._scope(c)) & bit:
             return StabilityCheck(False, "S2", contract=c)
     return StabilityCheck(True)
-
-
-def is_stable_set_via_closure(sides: SidePair, S: ContractSet) -> bool:
-    """Stability via closures: S1 plus closure_star(F,S) ∪ closure_star(G,S) = C.
-
-    Preconditions: certified sides and S1 already holding; agrees with
-    is_stable_set on every such S.
-    """
-    sides.require_certified()
-    if sides.F.choose(S) != S or sides.G.choose(S) != S:
-        raise S1Violated("closure-based test requires choose(F,S) = choose(G,S) = S")
-    covered = closure_star(sides.F, S) | closure_star(sides.G, S)
-    return covered == ContractSet.full(sides.universe_size)
 
 
 def _ssp_masks(sides: SidePair, Y: ContractSet, Z: ContractSet) -> tuple[int, int]:
@@ -258,7 +251,7 @@ def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
     if gy != fz:
         raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
     result = StablePair(p.Y, p.Z, ContractSet(sides.universe_size, fz))
-    return ProcessTrace(tuple(steps), len(steps) - 1, result)
+    return ProcessTrace(tuple(steps), result)
 
 
 def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
@@ -271,16 +264,6 @@ def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
             f" F(Z)={format_set(fz, labels)} G(F(Z))={format_set(sides.G.choose(fz), labels)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def pair_to_set(sides: SidePair, p: StablePair) -> ContractSet:
-    """Extract S = choose(G,Y) after revalidating SP1/SP2."""
-    if (p.Y | p.Z) != ContractSet.full(sides.universe_size):
-        raise NotStable("SP1 fails: Y and Z do not cover the universe")
-    gy = sides.G.choose(p.Y)
-    if gy != sides.F.choose(p.Z) or gy != p.S:
-        raise NotStable("SP2 fails: choose(G,Y) and choose(F,Z) disagree with S")
-    return gy
 
 
 def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:
@@ -346,9 +329,8 @@ def blair_compare_stable(sides: SidePair, S: ContractSet, T: ContractSet) -> str
         check = is_stable_set(sides, X)
         if not check:
             raise NotStable(f"set fails {check.condition}")
-    rel = BlairRelation(sides.G)
-    st = blair_leq(rel, S, T)
-    ts = blair_leq(rel, T, S)
+    st = blair_leq(sides.G, S, T)
+    ts = blair_leq(sides.G, T, S)
     if st and ts:
         if S != T:
             raise InternalError("Blair order not antisymmetric on stable sets")
@@ -407,7 +389,7 @@ def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
     if not f2_report.is_plott:
         raise NotCertified("weakened side is not path-independent")
     old_pair = set_to_pair(sides, S)
-    new_sides = SidePair(f_prime, sides.G, True, f2_report, sides.g_report)
+    new_sides = SidePair(f_prime, sides.G, f2_report, sides.g_report)
     y = old_pair.Y
     z = closure_star(f_prime, old_pair.Z)
     try:
@@ -415,8 +397,8 @@ def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
     except NotSemiStable as exc:
         raise InternalError("statics start pair not semi-stable") from exc
     s_prime = run_to_fixpoint(new_sides, start).result.S
-    if not blair_leq(BlairRelation(sides.G), S, s_prime):
+    if not blair_leq(sides.G, S, s_prime):
         raise InternalError("statics result not above S in the firm-side order")
-    if not blair_leq(BlairRelation(sides.F), s_prime, S):
+    if not blair_leq(sides.F, s_prime, S):
         raise InternalError("statics result not below S in the original worker order")
     return s_prime

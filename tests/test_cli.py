@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from plottmatch import OrderChoice, choice_table
+from plottmatch import OrderChoice, choice_table, hyperorders
 from plottmatch.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -274,6 +274,26 @@ def test_lehmann_round_trip(capsys):
     assert out == f"{AUDIT_OK}\nround-trip OK (8/8 subsets)\n"
 
 
+def test_lehmann_round_trip_audits_once(capsys, monkeypatch):
+    built = []
+
+    def counted(rel, n):
+        built.append(n)
+        return relation_matrix(rel, n)
+
+    relation_matrix = hyperorders._relation_matrix
+    monkeypatch.setattr(hyperorders, "_relation_matrix", counted)
+    assert main(["lehmann", ORD3, "--side", "G", "--roundtrip"]) == 0
+    assert capsys.readouterr().out == f"{AUDIT_OK}\nround-trip OK (8/8 subsets)\n"
+    assert built == [3]
+    # above the audit cap the skip line comes first, then the round trip's error
+    code, out, err = run(capsys, "lehmann", EX1, "--roundtrip", "--cap", "0")
+    assert code == 1 and out == "lehmann: skipped (universe exceeds audit cap)\n"
+    assert err == "error: axiom audit needs universe_size <= 0, got 6\n"
+    assert run(capsys, "lehmann", EX1, "--cap", "0")[:2] == (
+        0, "lehmann: skipped (universe exceeds audit cap)\n")
+
+
 def test_lehmann_defaults_to_the_firm_side(capsys):
     code, out, _ = run(capsys, "lehmann", EX2)
     assert code == 0
@@ -340,6 +360,20 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "bogus", POLAR2)[0] == 2
     assert run(capsys, "check", POLAR2, "--agent", "firm1", "--side", "F")[0] == 2
     assert run(capsys, "solve", POLAR2, "--favor", "X")[0] == 2
+
+
+def test_agent_and_side_only_where_a_target_is_read(capsys):
+    for command in ("check", "lehmann", "decompose"):
+        assert run(capsys, command, POLAR2, "--side", "F")[0] == 0
+        assert run(capsys, command, POLAR2, "--agent", "firm1")[0] == 0
+        code, _, err = run(capsys, command, POLAR2, "--agent", "firm1", "--side", "F")
+        assert code == 2 and "not allowed with argument" in err
+    for args in (("solve", POLAR2), ("enumerate", POLAR2), ("lattice", POLAR2),
+                 ("compare", POLAR2, "{a}", "{b}"), ("statics", POLAR2, POLAR2_WEAK, "{a}")):
+        for flag in (("--agent", "firm1"), ("--side", "F")):
+            code, out, err = run(capsys, *args, *flag)
+            assert code == 2 and out == ""
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 def test_missing_file_is_a_domain_error(capsys):

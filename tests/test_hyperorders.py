@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from plottmatch import (
     AxiomsFail,
-    BlairRelation,
     CapExceeded,
     ContractSet,
     DerivedLehmann,
@@ -18,15 +17,12 @@ from plottmatch import (
     ExtensionalLehmann,
     InternalError,
     OrderChoice,
-    TableIncomplete,
     UniverseMismatch,
     audit_lehmann_axioms,
     blair_leq,
     choice_table,
     closure_star,
-    format_relation,
     lehmann_prec,
-    parse_relation,
     reconstruct_choice,
 )
 from plottmatch.hyperorders import AUDIT_CAP, AxiomCheck, AxiomReport
@@ -57,27 +53,25 @@ def plott_sides(draw):
 
 
 def test_blair_examples():
-    rel = BlairRelation(EX1_G)
-    assert blair_leq(rel, cs(6, 2), cs(6, 1))
-    assert blair_leq(rel, cs(6, 1), cs(6, 0))
-    assert not blair_leq(rel, cs(6, 0), cs(6, 2))
-    assert blair_leq(rel, cs(6, 0), cs(6, 0))
+    assert blair_leq(EX1_G, cs(6, 2), cs(6, 1))
+    assert blair_leq(EX1_G, cs(6, 1), cs(6, 0))
+    assert not blair_leq(EX1_G, cs(6, 0), cs(6, 2))
+    assert blair_leq(EX1_G, cs(6, 0), cs(6, 0))
     with pytest.raises(UniverseMismatch):
-        blair_leq(rel, cs(2, 0), cs(6, 0))
+        blair_leq(EX1_G, cs(2, 0), cs(6, 0))
 
 
 def test_blair_is_reflexive_and_transitive():
     for cf in SMALL_PLOTT:
         n = cf.universe_size
-        rel = BlairRelation(cf)
         sets = [ContractSet(n, m) for m in range(1 << n)]
         for a in sets:
-            assert blair_leq(rel, a, a)
+            assert blair_leq(cf, a, a)
         for a in sets:
             for b in sets:
                 for c in sets:
-                    if blair_leq(rel, a, b) and blair_leq(rel, b, c):
-                        assert blair_leq(rel, a, c)
+                    if blair_leq(cf, a, b) and blair_leq(cf, b, c):
+                        assert blair_leq(cf, a, c)
 
 
 def test_blair_union_consistency():
@@ -85,28 +79,26 @@ def test_blair_union_consistency():
     for cf in SMALL_PLOTT:
         n = cf.universe_size
         sets = [ContractSet(n, m) for m in range(1 << n)]
-        rel = BlairRelation(cf)
         for a in sets:
             for b in sets:
                 for target in sets:
-                    if blair_leq(rel, a, target) and blair_leq(rel, b, target):
-                        assert blair_leq(rel, a | b, target)
+                    if blair_leq(cf, a, target) and blair_leq(cf, b, target):
+                        assert blair_leq(cf, a | b, target)
 
 
 def test_blair_equals_closure_membership():
     for cf in SMALL_PLOTT:
         n = cf.universe_size
-        rel = BlairRelation(cf)
         for am in range(1 << n):
             for bm in range(1 << n):
                 a, b = ContractSet(n, am), ContractSet(n, bm)
-                assert blair_leq(rel, a, b) == (a <= closure_star(cf, b))
+                assert blair_leq(cf, a, b) == (a <= closure_star(cf, b))
 
 
 def test_blair_assert_catches_non_plott_input():
     broken = DerivedLehmann(ExplicitTable(2, (0, 1, 0, 0)))
     with pytest.raises(InternalError):
-        blair_leq(BlairRelation(broken.cf), cs(2, 1), cs(2, 0))
+        blair_leq(broken.cf, cs(2, 1), cs(2, 0))
 
 
 def test_lehmann_examples():
@@ -130,12 +122,11 @@ def test_lehmann_implies_blair():
     for cf in SMALL_PLOTT:
         n = cf.universe_size
         strict = DerivedLehmann(cf)
-        weak = BlairRelation(cf)
         for am in range(1 << n):
             for bm in range(1 << n):
                 a, b = ContractSet(n, am), ContractSet(n, bm)
                 if lehmann_prec(strict, a, b):
-                    assert blair_leq(weak, a, b)
+                    assert blair_leq(cf, a, b)
 
 
 def test_lehmann_assert_catches_non_plott_input():
@@ -148,12 +139,13 @@ def test_extensional_total_and_partial():
     total = ExtensionalLehmann.from_true_pairs(2, [(cs(2, 1), cs(2, 0, 1))])
     assert lehmann_prec(total, cs(2, 1), cs(2, 0, 1))
     assert not lehmann_prec(total, cs(2, 0), cs(2, 1))
-    partial = ExtensionalLehmann(2, frozenset({(2, 3)}), frozenset({(2, 3)}))
-    assert lehmann_prec(partial, cs(2, 1), cs(2, 0, 1))
-    with pytest.raises(TableIncomplete):
-        lehmann_prec(partial, cs(2, 0), cs(2, 1))
-    with pytest.raises(TableIncomplete):
-        audit_lehmann_axioms(partial)
+    # a table lists only the pairs that hold: one built from a partial list
+    # is a total relation, false on every pair it leaves out, and audits
+    listed = ExtensionalLehmann(2, frozenset({(2, 3)}))
+    assert listed == total
+    assert lehmann_prec(listed, cs(2, 1), cs(2, 0, 1))
+    assert not lehmann_prec(listed, cs(2, 0), cs(2, 1))
+    assert audit_lehmann_axioms(listed).check("L0").passed
 
 
 # ---------------------------------------------------------------------------
@@ -379,34 +371,3 @@ def test_reconstruct_the_empty_relation():
     rel = ExtensionalLehmann.from_true_pairs(2, [])
     rebuilt = reconstruct_choice(rel)
     assert rebuilt.table == (0, 0, 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_format_parse_round_trip():
-    labels = ("x", "y", "z")
-    rel = DerivedLehmann(ORD3_G)
-    text = format_relation(rel, labels)
-    parsed = parse_relation(text, labels, 3)
-    for am in range(8):
-        for bm in range(8):
-            a, b = ContractSet(3, am), ContractSet(3, bm)
-            assert lehmann_prec(parsed, a, b) == lehmann_prec(rel, a, b)
-
-
-def test_format_relation_line_shape():
-    rel = ExtensionalLehmann.from_true_pairs(2, [(2, 3)])
-    assert format_relation(rel, ("a", "b")) == "{b} < {a,b}\n"
-    assert format_relation(ExtensionalLehmann.from_true_pairs(2, [])) == ""
-
-
-def test_parse_relation_comments_and_errors():
-    rel = parse_relation("# nothing\n{a} < {b}  # tail\n\n", ("a", "b"), 2)
-    assert lehmann_prec(rel, cs(2, 0), cs(2, 1))
-    with pytest.raises(ValueError):
-        parse_relation("{a} {b}", ("a", "b"), 2)
-    with pytest.raises(ValueError):
-        parse_relation("{q} < {b}", ("a", "b"), 2)

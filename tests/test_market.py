@@ -14,7 +14,6 @@ from plottmatch import (
     PartialTable,
     UnknownAgent,
     aggregate_sides,
-    format_instance,
     parse_instance,
 )
 
@@ -241,25 +240,8 @@ def test_missing_choice_section():
 
 
 # ---------------------------------------------------------------------------
-# serialization and aggregation
+# aggregation
 # ---------------------------------------------------------------------------
-
-
-def test_format_round_trips_every_fixture():
-    for name in ("ex1.mkt", "ex2.mkt", "ord3.mkt", "polar2.mkt",
-                 "polar2_weak.mkt", "quota.mkt"):
-        m = parse_instance(read(name))
-        assert parse_instance(format_instance(m)) == m
-
-
-def test_format_keeps_quota_and_acceptable():
-    text = ("[firms] f1\n[workers] w1\n[contracts]\na f1 w1\nb f1 w1\n"
-            "[choice f1] kind=quota q=1 acceptable={b}\nb a\n"
-            "[choice w1] kind=order\na b\n")
-    m = parse_instance(text)
-    out = format_instance(m)
-    assert "kind=quota q=1 acceptable={b}" in out
-    assert parse_instance(out) == m
 
 
 def test_aggregation_is_blockwise():

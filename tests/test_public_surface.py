@@ -1,0 +1,49 @@
+"""The package exports nothing that only its tests use.
+
+Every name that ``plottmatch/__init__.py`` re-exports from a module other
+than ``oracle`` (the tests' ground truth) or ``errors`` must be used by the
+package itself (a name or attribute in one of its modules, not counting
+``__init__.py``), by the benchmark, or in the README. A definition is not a
+use.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "plottmatch"
+EXEMPT = {"oracle", "errors"}
+
+
+def _used_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _exports() -> list[tuple[str, str]]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def unused_exports() -> list[str]:
+    """Exports that no package module, bench file or README word uses."""
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        if path != PACKAGE / "__init__.py":
+            used |= _used_names(path)
+    return [name for module, name in _exports() if module not in EXEMPT and name not in used]
+
+
+def test_exports_are_read_outside_the_tests():
+    assert _exports(), "no exports parsed"
+    assert unused_exports() == []

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from plottmatch import (
     Aggregate,
-    BlairRelation,
     CapExceeded,
     ContractSet,
     EmptyList,
@@ -20,8 +19,10 @@ from plottmatch import (
     NotSemiStable,
     NotStable,
     OrderChoice,
+    PlottReport,
     S1Violated,
     SemiStablePair,
+    SidePair,
     StabilityCheck,
     StablePair,
     UniverseMismatch,
@@ -31,12 +32,12 @@ from plottmatch import (
     closure_star,
     comparative_statics,
     format_trace,
+    is_plott,
     is_stable_set,
     is_stable_set_via_closure,
     lattice_join,
     lattice_meet,
     nil_set,
-    pair_to_set,
     parse_instance,
     phi_step,
     run_to_fixpoint,
@@ -108,6 +109,32 @@ def test_swap_exchanges_roles():
     assert swapped.F is POLAR2.G and swapped.G is POLAR2.F
     assert swapped.f_report is POLAR2.g_report
     assert swapped.swap() == POLAR2
+
+
+def test_certification_is_read_from_the_reports():
+    F, G = POLAR2.F, POLAR2.G
+    assert SidePair(F, G).certified is False
+    assert SidePair(F, G, POLAR2.f_report).certified is False
+    assert SidePair(F, G, POLAR2.f_report, POLAR2.g_report).certified is True
+    with pytest.raises(NotCertified, match=r"^operation requires both sides certified"):
+        SidePair(F, G).require_certified()
+
+
+def test_one_failing_report_leaves_the_pair_uncertified():
+    failing, passing = is_plott(EX2.F), PlottReport(True)
+    assert not failing.is_plott
+    for sides, name in ((SidePair(EX2.F, POLAR2.G, failing, passing), "F"),
+                        (SidePair(POLAR2.F, EX2.F, passing, failing), "G")):
+        assert not sides.certified
+        with pytest.raises(NotCertified, match=rf"^side {name} is not path-independent$"):
+            sides.require_certified()
+
+
+def test_swap_keeps_certification():
+    checked = SidePair(POLAR2.F, POLAR2.G, f_report=POLAR2.f_report, g_report=POLAR2.g_report)
+    for sides in (POLAR2, EX2, checked, side_pair(POLAR2.F, POLAR2.G, certify=False)):
+        assert sides.swap().certified == sides.certified
+        assert sides.swap().swap() == sides
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +250,11 @@ def test_stable_pairs_are_fixpoints():
 def test_pair_set_round_trip_and_validation():
     for sides in SMALL:
         for s in _stable_sets(sides):
-            assert pair_to_set(sides, set_to_pair(sides, s)) == s
+            pair = set_to_pair(sides, s)
+            assert pair.Y | pair.Z == ContractSet.full(sides.universe_size)
+            assert sides.G.choose(pair.Y) == sides.F.choose(pair.Z) == pair.S == s
     with pytest.raises(NotStable):
         set_to_pair(POLAR2, cs(2, 0, 1))
-    with pytest.raises(NotStable):
-        pair_to_set(POLAR2, StablePair(cs(2), cs(2, 0, 1), cs(2, 0)))
-    with pytest.raises(NotStable):
-        pair_to_set(POLAR2, StablePair(cs(2, 0), cs(2, 0), cs(2, 0)))
     with pytest.raises(NotCertified):
         set_to_pair(EX2, cs(2, 0))
 
@@ -287,14 +312,13 @@ def test_lattice_operations_on_the_diamond():
 
 def test_join_is_an_upper_bound_on_fixtures():
     for sides in SMALL:
-        rel = BlairRelation(sides.G)
         sets = _stable_sets(sides)
         for s in sets:
             for t in sets:
                 j = lattice_join(sides, [s, t])
-                assert blair_leq(rel, s, j) and blair_leq(rel, t, j)
+                assert blair_leq(sides.G, s, j) and blair_leq(sides.G, t, j)
                 m = lattice_meet(sides, [s, t])
-                assert blair_leq(rel, m, s) and blair_leq(rel, m, t)
+                assert blair_leq(sides.G, m, s) and blair_leq(sides.G, m, t)
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +351,22 @@ def test_polarization_flips_the_verdict():
 def test_better_for_firms_is_worse_for_workers():
     # on stable sets, S ⪯ T under G forces T ⪯ S under F
     for sides in SMALL:
-        rel_g = BlairRelation(sides.G)
-        rel_f = BlairRelation(sides.F)
         sets = _stable_sets(sides)
         for s in sets:
             for t in sets:
-                if blair_leq(rel_g, s, t):
-                    assert blair_leq(rel_f, t, s)
+                if blair_leq(sides.G, s, t):
+                    assert blair_leq(sides.F, t, s)
 
 
 def test_rejected_improvements_stay_below():
     # stable S, any T above it on the firm side: firms reject T down below S
     for sides in SMALL:
         n = sides.universe_size
-        rel_g = BlairRelation(sides.G)
-        rel_f = BlairRelation(sides.F)
         for s in _stable_sets(sides):
             for m in range(1 << n):
                 t = ContractSet(n, m)
-                if blair_leq(rel_g, s, t):
-                    assert blair_leq(rel_f, sides.G.choose(t), s)
+                if blair_leq(sides.G, s, t):
+                    assert blair_leq(sides.F, sides.G.choose(t), s)
 
 
 def test_semi_stable_family_is_closed_under_the_lattice_move():
