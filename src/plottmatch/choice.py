@@ -54,7 +54,7 @@ class ContractSet:
     def __post_init__(self):
         if self.universe_size < 0:
             raise ValueError("universe_size must be non-negative")
-        if not 0 <= self.mask < (1 << self.universe_size):
+        if not (0 <= self.mask and self.mask.bit_length() <= self.universe_size):
             raise ValueError("mask references indices outside the universe")
 
     @classmethod
@@ -171,15 +171,20 @@ class ChoiceFunction:
     def _choose_mask(self, xmask: int) -> int:
         raise NotImplementedError
 
-    def _scope(self, c: int) -> int:
-        """A mask around contract c on which the function acts alone.
+    def _scope(self, c: int):
+        """A mask around contract c on which the function acts alone, and its chooser.
 
         For every X, G(X) ∩ scope = G(X ∩ scope) and G(X) ∖ scope =
         G(X ∖ scope), so whether c is chosen, or whether adding c changes
-        the choice, is decided inside the scope. The whole universe in
-        general; an aggregate narrows it to c's block.
+        the choice, is decided inside the scope by the chooser, a function
+        on masks within it. The whole universe in general; an aggregate
+        narrows it to c's block and that block's compiled chooser.
         """
-        return (1 << self.universe_size) - 1
+        return (1 << self.universe_size) - 1, self._choose_mask
+
+    def _rechoose(self, old: int, chosen: int, new: int) -> int:
+        """The choice on ``new``, given that ``chosen`` is the choice on ``old``."""
+        return self._choose_mask(new)
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
         """The choice on every mask of ``masks`` (all subsets, ascending)."""
@@ -375,7 +380,8 @@ class Aggregate(ChoiceFunction):
 
     Each part is compiled once, through its ``_chooser``, into a chooser on
     global masks, indexed by the contracts of its block, so that an
-    evaluation visits only the blocks that X touches.
+    evaluation visits only the blocks that X touches, and a re-evaluation
+    (``_rechoose``) only the blocks where the new set differs from the old.
     """
 
     universe_size: int
@@ -386,24 +392,20 @@ class Aggregate(ChoiceFunction):
         if len(self.blocks) != len(self.parts):
             raise ValueError("one choice function per block required")
         n = self.universe_size
-        seen = 0
         owner = [None] * n
         for block, part in zip(self.blocks, self.parts):
             if part.universe_size != len(block):
                 raise ValueError("part universe must match its block size")
             mask = 0
             for g in block:
-                if not 0 <= g < n:
+                if not 0 <= g < n or owner[g] is not None:  # outside, or owned already
                     raise ValueError("blocks must partition the universe")
+                owner[g] = ()  # claimed; the block's entry replaces it below
                 mask |= 1 << g
-            if seen & mask or mask.bit_count() != len(block):
-                raise ValueError("blocks must partition the universe")
-            seen |= mask
-            if block:
-                entry = (mask, part._chooser(block))
-                for g in block:
-                    owner[g] = entry
-        if seen != (1 << n) - 1:
+            entry = (mask, part._chooser(block))
+            for g in block:
+                owner[g] = entry
+        if None in owner:
             raise ValueError("blocks must cover the whole universe")
         # contract -> (its block's global mask, that block's chooser); not a field
         object.__setattr__(self, "_owner", tuple(owner))
@@ -418,8 +420,17 @@ class Aggregate(ChoiceFunction):
             xmask ^= part
         return chosen
 
-    def _scope(self, c: int) -> int:
-        return self._owner[c][0]
+    def _scope(self, c: int):
+        return self._owner[c]
+
+    def _rechoose(self, old: int, chosen: int, new: int) -> int:
+        owner = self._owner
+        diff = old ^ new
+        while diff:
+            block, choose = owner[diff.bit_length() - 1]
+            chosen ^= (chosen & block) ^ choose(new & block)
+            diff ^= diff & block
+        return chosen
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
         # Built in block order: each part's table, lifted to global masks, is
@@ -603,13 +614,16 @@ def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
 
 
 def _closure_mask(cf: ChoiceFunction, xmask: int) -> int:
-    chosen = cf._choose_mask(xmask)
     out = xmask
-    for c in _bits(((1 << cf.universe_size) - 1) & ~xmask):
-        bit = 1 << c
-        scope = cf._scope(c)
-        if cf._choose_mask((xmask | bit) & scope) == chosen & scope:
-            out |= bit
+    rest = ((1 << cf.universe_size) - 1) & ~xmask
+    while rest:
+        scope, choose = cf._scope(rest.bit_length() - 1)
+        inside = xmask & scope
+        chosen = choose(inside)
+        for c in _bits(rest & scope):
+            if choose(inside | 1 << c) == chosen:
+                out |= 1 << c
+        rest ^= rest & scope
     return out
 
 
@@ -621,8 +635,9 @@ def closure_star(cf: ChoiceFunction, X: ContractSet) -> ContractSet:
     independence themselves, the behavior is undefined otherwise. Adding c
     can change the choice only inside c's scope, where the function acts
     alone: for an aggregate, c's block, since it chooses block by block.
-    So the test G(X ∪ {c}) = G(X) is made as G((X ∪ {c}) ∩ scope) =
-    G(X) ∩ scope, one evaluation of a single agent per outside contract.
+    So the test G(X ∪ {c}) = G(X) is made inside the scope by its chooser:
+    each block holding an outside contract is evaluated once on its slice
+    of X, then once per outside contract, and no other agent is asked.
     """
     if X.universe_size != cf.universe_size:
         raise UniverseMismatch("closure over a foreign universe")

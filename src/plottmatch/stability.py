@@ -148,8 +148,8 @@ def is_stable_set(sides: SidePair, S: ContractSet) -> StabilityCheck:
     order, so the reported witness is deterministic. Whether a side
     chooses c from S ∪ {c} is decided inside c's scope, where that side
     acts alone (for an aggregate, c's block, since it chooses block by
-    block), so S2 evaluates each side on (S ∪ {c}) ∩ scope: one agent per
-    side, not the whole side.
+    block), so S2 calls each side's chooser for that scope on
+    (S ∪ {c}) ∩ scope: one agent per side, not the whole side.
     """
     if S.universe_size != sides.universe_size:
         raise UniverseMismatch("set outside the market universe")
@@ -161,21 +161,27 @@ def is_stable_set(sides: SidePair, S: ContractSet) -> StabilityCheck:
     for c in S.complement():
         bit = 1 << c
         added = S.mask | bit
-        if F._choose_mask(added & F._scope(c)) & bit and G._choose_mask(added & G._scope(c)) & bit:
+        (f_scope, f_choose), (g_scope, g_choose) = F._scope(c), G._scope(c)
+        if f_choose(added & f_scope) & bit and g_choose(added & g_scope) & bit:
             return StabilityCheck(False, "S2", contract=c)
     return StabilityCheck(True)
+
+
+def _ssp_check(n: int, y: int, z: int, gy: int, fz: int):
+    """SSP1 and SSP2 on masks y, z whose choices are gy = choose(G,y), fz = choose(F,z)."""
+    if y | z != (1 << n) - 1:
+        raise NotSemiStable("SSP1 fails: Y and Z do not cover the universe")
+    if gy & ~fz:
+        raise NotSemiStable("SSP2 fails: choose(G,Y) is not within choose(F,Z)")
 
 
 def _ssp_masks(sides: SidePair, Y: ContractSet, Z: ContractSet) -> tuple[int, int]:
     """Validate SSP1 and SSP2 on (Y, Z); return the masks of choose(G,Y), choose(F,Z)."""
     if Y.universe_size != sides.universe_size or Z.universe_size != sides.universe_size:
         raise UniverseMismatch("pair outside the market universe")
-    if (Y | Z) != ContractSet.full(sides.universe_size):
-        raise NotSemiStable("SSP1 fails: Y and Z do not cover the universe")
     gy = sides.G._choose_mask(Y.mask)
     fz = sides.F._choose_mask(Z.mask)
-    if gy & ~fz:
-        raise NotSemiStable("SSP2 fails: choose(G,Y) is not within choose(F,Z)")
+    _ssp_check(sides.universe_size, Y.mask, Z.mask, gy, fz)
     return gy, fz
 
 
@@ -185,35 +191,35 @@ def semi_stable_pair(sides: SidePair, Y: ContractSet, Z: ContractSet) -> SemiSta
     return SemiStablePair(Y, Z)
 
 
-def _phi(sides: SidePair, p: SemiStablePair, fz: int):
-    """Φ on a validated pair p whose choose(F,Z) is fz.
-
-    Returns the new pair, choose(G,fz), and the new pair's choose(G,Y')
-    and choose(F,Z'), which its validation computed; the new pair must be
-    semi-stable and above p in the (Y grows, Z shrinks) order.
-    """
-    n = sides.universe_size
-    gfz = sides.G._choose_mask(fz)
-    y = ContractSet(n, p.Y.mask | fz)
-    z = ContractSet(n, (p.Z.mask & ~fz) | gfz)
+def _checked(n: int, p: SemiStablePair, y: int, z: int, gy: int, fz: int) -> SemiStablePair:
+    """Φ's output (y, z) from p, given G(y) = gy and F(z) = fz: semi-stable and above p."""
     try:
-        gy, fz2 = _ssp_masks(sides, y, z)
+        _ssp_check(n, y, z, gy, fz)
     except NotSemiStable as exc:
         raise InternalError("update left the semi-stable family") from exc
-    if not (p.Y <= y and z <= p.Z):
+    if p.Y.mask & ~y or z & ~p.Z.mask:
         raise InternalError("update left the componentwise order")
-    return SemiStablePair(y, z), gfz, gy, fz2
+    return SemiStablePair(ContractSet(n, y), ContractSet(n, z))
 
 
 def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     """One update Y' = Y ∪ F(Z), Z' = (Z ∖ F(Z)) ∪ G(F(Z)).
 
     The input is revalidated; the output is again semi-stable and moves up
-    in the (Y grows, Z shrinks) order, both enforced.
+    in the (Y grows, Z shrinks) order, both enforced. Every choice is a
+    full evaluation.
     """
     sides.require_certified()
+    G = sides.G
     _, fz = _ssp_masks(sides, p.Y, p.Z)
-    return _phi(sides, p, fz)[0]
+    y, z = p.Y.mask | fz, (p.Z.mask & ~fz) | G._choose_mask(fz)
+    return _checked(sides.universe_size, p, y, z, G._choose_mask(y), sides.F._choose_mask(z))
+
+
+def _nearest(cf: ChoiceFunction, bases, new: int) -> int:
+    """choose(cf,new) from whichever (set, its choice) base differs from new least."""
+    old, chosen = min(bases, key=lambda base: (base[0] ^ new).bit_count())
+    return cf._rechoose(old, chosen, new)
 
 
 def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
@@ -226,31 +232,39 @@ def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
     and choose(G,Y) = choose(F,Z) are both asserted, making
     S = choose(G,Y) stable with stable pair (Y, Z).
 
-    Each application is phi_step's, except that the input's choose(G,Y)
-    and choose(F,Z) are carried from the validation of the step that
-    produced it rather than computed again: the same checks on the same
-    pair, three side evaluations per application and two for p0. The
-    sides themselves evaluate only the agents a set touches (see
-    Aggregate).
+    Each application makes phi_step's checks on the same exact choices,
+    but only p0's validation evaluates the sides in full. The run carries
+    choose(G,Y), choose(F,Z) and (F(Z), choose(G,F(Z))), and each step
+    re-evaluates through ``_rechoose`` from the carried set nearest the
+    new one: choose(F,Z') from Z, choose(G,Y') from Y or F(Z), and
+    choose(G,F(Z')) from F(Z) or Y'. An aggregate side then asks only the
+    agents whose slice changed; from (∅, C), choose(G,Y') = choose(G,F(Z))
+    costs nothing.
     """
     sides.require_certified()
+    F, G, n = sides.F, sides.G, sides.universe_size
     gy, fz = _ssp_masks(sides, p0.Y, p0.Z)
+    y, z = p0.Y.mask, p0.Z.mask
+    gfz = G._rechoose(y, gy, fz)
     p = SemiStablePair(p0.Y, p0.Z)
     steps = [p]
-    limit = sides.universe_size + 2
     while True:
-        nxt, gfz, next_gy, next_fz = _phi(sides, p, fz)
-        if nxt == p:
+        y2, z2 = y | fz, (z & ~fz) | gfz
+        gy2 = _nearest(G, ((y, gy), (fz, gfz)), y2)
+        fz2 = F._rechoose(z, fz, z2)
+        nxt = _checked(n, p, y2, z2, gy2, fz2)
+        if y2 == y and z2 == z:
             break
         steps.append(nxt)
-        p, gy, fz = nxt, next_gy, next_fz
-        if len(steps) > limit:
+        if len(steps) > n + 2:
             raise InternalError("dynamics exceeded the |C|+2 step bound")
+        gfz = _nearest(G, ((fz, gfz), (y2, gy2)), fz2)
+        p, y, z, gy, fz = nxt, y2, z2, gy2, fz2
     if gfz != fz:
         raise InternalError("fixpoint reached with choose(G,choose(F,Z)) != choose(F,Z)")
     if gy != fz:
         raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
-    result = StablePair(p.Y, p.Z, ContractSet(sides.universe_size, fz))
+    result = StablePair(p.Y, p.Z, ContractSet(n, fz))
     return ProcessTrace(tuple(steps), result)
 
 
@@ -267,12 +281,20 @@ def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
 
 
 def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:
-    """The stable pair (closure_star(G,S), closure_star(F,S)) of a stable set."""
+    """The stable pair (closure_star(G,S), closure_star(F,S)) of a stable set.
+
+    Raises NotStable naming S1 or S2 as is_stable_set would. On path
+    independent sides that keep S, c is chosen from S ∪ {c} exactly when
+    adding it changes the choice (Outcast), so c blocks S exactly when it
+    lies in neither closure: S2 holds exactly when the closures cover C.
+    """
     sides.require_certified()
-    check = is_stable_set(sides, S)
-    if not check:
-        raise NotStable(f"set fails {check.condition}")
-    return StablePair(closure_star(sides.G, S), closure_star(sides.F, S), S)
+    if sides.F.choose(S) != S or sides.G.choose(S) != S:
+        raise NotStable("set fails S1")
+    Y, Z = closure_star(sides.G, S), closure_star(sides.F, S)
+    if (Y | Z) != ContractSet.full(sides.universe_size):
+        raise NotStable("set fails S2")
+    return StablePair(Y, Z, S)
 
 
 def _initial_pair(sides: SidePair) -> SemiStablePair:

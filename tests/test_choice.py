@@ -176,6 +176,13 @@ def test_aggregate_validation():
         Aggregate(2, ((0, 2),), (two,))  # index outside the universe
 
 
+def test_aggregate_rejects_blocks_that_overlap_yet_cover():
+    one, two = OrderChoice(1, (0,)), OrderChoice(2, (0, 1))
+    for blocks, parts in ((((0, 1), (1,)), (two, one)), (((0, 0), (1,)), (two, one))):
+        with pytest.raises(ValueError, match="partition"):
+            Aggregate(2, blocks, parts)
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -516,7 +523,16 @@ def test_compiled_aggregate_matches_the_local_choices(agg):
         assert agg._choose_mask(x) == _reference_choice(agg, x)
     for block in agg.blocks:
         for g in block:
-            assert agg._scope(g) == sum(1 << h for h in block)
+            assert agg._scope(g)[0] == sum(1 << h for h in block)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_aggregates(), st.data())
+def test_rechoose_equals_a_full_evaluation(agg, data):
+    full = (1 << agg.universe_size) - 1
+    for _ in range(8):
+        old, new = data.draw(st.integers(0, full)), data.draw(st.integers(0, full))
+        assert agg._rechoose(old, agg._choose_mask(old), new) == agg._choose_mask(new)
 
 
 @st.composite
@@ -565,7 +581,7 @@ def test_compiled_quota_edges():
         agg = Aggregate(5, ((4, 1, 3), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
         for x in range(32):
             assert agg._choose_mask(x) == _reference_choice(agg, x)
-    assert ORD3_G._scope(1) == 0b111
+    assert ORD3_G._scope(1)[0] == 0b111
 
 
 def _top_reference(order, quota: int, acceptable: int, x: int) -> int:

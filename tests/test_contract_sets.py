@@ -56,6 +56,13 @@ def test_bad_construction():
         ContractSet(-1, 0)
     with pytest.raises(ValueError):
         ContractSet.from_indices(2, [2])
+    for n in range(6):
+        for mask in range(-2, 1 << (n + 1)):
+            if 0 <= mask < 1 << n:
+                assert ContractSet(n, mask).mask == mask
+            else:
+                with pytest.raises(ValueError, match="outside the universe"):
+                    ContractSet(n, mask)
 
 
 def test_membership_outside_universe_is_false():

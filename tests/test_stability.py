@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,7 @@ from plottmatch import (
     NotStable,
     OrderChoice,
     PlottReport,
+    ProcessTrace,
     S1Violated,
     SemiStablePair,
     SidePair,
@@ -47,6 +49,7 @@ from plottmatch import (
     side_pair,
     union,
 )
+from plottmatch import stability
 from plottmatch.choice import choice_table
 from plottmatch.oracle import enumerate_stable_sets, generate_instance, semi_stable_masks
 from plottmatch.stability import _dominates
@@ -595,3 +598,125 @@ def test_large_market_evaluations_stay_within_one_agent(market_text, monkeypatch
         calls.clear()
         closure_star(frame.G, S)
         assert sum(calls) <= 1
+
+
+def test_phi_steps_ask_only_the_agents_whose_slices_changed(market_text, monkeypatch):
+    calls = []  # the block of every chooser call; None marks a checked step
+    compile_order = OrderChoice._chooser
+
+    def recording(self, place):
+        choose, block = compile_order(self, place), tuple(place)
+
+        def counted(xmask):
+            calls.append(block)
+            return choose(xmask)
+        return counted
+
+    monkeypatch.setattr(OrderChoice, "_chooser", recording)
+    sides = aggregate_sides(parse_instance(market_text(300, 300, 3, seed=5)))
+    checked = stability._checked
+    monkeypatch.setattr(stability, "_checked",
+                        lambda *args: calls.append(None) or checked(*args))
+    n = sides.universe_size
+    for frame in (sides, sides.swap()):
+        start = semi_stable_pair(frame, ContractSet.empty(n), ContractSet.full(n))
+        calls.clear()
+        trace = run_to_fixpoint(frame, start)
+        segments = [[]]
+        for block in calls:
+            if block is None:
+                segments.append([])
+            else:
+                segments[-1].append(block)
+        steps = trace.steps + trace.steps[-1:]  # the last application repeats the fixpoint
+        assert len(segments) == len(steps)
+
+        def changed(agg, a, b):
+            """The blocks of agg whose slices of a and b differ."""
+            owner = {g: block for block in agg.blocks for g in block}
+            return {owner[g] for g in ContractSet(n, a.mask ^ b.mask)}
+
+        offers = [frame.F.choose(p.Z) for p in steps]
+        # the first application asks each agent of G(F(Z)) once: G(Y') = G(F(Z)) is free
+        first = Counter(segments[0])
+        assert all(first[block] == 1 for block in changed(frame.G, start.Y, offers[0]))
+        # after check j (step j is built): choose(G,F(Z_j)), then step j+1's
+        # choose(G,Y_j+1) and choose(F,Z_j+1); each asks only changed agents
+        for j in range(1, len(steps) - 1):
+            allowed = (changed(frame.G, offers[j - 1], offers[j])
+                       | changed(frame.G, steps[j].Y, steps[j + 1].Y)
+                       | changed(frame.F, steps[j].Z, steps[j + 1].Z))
+            assert set(segments[j]) <= allowed
+            assert max(Counter(segments[j]).values(), default=0) <= 2
+        assert segments[-1] == []
+
+
+def _random_explicit_aggregate(rng, n):
+    """Random selection tables on blocks of 1–3 contracts, rarely path independent."""
+    places = rng.sample(range(n), n)
+    blocks, parts, start = [], [], 0
+    while start < n:
+        k = rng.randint(1, min(3, n - start))
+        blocks.append(tuple(places[start:start + k]))
+        parts.append(ExplicitTable(k, (0,) + tuple(rng.getrandbits(k) & x
+                                                   for x in range(1, 1 << k))))
+        start += k
+    return Aggregate(n, tuple(blocks), tuple(parts))
+
+
+def _reference_run(sides, p):
+    """run_to_fixpoint restated on phi_step, whose choices are all full evaluations."""
+    steps = [p]
+    while (nxt := phi_step(sides, p)) != p:
+        steps.append(nxt)
+        p = nxt
+        if len(steps) > sides.universe_size + 2:
+            raise InternalError("dynamics exceeded the |C|+2 step bound")
+    fz = sides.F.choose(p.Z)
+    if sides.G.choose(fz) != fz:
+        raise InternalError("fixpoint reached with choose(G,choose(F,Z)) != choose(F,Z)")
+    if sides.G.choose(p.Y) != fz:
+        raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
+    return ProcessTrace(tuple(steps), StablePair(p.Y, p.Z, fz))
+
+
+def _outcome(run, sides, p):
+    try:
+        return run(sides, p)
+    except (InternalError, NotSemiStable) as exc:
+        return type(exc), str(exc)
+
+
+def test_forged_certification_trips_the_same_checks_as_full_steps():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        forged = SidePair(_random_explicit_aggregate(rng, n), _random_explicit_aggregate(rng, n),
+                          PlottReport(True), PlottReport(True))
+        full, y = (1 << n) - 1, rng.getrandbits(n)
+        for ymask, zmask in ((0, full), (y, full), (y, (full & ~y) | rng.getrandbits(n))):
+            p = SemiStablePair(ContractSet(n, ymask), ContractSet(n, zmask))
+            outcome = _outcome(run_to_fixpoint, forged, p)
+            assert outcome == _outcome(_reference_run, forged, p)
+            seen.add(outcome[1] if isinstance(outcome, tuple) else "stable")
+    assert seen == {"stable", "SSP2 fails: choose(G,Y) is not within choose(F,Z)",
+                    "update left the semi-stable family",
+                    "fixpoint reached with choose(G,Y) != choose(F,Z)"}
+
+
+def test_set_to_pair_fails_exactly_where_is_stable_set_does(market_text):
+    for sides in _small_markets(market_text):
+        n = sides.universe_size
+        for m in range(1 << n):
+            S = ContractSet(n, m)
+            check = is_stable_set(sides, S)
+            if check:
+                assert set_to_pair(sides, S) == StablePair(
+                    closure_star(sides.G, S), closure_star(sides.F, S), S)
+                assert is_stable_set_via_closure(sides, S)
+                continue
+            with pytest.raises(NotStable, match=f"^set fails {check.condition}$"):
+                set_to_pair(sides, S)
+            if check.condition == "S2":
+                assert not is_stable_set_via_closure(sides, S)
