@@ -20,16 +20,16 @@ from .choice import (
     parse_set,
 )
 from .errors import CapExceeded, NotCertified, ParseError, PlottmatchError
-from .hyperorders import AUDIT_CAP, DerivedLehmann, _audit, _rebuild, audit_lehmann_axioms
+from .hyperorders import AUDIT_CAP, DerivedLehmann, audit_lehmann_axioms, reconstruct_choice
 from .market import MarketInstance, aggregate_sides, parse_instance
 from .oracle import enumerate_stable_sets, format_catalog, verify_lattice
 from .stability import (
+    SemiStablePair,
     format_trace,
     comparative_statics,
     blair_compare_stable,
     is_stable_set,
     run_to_fixpoint,
-    semi_stable_pair,
     side_pair,
 )
 
@@ -125,8 +125,7 @@ def cmd_solve(args) -> int:
     sides.require_certified()
     frame = sides if args.favor == "F" else sides.swap()
     n = m.universe_size
-    start = semi_stable_pair(frame, ContractSet.empty(n), ContractSet.full(n))
-    trace = run_to_fixpoint(frame, start)
+    trace = run_to_fixpoint(frame, SemiStablePair(ContractSet.empty(n), ContractSet.full(n)))
     if args.trace:
         print(format_trace(frame, trace, m.labels), end="")
     print(format_set(trace.result.S, m.labels))
@@ -201,8 +200,9 @@ def cmd_lehmann(args) -> int:
         target = f"agent {args.agent}" if args.agent else f"side {args.side or 'G'}"
         raise NotCertified(f"{target} is not path-independent")
     rel = DerivedLehmann(cf)
+    cap = _cap(args, AUDIT_CAP)
     try:
-        p, audit = _audit(rel, _cap(args, AUDIT_CAP))
+        audit = audit_lehmann_axioms(rel, cap=cap)
     except CapExceeded:
         print(SKIPPED)
         if args.roundtrip:
@@ -211,8 +211,7 @@ def cmd_lehmann(args) -> int:
     for line in _audit_lines(audit, labels):
         print(line)
     if args.roundtrip:
-        # reconstruct_choice on the matrix just audited, not auditing it again
-        rebuilt = _rebuild(rel, p, audit)
+        rebuilt = reconstruct_choice(rel, cap=cap)
         total = 1 << cf.universe_size
         bad = sum(1 for x in range(total) if rebuilt.table[x] != cf._choose_mask(x))
         if bad == 0:

@@ -12,10 +12,18 @@ L-operator off the audited relation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .choice import ChoiceFunction, ContractSet, ExplicitTable, choice_table, is_plott
+from .choice import (
+    MEMO_ENTRIES,
+    ChoiceFunction,
+    ContractSet,
+    ExplicitTable,
+    _violation_scan,
+    choice_table,
+)
 from .errors import AxiomsFail, CapExceeded, InternalError, UniverseMismatch
 
 AUDIT_CAP = 8
@@ -140,11 +148,22 @@ def _first_true(condition: np.ndarray):
 
 
 def _audit(rel, cap: int):
-    """The relation matrix p[A, B] = A ≺ B of rel, and its axiom report."""
+    """The read-only relation matrix p[A, B] = A ≺ B of rel, and its axiom report.
+
+    The cap is checked on every call; behind it both come from a memo.
+    """
     n = rel.universe_size
     if n > cap:
         raise CapExceeded(f"axiom audit needs universe_size <= {cap}, got {n}")
+    return _audited(rel)
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _audited(rel):
+    """_audit for a relation within the cap, once per relation value."""
+    n = rel.universe_size
     p = _relation_matrix(rel, n)
+    p.setflags(write=False)
     masks = np.arange(1 << n, dtype=np.int64)
     bits = 1 << masks[:n]
     flip = masks[:, None] ^ bits  # flip[A, c]: A with c toggled
@@ -200,6 +219,10 @@ def audit_lehmann_axioms(rel, *, cap: int = AUDIT_CAP) -> AxiomReport:
     in index order, (A, B, c) or (A, B). L2 scans the columns B up to the
     first failing one: a whole (B, A1, A2) array has 8^n entries, and at
     the cap it took over 100 times as long as the scan and 32 MiB more.
+
+    The cap is checked on every call. Behind it a relation is audited once
+    per value, equal relations sharing the result with each other and with
+    reconstruct_choice, and the last MEMO_ENTRIES are kept.
     """
     return _audit(rel, cap)[1]
 
@@ -212,17 +235,24 @@ def audit_lehmann_axioms(rel, *, cap: int = AUDIT_CAP) -> AxiomReport:
 def reconstruct_choice(rel, *, cap: int = AUDIT_CAP) -> ExplicitTable:
     """Rebuild the choice function T(A) = A ∖ L(A) from a Lehmann relation.
 
-    L(A), the contracts c with ∅ ⊀ {c} or {c} ≺ A, is read off the audited
-    relation matrix. Requires the audit to pass (AxiomsFail otherwise); the
-    result is certified path independent, which the bijection guarantees,
-    so a failed certification raises InternalError. So does a derived
-    relation with choose(A∪{c}) ≠ choose(A) on a pair {c} ≺ A it reads.
+    L(A), the contracts c with ∅ ⊀ {c} or {c} ≺ A, is read off the relation
+    matrix of audit_lehmann_axioms, and a relation audited there is not
+    audited again. Requires the audit to pass (AxiomsFail, with its report,
+    on every call otherwise). The result is certified path independent by
+    an exact scan of its table, which the bijection guarantees, so a failed
+    certification raises InternalError. So does a derived relation with
+    choose(A∪{c}) ≠ choose(A) on a pair {c} ≺ A it reads. The cap is
+    checked on every call; behind it the table is rebuilt once per
+    relation value, and the last MEMO_ENTRIES are kept.
     """
-    return _rebuild(rel, *_audit(rel, cap))
+    _audit(rel, cap)
+    return _rebuilt(rel)
 
 
-def _rebuild(rel, p: np.ndarray, report: AxiomReport) -> ExplicitTable:
-    """reconstruct_choice from rel's relation matrix p and its audit report."""
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _rebuilt(rel) -> ExplicitTable:
+    """reconstruct_choice for a relation within the cap."""
+    p, report = _audited(rel)
     if not report.overall:
         raise AxiomsFail("relation fails the Lehmann axioms", report)
     n = rel.universe_size
@@ -235,7 +265,7 @@ def _rebuild(rel, p: np.ndarray, report: AxiomReport) -> ExplicitTable:
         if (below & (t[masks | bits[:, None]] != t)).any():
             raise InternalError("lehmann-true pair with choose(A∪B) != choose(B)")
     l_masks = ((~essential[:, None] | below) * bits[:, None]).sum(axis=0)
-    cf = ExplicitTable(n, tuple((masks & ~l_masks).tolist()))
-    if not is_plott(cf).is_plott:
+    table = masks & ~l_masks
+    if _violation_scan(table, n, range(n)) is not None:
         raise InternalError("reconstructed table is not path-independent")
-    return cf
+    return ExplicitTable(n, tuple(table.tolist()))

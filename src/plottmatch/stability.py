@@ -297,18 +297,28 @@ def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:
     return StablePair(Y, Z, S)
 
 
-def _initial_pair(sides: SidePair) -> SemiStablePair:
-    n = sides.universe_size
-    return semi_stable_pair(sides, ContractSet.empty(n), ContractSet.full(n))
-
-
 def side_optimal(sides: SidePair, favored: str) -> ContractSet:
     """The stable set best for one side: σ(∅, C), run with that side as F."""
     if favored not in ("F", "G"):
         raise ValueError("favored must be 'F' or 'G'")
     sides.require_certified()  # before a swap renames the sides
     frame = sides if favored == "F" else sides.swap()
-    return run_to_fixpoint(frame, _initial_pair(frame)).result.S
+    n = sides.universe_size
+    start = SemiStablePair(ContractSet.empty(n), ContractSet.full(n))
+    return run_to_fixpoint(frame, start).result.S
+
+
+def _run_from(sides: SidePair, Y: ContractSet, Z: ContractSet, failure: str) -> ContractSet:
+    """σ from (Y, Z), a start the theory proves semi-stable.
+
+    run_to_fixpoint validates the start, once; a start that fails raises
+    InternalError(failure).
+    """
+    try:
+        trace = run_to_fixpoint(sides, SemiStablePair(Y, Z))
+    except NotSemiStable as exc:
+        raise InternalError(failure) from exc
+    return trace.result.S
 
 
 def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
@@ -327,11 +337,7 @@ def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
     for p in pairs[1:]:
         y = y | p.Y
         z = z & p.Z
-    try:
-        start = semi_stable_pair(sides, y, z)
-    except NotSemiStable as exc:
-        raise InternalError("union/intersection of stable pairs not semi-stable") from exc
-    return run_to_fixpoint(sides, start).result.S
+    return _run_from(sides, y, z, "union/intersection of stable pairs not semi-stable")
 
 
 def lattice_meet(sides: SidePair, stable_sets) -> ContractSet:
@@ -412,13 +418,8 @@ def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
         raise NotCertified("weakened side is not path-independent")
     old_pair = set_to_pair(sides, S)
     new_sides = SidePair(f_prime, sides.G, f2_report, sides.g_report)
-    y = old_pair.Y
     z = closure_star(f_prime, old_pair.Z)
-    try:
-        start = semi_stable_pair(new_sides, y, z)
-    except NotSemiStable as exc:
-        raise InternalError("statics start pair not semi-stable") from exc
-    s_prime = run_to_fixpoint(new_sides, start).result.S
+    s_prime = _run_from(new_sides, old_pair.Y, z, "statics start pair not semi-stable")
     if not blair_leq(sides.G, S, s_prime):
         raise InternalError("statics result not above S in the firm-side order")
     if not blair_leq(sides.F, s_prime, S):

@@ -4,6 +4,20 @@ import random
 
 import pytest
 
+from plottmatch import choice, hyperorders
+
+
+@pytest.fixture(autouse=True)
+def _empty_memos():
+    """Start every test with the table cache and the per-value memos empty.
+
+    Tests that count cache hits, table builds or relation matrices then
+    read the same counts in any order.
+    """
+    for memo in (choice.choice_table, choice._decomposition,
+                 hyperorders._audited, hyperorders._rebuilt):
+        memo.cache_clear()
+
 
 def _format(labels, mask: int) -> str:
     return "{" + ",".join(lab for j, lab in enumerate(labels) if mask >> j & 1) + "}"

@@ -25,6 +25,7 @@ from plottmatch import (
     lehmann_prec,
     reconstruct_choice,
 )
+from plottmatch import hyperorders
 from plottmatch.hyperorders import AUDIT_CAP, AxiomCheck, AxiomReport
 from plottmatch.oracle import generate_instance, l_operator
 
@@ -362,12 +363,77 @@ def test_reconstruct_reads_the_l_operator_on_generated_markets(sides):
 
 def test_reconstruct_rejects_a_broken_relation():
     rel = ExtensionalLehmann.from_true_pairs(2, [(2, 3)])
-    with pytest.raises(AxiomsFail) as exc_info:
-        reconstruct_choice(rel)
-    assert not exc_info.value.report.overall
+    report = audit_lehmann_axioms(rel)
+    for _ in range(2):  # a failure is raised again, with the same report
+        with pytest.raises(AxiomsFail) as exc_info:
+            reconstruct_choice(rel)
+        assert exc_info.value.report == report and not report.overall
 
 
 def test_reconstruct_the_empty_relation():
     rel = ExtensionalLehmann.from_true_pairs(2, [])
     rebuilt = reconstruct_choice(rel)
     assert rebuilt.table == (0, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# one audit and one rebuild per relation value
+# ---------------------------------------------------------------------------
+
+
+def _true_pairs(cf):
+    n = cf.universe_size
+    rel = DerivedLehmann(cf)
+    return [(a, b) for a in range(1 << n) for b in range(1 << n) if rel._prec_mask(a, b)]
+
+
+def test_equal_relations_share_one_audit_and_one_rebuild(monkeypatch):
+    built = []
+    relation_matrix = hyperorders._relation_matrix
+    monkeypatch.setattr(hyperorders, "_relation_matrix",
+                        lambda rel, n: built.append(n) or relation_matrix(rel, n))
+    for make in (lambda: DerivedLehmann(ExplicitTable(2, (0, 1, 2, 2))),
+                 lambda: ExtensionalLehmann.from_true_pairs(3, _true_pairs(QUOTA))):
+        a, b = make(), make()
+        assert a == b and a is not b
+        report, rebuilt = audit_lehmann_axioms(a), reconstruct_choice(a)
+        assert report.overall
+        assert audit_lehmann_axioms(b) is report
+        assert reconstruct_choice(b) is rebuilt
+    assert built == [2, 3]
+    assert rebuilt.table == tuple(choice_table(QUOTA).tolist())
+
+
+def test_a_memo_hit_still_checks_the_cap():
+    rel = DerivedLehmann(ORD3_G)
+    audit_lehmann_axioms(rel)
+    reconstruct_choice(rel)
+    for call in (audit_lehmann_axioms, reconstruct_choice):
+        with pytest.raises(CapExceeded, match="axiom audit needs universe_size <= 2, got 3"):
+            call(rel, cap=2)
+
+
+def test_memoized_relation_matrices_are_read_only():
+    for rel in (DerivedLehmann(QUOTA), ExtensionalLehmann.from_true_pairs(2, [(2, 3)])):
+        p, _ = hyperorders._audit(rel, AUDIT_CAP)
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = True
+
+
+def test_reconstruct_puts_no_table_into_the_cache():
+    reconstruct_choice(ExtensionalLehmann.from_true_pairs(3, _true_pairs(QUOTA)))
+    assert choice_table.cache_info().currsize == 0
+    reconstruct_choice(DerivedLehmann(QUOTA))
+    assert choice_table.cache_info().currsize == 1  # QUOTA's own table
+
+
+def test_a_failed_certification_is_raised_on_every_call(monkeypatch):
+    rel = DerivedLehmann(QUOTA)
+    audit_lehmann_axioms(rel)
+    monkeypatch.setattr(hyperorders, "_violation_scan", lambda table, n, place: (1, 3, 1))
+    for _ in range(2):
+        with pytest.raises(InternalError, match="reconstructed table is not path-independent"):
+            reconstruct_choice(rel)
+    monkeypatch.undo()
+    assert reconstruct_choice(rel).table == tuple(choice_table(QUOTA).tolist())

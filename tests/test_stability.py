@@ -288,6 +288,42 @@ def test_side_optimal_on_fixtures():
         side_optimal(POLAR2, "H")
 
 
+def test_side_optimal_evaluates_each_side_once_for_its_start(market_text, monkeypatch):
+    sides = aggregate_sides(parse_instance(market_text(300, 100, 3, seed=1)))
+    assert sides.universe_size == 900
+    evaluated = []
+    original = Aggregate._choose_mask
+
+    def counted(self, xmask):
+        evaluated.append(self)
+        return original(self, xmask)
+
+    monkeypatch.setattr(Aggregate, "_choose_mask", counted)
+    for favored in ("F", "G"):
+        evaluated.clear()
+        S = side_optimal(sides, favored)
+        # validating (∅, C) takes choose(G,∅) and choose(F,C) of the frame, once each
+        assert Counter(map(id, evaluated)) == {id(sides.F): 1, id(sides.G): 1}
+        assert is_stable_set(sides, S)
+
+
+def test_join_and_statics_report_a_start_that_is_not_semi_stable():
+    # forged certificates on functions that are not path independent, where
+    # the start the theory makes semi-stable is not
+    forged = SidePair(ExplicitTable(3, (0, 1, 0, 1, 0, 5, 2, 2)),
+                      ExplicitTable(3, (0, 0, 0, 1, 4, 5, 4, 5)),
+                      PlottReport(True), PlottReport(True))
+    with pytest.raises(InternalError, match="^union/intersection of stable pairs not "
+                                            "semi-stable$") as exc_info:
+        lattice_join(forged, [cs(3), cs(3, 0, 2)])
+    assert isinstance(exc_info.value.__cause__, NotSemiStable)
+    forged = SidePair(ExplicitTable(2, (0, 0, 2, 2)), ExplicitTable(2, (0, 0, 0, 3)),
+                      PlottReport(True), PlottReport(True))
+    with pytest.raises(InternalError, match="^statics start pair not semi-stable$") as exc_info:
+        comparative_statics(forged, OrderChoice(2, (1, 0)), cs(2))
+    assert isinstance(exc_info.value.__cause__, NotSemiStable)
+
+
 def test_lattice_operations_on_polar2():
     a, b = cs(2, 0), cs(2, 1)
     assert lattice_join(POLAR2, [a, b]) == b
