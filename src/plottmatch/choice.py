@@ -14,20 +14,17 @@ to the table cap. Orders, quotas and utility maximizers are one class,
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, update_wrapper
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .errors import CapExceeded, EmptyList, InternalError, NotPlott, UniverseMismatch
 
 EXHAUSTIVE_CAP = 16
-# Bytes of whole tables kept by choice_table: two 2^16-entry int64 tables at
-# the cap, one market's two sides, plus 128 KiB, a thousand 4-contract agent
-# tables.
-TABLE_CACHE_BYTES = 2 * (8 << EXHAUSTIVE_CAP) + (128 << 10)
+# Whole tables kept by choice_table, at most 32 MiB: a table at the cap has
+# 2^16 int64 entries, 512 KiB.
+TABLE_CACHE_ENTRIES = 64
 # Entries kept by each per-value memo of an exhaustive result (a Lehmann
 # audit, a rebuilt table, a decomposition); the largest, a relation matrix
 # at the 8-contract audit cap, is 64 KiB.
@@ -474,79 +471,18 @@ def union(cfs) -> UnionChoice:
 # ---------------------------------------------------------------------------
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize nbytes maxbytes")
-
-
-class _BytesLRU:
-    """A memo of a one-argument function returning arrays, bounded in bytes.
-
-    It keeps results whose ``nbytes`` add up to at most ``maxbytes``; a
-    result larger than that is kept alone. Over the budget it evicts the
-    least recently used result first, large ones before small ones: a small
-    result, at most 1/1024 of the budget, goes only when no large one but
-    the newest is left. Choice tables need that: an agent's table is small,
-    recurs from one market to the next and is read only while a side is
-    built, so by recency alone it would go before the last market's side
-    tables, which are large and are not read again.
-
-    ``cache_info()`` and ``cache_clear()`` work as on ``functools.lru_cache``:
-    ``maxsize`` is None, as the number of entries has no bound of its own,
-    ``currsize`` is that number, and ``nbytes`` the bytes held. An
-    exception is not kept, so a failing argument fails again on every call.
-    """
-
-    def __init__(self, fn, maxbytes: int):
-        update_wrapper(self, fn)
-        self._fn = fn
-        self._maxbytes = maxbytes
-        self._small = maxbytes >> 10  # a thousand small results fit in the budget
-        self._lock = threading.Lock()
-        self.cache_clear()
-
-    def __call__(self, key):
-        with self._lock:
-            for held in self._held:
-                value = held.get(key)
-                if value is not None:
-                    held.move_to_end(key)
-                    self._hits += 1
-                    return value
-            self._misses += 1
-        value = self._fn(key)  # unlocked: building a table may call back in
-        with self._lock:
-            small, large = self._held
-            newest = large if value.nbytes > self._small else small
-            if key not in newest:
-                newest[key] = value
-                self._nbytes += value.nbytes
-            while self._nbytes > self._maxbytes and len(small) + len(large) > 1:
-                # the least recently used large result but the newest, else small
-                pool = large if len(large) > (newest is large) else small
-                self._nbytes -= pool.popitem(last=False)[1].nbytes
-        return value
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, None, sum(map(len, self._held)),
-                              self._nbytes, self._maxbytes)
-
-    def cache_clear(self):
-        with self._lock:
-            self._held = (OrderedDict(), OrderedDict())  # small, large; least recent first
-            self._hits = self._misses = self._nbytes = 0
-
-
-@partial(_BytesLRU, maxbytes=TABLE_CACHE_BYTES)
+@lru_cache(maxsize=TABLE_CACHE_ENTRIES)
 def choice_table(cf: ChoiceFunction) -> np.ndarray:
     """The function's full table as a read-only array indexed by subset mask.
 
     Only available up to EXHAUSTIVE_CAP contracts; every exhaustive check in
     the package runs off this table, which each class builds in its own
-    ``_table``. Tables are kept by value, up to TABLE_CACHE_BYTES of them:
-    room for the two 16-contract sides of one market next to the small
-    tables of the agents that recur from one market to the next. Large
-    tables are evicted least recently used first, and small ones only when
-    no other large table is left (see _BytesLRU).
+    ``_table``. The last TABLE_CACHE_ENTRIES tables are kept by value, at
+    most 32 MiB at the cap. Agents that recur from one market to the next
+    need no table kept: what the desk path derives from an agent's table
+    (its Lehmann audit, rebuilt table and decomposition) is memoized by
+    value. A failure is not kept, so a function over the cap is refused on
+    every call.
     """
     n = cf.universe_size
     if n > EXHAUSTIVE_CAP:

@@ -48,10 +48,6 @@ class NotDominated(PlottmatchError):
     """Pointwise dominance between two choice functions does not hold."""
 
 
-class S1Violated(PlottmatchError):
-    """A set was not a fixed point of both sides' choice functions."""
-
-
 class InternalError(PlottmatchError):
     """An invariant the theory guarantees was observed to fail."""
 

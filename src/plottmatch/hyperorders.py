@@ -61,21 +61,29 @@ class ExtensionalLehmann:
     """A Lehmann relation stored as an explicit table of ordered pairs.
 
     ``true_pairs`` holds the (A, B) masks related by ≺; every unlisted pair
-    is false.
+    is false. A mask outside the universe raises ValueError.
     """
 
     universe_size: int
     true_pairs: frozenset
 
+    def __post_init__(self):
+        if not all(0 <= m < 1 << self.universe_size for pair in self.true_pairs for m in pair):
+            raise ValueError("mask references indices outside the universe")
+
     @classmethod
     def from_true_pairs(cls, universe_size: int, pairs) -> "ExtensionalLehmann":
-        """Build a total table from the pairs that hold; everything else is false."""
-        true_pairs = set()
-        for a, b in pairs:
-            amask = a.mask if isinstance(a, ContractSet) else a
-            bmask = b.mask if isinstance(b, ContractSet) else b
-            true_pairs.add((amask, bmask))
-        return cls(universe_size, frozenset(true_pairs))
+        """Build a total table from the pairs that hold; everything else is false.
+
+        A pair holds masks or ContractSets of this universe (UniverseMismatch
+        for a set of another one).
+        """
+        def mask(s) -> int:
+            if isinstance(s, ContractSet) and s.universe_size != universe_size:
+                raise UniverseMismatch(f"set over universe {s.universe_size}, not {universe_size}")
+            return s.mask if isinstance(s, ContractSet) else s
+
+        return cls(universe_size, frozenset((mask(a), mask(b)) for a, b in pairs))
 
     def _prec_mask(self, amask: int, bmask: int) -> bool:
         return (amask, bmask) in self.true_pairs

@@ -16,6 +16,7 @@ The file format is line oriented, `#` starts a comment:
     a
     [choice w1] kind=utility
 
+A contract id may not contain `,`, `{`, `}` or `->`, which set literals use.
 Kinds: ``explicit`` (body: one `{...} -> {...}` line per subset of the
 block), ``order`` (body: all block ids best-first; optional `acceptable=`),
 ``quota`` (like order plus `q=<int>`), ``utility`` (no body; uses the
@@ -266,6 +267,8 @@ def parse_instance(text: str) -> MarketInstance:
                     "contract line must be 'id firm worker' plus optional utilities",
                     lineno)
             cid, firm, worker = tokens[:3]
+            if any(sep in cid for sep in (",", "{", "}", "->")):
+                raise ParseError(f"contract id {cid!r} contains ',', '{{', '}}' or '->'", lineno)
             if cid in contract_ids:
                 raise ParseError(f"duplicate contract id {cid!r}", lineno)
             contract_ids.add(cid)

@@ -26,7 +26,7 @@ from .choice import (
     closure_star,
     format_set,
 )
-from .errors import CapExceeded, InternalError, S1Violated, UniverseMismatch
+from .errors import CapExceeded, InternalError, NotStable, UniverseMismatch
 from .stability import SidePair, lattice_join, lattice_meet, side_pair
 
 SEMI_STABLE_CAP = 10
@@ -231,12 +231,12 @@ def semi_stable_masks(sides: SidePair, *, cap: int = SEMI_STABLE_CAP) -> list[tu
 def is_stable_set_via_closure(sides: SidePair, S: ContractSet) -> bool:
     """Stability via closures: S1 plus closure_star(F,S) ∪ closure_star(G,S) = C.
 
-    Preconditions: certified sides and S1 already holding; agrees with
-    is_stable_set on every such S.
+    Preconditions: certified sides and S1 already holding (NotStable
+    otherwise); agrees with is_stable_set on every such S.
     """
     sides.require_certified()
     if sides.F.choose(S) != S or sides.G.choose(S) != S:
-        raise S1Violated("closure-based test requires choose(F,S) = choose(G,S) = S")
+        raise NotStable("closure-based test requires choose(F,S) = choose(G,S) = S")
     covered = closure_star(sides.F, S) | closure_star(sides.G, S)
     return covered == ContractSet.full(sides.universe_size)
 

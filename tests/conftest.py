@@ -11,12 +11,14 @@ from plottmatch import choice, hyperorders
 def _empty_memos():
     """Start every test with the table cache and the per-value memos empty.
 
-    Tests that count cache hits, table builds or relation matrices then
-    read the same counts in any order.
+    Every module-level object with a ``cache_clear`` is emptied, so tests
+    that count cache hits, table builds or relation matrices read the same
+    counts in any order, and a memo added later is emptied too.
     """
-    for memo in (choice.choice_table, choice._decomposition,
-                 hyperorders._audited, hyperorders._rebuilt):
-        memo.cache_clear()
+    for module in (choice, hyperorders):
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
 
 
 def _format(labels, mask: int) -> str:

@@ -3,9 +3,6 @@ from __future__ import annotations
 import itertools
 import math
 import pickle
-import random
-import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -35,7 +32,7 @@ from plottmatch import (
     union,
 )
 from plottmatch import choice
-from plottmatch.choice import TABLE_CACHE_BYTES, _BytesLRU, _lift, _rank_keys
+from plottmatch.choice import TABLE_CACHE_ENTRIES, _lift, _rank_keys
 from plottmatch.oracle import generate_instance
 
 # ex2 worker table: keeps {a,b} together but drops a lone b
@@ -216,137 +213,24 @@ def test_explicit_table_hash():
     assert choice_table.cache_info().hits == hits + 1
 
 
-def _bytes_of_key(maxbytes: int) -> _BytesLRU:
-    """A byte-bounded memo whose result for key k is an array of k bytes."""
-    return _BytesLRU(lambda k: np.zeros(k, dtype=np.int8), maxbytes)
-
-
-def test_table_cache_evicts_the_least_recently_used_bytes():
-    cache = _bytes_of_key(100)
-    for k in (40, 30, 20):
-        cache(k)
-    cache(40)  # a hit: 30 is now the least recently used
-    cache(25)  # 115 bytes: 30 goes
-    info = cache.cache_info()
-    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 4, None, 3)
-    assert (info.nbytes, info.maxbytes) == (85, 100)
-    cache(20)  # a hit; 40 is now the least recently used
-    cache(30)  # a miss: 115 bytes again, and 40 goes
-    assert cache.cache_info()[:4] == (2, 5, None, 3)
-    assert cache.cache_info().nbytes == 75
-    for k in (25, 20, 30):
-        cache(k)
-    cache(40)
-    assert cache.cache_info()[:2] == (5, 6)
-    cache(150)  # larger than the budget: kept, alone
-    assert cache.cache_info()[3:5] == (1, 150)
-    cache.cache_clear()
-    assert cache.cache_info() == (0, 0, None, 0, 0, 100)
-
-
-def test_table_cache_evicts_large_results_first():
-    cache = _bytes_of_key(10240)  # results of at most 10 bytes are small
-    for k in (1, 2, 3000, 4000, 1):
-        cache(k)
-    cache(5000)  # 12,003 bytes: 3000 goes, though 2 is older
-    assert cache.cache_info()[3:5] == (4, 9003)
-    cache(10235)  # 4000 and 5000 go
-    assert cache.cache_info()[3:5] == (3, 10238)
-    cache(3)  # no large result left but 10235
-    assert cache.cache_info()[3:5] == (3, 6)
-    cache(10240)  # the newest stays: the small ones go
-    assert cache.cache_info()[3:5] == (1, 10240)
-    cache(10240)
-    assert cache.cache_info().hits == 2
-
-
-@given(st.sampled_from([100, 10240]), st.data())
-def test_table_cache_equals_a_reference_model(maxbytes, data):
-    small = maxbytes // 1024  # 0 or 10: at 100 bytes, every result is large
-    sizes = st.one_of(st.integers(1, 12), st.integers(small + 1, maxbytes * 6 // 5))
-    keys = data.draw(st.lists(sizes, max_size=60))
-    cache, held, hits = _bytes_of_key(maxbytes), [], 0  # held: least recent first
-    for calls, k in enumerate(keys, 1):
-        if k in held:
-            hits += 1
-            held.remove(k)
-        held.append(k)
-        while sum(held) > maxbytes and len(held) > 1:
-            held.remove(next((j for j in held[:-1] if j > small), held[0]))
-        assert cache(k).nbytes == k
-        info = cache.cache_info()
-        assert (info.hits, info.misses) == (hits, calls - hits)
-        assert (info.currsize, info.nbytes) == (len(held), sum(held))
-        assert info.nbytes <= info.maxbytes or info.currsize == 1
-
-
 def test_table_cache_keeps_no_failure():
-    def build(k):
-        if k < 0:
-            raise ValueError(k)
-        return np.zeros(k, dtype=np.int8)
-
-    cache = _BytesLRU(build, 100)
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            cache(-1)
-    assert cache.cache_info()[:4] == (0, 2, None, 0)
     for _ in range(2):
         with pytest.raises(CapExceeded):
             choice_table(OrderChoice(17, tuple(range(17))))
-    assert choice_table.cache_info()[1:4] == (2, None, 0)
+    info = choice_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
 
 
-def test_table_cache_stays_consistent_under_threads():
-    cache, errors = _bytes_of_key(100), []
-
-    def work(seed):
-        rng = random.Random(seed)
-        try:
-            for _ in range(2000):
-                k = rng.randrange(1, 60)
-                if cache(k).nbytes != k:
-                    errors.append(k)
-        except Exception as exc:  # reported below; a thread cannot fail the test
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    info = cache.cache_info()
-    assert info.hits + info.misses == 8000
-    assert info.nbytes == sum(v.nbytes for held in cache._held for v in held.values()) <= 100
-
-
-def test_agent_tables_stay_cached_next_to_two_side_tables():
-    blocks = tuple(tuple(range(i, 16, 4)) for i in range(4))
-    # 360 agent tables of four contracts, 128 bytes each
-    agents = [OrderChoice(4, order, quota, acceptable)
-              for order in itertools.permutations(range(4))
-              for quota in (1, 2, 3) for acceptable in (15, 14, 13, 11, 7)]
-    assert len(set(agents)) == len(agents) == 360
-    for market in range(6):
-        for cf in agents[market::6]:  # each market uses a sixth of the agents
-            choice_table(cf)
-        # and its two sides, 512 KiB each, over four of those agents each
-        for side in range(2):
-            parts = agents[market + 6 * side:market + 6 * side + 24:6]
-            choice_table(Aggregate(16, blocks, tuple(parts)))
-        info = choice_table.cache_info()
-        assert info.nbytes <= TABLE_CACHE_BYTES
-    assert info.currsize == len(agents) + 2
-    for cf in agents:
+def test_table_cache_keeps_the_most_recent_entries():
+    tables = [OrderChoice(5, order) for order in itertools.permutations(range(5))]
+    for cf in tables[:TABLE_CACHE_ENTRIES + 1]:
         choice_table(cf)
-    assert choice_table.cache_info().misses == info.misses
+    info = choice_table.cache_info()
+    assert (info.misses, info.currsize) == (TABLE_CACHE_ENTRIES + 1, TABLE_CACHE_ENTRIES)
+    choice_table(tables[TABLE_CACHE_ENTRIES])  # the newest is still kept
+    choice_table(tables[0])  # the first was evicted
+    info = choice_table.cache_info()
+    assert (info.hits, info.misses) == (1, TABLE_CACHE_ENTRIES + 2)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,20 @@ def test_extensional_total_and_partial():
     assert audit_lehmann_axioms(listed).check("L0").passed
 
 
+@pytest.mark.parametrize("pair", [(-1, 1), (5, 1), (1, 4)])
+def test_extensional_rejects_masks_outside_the_universe(pair):
+    with pytest.raises(ValueError, match="outside the universe"):
+        ExtensionalLehmann.from_true_pairs(2, [pair])
+    with pytest.raises(ValueError, match="outside the universe"):
+        ExtensionalLehmann(2, frozenset({pair}))
+
+
+def test_extensional_rejects_sets_of_another_universe():
+    for pair in [(cs(3, 0), cs(2, 1)), (cs(2, 0), cs(3, 2)), (cs(3, 0), 1)]:
+        with pytest.raises(UniverseMismatch):
+            ExtensionalLehmann.from_true_pairs(2, [pair])
+
+
 # ---------------------------------------------------------------------------
 # axiom audit
 # ---------------------------------------------------------------------------

@@ -173,6 +173,14 @@ def test_structural_parse_errors():
     _expect("[firms] both\n[workers] both\n", ParseError, "both sides")
 
 
+def test_contract_ids_that_no_set_literal_can_name():
+    head = "[firms] f1\n[workers] w1\n[contracts]\nok f1 w1\n"
+    for cid in ("a,b", "{a", "a}", "a->b", "->"):
+        _expect(head + f"{cid} f1 w1\n", ParseError, "line 5", repr(cid))
+    specs = "[choice f1] kind=order\nok a-b\n[choice w1] kind=order\na-b ok\n"
+    assert parse_instance(head + "a-b f1 w1\n" + specs).labels == ("ok", "a-b")
+
+
 def test_duplicate_agent_section_after_an_empty_one():
     _expect("[firms]\n[firms] f1\n", ParseError, "line 2", "duplicate [firms]")
     _expect("[workers]\n[workers] w1\n", ParseError, "line 2", "duplicate [workers]")

@@ -22,7 +22,6 @@ from plottmatch import (
     OrderChoice,
     PlottReport,
     ProcessTrace,
-    S1Violated,
     SemiStablePair,
     SidePair,
     StabilityCheck,
@@ -175,7 +174,7 @@ def test_closure_test_agrees_where_it_applies():
 
 
 def test_closure_test_preconditions():
-    with pytest.raises(S1Violated):
+    with pytest.raises(NotStable, match=r"requires choose\(F,S\) = choose\(G,S\) = S"):
         is_stable_set_via_closure(POLAR2, cs(2, 0, 1))
     with pytest.raises(NotCertified):
         is_stable_set_via_closure(EX2, cs(2, 0))
