@@ -32,11 +32,12 @@ MEMO_ENTRIES = 256
 
 
 def _bits(mask: int):
-    """Yield set-bit indices of mask in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield set-bit indices of mask in ascending order, in time linear in its width."""
+    digits = bin(mask)[:1:-1]  # digit i is bit i
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _lift(mask: int, place) -> int:
@@ -170,7 +171,9 @@ class ChoiceFunction:
     """Base class: a total selection map over subsets of one universe.
 
     Subclasses implement ``_choose_mask``; they are immutable and hashable,
-    which lets the full choice table be memoized per function.
+    which lets the full choice table be memoized per function. ``_gains``
+    tells for every c outside X at once whether c is chosen from X ∪ {c}:
+    one chooser call per c by default, one kernel call per aggregate block.
     """
 
     universe_size: int
@@ -178,16 +181,14 @@ class ChoiceFunction:
     def _choose_mask(self, xmask: int) -> int:
         raise NotImplementedError
 
-    def _scope(self, c: int):
-        """A mask around contract c on which the function acts alone, and its chooser.
-
-        For every X, G(X) ∩ scope = G(X ∩ scope) and G(X) ∖ scope =
-        G(X ∖ scope), so whether c is chosen, or whether adding c changes
-        the choice, is decided inside the scope by the chooser, a function
-        on masks within it. The whole universe in general; an aggregate
-        narrows it to c's block and that block's compiled chooser.
-        """
-        return (1 << self.universe_size) - 1, self._choose_mask
+    def _gains(self, xmask: int) -> int:
+        """The contracts c outside xmask chosen from xmask ∪ {c}, each added alone."""
+        gains, rest = 0, ((1 << self.universe_size) - 1) ^ xmask
+        while rest:
+            bit = rest & -rest
+            gains |= self._choose_mask(xmask | bit) & bit
+            rest ^= bit
+        return gains
 
     def _rechoose(self, old: int, chosen: int, new: int) -> int:
         """The choice on ``new``, given that ``chosen`` is the choice on ``old``."""
@@ -204,7 +205,12 @@ class ChoiceFunction:
         An aggregate compiles each part through it once; the default gathers
         the mask into local indices, chooses, and lifts the choice back.
         """
-        return partial(_local_choice, self, tuple((1 << g, 1 << j) for j, g in enumerate(place)))
+        pairs = tuple((1 << g, 1 << j) for j, g in enumerate(place))
+        return partial(_local, self._choose_mask, pairs)
+
+    def _gainer(self, choose):
+        """``_gains`` on the global masks of ``choose``, through its bit pairs."""
+        return partial(_local, self._gains, choose.args[1])
 
     def choose(self, X: ContractSet) -> ContractSet:
         """Evaluate the function on X. The result is always a subset of X."""
@@ -289,17 +295,25 @@ class OrderChoice(ChoiceFunction):
         return cls(n, order, 1, sum(1 << i for i, u in enumerate(utilities) if u >= 0))
 
     @cached_property
-    def _top(self):
-        """The chooser on this function's own masks, built on first use."""
-        return self._chooser(range(self.universe_size))
+    def _kernels(self):
+        """The chooser and gains kernel on this function's own masks, built on first use."""
+        choose = self._chooser(range(self.universe_size))
+        return choose, self._gainer(choose)
 
     def _choose_mask(self, xmask: int) -> int:
-        return self._top(xmask)
+        return self._kernels[0](xmask)
+
+    def _gains(self, xmask: int) -> int:
+        return self._kernels[1](xmask)
 
     def _chooser(self, place):
         """Choose straight on global bits: the acceptable ones, best-first."""
         bits = tuple(1 << place[j] for j in self.order if self.acceptable_mask >> j & 1)
         return partial(_top_choice, bits, sum(bits) if self.quota else 0, self.quota)
+
+    def _gainer(self, choose):
+        """Gains in one best-first walk along the chooser's global bits; none at quota 0."""
+        return partial(_top_gains, choose.args[0] if self.quota else (), self.quota)
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
         table = np.zeros_like(masks)
@@ -338,6 +352,13 @@ class UnionChoice(ChoiceFunction):
             chosen |= part._choose_mask(xmask)
         return chosen
 
+    def _gains(self, xmask: int) -> int:
+        """c is chosen from X ∪ {c} by the union exactly when some part chooses it."""
+        gains = 0
+        for part in self.parts:
+            gains |= part._gains(xmask)
+        return gains
+
     def _table(self, masks: np.ndarray) -> np.ndarray:
         table = np.zeros_like(masks)
         for part in self.parts:
@@ -360,21 +381,31 @@ def _top_choice(bits, acceptable: int, quota: int, xmask: int) -> int:
     return chosen
 
 
-def _local_choice(part: ChoiceFunction, bit_pairs, xmask: int) -> int:
-    """Gather xmask into the part's local indices, choose, lift back.
+def _top_gains(bits, quota: int, xmask: int) -> int:
+    """The non-members of xmask met along ``bits`` before its ``quota``-th member, quota ≥ 1."""
+    gains = 0
+    for bit in bits:
+        if xmask & bit:
+            quota -= 1
+            if not quota:
+                return gains
+        else:
+            gains |= bit
+    return gains
 
-    ``bit_pairs`` holds one (global bit, local bit) pair per block member.
-    """
+
+def _local(kernel, bit_pairs, xmask: int) -> int:
+    """Gather xmask by (global, local) ``bit_pairs``, apply a part's kernel, lift back."""
     local = 0
     for gbit, lbit in bit_pairs:
         if xmask & gbit:
             local |= lbit
-    picked = part._choose_mask(local)
-    chosen = 0
+    picked = kernel(local)
+    out = 0
     for gbit, lbit in bit_pairs:
         if picked & lbit:
-            chosen |= gbit
-    return chosen
+            out |= gbit
+    return out
 
 
 @dataclass(frozen=True)
@@ -389,6 +420,8 @@ class Aggregate(ChoiceFunction):
     global masks, indexed by the contracts of its block, so that an
     evaluation visits only the blocks that X touches, and a re-evaluation
     (``_rechoose``) only the blocks where the new set differs from the old.
+    ``_gains`` makes one kernel call per block, each kernel built on first
+    use by the part's ``_gainer`` from its chooser; a block inside X gains none.
     """
 
     universe_size: int
@@ -417,6 +450,13 @@ class Aggregate(ChoiceFunction):
         # contract -> (its block's global mask, that block's chooser); not a field
         object.__setattr__(self, "_owner", tuple(owner))
 
+    @cached_property
+    def _gainers(self):
+        """Each nonempty block's gains kernel, built on first use from its chooser."""
+        owner = self._owner
+        return tuple(part._gainer(owner[block[0]][1])
+                     for block, part in zip(self.blocks, self.parts) if block)
+
     def _choose_mask(self, xmask: int) -> int:
         owner = self._owner
         chosen = 0
@@ -427,8 +467,11 @@ class Aggregate(ChoiceFunction):
             xmask ^= part
         return chosen
 
-    def _scope(self, c: int):
-        return self._owner[c]
+    def _gains(self, xmask: int) -> int:
+        gains = 0
+        for gain in self._gainers:  # each reads only its own block's bits of xmask
+            gains |= gain(xmask)
+        return gains
 
     def _rechoose(self, old: int, chosen: int, new: int) -> int:
         owner = self._owner
@@ -623,35 +666,18 @@ def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
 # ---------------------------------------------------------------------------
 
 
-def _closure_mask(cf: ChoiceFunction, xmask: int) -> int:
-    out = xmask
-    rest = ((1 << cf.universe_size) - 1) & ~xmask
-    while rest:
-        scope, choose = cf._scope(rest.bit_length() - 1)
-        inside = xmask & scope
-        chosen = choose(inside)
-        for c in _bits(rest & scope):
-            if choose(inside | 1 << c) == chosen:
-                out |= 1 << c
-        rest ^= rest & scope
-    return out
-
-
 def closure_star(cf: ChoiceFunction, X: ContractSet) -> ContractSet:
     """The largest superset of X with the same choice as X.
 
     For a path-independent function this equals X plus every single contract
     whose addition leaves the choice unchanged; callers must certify path
-    independence themselves, the behavior is undefined otherwise. Adding c
-    can change the choice only inside c's scope, where the function acts
-    alone: for an aggregate, c's block, since it chooses block by block.
-    So the test G(X ∪ {c}) = G(X) is made inside the scope by its chooser:
-    each block holding an outside contract is evaluated once on its slice
-    of X, then once per outside contract, and no other agent is asked.
+    independence themselves, the behavior is undefined otherwise. By
+    Outcast those are the contracts c not chosen from X ∪ {c}, so the
+    closure is all but ``_gains(X)``: one kernel call per aggregate block.
     """
     if X.universe_size != cf.universe_size:
         raise UniverseMismatch("closure over a foreign universe")
-    return ContractSet(cf.universe_size, _closure_mask(cf, X.mask))
+    return ContractSet(cf.universe_size, ((1 << cf.universe_size) - 1) ^ cf._gains(X.mask))
 
 
 def nil_set(cf: ChoiceFunction) -> ContractSet:
@@ -672,14 +698,14 @@ def _order_covering(choices: list[int], active: int, X: int, x: int) -> tuple[in
     """The order of :func:`decompose_into_orders` for the demand (X, x)."""
     order, rest = [], active
     while outside := choices[rest] & ~X:
-        order.append(next(_bits(outside)))
+        order.append((outside & -outside).bit_length() - 1)
         rest ^= 1 << order[-1]
     if not choices[rest] >> x & 1:
         raise InternalError("outcast fails: f(R) ⊆ X ⊆ R, yet x ∈ f(X) is not in f(R)")
     order.append(x)
     rest ^= 1 << x
     while rest:
-        order.append(next(_bits(choices[rest])))
+        order.append((choices[rest] & -choices[rest]).bit_length() - 1)
         rest ^= 1 << order[-1]
     return tuple(order)
 
@@ -740,16 +766,15 @@ def _decomposition(cf: ChoiceFunction) -> tuple[OrderChoice, ...]:
     if not report.is_plott:
         raise NotPlott("cannot decompose: function is not path-independent")
     table = choice_table(cf)
-    nil = _closure_mask(cf, 0)
-    active = ((1 << n) - 1) & ~nil
-    nil_tail = tuple(_bits(nil))
+    active = cf._gains(0)  # the non-Nil contracts: each is chosen from its singleton
+    nil_tail = tuple(_bits(((1 << n) - 1) ^ active))
     masks, bit, contract_of = _pick_arrays(n)
     choices = table.tolist()
     orders, picks = [], []  # picks[k][X]: the contract that order k picks from X
     left = table.copy()  # the demands no order covers yet
     while (pending := left.nonzero()[0]).size:
         X = int(pending[0])
-        x = next(_bits(int(left[X])))
+        x = int(left[X] & -left[X]).bit_length() - 1
         order = OrderChoice(n, _order_covering(choices, active, X, x) + nil_tail, 1, active)
         picked = order._table(masks)
         left &= ~picked

@@ -144,26 +144,21 @@ class StabilityCheck:
 def is_stable_set(sides: SidePair, S: ContractSet) -> StabilityCheck:
     """Check S1 (both sides keep S) and S2 (no outside contract blocks).
 
-    S1 is checked for F before G; S2 scans outside contracts in index
-    order, so the reported witness is deterministic. Whether a side
-    chooses c from S ∪ {c} is decided inside c's scope, where that side
-    acts alone (for an aggregate, c's block, since it chooses block by
-    block), so S2 calls each side's chooser for that scope on
-    (S ∪ {c}) ∩ scope: one agent per side, not the whole side.
+    S1 is checked for F before G. S2 is its definition, the contracts c
+    outside S that both sides choose from S ∪ {c}: one ``_gains`` call per
+    side, one kernel call per block of an aggregate. The lowest is the
+    witness; the check is exact whether or not the sides are path independent.
     """
     if S.universe_size != sides.universe_size:
         raise UniverseMismatch("set outside the market universe")
-    F, G = sides.F, sides.G
-    if F.choose(S) != S:
+    F, G, s = sides.F, sides.G, S.mask
+    if F._choose_mask(s) != s:
         return StabilityCheck(False, "S1", side="F")
-    if G.choose(S) != S:
+    if G._choose_mask(s) != s:
         return StabilityCheck(False, "S1", side="G")
-    for c in S.complement():
-        bit = 1 << c
-        added = S.mask | bit
-        (f_scope, f_choose), (g_scope, g_choose) = F._scope(c), G._scope(c)
-        if f_choose(added & f_scope) & bit and g_choose(added & g_scope) & bit:
-            return StabilityCheck(False, "S2", contract=c)
+    blocking = F._gains(s) & G._gains(s)
+    if blocking:
+        return StabilityCheck(False, "S2", contract=(blocking & -blocking).bit_length() - 1)
     return StabilityCheck(True)
 
 

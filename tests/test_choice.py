@@ -544,8 +544,9 @@ def test_compiled_aggregate_matches_the_local_choices(agg):
     for x in range(1 << agg.universe_size):
         assert agg._choose_mask(x) == _reference_choice(agg, x)
     for block in agg.blocks:
-        for g in block:
-            assert agg._scope(g)[0] == sum(1 << h for h in block)
+        mask = sum(1 << h for h in block)
+        for x in range(1 << agg.universe_size):
+            assert agg._gains(x) & mask == agg._gains(x & mask) & mask
 
 
 @settings(max_examples=120, deadline=None)
@@ -603,7 +604,43 @@ def test_compiled_quota_edges():
         agg = Aggregate(5, ((4, 1, 3), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
         for x in range(32):
             assert agg._choose_mask(x) == _reference_choice(agg, x)
-    assert ORD3_G._scope(1)[0] == 0b111
+    assert ORD3_G._gains(0b010) == 0b100
+
+
+def _gains_reference(cf, x: int) -> int:
+    """{c ∉ x : c ∈ G(x ∪ {c})}, one whole evaluation per outside contract."""
+    return sum(1 << c for c in range(cf.universe_size)
+               if not x >> c & 1 and cf._choose_mask(x | 1 << c) >> c & 1)
+
+
+def _assert_gains_on_every_mask(cf):
+    for x in range(1 << cf.universe_size):
+        assert cf._gains(x) == _gains_reference(cf, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(mixed_aggregates(), table_aggregates()))
+def test_aggregate_gains_are_the_definition(agg):
+    _assert_gains_on_every_mask(agg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.one_of(structural_functions(n),
+                                                     selection_tables(n))))
+def test_gains_of_orders_unions_and_tables_are_the_definition(cf):
+    _assert_gains_on_every_mask(cf)
+
+
+def test_gains_edges():
+    order = (2, 0, 1)
+    for q, acceptable in ((0, 0b111), (3, 0b111), (5, 0b101), (2, 0), (1, 0b010)):
+        part = OrderChoice(3, order, q, acceptable)
+        agg = Aggregate(5, ((4, 1, 3), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
+        for cf in (part, union([part, ORD3_G]), agg):
+            _assert_gains_on_every_mask(cf)
+    assert OrderChoice(3, order, 0)._gains(0) == 0
+    assert OrderChoice(3, order, 2, 0)._gains(0) == 0
+    assert OrderChoice(3, order, 5)._gains(0b100) == 0b011  # every outsider joins
 
 
 def _top_reference(order, quota: int, acceptable: int, x: int) -> int:

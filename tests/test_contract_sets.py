@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plottmatch import ContractSet, UniverseMismatch, format_set, parse_set
+from plottmatch.choice import _bits
 
 masks8 = st.integers(min_value=0, max_value=255)
 
@@ -110,3 +111,15 @@ def test_iteration_matches_membership(m):
 def test_complement_involution(m):
     s = ContractSet(8, m)
     assert s.complement().complement() == s
+
+
+@pytest.mark.parametrize("width", (63, 64, 65, 200))
+def test_members_past_one_machine_word_come_in_ascending_order(width):
+    top = 1 << width - 1
+    masks = (0, 1, top, top | 1, (1 << width) - 1, 0x5555555555555555 & (top - 1) | top,
+             int("1101" * width, 2) & (1 << width) - 1)
+    for mask in masks:
+        expected = [i for i in range(width) if mask >> i & 1]
+        assert list(ContractSet(width, mask)) == expected
+        assert list(_bits(mask)) == expected
+        assert format_set(ContractSet(width, mask)) == "{" + ",".join(map(str, expected)) + "}"

@@ -579,6 +579,25 @@ def test_scoped_closure_and_stability_equal_whole_evaluation(market_text):
     assert seen == {"S1", "S2", None}
 
 
+def test_wide_sets_keep_the_whole_evaluation_witness(market_text):
+    # 120 contracts, so every mask is wider than one 64-bit word
+    m = parse_instance(market_text(40, 12, 3, seed=7,
+                                   worker_kinds=("order", "utility", "quota", "explicit"),
+                                   firm_kinds=("quota", "utility", "order")))
+    sides = aggregate_sides(m)
+    assert sides.universe_size == 120
+    seen = set()
+    for S in (side_optimal(sides, "F"), side_optimal(sides, "G")):
+        near = [S] + [S.remove(c) for c in S] + [S.add(c) for c in S.complement()]
+        for T in near:
+            check = is_stable_set(sides, T)
+            assert check == _whole_stability(sides, T)
+            seen.add(check.condition)
+            for cf in (sides.F, sides.G):
+                assert closure_star(cf, T).mask == _whole_closure(cf, T.mask)
+    assert seen == {"S1", "S2", None}
+
+
 def _iterate_phi_step(sides, p):
     steps = [p]
     while True:
