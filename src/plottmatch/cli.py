@@ -14,6 +14,7 @@ from pathlib import Path
 from .choice import (
     EXHAUSTIVE_CAP,
     ContractSet,
+    choice_table,
     decompose_into_orders,
     format_set,
     is_plott,
@@ -213,7 +214,7 @@ def cmd_lehmann(args) -> int:
     if args.roundtrip:
         rebuilt = reconstruct_choice(rel, cap=cap)
         total = 1 << cf.universe_size
-        bad = sum(1 for x in range(total) if rebuilt.table[x] != cf._choose_mask(x))
+        bad = int((choice_table(cf) != rebuilt.table).sum())
         if bad == 0:
             print(f"round-trip OK ({total}/{total} subsets)")
         else:

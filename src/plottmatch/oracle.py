@@ -81,10 +81,9 @@ def enumerate_stable_sets(sides: SidePair, *, cap: int = EXHAUSTIVE_CAP) -> Stab
     n = sides.universe_size
     if n > cap:
         raise CapExceeded(f"enumeration needs universe_size <= {cap}, got {n}")
-    tf = choice_table(sides.F)
-    tg = choice_table(sides.G)
+    tf, tg = choice_table(sides.F), choice_table(sides.G)
     masks = np.arange(1 << n, dtype=np.int64)
-    candidates = masks[(tf[masks] == masks) & (tg[masks] == masks)]
+    candidates = masks[(tf == masks) & (tg == masks)]  # tables are indexed by mask
     blocked = np.zeros(candidates.shape, dtype=bool)
     for c in range(n):
         bit = 1 << c
@@ -218,12 +217,11 @@ def semi_stable_masks(sides: SidePair, *, cap: int = SEMI_STABLE_CAP) -> list[tu
     n = sides.universe_size
     if n > cap:
         raise CapExceeded(f"semi-stable scan needs universe_size <= {cap}, got {n}")
-    tf = choice_table(sides.F)
-    tg = choice_table(sides.G)
+    tf, tg = choice_table(sides.F), choice_table(sides.G)
     masks = np.arange(1 << n, dtype=np.int64)
     full = (1 << n) - 1
     cover = (masks[:, None] | masks[None, :]) == full
-    ssp2 = (tg[masks][:, None] & ~tf[masks][None, :]) == 0
+    ssp2 = (tg[:, None] & ~tf[None, :]) == 0
     ys, zs = np.nonzero(cover & ssp2)
     return [(int(y), int(z)) for y, z in zip(ys, zs)]
 

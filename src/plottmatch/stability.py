@@ -278,18 +278,15 @@ def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
 def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:
     """The stable pair (closure_star(G,S), closure_star(F,S)) of a stable set.
 
-    Raises NotStable naming S1 or S2 as is_stable_set would. On path
-    independent sides that keep S, c is chosen from S ∪ {c} exactly when
-    adding it changes the choice (Outcast), so c blocks S exactly when it
-    lies in neither closure: S2 holds exactly when the closures cover C.
+    Raises NotStable naming the condition is_stable_set finds failing. Its
+    S2 scan asks each side for the gains that its closure is built from, so
+    an aggregate side answers the closure from its row cache.
     """
     sides.require_certified()
-    if sides.F.choose(S) != S or sides.G.choose(S) != S:
-        raise NotStable("set fails S1")
-    Y, Z = closure_star(sides.G, S), closure_star(sides.F, S)
-    if (Y | Z) != ContractSet.full(sides.universe_size):
-        raise NotStable("set fails S2")
-    return StablePair(Y, Z, S)
+    check = is_stable_set(sides, S)
+    if not check:
+        raise NotStable(f"set fails {check.condition}")
+    return StablePair(closure_star(sides.G, S), closure_star(sides.F, S), S)
 
 
 def side_optimal(sides: SidePair, favored: str) -> ContractSet:

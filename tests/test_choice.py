@@ -3,8 +3,12 @@ from __future__ import annotations
 import itertools
 import math
 import pickle
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -556,6 +560,80 @@ def test_rechoose_equals_a_full_evaluation(agg, data):
     for _ in range(8):
         old, new = data.draw(st.integers(0, full)), data.draw(st.integers(0, full))
         assert agg._rechoose(old, agg._choose_mask(old), new) == agg._choose_mask(new)
+
+
+def _reference_gains(agg, x: int) -> int:
+    """{c ∉ x : c ∈ G(x ∪ {c})}, each choice gathered and lifted by hand."""
+    return sum(1 << c for c in range(agg.universe_size)
+               if not x >> c & 1 and _reference_choice(agg, x | 1 << c) >> c & 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_aggregates(), st.randoms(use_true_random=False))
+def test_cached_rows_equal_uncached_evaluation_past_the_bound(agg, rng):
+    full = (1 << agg.universe_size) - 1
+    pool = [rng.randint(0, full) for _ in range(10)]  # revisited past the bound of 3
+    old = rng.choice(pool)
+    chosen = _reference_choice(agg, old)
+    with mock.patch.object(choice._Rows, "maxsize", 3):
+        for _ in range(40):
+            new, x = rng.choice(pool), rng.choice(pool)
+            expected = _reference_choice(agg, new)
+            assert agg._rechoose(old, chosen, new) == expected
+            assert agg._choose_mask(new) == expected
+            assert agg._choose_mask(x) == _reference_choice(agg, x)
+            assert agg._gains(x) == _reference_gains(agg, x)
+            old, chosen = new, expected
+        info = agg.cache_info()
+    assert info.hits > 0 and info.currsize <= info.maxsize == 6
+
+
+def _ten_contracts() -> Aggregate:
+    return Aggregate(10, (tuple(range(0, 10, 2)), tuple(range(9, 0, -2))),
+                     (OrderChoice(5, (3, 1, 4, 0, 2), 2),
+                      OrderChoice.by_utility((4, -1, 2, 7, 0))))
+
+
+def test_row_cache_counts_in_the_functools_shape():
+    agg = _ten_contracts()
+    maxsize = 2 * choice.MEMO_ENTRIES
+    assert type(agg.cache_info())._fields == type(choice_table.cache_info())._fields
+    assert agg.cache_info() == (0, 0, maxsize, 0)
+    assert agg._choose_mask(0b1011) == agg._choose_mask(0b1011) == _reference_choice(agg, 0b1011)
+    assert agg._gains(0b1011) == _reference_gains(agg, 0b1011)
+    assert agg.cache_info() == (1, 2, maxsize, 2)
+    for x in range(1 << 10):  # four times the bound of each store; 0b1011 hits
+        assert agg._choose_mask(x) == _reference_choice(agg, x)
+        assert agg._gains(x) == _reference_gains(agg, x)
+    assert agg.cache_info() == (3, 2 * 1024, maxsize, maxsize)
+    for x in range(1024 - choice.MEMO_ENTRIES, 1024):  # the latest rows stay
+        agg._rechoose(0, 0, x)
+        agg._gains(x)
+    assert agg.cache_info().hits == 3 + maxsize
+    agg._choose_mask(0b1011)  # dropped when its store was emptied
+    assert agg.cache_info().misses == 2 * 1024 + 1
+
+
+def test_threads_sharing_an_aggregate_read_only_its_rows():
+    agg = _ten_contracts()
+    masks = range(0, 1 << 10, 37)
+    rows = {x: (_reference_choice(agg, x), _reference_gains(agg, x)) for x in masks}
+
+    def ask(seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            x, y = rng.choice(masks), rng.choice(masks)
+            assert (agg._choose_mask(x), agg._gains(x)) == rows[x]
+            assert agg._rechoose(x, rows[x][0], y) == rows[y][0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(choice._Rows, "maxsize", 2), ThreadPoolExecutor(4) as pool:
+            list(pool.map(ask, range(4)))  # emptying a store on nearly every miss
+    finally:
+        sys.setswitchinterval(interval)
+    assert agg.cache_info().currsize <= 4
 
 
 @st.composite

@@ -598,6 +598,20 @@ def test_wide_sets_keep_the_whole_evaluation_witness(market_text):
     assert seen == {"S1", "S2", None}
 
 
+
+def test_a_swapped_pair_reads_the_rows_of_its_sides(market_text):
+    sides = aggregate_sides(parse_instance(market_text(40, 12, 3, seed=7)))
+    swapped = sides.swap()
+    for S in (side_optimal(sides, "F"), side_optimal(swapped, "F")):
+        assert is_stable_set(sides, S) and set_to_pair(sides, S)
+        before = sides.F.cache_info(), sides.G.cache_info()
+        assert is_stable_set(swapped, S)
+        pair = set_to_pair(swapped, S)
+        assert (pair.Y, pair.Z) == (closure_star(sides.F, S), closure_star(sides.G, S))
+        after = swapped.G.cache_info(), swapped.F.cache_info()
+        assert [a.misses for a in after] == [b.misses for b in before]
+        assert all(a.hits > b.hits for a, b in zip(after, before))
+
 def _iterate_phi_step(sides, p):
     steps = [p]
     while True:
