@@ -559,13 +559,15 @@ def union(cfs) -> UnionChoice:
 def choice_table(cf: ChoiceFunction) -> np.ndarray:
     """The function's full table as a read-only array indexed by subset mask.
 
-    Only available up to EXHAUSTIVE_CAP contracts; every exhaustive check in
-    the package runs off this table, which each class builds in its own
-    ``_table``. The last TABLE_CACHE_ENTRIES tables are kept by value, at
-    most 32 MiB at the cap. Agents that recur from one market to the next
-    need no table kept: what the desk path derives from an agent's table
-    (its Lehmann audit, rebuilt table and decomposition) is memoized by
-    value. A failure is not kept, so a function over the cap is refused on
+    Only available up to EXHAUSTIVE_CAP contracts; each class builds its
+    own in ``_table``. The exhaustive checks read the table of the function
+    they check, and enumeration reads one table per agent, never a whole
+    side's (a catalog's fingerprint does, when it is read). The last
+    TABLE_CACHE_ENTRIES tables are kept by value, at most 32 MiB at the
+    cap, so an agent that recurs from one market to the next is looked up,
+    not rebuilt; what the desk path derives from an agent's table (its
+    Lehmann audit, rebuilt table and decomposition) is memoized by value as
+    well. A failure is not kept, so a function over the cap is refused on
     every call.
     """
     n = cf.universe_size

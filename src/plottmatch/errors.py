@@ -14,7 +14,7 @@ class CapExceeded(PlottmatchError):
 
 
 class EmptyList(PlottmatchError):
-    """A nonempty collection of choice functions was required."""
+    """A nonempty collection (of choice functions, or of stable sets) was required."""
 
 
 class NotPlott(PlottmatchError):

@@ -1,24 +1,27 @@
-"""Brute-force ground truth: enumeration, lattice verification, generators.
+"""Exhaustive ground truth: enumeration, lattice verification, generators.
 
 Everything here is deliberately independent of the dynamics: stable sets
-are found by scanning every subset against the S1/S2 definitions, the
-Blair matrix is evaluated entry by entry, lattice structure is read off
-the matrix, and the L-operator is evaluated one relation query at a time.
-Stability via closures, the choice recovered from the closure operator
-and single Lehmann queries are the cross-checks of the same kind. The
-engine is then tested against these answers.
+are found agent by agent from each agent's own choice table against the
+S1/S2 definitions, the Blair matrix is evaluated entry by entry from the
+same tables, lattice structure is read off the matrix, and the L-operator
+is evaluated one relation query at a time. Stability via closures, the
+choice recovered from the closure operator and single Lehmann queries are
+the cross-checks of the same kind. The engine is then tested against these
+answers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .choice import (
     EXHAUSTIVE_CAP,
+    Aggregate,
     ContractSet,
     OrderChoice,
     UnionChoice,
@@ -26,7 +29,7 @@ from .choice import (
     closure_star,
     format_set,
 )
-from .errors import CapExceeded, InternalError, NotStable, UniverseMismatch
+from .errors import CapExceeded, EmptyList, InternalError, NotStable, UniverseMismatch
 from .stability import SidePair, lattice_join, lattice_meet, side_pair
 
 SEMI_STABLE_CAP = 10
@@ -38,14 +41,29 @@ class StableSetCatalog:
 
     ``blair_matrix[i][j]`` says stable_sets[i] ⪯ stable_sets[j] under the
     firm side; its transpose is the worker-side matrix (polarization).
+    ``sides`` is the market the catalog was enumerated from; equality
+    compares it by value together with the sets and the matrix.
     ``fingerprint`` hashes the full choice tables of both sides, so equal
-    fingerprints mean literally the same market behavior.
+    fingerprints mean literally the same market behavior; it is computed
+    when first read.
     """
 
-    fingerprint: str
-    universe_size: int
+    sides: SidePair = field(repr=False)
     stable_sets: tuple[ContractSet, ...]
     blair_matrix: tuple[tuple[bool, ...], ...]
+
+    @property
+    def universe_size(self) -> int:
+        return self.sides.universe_size
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """16 hex digits of SHA-256 over |C| and both sides' full tables."""
+        digest = hashlib.sha256()
+        digest.update(self.universe_size.to_bytes(4, "little"))
+        digest.update(choice_table(self.sides.F))  # int64 tables, hashed in place
+        digest.update(choice_table(self.sides.G))
+        return digest.hexdigest()[:16]
 
     def bottom(self) -> ContractSet:
         """The ⪯-minimum (worker-best) stable set."""
@@ -57,22 +75,85 @@ class StableSetCatalog:
 
     def _extreme(self, below) -> int:
         k = len(self.stable_sets)
+        if not k:
+            raise EmptyList("catalog has no stable sets")
         for i in range(k):
             if all(below(i, j) for j in range(k)):
                 return i
         raise InternalError("catalog has no extreme element")
 
 
-def _fingerprint(tf: np.ndarray, tg: np.ndarray, n: int) -> str:
-    digest = hashlib.sha256()
-    digest.update(n.to_bytes(4, "little"))
-    digest.update(tf)  # int64 tables, hashed in place
-    digest.update(tg)
-    return digest.hexdigest()[:16]
+def _runs(block) -> list[tuple[int, int, int]]:
+    """(global start, local start, length) of each run of consecutive contracts in block."""
+    runs = []
+    for j, g in enumerate(block):
+        if runs and runs[-1][0] + runs[-1][2] == g:
+            runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1)
+        else:
+            runs.append((g, j, 1))
+    return runs
+
+
+def _agents(cf) -> list[tuple[tuple[int, ...], list, np.ndarray, np.ndarray]]:
+    """Each agent of a side as (block, runs, its choice table, the table on global bits).
+
+    A side that is not an aggregate is one agent over the whole universe,
+    whose local masks are the global ones.
+    """
+    if isinstance(cf, Aggregate):
+        pairs = zip(cf.blocks, cf.parts)
+    else:
+        pairs = ((tuple(range(cf.universe_size)), cf),)
+    agents = []
+    for block, part in pairs:
+        runs, table = _runs(block), choice_table(part)
+        lifted = np.zeros_like(table)
+        for g, j, k in runs:
+            lifted |= (table >> j & ((1 << k) - 1)) << g
+        agents.append((block, runs, table, lifted))
+    return agents
+
+
+def _slices(agents, xs: np.ndarray) -> list[np.ndarray]:
+    """Each agent's local masks of its slice of every global mask in xs (a pext by runs)."""
+    slices = []
+    for _, runs, _, _ in agents:
+        local = np.zeros_like(xs)
+        for g, j, k in runs:
+            local |= (xs >> g & ((1 << k) - 1)) << j
+        slices.append(local)
+    return slices
+
+
+def _choose(agents, slices, xs: np.ndarray) -> np.ndarray:
+    """A side's choice on each mask in xs, from its agents' slices: their choices' union."""
+    chosen = np.zeros_like(xs)
+    for (_, _, _, lifted), local in zip(agents, slices):
+        chosen |= lifted[local]
+    return chosen
+
+
+def _gains(agents, slices, xs: np.ndarray) -> np.ndarray:
+    """For each mask in xs, the contracts c outside it chosen from it plus c alone."""
+    gains = np.zeros_like(xs)
+    for (block, _, _, lifted), local in zip(agents, slices):
+        for j, g in enumerate(block):
+            gains |= lifted[local | 1 << j] & 1 << g
+    return gains & ~xs
 
 
 def enumerate_stable_sets(sides: SidePair, *, cap: int = EXHAUSTIVE_CAP) -> StableSetCatalog:
-    """Scan every subset against S1/S2 and assemble the catalog.
+    """Find every stable set agent by agent and assemble the catalog.
+
+    A side chooses agent by agent, so S1 holds exactly when every agent
+    keeps its own slice of S. The candidates are the products of what each
+    worker-side agent keeps (masks t[x] = x of its table), lifted to global
+    bits and filtered by the firm side's choice; they number at most
+    2^|C|. Each agent gathers its slice of every candidate once, by shifts
+    and masks, and S2 and the Blair matrix are read off the same per-agent
+    tables at those slices (the slice of a union is the union of slices).
+    Only ``choice_table`` of each agent is read, and no whole-side table
+    is built. Stable sets come in ascending mask order.
 
     For certified sides the catalog is nonempty (finite form of the
     existence theorem), the matrix is antisymmetric, and its transpose
@@ -81,36 +162,41 @@ def enumerate_stable_sets(sides: SidePair, *, cap: int = EXHAUSTIVE_CAP) -> Stab
     n = sides.universe_size
     if n > cap:
         raise CapExceeded(f"enumeration needs universe_size <= {cap}, got {n}")
-    tf, tg = choice_table(sides.F), choice_table(sides.G)
-    masks = np.arange(1 << n, dtype=np.int64)
-    candidates = masks[(tf == masks) & (tg == masks)]  # tables are indexed by mask
-    blocked = np.zeros(candidates.shape, dtype=bool)
-    for c in range(n):
-        bit = 1 << c
-        outside = (candidates & bit) == 0
-        added = candidates | bit
-        blocked |= outside & ((tf[added] & bit) != 0) & ((tg[added] & bit) != 0)
-    stable = [int(m) for m in candidates[~blocked]]
+    if n > EXHAUSTIVE_CAP:  # the fingerprint needs whole tables; masks stay int64
+        raise CapExceeded(f"full tables are capped at {EXHAUSTIVE_CAP} contracts")
+    f_agents, g_agents = _agents(sides.F), _agents(sides.G)
+    sets = np.zeros(1, dtype=np.int64)
+    for _, _, table, lifted in f_agents:
+        kept = lifted[table == np.arange(table.size)]
+        sets = (sets[:, None] | kept[None, :]).reshape(-1)
+    g_slices = _slices(g_agents, sets)
+    at = np.flatnonzero(_choose(g_agents, g_slices, sets) == sets)
+    at = at[np.argsort(sets[at])]  # S1 holds on both sides; ascending
+    sets, g_slices = sets[at], [local[at] for local in g_slices]
+    f_slices = _slices(f_agents, sets)
+    at = np.flatnonzero((_gains(f_agents, f_slices, sets) & _gains(g_agents, g_slices, sets)) == 0)
+    stable = sets[at]
 
-    if sides.certified and not stable:
+    if sides.certified and not stable.size:
         raise InternalError("certified sides with no stable set")
-    k = len(stable)
-    g_matrix = [[(int(tg[stable[i] | stable[j]]) & ~stable[j]) == 0 for j in range(k)]
-                for i in range(k)]
+    pairs = stable[:, None] | stable[None, :]
+
+    def below(agents, slices):
+        """[i][j]: the side's choice on S_i ∪ S_j lies within S_j."""
+        pair_slices = [s[:, None] | s[None, :] for s in (local[at] for local in slices)]
+        return (_choose(agents, pair_slices, pairs) & ~stable) == 0
+
+    g_matrix = below(g_agents, g_slices)
     if sides.certified:
-        f_matrix = [[(int(tf[stable[i] | stable[j]]) & ~stable[j]) == 0 for j in range(k)]
-                    for i in range(k)]
-        for i in range(k):
-            for j in range(k):
-                if g_matrix[i][j] and g_matrix[j][i] and i != j:
-                    raise InternalError("Blair matrix not antisymmetric")
-                if g_matrix[i][j] != f_matrix[j][i]:
-                    raise InternalError("Blair matrix transpose is not the worker matrix")
+        f_matrix = below(f_agents, f_slices)
+        if (g_matrix & g_matrix.T & ~np.eye(stable.size, dtype=bool)).any():
+            raise InternalError("Blair matrix not antisymmetric")
+        if (g_matrix != f_matrix.T).any():
+            raise InternalError("Blair matrix transpose is not the worker matrix")
     return StableSetCatalog(
-        _fingerprint(tf, tg, n),
-        n,
-        tuple(ContractSet(n, m) for m in stable),
-        tuple(tuple(row) for row in g_matrix),
+        sides,
+        tuple(ContractSet(n, m) for m in stable.tolist()),
+        tuple(tuple(row) for row in g_matrix.tolist()),
     )
 
 

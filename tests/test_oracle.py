@@ -2,12 +2,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_choice import mixed_aggregates, selection_tables, structural_functions, table_aggregates
 
 from plottmatch import (
     Aggregate,
     CapExceeded,
     ContractSet,
+    EmptyList,
     InternalError,
     OrderChoice,
     aggregate_sides,
@@ -21,6 +26,7 @@ from plottmatch import (
     side_pair,
     verify_lattice,
 )
+from plottmatch.choice import choice_table
 from plottmatch.errors import NotSemiStable
 from plottmatch.oracle import StableSetCatalog
 
@@ -98,13 +104,112 @@ def test_fingerprint_identifies_behavior_not_representation():
     assert enumerate_stable_sets(EX1).fingerprint != direct.fingerprint
 
 
+def test_an_empty_catalog_has_no_bottom_or_top():
+    ex2 = aggregate_sides(parse_instance((FIXTURES / "ex2.mkt").read_text()))
+    catalog = enumerate_stable_sets(ex2)
+    assert catalog.stable_sets == () and not ex2.certified
+    with pytest.raises(EmptyList, match="catalog has no stable sets"):
+        catalog.bottom()
+    with pytest.raises(EmptyList, match="catalog has no stable sets"):
+        catalog.top()
+
+
 def test_catalog_with_no_extreme_raises():
-    broken = StableSetCatalog("0" * 16, 2, (cs(2, 0), cs(2, 1)),
+    broken = StableSetCatalog(POLAR2, (cs(2, 0), cs(2, 1)),
                               ((True, False), (False, True)))
     with pytest.raises(InternalError):
         broken.bottom()
     with pytest.raises(InternalError):
         broken.top()
+
+
+def _whole_table_scan(sides):
+    """Stable masks and firm-side Blair matrix from both sides' whole tables.
+
+    Every subset is tested against S1 and S2 on the tables of the whole
+    sides, one outside contract at a time: the reference that the
+    agent-by-agent enumeration must reproduce.
+    """
+    n = sides.universe_size
+    tf, tg = choice_table(sides.F), choice_table(sides.G)
+    masks = np.arange(1 << n, dtype=np.int64)
+    candidates = masks[(tf == masks) & (tg == masks)]
+    blocked = np.zeros(candidates.shape, dtype=bool)
+    for c in range(n):
+        bit = 1 << c
+        outside = (candidates & bit) == 0
+        added = candidates | bit
+        blocked |= outside & ((tf[added] & bit) != 0) & ((tg[added] & bit) != 0)
+    stable = [int(m) for m in candidates[~blocked]]
+    matrix = tuple(tuple((int(tg[s | t]) & ~t) == 0 for t in stable) for s in stable)
+    return stable, matrix
+
+
+def _assert_matches_the_whole_table_scan(sides):
+    catalog = enumerate_stable_sets(sides)
+    stable, matrix = _whole_table_scan(sides)
+    assert catalog.universe_size == sides.universe_size
+    assert [s.mask for s in catalog.stable_sets] == stable
+    assert catalog.blair_matrix == matrix
+
+
+@st.composite
+def aggregate_pairs(draw):
+    """Two aggregates on one universe, the smaller padded by one more agent."""
+    kinds = st.one_of(mixed_aggregates(), table_aggregates())
+    F, G = draw(kinds), draw(kinds)
+    if F.universe_size < G.universe_size:
+        F, G = G, F
+    n, m = F.universe_size, G.universe_size
+    if m < n:
+        G = Aggregate(n, G.blocks + (tuple(range(m, n)),),
+                      G.parts + (draw(structural_functions(n - m)),))
+    return side_pair(F, G, certify=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(aggregate_pairs())
+def test_agent_by_agent_enumeration_matches_the_whole_table_scan(sides):
+    _assert_matches_the_whole_table_scan(sides)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 3))
+def test_one_block_unions_match_the_whole_table_scan(seed, n, k):
+    sides = generate_instance(seed, n, k)
+    assert sides.certified
+    _assert_matches_the_whole_table_scan(sides)
+    _assert_matches_the_whole_table_scan(sides.swap())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(selection_tables(n),
+                                                     selection_tables(n))),
+       st.booleans())
+def test_explicit_tables_match_the_whole_table_scan(tables, certify):
+    _assert_matches_the_whole_table_scan(side_pair(*tables, certify=certify))
+
+
+PINNED = {"ex1.mkt": "baa722402c2cd462", "ex2.mkt": "635662ceda52918c",
+          "quota.mkt": "ac00ebf2df6d0edd"}  # as in test_fingerprints_are_pinned
+
+
+def test_enumeration_builds_no_whole_side_table(monkeypatch):
+    def sides(name):
+        return aggregate_sides(parse_instance((FIXTURES / name).read_text()))
+
+    expected = {name: enumerate_stable_sets(sides(name)) for name in PINNED}
+
+    def refuse(self, masks):
+        raise AssertionError("a whole-side table was built")
+
+    monkeypatch.setattr(Aggregate, "_table", refuse)
+    catalogs = {name: enumerate_stable_sets(sides(name)) for name in PINNED}
+    assert catalogs == expected
+    with pytest.raises(AssertionError, match="whole-side table"):
+        catalogs["ex1.mkt"].fingerprint
+    monkeypatch.undo()
+    assert {name: c.fingerprint for name, c in catalogs.items()} == PINNED
 
 
 def test_format_catalog():
@@ -129,7 +234,7 @@ def test_verify_lattice_on_fixtures():
 
 def test_verify_lattice_reports_a_broken_matrix():
     catalog = enumerate_stable_sets(POLAR2)
-    broken = StableSetCatalog(catalog.fingerprint, 2, catalog.stable_sets,
+    broken = StableSetCatalog(POLAR2, catalog.stable_sets,
                               ((True, False), (False, True)))
     report = verify_lattice(broken, POLAR2)
     assert not report.passed
