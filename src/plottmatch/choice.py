@@ -26,9 +26,9 @@ EXHAUSTIVE_CAP = 16
 # Whole tables kept by choice_table, at most 32 MiB: a table at the cap has
 # 2^16 int64 entries, 512 KiB.
 TABLE_CACHE_ENTRIES = 64
-# Entries kept by each per-value memo of an exhaustive result (a Lehmann
-# audit, a rebuilt table, a decomposition; the largest, a relation matrix
-# at the 8-contract audit cap, is 64 KiB) and by each aggregate row store.
+# Entries kept by each aggregate row store and by each per-value memo of an
+# exhaustive result (a Lehmann audit, a rebuilt table, a decomposition, a Plott
+# verdict; the largest, a relation matrix at the 8-contract audit cap, 64 KiB).
 MEMO_ENTRIES = 256
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])  # as functools'
 
@@ -294,7 +294,7 @@ class OrderChoice(ChoiceFunction):
         utility u ≥ 0 acceptable.
         """
         n = len(utilities)
-        order = tuple(sorted(range(n), key=lambda i: (-utilities[i], i)))
+        order = tuple(sorted(range(n), key=[-u for u in utilities].__getitem__))
         return cls(n, order, 1, sum(1 << i for i, u in enumerate(utilities) if u >= 0))
 
     @cached_property
@@ -311,7 +311,7 @@ class OrderChoice(ChoiceFunction):
 
     def _chooser(self, place):
         """Choose straight on global bits: the acceptable ones, best-first."""
-        bits = tuple(1 << place[j] for j in self.order if self.acceptable_mask >> j & 1)
+        bits = tuple([1 << place[j] for j in self.order if self.acceptable_mask >> j & 1])
         return partial(_top_choice, bits, sum(bits) if self.quota else 0, self.quota)
 
     def _gainer(self, choose):
@@ -668,8 +668,8 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
     if type(cf) is OrderChoice:
         return None
     if type(cf) is Aggregate:
-        hits = (_plott_witness(part, cap, tuple(place[g] for g in block))
-                for block, part in zip(cf.blocks, cf.parts))
+        hits = (_plott_witness(part, cap, tuple(map(place.__getitem__, block)))
+                for block, part in zip(cf.blocks, cf.parts) if type(part) is not OrderChoice)
         return min((w for w in hits if w is not None), default=None)
     if type(cf) is UnionChoice and all(
             _plott_witness(part, cap, place) is None for part in cf.parts):
@@ -677,7 +677,17 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
     n = cf.universe_size
     if n > cap:
         raise CapExceeded(f"exhaustive check needs universe_size <= {cap}, got {n}")
-    return _violation_scan(choice_table(cf), n, place)
+    try:
+        return _clean_table(cf)
+    except NotPlott:  # scanned again, so that the witness is placed by this call
+        return _violation_scan(choice_table(cf), n, place)
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _clean_table(cf: ChoiceFunction) -> None:
+    """None, kept by value, when cf's table has no Plott violation; else NotPlott, not kept."""
+    if _violation_scan(choice_table(cf), cf.universe_size, range(cf.universe_size)):
+        raise NotPlott("the table violates Heredity or Outcast")
 
 
 def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
@@ -690,8 +700,10 @@ def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
     (explicit ones, failing unions, other functions) are scanned, every
     one-element removal over their own 2^k rows, which by induction decides
     both axioms over all subset pairs; each scanned table must fit under
-    ``cap``. The witness is the one a scan of the whole function's table
-    would return: heredity first, then the least set.
+    ``cap``, on every call. The last MEMO_ENTRIES tables found path independent
+    are not scanned again, by value; a failing one is. The witness is the one
+    a scan of the whole function's table would return: heredity first, then
+    the least set.
     """
     n = cf.universe_size
     hit = _plott_witness(cf, cap, range(n))

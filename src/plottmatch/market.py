@@ -29,6 +29,7 @@ and quota as written (q = 1 for order), utility as the order by
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,8 +37,10 @@ from .choice import Aggregate, ChoiceFunction, ExplicitTable, OrderChoice
 from .errors import ContractOutsideBlock, ParseError, PartialTable, UnknownAgent
 from .stability import SidePair, side_pair
 
+_SET_SYNTAX = re.compile(r"[,{}]|->")  # what a contract id may not contain
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Contract:
     """One contract: its id, the two agents it binds, optional utilities."""
 
@@ -48,7 +51,7 @@ class Contract:
     u_firm: int | float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoiceSpec:
     """One agent's choice function over its local block.
 
@@ -78,23 +81,6 @@ class MarketInstance:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.contracts)
-
-    @cached_property
-    def _blocks(self) -> dict[str, tuple[int, ...]]:
-        """Every agent's block, built in one pass over the contracts."""
-        firms = {a: [] for a in self.firms}
-        workers = {a: [] for a in self.workers}
-        for i, c in enumerate(self.contracts):
-            if c.firm in firms:
-                firms[c.firm].append(i)
-            if c.worker in workers:
-                workers[c.worker].append(i)
-        return {a: tuple(b) for a, b in (*workers.items(), *firms.items())}
-
-    def block_of(self, agent: str) -> tuple[int, ...]:
-        if agent not in self._blocks:
-            raise UnknownAgent(f"no agent named {agent!r}")
-        return self._blocks[agent]
 
     @cached_property
     def _specs(self) -> dict[str, ChoiceSpec]:
@@ -134,37 +120,40 @@ def _parse_keyvals(rest: str, lineno: int) -> dict[str, str]:
     return out
 
 
-def _local_index(label: str, index_of, lineno: int, all_labels) -> int:
-    """The index of a contract id within the agent's block."""
-    if label not in index_of:
-        if label in all_labels:
-            raise ContractOutsideBlock(f"contract {label!r} belongs to another agent", lineno)
-        raise ParseError(f"unknown contract id {label!r}", lineno)
-    return index_of[label]
+def _missing(label: str, lineno: int, index) -> ParseError:
+    """The error for a contract id outside the agent's block: foreign, or unknown."""
+    if label in index:
+        return ContractOutsideBlock(f"contract {label!r} belongs to another agent", lineno)
+    return ParseError(f"unknown contract id {label!r}", lineno)
 
 
-def _local_set_mask(text: str, index_of, lineno: int, all_labels) -> int:
+def _set_mask(text: str, bits, lineno: int, index) -> int:
+    """The local mask of a ``{a,b}`` literal, read through the agent's label → bit dict."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"expected a brace-delimited set, got {text!r}", lineno)
-    body = text[1:-1].strip()
-    if not body:
-        return 0
     mask = 0
-    for part in body.split(","):
-        mask |= 1 << _local_index(part.strip(), index_of, lineno, all_labels)
+    try:
+        for label in text[1:-1].split(","):
+            mask |= bits[label.strip()]
+    except KeyError as miss:
+        if text[1:-1].strip():  # else the one label is blank: the empty set
+            raise _missing(miss.args[0], lineno, index) from None
     return mask
 
 
-def _build_explicit(agent, block, index_of, body, header_line, all_labels):
-    k = len(block)
+def _build_explicit(agent, bits, body, header_line, index):
+    k = len(bits)
     rows: dict[int, int] = {}
+    read: dict[str, int] = {}  # each row's argument literal -> its mask
     for lineno, line in body:
         left, sep, right = line.partition("->")
         if not sep:
             raise ParseError("expected '{...} -> {...}'", lineno)
-        xmask = _local_set_mask(left.strip(), index_of, lineno, all_labels)
-        chosen = _local_set_mask(right.strip(), index_of, lineno, all_labels)
+        read[left.strip()] = xmask = _set_mask(left, bits, lineno, index)
+        chosen = read.get(right.strip())  # a choice is mostly some row's argument
+        if chosen is None:
+            chosen = _set_mask(right, bits, lineno, index)
         if xmask in rows:
             raise ParseError("duplicate table row", lineno)
         if xmask == 0 and chosen != 0:
@@ -176,46 +165,52 @@ def _build_explicit(agent, block, index_of, body, header_line, all_labels):
         raise PartialTable(
             f"agent {agent!r}: table covers {len(rows)} of {1 << k} subsets",
             header_line)
-    return ExplicitTable(k, tuple(rows[m] for m in range(1 << k)))
+    return ExplicitTable(k, tuple(map(rows.__getitem__, range(1 << k))))
 
 
-def _parse_order_ids(body, index_of, agent, header_line, all_labels):
+def _parse_order_ids(body, bits, agent, header_line, index):
     if len(body) != 1:
         raise ParseError(
             f"agent {agent!r}: expected one line of contract ids, got {len(body)}",
             header_line)
     lineno, line = body[0]
-    order = [_local_index(token, index_of, lineno, all_labels) for token in line.split()]
-    if sorted(order) != list(range(len(index_of))):
+    try:
+        picked = list(map(bits.__getitem__, line.split()))
+    except KeyError as miss:
+        raise _missing(miss.args[0], lineno, index) from None
+    # k powers of two below 2^k sum to 2^k - 1 only when they are distinct
+    if len(picked) != len(bits) or sum(picked) != (1 << len(bits)) - 1:
         raise ParseError(
             f"order must list every contract of agent {agent!r} exactly once", lineno)
-    return tuple(order)
+    return tuple([bit.bit_length() - 1 for bit in picked])
 
 
 def parse_instance(text: str) -> MarketInstance:
-    """Parse an instance document, enforcing every structural invariant.
+    """Parse an instance document in one pass, enforcing every structural invariant.
 
     Errors carry the offending line number: ParseError for malformed
     directives, UnknownAgent for references to undeclared agents,
     ContractOutsideBlock when a choice spec mentions a foreign contract,
-    PartialTable for explicit tables that do not cover their block.
+    PartialTable for explicit tables that do not cover their block. Blocks are
+    built while the contract lines are read, as contract id -> local bit dicts.
     """
-    # agent ids in declaration order, as dicts for constant-time lookups
-    firms: dict[str, None] = {}
-    workers: dict[str, None] = {}
+    # agent id -> {contract id: local bit}, in declaration order
+    firms: dict[str, dict[str, int]] = {}
+    workers: dict[str, dict[str, int]] = {}
+    header_line = {}  # [firms], [workers] and [contracts] -> the line declaring it
     contracts: list[Contract] = []
-    contract_ids: set[str] = set()
-    spec_agents: set[str] = set()
-    sections_seen: set[str] = set()  # [firms], [workers] and [contracts]
-    # (agent, keyvals, header lineno, body [(lineno, line), ...])
-    raw_specs: list[tuple[str, dict[str, str], int, list]] = []
-    section = None
+    index: dict[str, int] = {}  # contract id -> global index
+    # agent -> (keyvals, header lineno, body [(lineno, line), ...])
+    raw_specs: dict[str, tuple[dict[str, str], int, list]] = {}
+    section = body = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        line = raw.strip()
         if not line:
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             end = line.find("]")
             if end < 0:
                 raise ParseError("unterminated section header", lineno)
@@ -224,38 +219,31 @@ def parse_instance(text: str) -> MarketInstance:
             if not head:
                 raise ParseError("empty section header", lineno)
             name = head[0]
-            if name in ("firms", "workers"):
+            if name in ("firms", "workers", "contracts"):
+                if name == "contracts" and (len(head) != 1 or rest):
+                    raise ParseError("[contracts] header takes no arguments", lineno)
                 if len(head) != 1:
                     raise ParseError(f"[{name}] takes its ids after the bracket", lineno)
-                if name in sections_seen:
+                if name in header_line:
                     raise ParseError(f"duplicate [{name}] section", lineno)
-                sections_seen.add(name)
-                target = firms if name == "firms" else workers
-                ids = rest.split()
+                header_line[name] = lineno
+                ids = rest.split()  # none after [contracts]
                 if len(set(ids)) != len(ids):
                     raise ParseError(f"duplicate id in [{name}]", lineno)
-                target.update(dict.fromkeys(ids))
-                section = None
-            elif name == "contracts":
-                if len(head) != 1 or rest:
-                    raise ParseError("[contracts] header takes no arguments", lineno)
-                if name in sections_seen:
-                    raise ParseError("duplicate [contracts] section", lineno)
-                sections_seen.add(name)
-                section = "contracts"
+                (firms if name == "firms" else workers).update((a, {}) for a in ids)
+                section = "contracts" if name == "contracts" else None
             elif name == "choice":
                 if len(head) != 2:
                     raise ParseError("[choice] needs exactly one agent id", lineno)
                 agent = head[1]
                 if agent not in firms and agent not in workers:
                     raise UnknownAgent(f"no agent named {agent!r}", lineno)
-                if agent in spec_agents:
+                if agent in raw_specs:
                     raise ParseError(f"duplicate [choice] for agent {agent!r}", lineno)
-                spec_agents.add(agent)
                 keyvals = _parse_keyvals(rest, lineno)
                 if "kind" not in keyvals:
                     raise ParseError("[choice] requires kind=", lineno)
-                raw_specs.append((agent, keyvals, lineno, []))
+                raw_specs[agent] = (keyvals, lineno, body := [])
                 section = "choice"
             else:
                 raise ParseError(f"unknown section [{name}]", lineno)
@@ -267,105 +255,101 @@ def parse_instance(text: str) -> MarketInstance:
                     "contract line must be 'id firm worker' plus optional utilities",
                     lineno)
             cid, firm, worker = tokens[:3]
-            if any(sep in cid for sep in (",", "{", "}", "->")):
+            if _SET_SYNTAX.search(cid):
                 raise ParseError(f"contract id {cid!r} contains ',', '{{', '}}' or '->'", lineno)
-            if cid in contract_ids:
+            if cid in index:
                 raise ParseError(f"duplicate contract id {cid!r}", lineno)
-            contract_ids.add(cid)
-            if firm not in firms:
+            index[cid] = len(contracts)
+            firm_bits = firms.get(firm)
+            if firm_bits is None:
                 raise UnknownAgent(f"no firm named {firm!r}", lineno)
-            if worker not in workers:
+            worker_bits = workers.get(worker)
+            if worker_bits is None:
                 raise UnknownAgent(f"no worker named {worker!r}", lineno)
             u_worker = u_firm = None
             if len(tokens) == 5:
                 u_worker = _parse_number(tokens[3], lineno)
                 u_firm = _parse_number(tokens[4], lineno)
             contracts.append(Contract(cid, firm, worker, u_worker, u_firm))
+            firm_bits[cid] = 1 << len(firm_bits)
+            worker_bits[cid] = 1 << len(worker_bits)
         elif section == "choice":
-            raw_specs[-1][3].append((lineno, line))
+            body.append((lineno, line))
         else:
             raise ParseError("directive outside any section", lineno)
 
     overlap = firms.keys() & workers.keys()
     if overlap:
-        raise ParseError(f"agent id on both sides: {sorted(overlap)[0]!r}")
-
-    contracts_t = tuple(contracts)
-    all_labels = tuple(c.id for c in contracts_t)
-    instance_stub = MarketInstance(tuple(firms), tuple(workers), contracts_t, ())
+        raise ParseError(f"agent id on both sides: {sorted(overlap)[0]!r}",
+                         max(header_line["firms"], header_line["workers"]))
 
     specs = []
-    for agent, keyvals, header_line, body in raw_specs:
-        block = instance_stub.block_of(agent)
-        index_of = {all_labels[g]: j for j, g in enumerate(block)}
+    for agent, (keyvals, header, body) in raw_specs.items():
+        side_is_firm = agent in firms
+        bits = firms[agent] if side_is_firm else workers[agent]
+        block = tuple(map(index.__getitem__, bits))
         kind = keyvals.pop("kind")
         acceptable_text = keyvals.pop("acceptable", None)
         quota_text = keyvals.pop("q", None)
         if keyvals:
-            raise ParseError(f"unknown key {sorted(keyvals)[0]!r}", header_line)
+            raise ParseError(f"unknown key {sorted(keyvals)[0]!r}", header)
         if acceptable_text is not None and kind not in ("order", "quota"):
-            raise ParseError("acceptable= only applies to kind=order|quota", header_line)
+            raise ParseError("acceptable= only applies to kind=order|quota", header)
         if quota_text is not None and kind != "quota":
-            raise ParseError("q= only applies to kind=quota", header_line)
+            raise ParseError("q= only applies to kind=quota", header)
         if kind == "explicit":
-            cf = _build_explicit(agent, block, index_of, body, header_line, all_labels)
+            cf = _build_explicit(agent, bits, body, header, index)
         elif kind in ("order", "quota"):
-            order = _parse_order_ids(body, index_of, agent, header_line, all_labels)
+            order = _parse_order_ids(body, bits, agent, header, index)
             acceptable = -1
             if acceptable_text is not None:
-                acceptable = _local_set_mask(acceptable_text, index_of,
-                                             header_line, all_labels)
+                acceptable = _set_mask(acceptable_text, bits, header, index)
             q = 1
             if kind == "quota":
                 if quota_text is None:
-                    raise ParseError("kind=quota requires q=", header_line)
-                q = _parse_number(quota_text, header_line)
+                    raise ParseError("kind=quota requires q=", header)
+                q = _parse_number(quota_text, header)
                 if not isinstance(q, int) or q < 0:
-                    raise ParseError("q= must be a non-negative integer", header_line)
+                    raise ParseError("q= must be a non-negative integer", header)
             cf = OrderChoice(len(block), order, q, acceptable)
         elif kind == "utility":
             if body:
                 raise ParseError("kind=utility takes no body", body[0][0])
-            side_is_firm = agent in firms
-            utilities = []
-            for g in block:
-                u = contracts_t[g].u_firm if side_is_firm else contracts_t[g].u_worker
-                if u is None:
-                    raise ParseError(
-                        f"contract {all_labels[g]!r} has no utilities but agent "
-                        f"{agent!r} uses kind=utility", header_line)
-                utilities.append(u)
+            utilities = [contracts[g].u_firm if side_is_firm else contracts[g].u_worker
+                         for g in block]
+            if None in utilities:
+                raise ParseError(
+                    f"contract {contracts[block[utilities.index(None)]].id!r} has no "
+                    f"utilities but agent {agent!r} uses kind=utility", header)
             cf = OrderChoice.by_utility(utilities)
         else:
-            raise ParseError(f"unknown kind {kind!r}", header_line)
+            raise ParseError(f"unknown kind {kind!r}", header)
         specs.append(ChoiceSpec(agent, kind, block, cf))
 
-    for agent in (*firms, *workers):
-        if agent not in spec_agents and instance_stub.block_of(agent):
-            raise ParseError(f"agent {agent!r} has contracts but no [choice] section")
+    for agents, name in ((firms, "firms"), (workers, "workers")):
+        for agent, bits in agents.items():
+            if bits and agent not in raw_specs:
+                raise ParseError(f"agent {agent!r} has contracts but no [choice] section",
+                                 header_line[name])
 
-    return MarketInstance(tuple(firms), tuple(workers), contracts_t, tuple(specs))
+    return MarketInstance(tuple(firms), tuple(workers), tuple(contracts), tuple(specs))
 
 
 def aggregate_sides(m: MarketInstance, *, certify: bool = True) -> SidePair:
     """Build the two aggregate sides: G from the firms, F from the workers.
 
-    Blocks follow agent declaration order; agents without contracts get the
-    empty choice function. Certification is exact at any size: a side
-    chooses block by block, so it is path independent exactly when every
-    agent's function is, and only explicit tables are scanned, each over
-    its own 2^k rows.
+    Blocks follow agent declaration order, each read off the agent's spec;
+    agents without contracts get the empty choice function. Certification
+    is exact at any size: a side chooses block by block, so it is path
+    independent exactly when every agent's function is, and only explicit
+    tables are scanned, each over its own 2^k rows, and a table that
+    recurs, in one market or across markets, once (see is_plott).
     """
-    n = m.universe_size
-
     def one_side(agents):
-        blocks = []
-        parts = []
-        for a in agents:
-            block = m.block_of(a)
-            blocks.append(block)
-            parts.append(m.spec_of(a).cf if block else ExplicitTable(0, (0,)))
-        return Aggregate(n, tuple(blocks), tuple(parts))
+        specs = [m._specs.get(a) for a in agents]
+        blocks = tuple(s.block if s else () for s in specs)
+        parts = tuple(s.cf if s and s.block else ExplicitTable(0, (0,)) for s in specs)
+        return Aggregate(m.universe_size, blocks, parts)
 
     G = one_side(m.firms)
     F = one_side(m.workers)

@@ -295,6 +295,58 @@ def test_is_plott_mode_and_cap():
     assert is_plott(ORD3_G, cap=2).is_plott
 
 
+def _counted_scans(monkeypatch) -> list:
+    """Record the size of every table that ``_violation_scan`` is asked to scan."""
+    calls, scan = [], choice._violation_scan
+
+    def counted(table, n, place):
+        calls.append(n)
+        return scan(table, n, place)
+
+    monkeypatch.setattr(choice, "_violation_scan", counted)
+    return calls
+
+
+def test_a_failing_table_is_placed_by_each_call_and_never_kept(monkeypatch):
+    scans = _counted_scans(monkeypatch)
+    other = OrderChoice(2, (1, 0))
+    for blocks in (((0, 1), (2, 3)), ((3, 1), (2, 0)), ((2, 0), (1, 3))):
+        agg = Aggregate(4, blocks, (EX2_F, other))
+        before = len(scans)
+        report = is_plott(agg)
+        assert not report.is_plott and len(scans) > before  # scanned on every call
+        assert report == is_plott(_as_table(agg))  # the whole table's own witness
+        b, a, element = report.heredity_witness
+        assert element == blocks[0][1] and b.mask == (1 << blocks[0][0]) | (1 << element)
+    assert choice._clean_table.cache_info().currsize == 0
+
+
+def test_a_proven_table_is_scanned_once_per_value(monkeypatch):
+    scans = _counted_scans(monkeypatch)
+    assert choice._clean_table.cache_info().maxsize == choice.MEMO_ENTRIES
+    pair = ExplicitTable(2, (0, 1, 2, 3))
+    three = _as_table(OrderChoice(3, (2, 0, 1), 2))
+    blocks = ((0, 5), (1, 2, 3), (4, 6), (7, 9), (8, 10, 11))
+    side = Aggregate(12, blocks, (pair, three, ExplicitTable(2, (0, 1, 2, 3)), pair,
+                                  _as_table(OrderChoice(3, (2, 0, 1), 2))))
+    assert is_plott(side).is_plott
+    assert sorted(scans) == [2, 3]  # one scan per distinct table
+    assert is_plott(side).is_plott and is_plott(three).is_plott
+    assert sorted(scans) == [2, 3]
+    assert choice._clean_table.cache_info().currsize == 2
+
+
+def test_a_table_over_the_cap_is_refused_on_every_call():
+    table = _as_table(ORD3_G)
+    assert is_plott(table).is_plott  # its verdict is kept from here on
+    refused = r"^exhaustive check needs universe_size <= 2, got 3$"
+    for _ in range(3):
+        with pytest.raises(CapExceeded, match=refused):
+            is_plott(table, cap=2)
+        with pytest.raises(CapExceeded):
+            is_plott(Aggregate(4, ((0,), (1, 2, 3)), (OrderChoice(1, (0,)), table)), cap=2)
+
+
 def test_non_plott_agent_in_a_large_aggregate_is_rejected_under_every_seed():
     # a 14-contract top-one order, except that the full block keeps its best
     # two: every violation needs the whole block, which random probes rarely

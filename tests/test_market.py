@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import random
+import re
 from pathlib import Path
 
 import pytest
+from conftest import make_market_text
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from market_reference import reference_parse
 
 from plottmatch import (
     Aggregate,
@@ -81,10 +87,8 @@ def test_parse_quota_and_orders():
 
 def test_block_and_spec_lookup():
     m = parse_instance(TWO_BY_TWO)
-    assert m.block_of("f2") == (2, 3)
-    assert m.block_of("w1") == (0, 2)
-    with pytest.raises(UnknownAgent):
-        m.block_of("nobody")
+    assert m.spec_of("f2").block == (2, 3)
+    assert m.spec_of("w1").block == (0, 2)
     with pytest.raises(UnknownAgent):
         m.spec_of("nobody")
 
@@ -113,9 +117,11 @@ def test_nan_utilities_are_rejected():
 def test_agent_without_contracts_needs_no_spec():
     m = parse_instance("[firms] f1 idle\n[workers] w1\n[contracts]\na f1 w1\n"
                        "[choice f1] kind=order\na\n[choice w1] kind=order\na\n")
-    assert m.block_of("idle") == ()
+    assert m.firms == ("f1", "idle")
+    with pytest.raises(UnknownAgent):
+        m.spec_of("idle")
     sides = aggregate_sides(m)
-    assert sides.certified
+    assert sides.certified and sides.G.blocks == ((0,), ())
     assert sides.G.choose(cs(1, 0)) == cs(1, 0)
 
 
@@ -170,7 +176,8 @@ def test_structural_parse_errors():
             ParseError, "line 5", "duplicate contract id")
     _expect("[firms] f1\n[workers] w1\n[contracts]\na f1 w1 x y\n",
             ParseError, "line 4", "number")
-    _expect("[firms] both\n[workers] both\n", ParseError, "both sides")
+    _expect("[firms] both\n[workers] both\n", ParseError, "line 2", "both sides")
+    _expect("[workers] w1 both\n\n[firms] both\n", ParseError, "line 3", "'both'")
 
 
 def test_contract_ids_that_no_set_literal_can_name():
@@ -244,7 +251,135 @@ def test_explicit_table_errors():
 def test_missing_choice_section():
     _expect("[firms] f1\n[workers] w1\n[contracts]\na f1 w1\n"
             "[choice f1] kind=order\na\n",
-            ParseError, "'w1' has contracts but no [choice]")
+            ParseError, "line 2", "'w1' has contracts but no [choice]")
+    _expect("[workers] w1\n# firms\n[firms] f0 f1\n[contracts]\na f1 w1\n"
+            "[choice w1] kind=order\na\n",
+            ParseError, "line 3", "'f1' has contracts but no [choice]")
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parser against the two-pass reference
+# ---------------------------------------------------------------------------
+
+KINDS = ("order", "quota", "utility", "explicit")
+CONTRACT_ID = re.compile(r"\bc\d+\b")
+
+
+def _line_kinds(lines) -> list[str]:
+    """Each line's kind: header (of a choice), contract, row (of a table), order or other."""
+    kinds, section = [], "other"
+    for line in lines:
+        if line.startswith("["):
+            section = ("contract" if line == "[contracts]"
+                       else "body" if line.startswith("[choice") else "other")
+            kinds.append("header" if section == "body" else "other")
+        elif section == "body":
+            kinds.append("row" if "->" in line else "order")
+        else:
+            kinds.append(section)
+    return kinds
+
+
+def _pick(rng, lines, *kinds):
+    """The index of a random line of one of the kinds, or None."""
+    found = [i for i, kind in enumerate(_line_kinds(lines)) if kind in kinds]
+    return rng.choice(found) if found else None
+
+
+def _unknown_id(lines, rng):
+    """An undeclared contract id in a choice body, or agent id in a contract or header."""
+    at = _pick(rng, lines, "order", "row", "contract", "header")
+    tokens = lines[at].split()
+    if _line_kinds(lines)[at] == "header":
+        tokens[1] = "zz]"
+    elif _line_kinds(lines)[at] == "contract":
+        tokens[rng.choice((1, 2))] = "zz"
+    else:
+        tokens = [CONTRACT_ID.sub("zz", lines[at], count=1)]
+    lines[at] = " ".join(tokens)
+
+
+def _foreign_contract(lines, rng):
+    at, source = _pick(rng, lines, "order", "row"), _pick(rng, lines, "contract")
+    if at is not None:
+        lines[at] = CONTRACT_ID.sub(lines[source].split()[0], lines[at], count=1)
+
+
+def _bad_brace(lines, rng):
+    at = _pick(rng, lines, "row")
+    if at is not None:
+        cut = rng.choice([j for j, ch in enumerate(lines[at]) if ch in "{}"])
+        lines[at] = lines[at][:cut] + lines[at][cut + 1:]
+
+
+def _duplicate_row(lines, rng):
+    at = _pick(rng, lines, "row")
+    if at is not None:
+        lines.insert(at, lines[at])
+
+
+def _missing_row(lines, rng):
+    at = _pick(rng, lines, "row")
+    if at is not None:
+        del lines[at]
+
+
+def _bad_key(lines, rng):
+    at = _pick(rng, lines, "header")
+    lines[at] += rng.choice((" color=red", " q=2", " q=-1", " acceptable={}", " kind=order",
+                             " q", " =x", " acceptable={zz}", " acceptable=c0"))
+
+
+def _bad_number(lines, rng):
+    at = _pick(rng, lines, "contract")
+    tokens = lines[at].split()
+    tokens[rng.choice((3, 4))] = rng.choice(("x", "nan", "1.5", "-0", "1e3", "inf", "1_0"))
+    lines[at] = " ".join(tokens)
+
+
+CORRUPTIONS = (_unknown_id, _foreign_contract, _bad_brace, _duplicate_row, _missing_row,
+               _bad_key, _bad_number)
+
+
+def _corrupted(text: str, corrupt, seed: int) -> str:
+    lines = text.splitlines()
+    corrupt(lines, random.Random(seed))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def market_documents(draw):
+    """Seeded ``make_market_text`` markets of all four kinds, some with one line corrupted."""
+    firms = draw(st.integers(1, 4))
+    kinds = [tuple(draw(st.permutations(KINDS)))[:draw(st.integers(1, 4))] for _ in "wf"]
+    text = make_market_text(draw(st.integers(1, 5)), firms, draw(st.integers(1, min(firms, 3))),
+                            draw(st.integers(0, 2**32)), *kinds)
+    corrupt = draw(st.sampled_from((None, *CORRUPTIONS)))
+    return text if corrupt is None else _corrupted(text, corrupt, draw(st.integers(0, 2**32)))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(market_documents())
+def test_one_pass_parser_matches_the_two_pass_reference(text):
+    assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
+
+
+def test_the_corruptions_reach_every_parse_error_class():
+    raised = set()
+    for seed in range(40):
+        text = make_market_text(4, 3, 2, seed, KINDS, KINDS[::-1])
+        for corrupt in CORRUPTIONS:
+            outcome = _outcome(reference_parse, _corrupted(text, corrupt, seed))
+            assert outcome == _outcome(parse_instance, _corrupted(text, corrupt, seed))
+            raised.add(outcome[0] if isinstance(outcome, tuple) else None)
+    assert raised == {None, ParseError, UnknownAgent, ContractOutsideBlock, PartialTable}
 
 
 # ---------------------------------------------------------------------------

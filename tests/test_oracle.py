@@ -241,6 +241,36 @@ def test_verify_lattice_reports_a_broken_matrix():
     assert any("no unique join bound" in f for f in report.failures)
 
 
+def test_verify_lattice_asks_the_engine_once_per_unordered_pair(monkeypatch):
+    from plottmatch import oracle
+
+    calls = []
+    for name in ("lattice_join", "lattice_meet"):
+        op = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda sides, sets, op=op, name=name: (
+            calls.append((name, sets[0].mask, sets[1].mask)) or op(sides, sets)))
+    for sides in (POLAR2, EX1, QUOTA, DIAMOND):
+        catalog = enumerate_stable_sets(sides)
+        k = len(catalog.stable_sets)
+        calls.clear()
+        report = verify_lattice(catalog, sides)
+        assert report.passed and report.pairs_checked == k * k
+        assert len(calls) == len(set(calls)) == k * (k + 1)  # no pair asked twice
+    # a matrix that reverses the order: both orders of the pair fail, in loop order
+    catalog = enumerate_stable_sets(POLAR2)
+    reversed_order = StableSetCatalog(POLAR2, catalog.stable_sets,
+                                      ((True, False), (True, True)))
+    calls.clear()
+    report = verify_lattice(reversed_order, POLAR2)
+    assert len(calls) == 6 and report.pairs_checked == 4
+    assert report.failures == (
+        "join({0}, {1}) = {1}, matrix says {0}",
+        "meet({0}, {1}) = {0}, matrix says {1}",
+        "join({1}, {0}) = {1}, matrix says {0}",
+        "meet({1}, {0}) = {0}, matrix says {1}",
+    )
+
+
 def test_generate_is_deterministic_and_certified():
     a = generate_instance(5, 4, 2)
     b = generate_instance(5, 4, 2)
