@@ -87,6 +87,17 @@ class MarketInstance:
         """Each agent's choice spec by name, the first one when repeated."""
         return {s.agent: s for s in reversed(self.specs)}
 
+    def block_of(self, agent: str) -> tuple[int, ...]:
+        """The agent's contracts: its spec's block, else found on the contract lines."""
+        spec = self._specs.get(agent)
+        if spec is not None:
+            return spec.block
+        if agent in self.firms:
+            return tuple(i for i, c in enumerate(self.contracts) if c.firm == agent)
+        if agent in self.workers:
+            return tuple(i for i, c in enumerate(self.contracts) if c.worker == agent)
+        raise UnknownAgent(f"no agent named {agent!r}")
+
     def spec_of(self, agent: str) -> ChoiceSpec:
         spec = self._specs.get(agent)
         if spec is None:
@@ -145,15 +156,12 @@ def _set_mask(text: str, bits, lineno: int, index) -> int:
 def _build_explicit(agent, bits, body, header_line, index):
     k = len(bits)
     rows: dict[int, int] = {}
-    read: dict[str, int] = {}  # each row's argument literal -> its mask
     for lineno, line in body:
         left, sep, right = line.partition("->")
         if not sep:
             raise ParseError("expected '{...} -> {...}'", lineno)
-        read[left.strip()] = xmask = _set_mask(left, bits, lineno, index)
-        chosen = read.get(right.strip())  # a choice is mostly some row's argument
-        if chosen is None:
-            chosen = _set_mask(right, bits, lineno, index)
+        xmask = _set_mask(left, bits, lineno, index)
+        chosen = _set_mask(right, bits, lineno, index)
         if xmask in rows:
             raise ParseError("duplicate table row", lineno)
         if xmask == 0 and chosen != 0:
@@ -338,16 +346,23 @@ def parse_instance(text: str) -> MarketInstance:
 def aggregate_sides(m: MarketInstance, *, certify: bool = True) -> SidePair:
     """Build the two aggregate sides: G from the firms, F from the workers.
 
-    Blocks follow agent declaration order, each read off the agent's spec;
-    agents without contracts get the empty choice function. Certification
-    is exact at any size: a side chooses block by block, so it is path
-    independent exactly when every agent's function is, and only explicit
-    tables are scanned, each over its own 2^k rows, and a table that
-    recurs, in one market or across markets, once (see is_plott).
+    Blocks follow agent declaration order, each read off the agent's spec,
+    which parse_instance builds from the contract lines (a hand-built
+    instance's specs must agree with its contracts); agents without
+    contracts get the empty choice function, and an agent with contracts
+    but no spec raises UnknownAgent. Certification is exact at any size: a
+    side chooses block by block, so it is path independent exactly when
+    every agent's function is, and only explicit tables are scanned, each
+    over its own 2^k rows, and a table that recurs, in one market or across
+    markets, once while its verdict is kept (see is_plott).
     """
     def one_side(agents):
         specs = [m._specs.get(a) for a in agents]
         blocks = tuple(s.block if s else () for s in specs)
+        if sum(map(len, blocks)) != m.universe_size:  # some contracts have no spec
+            for a, s in zip(agents, specs):
+                if s is None and m.block_of(a):
+                    m.spec_of(a)
         parts = tuple(s.cf if s and s.block else ExplicitTable(0, (0,)) for s in specs)
         return Aggregate(m.universe_size, blocks, parts)
 

@@ -212,7 +212,7 @@ def format_catalog(catalog: StableSetCatalog, labels=None) -> str:
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """Join/meet verification outcome over every pair of stable sets."""
+    """Join/meet verification outcome over every (ordered) pair of stable sets."""
 
     passed: bool
     sets: int
@@ -238,7 +238,9 @@ def verify_lattice(catalog: StableSetCatalog, sides: SidePair,
 
     Mismatches and missing bounds are reported as failures with witnesses
     rather than raised, so a report is always produced. Join and meet are
-    symmetric in their two sets, so the engine is asked once per unordered pair.
+    symmetric in their two sets, so the engine is asked once per unordered
+    pair, k(k+1)/2 of the k² ordered pairs counted in ``pairs_checked``;
+    that the engine ignores the order of its arguments is tested apart.
     """
     sets = catalog.stable_sets
     failures = []

@@ -11,13 +11,14 @@ from plottmatch import choice, hyperorders
 def _empty_memos():
     """Start every test with the table cache and the per-value memos empty.
 
-    Every module-level object with a ``cache_clear`` is emptied, so tests
-    that count cache hits, table builds or relation matrices read the same
-    counts in any order, and a memo added later is emptied too.
+    Every module-level object with a ``cache_clear``, other than a class, is
+    emptied, so tests that count cache hits, table builds or relation
+    matrices read the same counts in any order, and a memo added later is
+    emptied too.
     """
     for module in (choice, hyperorders):
         for memo in vars(module).values():
-            if hasattr(memo, "cache_clear"):
+            if hasattr(memo, "cache_clear") and not isinstance(memo, type):
                 memo.cache_clear()
 
 

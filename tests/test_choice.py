@@ -296,14 +296,12 @@ def test_is_plott_mode_and_cap():
 
 
 def _counted_scans(monkeypatch) -> list:
-    """Record the size of every table that ``_violation_scan`` is asked to scan."""
-    calls, scan = [], choice._violation_scan
-
-    def counted(table, n, place):
-        calls.append(n)
-        return scan(table, n, place)
-
-    monkeypatch.setattr(choice, "_violation_scan", counted)
+    """Record every table check: ("rows", n) by ``_clean_rows``, ("scan", n) by the scan."""
+    calls = []
+    for name, tag in (("_clean_rows", "rows"), ("_violation_scan", "scan")):
+        check = getattr(choice, name)
+        monkeypatch.setattr(choice, name, lambda *args, check=check, tag=tag: (
+            calls.append((tag, args[1])) or check(*args)))
     return calls
 
 
@@ -314,26 +312,78 @@ def test_a_failing_table_is_placed_by_each_call_and_never_kept(monkeypatch):
         agg = Aggregate(4, blocks, (EX2_F, other))
         before = len(scans)
         report = is_plott(agg)
-        assert not report.is_plott and len(scans) > before  # scanned on every call
+        assert not report.is_plott  # checked and scanned once, on every call
+        assert scans[before:] == [("rows", 2), ("scan", 2)]
         assert report == is_plott(_as_table(agg))  # the whole table's own witness
         b, a, element = report.heredity_witness
         assert element == blocks[0][1] and b.mask == (1 << blocks[0][0]) | (1 << element)
-    assert choice._clean_table.cache_info().currsize == 0
+    assert not choice._proven
 
 
 def test_a_proven_table_is_scanned_once_per_value(monkeypatch):
     scans = _counted_scans(monkeypatch)
-    assert choice._clean_table.cache_info().maxsize == choice.MEMO_ENTRIES
+    assert choice._proven.maxsize == choice.MEMO_ENTRIES
     pair = ExplicitTable(2, (0, 1, 2, 3))
     three = _as_table(OrderChoice(3, (2, 0, 1), 2))
     blocks = ((0, 5), (1, 2, 3), (4, 6), (7, 9), (8, 10, 11))
     side = Aggregate(12, blocks, (pair, three, ExplicitTable(2, (0, 1, 2, 3)), pair,
                                   _as_table(OrderChoice(3, (2, 0, 1), 2))))
     assert is_plott(side).is_plott
-    assert sorted(scans) == [2, 3]  # one scan per distinct table
+    assert sorted(scans) == [("rows", 2), ("rows", 3)]  # one check per distinct table
     assert is_plott(side).is_plott and is_plott(three).is_plott
-    assert sorted(scans) == [2, 3]
-    assert choice._clean_table.cache_info().currsize == 2
+    assert sorted(scans) == [("rows", 2), ("rows", 3)]
+    assert len(choice._proven) == 2
+
+
+def test_verdicts_are_bounded_in_functions_and_in_table_rows(monkeypatch):
+    scans = _counted_scans(monkeypatch)
+    rng = random.Random(5)
+    rows = 1 << choice.EXHAUSTIVE_CAP
+    kept = choice._proven.max_rows // rows
+    tables = [_as_table(OrderChoice(16, tuple(rng.sample(range(16), 16)), 2))
+              for _ in range(kept + 2)]
+    for table in tables:
+        assert is_plott(table).is_plott
+        assert sum(choice._proven.values()) <= choice._proven.max_rows
+    assert len(choice._proven) == kept and sum(choice._proven.values()) == kept * rows
+    assert is_plott(tables[-1]).is_plott and len(scans) == kept + 2  # the newest is kept
+    assert is_plott(tables[0]).is_plott and len(scans) == kept + 3  # the oldest is not
+    choice._proven.cache_clear()
+    monkeypatch.setattr(choice._proven, "maxsize", 2)
+    for table in (EX2_G, _as_table(ORD3_G), _as_table(EX1_F)):
+        assert is_plott(table).is_plott
+    assert list(choice._proven.values()) == [8, 64]  # the two newest
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, choice.ROW_CHECK_CAP).flatmap(
+    lambda n: st.one_of(selection_tables(n), structural_functions(n))))
+def test_the_row_check_agrees_with_the_scan(cf):
+    n = cf.universe_size
+    clean = choice._violation_scan(choice_table(cf), n, range(n)) is None
+    assert choice._clean_rows(cf, n) == clean == _definition_plott(cf)
+
+
+def test_threads_sharing_the_verdict_store_keep_only_clean_tables_within_its_bounds():
+    tables = [EX2_F, EX2_G, _as_table(ORD3_G), _as_table(EX1_F), _as_table(EX1_G),
+              _as_table(OrderChoice(7, (6, 0, 5, 1, 4, 2, 3), 2))]
+    verdicts = [is_plott(t) for t in tables]
+    choice._proven.cache_clear()
+
+    def ask(seed):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            i = rng.randrange(len(tables))
+            assert is_plott(tables[i]) == verdicts[i]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(choice._proven, "maxsize", 2), ThreadPoolExecutor(4) as pool:
+            list(pool.map(ask, range(4)))  # evicting on nearly every clean check
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(choice._proven) <= 2 and EX2_F not in choice._proven
 
 
 def test_a_table_over_the_cap_is_refused_on_every_call():

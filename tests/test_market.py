@@ -15,6 +15,7 @@ from plottmatch import (
     ContractOutsideBlock,
     ContractSet,
     ExplicitTable,
+    MarketInstance,
     OrderChoice,
     ParseError,
     PartialTable,
@@ -87,10 +88,21 @@ def test_parse_quota_and_orders():
 
 def test_block_and_spec_lookup():
     m = parse_instance(TWO_BY_TWO)
-    assert m.spec_of("f2").block == (2, 3)
-    assert m.spec_of("w1").block == (0, 2)
+    assert m.block_of("f2") == m.spec_of("f2").block == (2, 3)
+    assert m.block_of("w1") == m.spec_of("w1").block == (0, 2)
+    with pytest.raises(UnknownAgent):
+        m.block_of("nobody")
     with pytest.raises(UnknownAgent):
         m.spec_of("nobody")
+
+
+def test_a_hand_built_agent_with_contracts_but_no_spec_is_unknown():
+    m = parse_instance(TWO_BY_TWO)
+    hand_built = MarketInstance(m.firms, m.workers, m.contracts,
+                                tuple(s for s in m.specs if s.agent != "w2"))
+    assert hand_built.block_of("w2") == (1, 3)
+    with pytest.raises(UnknownAgent, match="no choice spec for agent 'w2'"):
+        aggregate_sides(hand_built)
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -117,7 +129,7 @@ def test_nan_utilities_are_rejected():
 def test_agent_without_contracts_needs_no_spec():
     m = parse_instance("[firms] f1 idle\n[workers] w1\n[contracts]\na f1 w1\n"
                        "[choice f1] kind=order\na\n[choice w1] kind=order\na\n")
-    assert m.firms == ("f1", "idle")
+    assert m.firms == ("f1", "idle") and m.block_of("idle") == ()
     with pytest.raises(UnknownAgent):
         m.spec_of("idle")
     sides = aggregate_sides(m)

@@ -20,6 +20,8 @@ from plottmatch import (
     format_catalog,
     generate_instance,
     is_stable_set,
+    lattice_join,
+    lattice_meet,
     parse_instance,
     semi_stable_masks,
     semi_stable_pair,
@@ -239,6 +241,15 @@ def test_verify_lattice_reports_a_broken_matrix():
     report = verify_lattice(broken, POLAR2)
     assert not report.passed
     assert any("no unique join bound" in f for f in report.failures)
+
+
+def test_join_and_meet_do_not_depend_on_the_order_of_their_sets():
+    for sides in (POLAR2, EX1, QUOTA, DIAMOND):
+        sets = enumerate_stable_sets(sides).stable_sets
+        for a in sets:
+            for b in sets:
+                assert lattice_join(sides, [a, b]) == lattice_join(sides, [b, a])
+                assert lattice_meet(sides, [a, b]) == lattice_meet(sides, [b, a])
 
 
 def test_verify_lattice_asks_the_engine_once_per_unordered_pair(monkeypatch):
