@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial, update_wrapper
+from itertools import count
 from threading import Lock
 
 import numpy as np
@@ -24,14 +25,9 @@ import numpy as np
 from .errors import CapExceeded, EmptyList, InternalError, NotPlott, UniverseMismatch
 
 EXHAUSTIVE_CAP = 16
-# Whole tables kept by choice_table, at most 32 MiB: a table at the cap has
-# 2^16 int64 entries, 512 KiB.
-TABLE_CACHE_ENTRIES = 64
-# Entries kept by each aggregate row store and by each per-value memo of an
-# exhaustive result (a Lehmann audit, a rebuilt table, a decomposition, a Plott
-# verdict; the largest, a relation matrix at the 8-contract audit cap, 64 KiB).
-# Plott verdicts are also bounded in table rows (see _Proven).
-MEMO_ENTRIES = 256
+# Bounds of the one store of every per-value memo, in entries and table rows (see _Memo).
+MEMO_ENTRIES = 1024
+MEMO_ROWS = 1 << 19
 # Up to this many contracts a table is checked row by row on plain ints first:
 # 3.5 µs at 2 contracts and 24 µs at 5, against 32 and 47 µs for a numpy scan.
 ROW_CHECK_CAP = 5
@@ -419,7 +415,7 @@ def _local(kernel, bit_pairs, xmask: int) -> int:
 class _Rows(dict):
     """Up to ``maxsize`` rows (ints) by set mask, emptied when full, with hit and miss counts."""
 
-    maxsize, hits, misses = MEMO_ENTRIES, 0, 0
+    maxsize, hits, misses = 256, 0, 0
 
     def add(self, key: int, row: int) -> int:
         """Keep a row computed on a miss; a hit is counted where it is read."""
@@ -445,7 +441,7 @@ class Aggregate(ChoiceFunction):
     ``_gains`` makes one kernel call per block, each kernel built on first
     use by the part's ``_gainer`` from its chooser; a block inside X gains none.
 
-    A row cache keeps up to MEMO_ENTRIES answers by set mask in each of two
+    A row cache keeps up to 256 answers by set mask in each of two
     stores, choices (``_choose_mask``, and ``_rechoose``, whose hint is
     trusted) and gains, and empties a full store before adding a row. A row
     is two ints of at most |C| bits: at most 2.7 MiB per aggregate at |C| =
@@ -560,19 +556,80 @@ def union(cfs) -> UnionChoice:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=TABLE_CACHE_ENTRIES)
+class _Memo:
+    """A function of one key, memoized by value in the one store that every memo shares.
+
+    The store keeps values by (memo, key), equal keys sharing one entry,
+    least recently used first, and drops the oldest until at most
+    MEMO_ENTRIES entries and MEMO_ROWS table rows are left. Each is charged
+    ``charge(key, value)``, the rows it keeps alive: 2^k for a k-contract
+    key (what an ExplicitTable holds) plus the value's own (2^k for a table,
+    4^k for a relation matrix, 16 per order of about 330 bytes). A row
+    takes at most 40 bytes (a pointer and an int in a table's tuple) and an
+    entry at most 4 KiB more, so the store holds at most 24 MiB in all. A
+    value is computed outside the lock that guards every step, so memos may
+    call each other. An exception or a None is never kept.
+    """
+
+    # (memo, key) -> (value, rows, ticket), and ticket -> (memo, key) least recently used first:
+    # a hit hashes its key once, and moves a ticket
+    _store, _order, _tickets = {}, OrderedDict(), count()
+    _rows, _lock = 0, Lock()
+
+    def __init__(self, charge, fn):
+        self.charge, self.hits, self.misses, self.currsize = charge, 0, 0, 0
+        update_wrapper(self, fn)
+
+    def __len__(self) -> int:
+        return self.currsize
+
+    def __call__(self, key):
+        at = self, key
+        with self._lock:
+            entry = self._store.get(at)
+            if entry is not None:
+                self._order.move_to_end(entry[2])
+                self.hits += 1
+                return entry[0]
+            self.misses += 1
+        value = self.__wrapped__(key)
+        if value is None:
+            return None
+        entry = value, self.charge(key, value), next(self._tickets)
+        with self._lock:
+            kept = self._store.setdefault(at, entry)  # another thread's, if it kept one first
+            if kept is entry:
+                self._order[entry[2]] = at
+                self.currsize += 1
+                _Memo._rows += entry[1]
+                while len(self._store) > MEMO_ENTRIES or _Memo._rows > MEMO_ROWS:
+                    _, oldest = self._order.popitem(last=False)
+                    oldest[0].currsize -= 1
+                    _Memo._rows -= self._store.pop(oldest)[1]
+            return kept[0]
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, MEMO_ENTRIES, self.currsize)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            for at in [at for at in self._store if at[0] is self]:
+                _, rows, ticket = self._store.pop(at)
+                del self._order[ticket]
+                _Memo._rows -= rows
+            self.hits = self.misses = self.currsize = 0
+
+
+@partial(_Memo, lambda cf, table: 2 << cf.universe_size)
 def choice_table(cf: ChoiceFunction) -> np.ndarray:
     """The function's full table as a read-only array indexed by subset mask.
 
     Only available up to EXHAUSTIVE_CAP contracts; each class builds its
     own in ``_table``. The exhaustive checks read the table of the function
     they check, and enumeration reads one table per agent, never a whole
-    side's (a catalog's fingerprint does, when it is read). The last
-    TABLE_CACHE_ENTRIES tables are kept by value, at most 32 MiB at the
-    cap, so an agent that recurs from one market to the next is looked up,
-    not rebuilt; what the desk path derives from an agent's table (its
-    Lehmann audit, rebuilt table and decomposition) is memoized by value as
-    well. A failure is not kept, so a function over the cap is refused on
+    side's (a catalog's fingerprint does, when it is read). Tables are kept
+    by value (see _Memo), so an agent that recurs from one market to the
+    next is looked up, not rebuilt. A function over the cap is refused on
     every call.
     """
     n = cf.universe_size
@@ -670,40 +727,16 @@ def _clean_rows(cf: ChoiceFunction, n: int) -> bool:
     return True
 
 
-class _Proven(OrderedDict):
-    """Functions whose tables were checked clean, by value, least recently used first.
+@partial(_Memo, lambda cf, clean: 1 << cf.universe_size)
+def _proven(cf: ChoiceFunction):
+    """True when cf's own table is path independent, else None, which is not kept.
 
-    Each maps to its table's rows; at most ``maxsize`` functions and
-    ``max_rows`` rows in all are kept, the oldest evicted first. A
-    16-contract explicit table, 2^16 rows, is about 2.5 MiB as a tuple of
-    ints, so 2^19 rows hold about 20 MiB at worst, under the table cache's
-    32 MiB. A failing table is not kept: it is checked on every call, so
-    that its witness is placed by that call.
+    Up to ROW_CHECK_CAP contracts the rows are checked on plain ints, above it in numpy.
     """
-
-    maxsize, max_rows, _lock = MEMO_ENTRIES, 1 << 19, Lock()  # the lock guards every step
-
-    def known(self, cf: ChoiceFunction) -> bool:
-        """Whether cf is kept; one that is becomes the most recently used."""
-        with self._lock:
-            try:
-                self.move_to_end(cf)
-            except KeyError:
-                return False
-            return True
-
-    def add(self, cf: ChoiceFunction, rows: int) -> None:
-        with self._lock:
-            self[cf] = rows
-            while len(self) > self.maxsize or sum(self.values()) > self.max_rows:
-                self.popitem(last=False)
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self.clear()
-
-
-_proven = _Proven()
+    n = cf.universe_size
+    if n <= ROW_CHECK_CAP:
+        return _clean_rows(cf, n) or None
+    return _violation_scan(choice_table(cf), n, range(n)) is None or None
 
 
 def _plott_witness(cf: ChoiceFunction, cap: int, place):
@@ -717,10 +750,9 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
     block alone, G(X) = ∪ G_i(X ∩ block_i), so it is path independent
     exactly when every part is, and each violation of a part, with the
     other blocks empty, is the least violation of the whole with that
-    contract. Everything else is scanned over its own table, which must fit
-    under ``cap``; up to ROW_CHECK_CAP contracts the rows are first checked
-    on plain ints, and only a table that fails there is scanned for its
-    witness.
+    contract. Everything else is checked over its own table, which must fit
+    under ``cap`` (see _proven), and only a table that fails there is
+    scanned for its witness.
     """
     if type(cf) is OrderChoice:
         return None
@@ -734,13 +766,9 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
     n = cf.universe_size
     if n > cap:
         raise CapExceeded(f"exhaustive check needs universe_size <= {cap}, got {n}")
-    if _proven.known(cf):
+    if _proven(cf):
         return None
-    clean = n <= ROW_CHECK_CAP and _clean_rows(cf, n)
-    hit = None if clean else _violation_scan(choice_table(cf), n, place)
-    if hit is None:
-        _proven.add(cf, 1 << n)
-    return hit
+    return _violation_scan(choice_table(cf), n, place)
 
 
 def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
@@ -753,11 +781,10 @@ def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
     (explicit ones, failing unions, other functions) are scanned, every
     one-element removal over their own 2^k rows, which by induction decides
     both axioms over all subset pairs; each scanned table must fit under
-    ``cap``, on every call. Tables found path independent are kept by value,
-    in a store bounded in functions and in table rows, and are not scanned
-    again while kept; a failing one is scanned on every call. The witness is
-    the one a scan of the whole function's table would return: heredity
-    first, then the least set.
+    ``cap``, on every call. Tables found path independent are memoized by
+    value (see _Memo); a failing one is scanned on every call, so that its
+    witness is placed by that call. The witness is the one a scan of the
+    whole function's table would return: heredity first, then the least set.
     """
     n = cf.universe_size
     hit = _plott_witness(cf, cap, range(n))
@@ -819,22 +846,6 @@ def _order_covering(choices: list[int], active: int, X: int, x: int) -> tuple[in
     return tuple(order)
 
 
-@lru_cache(maxsize=None)
-def _pick_arrays(n: int):
-    """Read-only lookups for a universe of n contracts.
-
-    ``masks`` is 0..2^n-1; ``bit[c]`` is 1 << c, and ``bit[n]`` is 0 for no
-    pick; ``contract_of[1 << c]`` is c, and n for every other mask.
-    """
-    masks = np.arange(1 << n, dtype=np.int64)
-    bit = np.append(1 << masks[:n], 0)
-    contract_of = np.full(1 << n, n, dtype=np.int8)
-    contract_of[bit[:n]] = masks[:n]
-    for a in (masks, bit, contract_of):
-        a.setflags(write=False)
-    return masks, bit, contract_of
-
-
 def decompose_into_orders(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> list[OrderChoice]:
     """Write a path-independent function f as a union of order maximizers.
 
@@ -857,8 +868,7 @@ def decompose_into_orders(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> l
     deterministic but neither canonical nor minimum-size.
 
     The cap is checked on every call. Behind it the orders are built once
-    per function value, equal functions sharing them, and the last
-    MEMO_ENTRIES are kept; each call returns a new list of them. A
+    per function value (see _Memo); each call returns a new list of them. A
     function that is not path independent raises NotPlott on every call.
     """
     n = cf.universe_size
@@ -867,7 +877,7 @@ def decompose_into_orders(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> l
     return list(_decomposition(cf))
 
 
-@lru_cache(maxsize=MEMO_ENTRIES)
+@partial(_Memo, lambda cf, orders: (1 << cf.universe_size) + 16 * len(orders))
 def _decomposition(cf: ChoiceFunction) -> tuple[OrderChoice, ...]:
     """decompose_into_orders for a function within the cap."""
     n = cf.universe_size
@@ -877,7 +887,10 @@ def _decomposition(cf: ChoiceFunction) -> tuple[OrderChoice, ...]:
     table = choice_table(cf)
     active = cf._gains(0)  # the non-Nil contracts: each is chosen from its singleton
     nil_tail = tuple(_bits(((1 << n) - 1) ^ active))
-    masks, bit, contract_of = _pick_arrays(n)
+    masks = np.arange(1 << n, dtype=np.int64)
+    bit = np.append(1 << masks[:n], 0)  # bit[c] is 1 << c, and bit[n] is 0 for no pick
+    contract_of = np.full(1 << n, n, dtype=np.int8)  # c at 1 << c, n at every other mask
+    contract_of[bit[:n]] = masks[:n]
     choices = table.tolist()
     orders, picks = [], []  # picks[k][X]: the contract that order k picks from X
     left = table.copy()  # the demands no order covers yet

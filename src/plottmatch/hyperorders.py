@@ -12,15 +12,15 @@ L-operator off the audited relation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
 from .choice import (
-    MEMO_ENTRIES,
     ChoiceFunction,
     ContractSet,
     ExplicitTable,
+    _Memo,
     _violation_scan,
     choice_table,
 )
@@ -155,20 +155,22 @@ def _first_true(condition: np.ndarray):
     return tuple(int(v) for v in np.unravel_index(at, condition.shape))
 
 
-def _audit(rel, cap: int):
-    """The read-only relation matrix p[A, B] = A ≺ B of rel, and its axiom report.
-
-    The cap is checked on every call; behind it both come from a memo.
-    """
+def _capped(rel, cap: int):
+    """rel, once its universe is found to fit under the audit ``cap`` (CapExceeded if not)."""
     n = rel.universe_size
     if n > cap:
         raise CapExceeded(f"axiom audit needs universe_size <= {cap}, got {n}")
-    return _audited(rel)
+    return rel
 
 
-@lru_cache(maxsize=MEMO_ENTRIES)
+def _key_rows(rel) -> int:
+    """The table rows a relation keeps alive: 2^k, or 3 per pair (88 bytes in a frozenset)."""
+    return 1 << rel.universe_size if isinstance(rel, DerivedLehmann) else 3 * len(rel.true_pairs)
+
+
+@partial(_Memo, lambda rel, audit: _key_rows(rel) + 4 ** rel.universe_size)
 def _audited(rel):
-    """_audit for a relation within the cap, once per relation value."""
+    """The read-only relation matrix p[A, B] = A ≺ B of rel, and its axiom report."""
     n = rel.universe_size
     p = _relation_matrix(rel, n)
     p.setflags(write=False)
@@ -229,10 +231,10 @@ def audit_lehmann_axioms(rel, *, cap: int = AUDIT_CAP) -> AxiomReport:
     the cap it took over 100 times as long as the scan and 32 MiB more.
 
     The cap is checked on every call. Behind it a relation is audited once
-    per value, equal relations sharing the result with each other and with
-    reconstruct_choice, and the last MEMO_ENTRIES are kept.
+    per value (see choice._Memo), equal relations sharing the result with
+    each other and with reconstruct_choice.
     """
-    return _audit(rel, cap)[1]
+    return _audited(_capped(rel, cap))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +253,12 @@ def reconstruct_choice(rel, *, cap: int = AUDIT_CAP) -> ExplicitTable:
     certification raises InternalError. So does a derived relation with
     choose(A∪{c}) ≠ choose(A) on a pair {c} ≺ A it reads. The cap is
     checked on every call; behind it the table is rebuilt once per
-    relation value, and the last MEMO_ENTRIES are kept.
+    relation value (see choice._Memo).
     """
-    _audit(rel, cap)
-    return _rebuilt(rel)
+    return _rebuilt(_capped(rel, cap))
 
 
-@lru_cache(maxsize=MEMO_ENTRIES)
+@partial(_Memo, lambda rel, table: _key_rows(rel) + (1 << rel.universe_size))
 def _rebuilt(rel) -> ExplicitTable:
     """reconstruct_choice for a relation within the cap."""
     p, report = _audited(rel)

@@ -7,6 +7,18 @@ import pytest
 from plottmatch import choice, hyperorders
 
 
+def module_memos() -> dict:
+    """Every module-level object of choice and hyperorders with a ``cache_clear``, by name."""
+    return {name: memo for module in (choice, hyperorders) for name, memo in vars(module).items()
+            if hasattr(memo, "cache_clear") and not isinstance(memo, type)}
+
+
+def empty_memos():
+    """Empty the table cache and the per-value memos: every one of ``module_memos``."""
+    for memo in module_memos().values():
+        memo.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _empty_memos():
     """Start every test with the table cache and the per-value memos empty.
@@ -16,10 +28,7 @@ def _empty_memos():
     matrices read the same counts in any order, and a memo added later is
     emptied too.
     """
-    for module in (choice, hyperorders):
-        for memo in vars(module).values():
-            if hasattr(memo, "cache_clear") and not isinstance(memo, type):
-                memo.cache_clear()
+    empty_memos()
 
 
 def _format(labels, mask: int) -> str:

@@ -35,8 +35,9 @@ from plottmatch import (
     nil_set,
     union,
 )
-from plottmatch import choice
-from plottmatch.choice import TABLE_CACHE_ENTRIES, _lift, _rank_keys
+from plottmatch import choice, hyperorders
+from plottmatch.choice import _lift, _rank_keys
+from plottmatch.hyperorders import DerivedLehmann, reconstruct_choice
 from plottmatch.oracle import generate_instance
 
 # ex2 worker table: keeps {a,b} together but drops a lone b
@@ -225,16 +226,29 @@ def test_table_cache_keeps_no_failure():
     assert (info.misses, info.currsize) == (2, 0)
 
 
-def test_table_cache_keeps_the_most_recent_entries():
+def test_table_cache_keeps_the_most_recent_entries(monkeypatch):
     tables = [OrderChoice(5, order) for order in itertools.permutations(range(5))]
-    for cf in tables[:TABLE_CACHE_ENTRIES + 1]:
+    for bound, value in (("MEMO_ENTRIES", 8), ("MEMO_ROWS", 8 * 64)):  # 2^5 key and table rows
+        choice_table.cache_clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(choice, bound, value)
+            for cf in tables[:9]:
+                choice_table(cf)
+            info = choice_table.cache_info()
+            assert (info.misses, info.currsize) == (9, 8)
+            choice_table(tables[8])  # the newest is still kept
+            choice_table(tables[0])  # the first was evicted
+            info = choice_table.cache_info()
+            assert (info.hits, info.misses) == (1, 10)
+
+
+def test_many_small_agents_stay_cached():
+    agents = [OrderChoice(5, order, quota) for order in itertools.permutations(range(5))
+              for quota in range(1, 10)][:1024]
+    for cf in agents + agents:
         choice_table(cf)
     info = choice_table.cache_info()
-    assert (info.misses, info.currsize) == (TABLE_CACHE_ENTRIES + 1, TABLE_CACHE_ENTRIES)
-    choice_table(tables[TABLE_CACHE_ENTRIES])  # the newest is still kept
-    choice_table(tables[0])  # the first was evicted
-    info = choice_table.cache_info()
-    assert (info.hits, info.misses) == (1, TABLE_CACHE_ENTRIES + 2)
+    assert (info.hits, info.misses, info.currsize) == (1024, 1024, 1024)
 
 
 @dataclass(frozen=True)
@@ -322,7 +336,7 @@ def test_a_failing_table_is_placed_by_each_call_and_never_kept(monkeypatch):
 
 def test_a_proven_table_is_scanned_once_per_value(monkeypatch):
     scans = _counted_scans(monkeypatch)
-    assert choice._proven.maxsize == choice.MEMO_ENTRIES
+    assert choice._proven.cache_info().maxsize == choice.MEMO_ENTRIES
     pair = ExplicitTable(2, (0, 1, 2, 3))
     three = _as_table(OrderChoice(3, (2, 0, 1), 2))
     blocks = ((0, 5), (1, 2, 3), (4, 6), (7, 9), (8, 10, 11))
@@ -335,24 +349,40 @@ def test_a_proven_table_is_scanned_once_per_value(monkeypatch):
     assert len(choice._proven) == 2
 
 
+def _kept():
+    """The (memo, key) of every entry in the memo store, least recently used first."""
+    return list(choice._Memo._order.values())
+
+
+def _charged() -> int:
+    """The rows charged to the kept entries, counted afresh."""
+    return sum(rows for _, rows, _ in choice._Memo._store.values())
+
+
 def test_verdicts_are_bounded_in_functions_and_in_table_rows(monkeypatch):
     scans = _counted_scans(monkeypatch)
     rng = random.Random(5)
     rows = 1 << choice.EXHAUSTIVE_CAP
-    kept = choice._proven.max_rows // rows
-    tables = [_as_table(OrderChoice(16, tuple(rng.sample(range(16), 16)), 2))
-              for _ in range(kept + 2)]
-    for table in tables:
+    tables = [_as_table(OrderChoice(16, tuple(rng.sample(range(16), 16)), 2)) for _ in range(6)]
+    choice_table.cache_clear()
+    for table in tables:  # each check keeps its verdict and the table it scanned
         assert is_plott(table).is_plott
-        assert sum(choice._proven.values()) <= choice._proven.max_rows
-    assert len(choice._proven) == kept and sum(choice._proven.values()) == kept * rows
-    assert is_plott(tables[-1]).is_plott and len(scans) == kept + 2  # the newest is kept
-    assert is_plott(tables[0]).is_plott and len(scans) == kept + 3  # the oldest is not
+        assert choice._Memo._rows == _charged() <= choice.MEMO_ROWS
+    # 2^19 rows: the last two tables (2^17 rows each) and the last three verdicts (2^16)
+    assert choice.MEMO_ROWS == 8 * rows
+    assert (len(choice_table), len(choice._proven)) == (2, 3)
+    assert is_plott(tables[-1]).is_plott and len(scans) == 6  # the newest is kept
+    assert is_plott(tables[0]).is_plott and len(scans) == 7  # the oldest is not
+    small = [EX2_G, _as_table(ORD3_G), _as_table(EX1_F)]
     choice._proven.cache_clear()
-    monkeypatch.setattr(choice._proven, "maxsize", 2)
-    for table in (EX2_G, _as_table(ORD3_G), _as_table(EX1_F)):
+    choice_table.cache_clear()
+    assert choice._Memo._rows == 0
+    monkeypatch.setattr(choice, "MEMO_ENTRIES", 2)
+    for table in small:
         assert is_plott(table).is_plott
-    assert list(choice._proven.values()) == [8, 64]  # the two newest
+    # the two newest: the 6-contract table is scanned, its 3-contract forerunner checked by rows
+    assert _kept() == [(choice_table, small[2]), (choice._proven, small[2])]
+    assert choice._Memo._rows == _charged() == 2 * 64 + 64
 
 
 @settings(max_examples=300, deadline=None)
@@ -368,22 +398,35 @@ def test_threads_sharing_the_verdict_store_keep_only_clean_tables_within_its_bou
     tables = [EX2_F, EX2_G, _as_table(ORD3_G), _as_table(EX1_F), _as_table(EX1_G),
               _as_table(OrderChoice(7, (6, 0, 5, 1, 4, 2, 3), 2))]
     verdicts = [is_plott(t) for t in tables]
-    choice._proven.cache_clear()
+    answers = [(choice_table(t), None, None) if not v.is_plott else
+               (choice_table(t), decompose_into_orders(t), reconstruct_choice(DerivedLehmann(t)))
+               for t, v in zip(tables, verdicts)]
+    for memo in (choice._proven, choice_table, choice._decomposition):
+        memo.cache_clear()
 
     def ask(seed):
         rng = random.Random(seed)
-        for _ in range(1000):
+        for _ in range(300):
             i = rng.randrange(len(tables))
+            table, orders, rebuilt = answers[i]
             assert is_plott(tables[i]) == verdicts[i]
+            assert np.array_equal(choice_table(tables[i]), table)
+            if orders is not None:
+                assert decompose_into_orders(tables[i]) == orders
+                assert reconstruct_choice(DerivedLehmann(tables[i])) == rebuilt
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(choice._proven, "maxsize", 2), ThreadPoolExecutor(4) as pool:
-            list(pool.map(ask, range(4)))  # evicting on nearly every clean check
+        with mock.patch.object(choice, "MEMO_ENTRIES", 2), ThreadPoolExecutor(4) as pool:
+            list(pool.map(ask, range(4)))  # evicting on nearly every miss
     finally:
         sys.setswitchinterval(interval)
-    assert len(choice._proven) <= 2 and EX2_F not in choice._proven
+    assert len(_kept()) == len(choice._Memo._store) <= 2 and (choice._proven, EX2_F) not in _kept()
+    assert choice._Memo._rows == _charged()
+    memos = (choice._proven, choice_table, choice._decomposition,
+             hyperorders._audited, hyperorders._rebuilt)
+    assert sum(memo.cache_info().currsize for memo in memos) == len(_kept())
 
 
 def test_a_table_over_the_cap_is_refused_on_every_call():
@@ -698,7 +741,7 @@ def _ten_contracts() -> Aggregate:
 
 def test_row_cache_counts_in_the_functools_shape():
     agg = _ten_contracts()
-    maxsize = 2 * choice.MEMO_ENTRIES
+    maxsize = 2 * choice._Rows.maxsize
     assert type(agg.cache_info())._fields == type(choice_table.cache_info())._fields
     assert agg.cache_info() == (0, 0, maxsize, 0)
     assert agg._choose_mask(0b1011) == agg._choose_mask(0b1011) == _reference_choice(agg, 0b1011)
@@ -708,7 +751,7 @@ def test_row_cache_counts_in_the_functools_shape():
         assert agg._choose_mask(x) == _reference_choice(agg, x)
         assert agg._gains(x) == _reference_gains(agg, x)
     assert agg.cache_info() == (3, 2 * 1024, maxsize, maxsize)
-    for x in range(1024 - choice.MEMO_ENTRIES, 1024):  # the latest rows stay
+    for x in range(1024 - choice._Rows.maxsize, 1024):  # the latest rows stay
         agg._rechoose(0, 0, x)
         agg._gains(x)
     assert agg.cache_info().hits == 3 + maxsize

@@ -429,7 +429,7 @@ def test_a_memo_hit_still_checks_the_cap():
 
 def test_memoized_relation_matrices_are_read_only():
     for rel in (DerivedLehmann(QUOTA), ExtensionalLehmann.from_true_pairs(2, [(2, 3)])):
-        p, _ = hyperorders._audit(rel, AUDIT_CAP)
+        p, _ = hyperorders._audited(rel)
         assert not p.flags.writeable
         with pytest.raises(ValueError):
             p[0, 0] = True
