@@ -203,18 +203,14 @@ class ChoiceFunction:
         return np.fromiter((self._choose_mask(m) for m in range(masks.size)),
                            dtype=np.int64, count=masks.size)
 
-    def _chooser(self, place):
-        """This function on global masks, local index j sitting at ``place[j]``.
+    def _kernels(self, place):
+        """This function's choice and gains on global masks, local index j sitting at ``place[j]``.
 
         An aggregate compiles each part through it once; the default gathers
-        the mask into local indices, chooses, and lifts the choice back.
+        the mask into local indices, applies the method, and lifts the result back.
         """
         pairs = tuple((1 << g, 1 << j) for j, g in enumerate(place))
-        return partial(_local, self._choose_mask, pairs)
-
-    def _gainer(self, choose):
-        """``_gains`` on the global masks of ``choose``, through its bit pairs."""
-        return partial(_local, self._gains, choose.args[1])
+        return partial(_local, self._choose_mask, pairs), partial(_local, self._gains, pairs)
 
     def choose(self, X: ContractSet) -> ContractSet:
         """Evaluate the function on X. The result is always a subset of X."""
@@ -299,25 +295,22 @@ class OrderChoice(ChoiceFunction):
         return cls(n, order, 1, sum(1 << i for i, u in enumerate(utilities) if u >= 0))
 
     @cached_property
-    def _kernels(self):
-        """The chooser and gains kernel on this function's own masks, built on first use."""
-        choose = self._chooser(range(self.universe_size))
-        return choose, self._gainer(choose)
+    def _own(self):
+        """The kernels on this function's own masks, built on first use."""
+        return self._kernels(range(self.universe_size))
 
     def _choose_mask(self, xmask: int) -> int:
-        return self._kernels[0](xmask)
+        return self._own[0](xmask)
 
     def _gains(self, xmask: int) -> int:
-        return self._kernels[1](xmask)
+        return self._own[1](xmask)
 
-    def _chooser(self, place):
-        """Choose straight on global bits: the acceptable ones, best-first."""
+    def _kernels(self, place):
+        """Choice and gains straight on global bits, the acceptable ones best first; none at quota 0."""
         bits = tuple([1 << place[j] for j in self.order if self.acceptable_mask >> j & 1])
-        return partial(_top_choice, bits, sum(bits) if self.quota else 0, self.quota)
-
-    def _gainer(self, choose):
-        """Gains in one best-first walk along the chooser's global bits; none at quota 0."""
-        return partial(_top_gains, choose.args[0] if self.quota else (), self.quota)
+        q = self.quota
+        return (partial(_top_choice, bits, sum(bits) if q else 0, q),
+                partial(_top_gains, bits if q else (), q))
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
         table = np.zeros_like(masks)
@@ -412,6 +405,33 @@ def _local(kernel, bit_pairs, xmask: int) -> int:
     return out
 
 
+def _runs(place) -> list[tuple[int, int, int]]:
+    """(global start, local start, length) of each run of consecutive global indices in place."""
+    runs = []
+    for j, g in enumerate(place):
+        if runs and runs[-1][0] + runs[-1][2] == g:
+            runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1)
+        else:
+            runs.append((g, j, 1))
+    return runs
+
+
+def _gather(xs: np.ndarray, runs) -> np.ndarray:
+    """The local masks of the global masks in xs, each run moved to its local start (a pext)."""
+    local = np.zeros_like(xs)
+    for g, j, k in runs:
+        local |= (xs >> g & ((1 << k) - 1)) << j
+    return local
+
+
+def _scatter(local: np.ndarray, runs) -> np.ndarray:
+    """The global masks of the local masks, each run moved to its global start (a pdep)."""
+    out = np.zeros_like(local)
+    for g, j, k in runs:
+        out |= (local >> j & ((1 << k) - 1)) << g
+    return out
+
+
 class _Rows(dict):
     """Up to ``maxsize`` rows (ints) by set mask, emptied when full, with hit and miss counts."""
 
@@ -434,12 +454,12 @@ class Aggregate(ChoiceFunction):
     maps them onto that part's local universe 0..len(block)-1. The choice on X
     is the disjoint union of each part's choice on its slice of X.
 
-    Each part is compiled once, through its ``_chooser``, into a chooser on
-    global masks, indexed by the contracts of its block, so that an
-    evaluation visits only the blocks that X touches, and a re-evaluation
-    (``_rechoose``) only the blocks where the new set differs from the old.
-    ``_gains`` makes one kernel call per block, each kernel built on first
-    use by the part's ``_gainer`` from its chooser; a block inside X gains none.
+    Each part is compiled once, through its ``_kernels``, into a choice and a
+    gains kernel on global masks. A re-evaluation (``_rechoose``) visits only
+    the blocks where the new set differs from the old, so an evaluation, a
+    re-evaluation from the empty set, visits only the blocks that X touches.
+    ``_gains`` makes one kernel call per nonempty block; a block inside X
+    gains none. A whole table is gathered agent by agent (``_table``).
 
     A row cache keeps up to 256 answers by set mask in each of two
     stores, choices (``_choose_mask``, and ``_rechoose``, whose hint is
@@ -457,7 +477,7 @@ class Aggregate(ChoiceFunction):
         if len(self.blocks) != len(self.parts):
             raise ValueError("one choice function per block required")
         n = self.universe_size
-        owner = [None] * n
+        owner, gain_kernels = [None] * n, []
         for block, part in zip(self.blocks, self.parts):
             if part.universe_size != len(block):
                 raise ValueError("part universe must match its block size")
@@ -467,13 +487,17 @@ class Aggregate(ChoiceFunction):
                     raise ValueError("blocks must partition the universe")
                 owner[g] = ()  # claimed; the block's entry replaces it below
                 mask |= 1 << g
-            entry = (mask, part._chooser(block))
-            for g in block:
-                owner[g] = entry
+            if block:
+                choose, gains = part._kernels(block)
+                gain_kernels.append(gains)
+                entry = (mask, choose)
+                for g in block:
+                    owner[g] = entry
         if None in owner:
             raise ValueError("blocks must cover the whole universe")
-        # contract -> (its block's global mask, that block's chooser); not fields
+        # contract -> (its block's global mask, that block's choice kernel); not fields
         object.__setattr__(self, "_owner", tuple(owner))
+        object.__setattr__(self, "_gain_kernels", tuple(gain_kernels))
         object.__setattr__(self, "_chosen", _Rows())
         object.__setattr__(self, "_gained", _Rows())
 
@@ -482,25 +506,8 @@ class Aggregate(ChoiceFunction):
         c, g = self._chosen, self._gained
         return CacheInfo(c.hits + g.hits, c.misses + g.misses, 2 * c.maxsize, len(c) + len(g))
 
-    @cached_property
-    def _gainers(self):
-        """Each nonempty block's gains kernel, built on first use from its chooser."""
-        owner = self._owner
-        return tuple(part._gainer(owner[block[0]][1])
-                     for block, part in zip(self.blocks, self.parts) if block)
-
     def _choose_mask(self, xmask: int) -> int:
-        chosen = self._chosen.get(xmask)
-        if chosen is not None:
-            self._chosen.hits += 1
-            return chosen
-        owner, chosen, rest = self._owner, 0, xmask
-        while rest:
-            block, choose = owner[rest.bit_length() - 1]
-            part = rest & block
-            chosen |= choose(part)
-            rest ^= part
-        return self._chosen.add(xmask, chosen)
+        return self._rechoose(0, 0, xmask)
 
     def _gains(self, xmask: int) -> int:
         gains = self._gained.get(xmask)
@@ -508,7 +515,7 @@ class Aggregate(ChoiceFunction):
             self._gained.hits += 1
             return gains
         gains = 0
-        for gain in self._gainers:  # each reads only its own block's bits of xmask
+        for gain in self._gain_kernels:  # each reads only its own block's bits of xmask
             gains |= gain(xmask)
         return self._gained.add(xmask, gains)
 
@@ -525,22 +532,11 @@ class Aggregate(ChoiceFunction):
         return self._chosen.add(new, chosen)
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
-        # Built in block order: each part's table, lifted to global masks, is
-        # OR-ed onto every entry so far, so bit p of the index is contract
-        # at[p] (block 0's members lowest, in local order). Reshaped to one
-        # axis per bit, axis a being bit n-1-a, one transpose copy then puts
-        # contract g on bit g.
-        table, at = np.zeros(1, dtype=np.int64), []
+        table = np.zeros_like(masks)
         for block, part in zip(self.blocks, self.parts):
-            local = choice_table(part)
-            lifted = np.zeros_like(local)
-            for j, g in enumerate(block):
-                lifted |= (local >> j & 1) << g
-            table = (lifted[:, None] | table[None, :]).reshape(-1)
-            at.extend(block)
-        n = self.universe_size
-        axes = sorted(range(n), key=lambda a: -at[n - 1 - a])
-        return table.reshape((2,) * n).transpose(axes).reshape(-1)
+            runs = _runs(block)
+            table |= _scatter(choice_table(part), runs)[_gather(masks, runs)]
+        return table
 
 
 def union(cfs) -> UnionChoice:

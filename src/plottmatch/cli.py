@@ -36,7 +36,11 @@ from .stability import (
 
 
 def _load(path: str) -> MarketInstance:
-    return parse_instance(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_instance(text)
 
 
 def _parse_cli_set(text: str, labels, n: int) -> ContractSet:

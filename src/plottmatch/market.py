@@ -149,7 +149,7 @@ def _set_mask(text: str, bits, lineno: int, index) -> int:
             mask |= bits[label.strip()]
     except KeyError as miss:
         if text[1:-1].strip():  # else the one label is blank: the empty set
-            raise _missing(miss.args[0], lineno, index) from None
+            raise _missing(*miss.args, lineno, index) from None
     return mask
 
 
@@ -185,7 +185,7 @@ def _parse_order_ids(body, bits, agent, header_line, index):
     try:
         picked = list(map(bits.__getitem__, line.split()))
     except KeyError as miss:
-        raise _missing(miss.args[0], lineno, index) from None
+        raise _missing(*miss.args, lineno, index) from None
     # k powers of two below 2^k sum to 2^k - 1 only when they are distinct
     if len(picked) != len(bits) or sum(picked) != (1 << len(bits)) - 1:
         raise ParseError(

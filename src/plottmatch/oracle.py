@@ -25,6 +25,9 @@ from .choice import (
     ContractSet,
     OrderChoice,
     UnionChoice,
+    _gather,
+    _runs,
+    _scatter,
     choice_table,
     closure_star,
     format_set,
@@ -83,17 +86,6 @@ class StableSetCatalog:
         raise InternalError("catalog has no extreme element")
 
 
-def _runs(block) -> list[tuple[int, int, int]]:
-    """(global start, local start, length) of each run of consecutive contracts in block."""
-    runs = []
-    for j, g in enumerate(block):
-        if runs and runs[-1][0] + runs[-1][2] == g:
-            runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1)
-        else:
-            runs.append((g, j, 1))
-    return runs
-
-
 def _agents(cf) -> list[tuple[tuple[int, ...], list, np.ndarray, np.ndarray]]:
     """Each agent of a side as (block, runs, its choice table, the table on global bits).
 
@@ -107,22 +99,13 @@ def _agents(cf) -> list[tuple[tuple[int, ...], list, np.ndarray, np.ndarray]]:
     agents = []
     for block, part in pairs:
         runs, table = _runs(block), choice_table(part)
-        lifted = np.zeros_like(table)
-        for g, j, k in runs:
-            lifted |= (table >> j & ((1 << k) - 1)) << g
-        agents.append((block, runs, table, lifted))
+        agents.append((block, runs, table, _scatter(table, runs)))
     return agents
 
 
 def _slices(agents, xs: np.ndarray) -> list[np.ndarray]:
-    """Each agent's local masks of its slice of every global mask in xs (a pext by runs)."""
-    slices = []
-    for _, runs, _, _ in agents:
-        local = np.zeros_like(xs)
-        for g, j, k in runs:
-            local |= (xs >> g & ((1 << k) - 1)) << j
-        slices.append(local)
-    return slices
+    """Each agent's local masks of its slice of every global mask in xs."""
+    return [_gather(xs, runs) for _, runs, _, _ in agents]
 
 
 def _choose(agents, slices, xs: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plottmatch import (
@@ -783,7 +783,7 @@ def test_threads_sharing_an_aggregate_read_only_its_rows():
 
 @st.composite
 def table_aggregates(draw):
-    """Aggregates of at most 12 contracts, for the whole-table kernel.
+    """Aggregates of at most 12 contracts, for whole side tables (`Aggregate._table`).
 
     Blocks lie in shuffled global order and may be empty, or be absent
     (n = 0); a part is a selection table, an order, quota, utility or union
@@ -813,6 +813,14 @@ def table_aggregates(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(table_aggregates())
+# blocks made of several runs of consecutive contracts, in and out of global order
+@example(Aggregate(8, ((5, 6, 0, 1), (2, 3, 4), (7,)),
+                   (OrderChoice(4, (2, 0, 3, 1), 2, 0b1011),
+                    ExplicitTable(3, (0, 1, 0, 1, 4, 5, 4, 2)), _Identity(1))))
+@example(Aggregate(9, ((7,), (8, 2, 3, 4), (5, 6, 0, 1)),
+                   (OrderChoice(1, (0,)), union([OrderChoice(4, (3, 1, 0, 2), 1, 0b1110),
+                                                 OrderChoice(4, (0, 1, 2, 3), 3)]),
+                    Aggregate(4, ((2, 3), (1, 0)), (_Identity(2), EX2_F)))))
 def test_aggregate_table_matches_each_subset(agg):
     size = 1 << agg.universe_size
     table = agg._table(np.arange(size, dtype=np.int64))

@@ -382,6 +382,16 @@ def test_missing_file_is_a_domain_error(capsys):
     assert err.startswith("error: ")
 
 
+def test_non_utf8_input_is_a_domain_error_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.mkt"
+    path.write_bytes(b"\xff\xfe[firms] f\n")
+    for args in (("solve", str(path)), ("statics", POLAR2, str(path), "{a}")):
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} is not UTF-8 text: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_parse_errors_carry_line_numbers(capsys, tmp_path):
     path = tmp_path / "bad.mkt"
     path.write_text("[firms] f1\n[workers] w1\n[contracts]\nx f1 nobody\n")

@@ -669,18 +669,18 @@ def test_large_market_evaluations_stay_within_one_agent(market_text, monkeypatch
 
 
 def test_phi_steps_ask_only_the_agents_whose_slices_changed(market_text, monkeypatch):
-    calls = []  # the block of every chooser call; None marks a checked step
-    compile_order = OrderChoice._chooser
+    calls = []  # the block of every choice kernel call; None marks a checked step
+    compile_order = OrderChoice._kernels
 
     def recording(self, place):
-        choose, block = compile_order(self, place), tuple(place)
+        (choose, gains), block = compile_order(self, place), tuple(place)
 
         def counted(xmask):
             calls.append(block)
             return choose(xmask)
-        return counted
+        return counted, gains
 
-    monkeypatch.setattr(OrderChoice, "_chooser", recording)
+    monkeypatch.setattr(OrderChoice, "_kernels", recording)
     sides = aggregate_sides(parse_instance(market_text(300, 300, 3, seed=5)))
     checked = stability._checked
     monkeypatch.setattr(stability, "_checked",
