@@ -203,15 +203,10 @@ class LatticeReport:
     failures: tuple[str, ...]
 
 
-def _bound_from_matrix(matrix, i: int, j: int, upper: bool) -> int | None:
-    """Index of the least upper / greatest lower bound of i, j, if unique."""
-    k = len(matrix)
-    if upper:
-        bounds = [b for b in range(k) if matrix[i][b] and matrix[j][b]]
-        extreme = [b for b in bounds if all(matrix[b][o] for o in bounds)]
-    else:
-        bounds = [b for b in range(k) if matrix[b][i] and matrix[b][j]]
-        extreme = [b for b in bounds if all(matrix[o][b] for o in bounds)]
+def _bound_from_matrix(matrix, i: int, j: int) -> int | None:
+    """Index of the least upper bound of i, j under ``matrix``, if unique; glb on its transpose."""
+    bounds = [b for b in range(len(matrix)) if matrix[i][b] and matrix[j][b]]
+    extreme = [b for b in bounds if all(matrix[b][o] for o in bounds)]
     return extreme[0] if len(extreme) == 1 else None
 
 
@@ -221,29 +216,31 @@ def verify_lattice(catalog: StableSetCatalog, sides: SidePair,
 
     Mismatches and missing bounds are reported as failures with witnesses
     rather than raised, so a report is always produced. Join and meet are
-    symmetric in their two sets, so the engine is asked once per unordered
-    pair, k(k+1)/2 of the k² ordered pairs counted in ``pairs_checked``;
-    that the engine ignores the order of its arguments is tested apart.
+    symmetric in their two sets, so the matrix bound is found and the engine
+    asked once per unordered pair, k(k+1)/2 of the k² ordered pairs counted
+    in ``pairs_checked``; that the engine ignores the order of its arguments
+    is tested apart.
     """
     sets = catalog.stable_sets
     failures = []
     pairs = 0
-    answers = {}  # (lower index, higher index, name) -> the engine's answer
+    answers = {}  # (lower index, higher index, name) -> (matrix bound, engine answer)
+    ops = (("join", lattice_join, catalog.blair_matrix),
+           ("meet", lattice_meet, tuple(zip(*catalog.blair_matrix))))
     for i in range(len(sets)):
         for j in range(len(sets)):
             pairs += 1
             si, sj = sets[i], sets[j]
-            for upper, name, op in ((True, "join", lattice_join),
-                                    (False, "meet", lattice_meet)):
-                b = _bound_from_matrix(catalog.blair_matrix, i, j, upper)
+            for name, op, matrix in ops:
+                if (key := (min(i, j), max(i, j), name)) not in answers:
+                    b = _bound_from_matrix(matrix, i, j)
+                    answers[key] = b, None if b is None else op(sides, [si, sj])
+                b, got = answers[key]
                 if b is None:
                     failures.append(
                         f"no unique {name} bound for {format_set(si, labels)}, "
                         f"{format_set(sj, labels)}")
                     continue
-                if (key := (min(i, j), max(i, j), name)) not in answers:
-                    answers[key] = op(sides, [si, sj])
-                got = answers[key]
                 if got != sets[b]:
                     failures.append(
                         f"{name}({format_set(si, labels)}, {format_set(sj, labels)}) "

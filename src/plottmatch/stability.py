@@ -186,15 +186,14 @@ def semi_stable_pair(sides: SidePair, Y: ContractSet, Z: ContractSet) -> SemiSta
     return SemiStablePair(Y, Z)
 
 
-def _checked(n: int, p: SemiStablePair, y: int, z: int, gy: int, fz: int) -> SemiStablePair:
-    """Φ's output (y, z) from p, given G(y) = gy and F(z) = fz: semi-stable and above p."""
+def _checked(n: int, py: int, pz: int, y: int, z: int, gy: int, fz: int):
+    """Check that Φ's output (y, z), where G(y) = gy and F(z) = fz, is semi-stable and above."""
     try:
         _ssp_check(n, y, z, gy, fz)
     except NotSemiStable as exc:
         raise InternalError("update left the semi-stable family") from exc
-    if p.Y.mask & ~y or z & ~p.Z.mask:
+    if py & ~y or z & ~pz:
         raise InternalError("update left the componentwise order")
-    return SemiStablePair(ContractSet(n, y), ContractSet(n, z))
 
 
 def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
@@ -205,62 +204,65 @@ def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     full evaluation.
     """
     sides.require_certified()
-    G = sides.G
+    G, n = sides.G, sides.universe_size
     _, fz = _ssp_masks(sides, p.Y, p.Z)
     y, z = p.Y.mask | fz, (p.Z.mask & ~fz) | G._choose_mask(fz)
-    return _checked(sides.universe_size, p, y, z, G._choose_mask(y), sides.F._choose_mask(z))
+    _checked(n, p.Y.mask, p.Z.mask, y, z, G._choose_mask(y), sides.F._choose_mask(z))
+    return SemiStablePair(ContractSet(n, y), ContractSet(n, z))
 
 
-def _nearest(cf: ChoiceFunction, bases, new: int) -> int:
-    """choose(cf,new) from whichever (set, its choice) base differs from new least."""
-    old, chosen = min(bases, key=lambda base: (base[0] ^ new).bit_count())
-    return cf._rechoose(old, chosen, new)
+def _sigma(sides: SidePair, y: int, z: int) -> tuple[list[tuple[int, int]], int]:
+    """σ on masks from a semi-stable (y, z): every (Y, Z) visited, and the stable set.
+
+    Z can strictly shrink at most |C| times and Y absorbs choose(F,Z) in one
+    further step, so more than |C|+2 applications raise InternalError, as
+    does a fixpoint without choose(G,choose(F,Z)) = choose(G,Y) = choose(F,Z),
+    which make S = choose(F,Z) stable with stable pair (Y, Z). Each
+    application makes phi_step's checks, but only the start is evaluated in
+    full: the run carries choose(G,Y), choose(F,Z) and choose(G,F(Z)), and
+    re-evaluates each through ``_rechoose`` from the nearest carried set
+    (the first on a tie), so an aggregate asks only the agents whose slice
+    changed; from (∅, C), choose(G,Y') = choose(G,F(Z)) costs nothing.
+    """
+    F, G, n = sides.F, sides.G, sides.universe_size
+    gy, fz = G._choose_mask(y), F._choose_mask(z)
+    _ssp_check(n, y, z, gy, fz)
+    gfz = G._rechoose(y, gy, fz)
+    steps = [(y, z)]
+    while True:
+        y2, z2 = y | fz, (z & ~fz) | gfz
+        old, chosen = (y, gy) if (y ^ y2).bit_count() <= (fz ^ y2).bit_count() else (fz, gfz)
+        gy2 = G._rechoose(old, chosen, y2)
+        fz2 = F._rechoose(z, fz, z2)
+        _checked(n, y, z, y2, z2, gy2, fz2)
+        if y2 == y and z2 == z:
+            break
+        steps.append((y2, z2))
+        if len(steps) > n + 2:
+            raise InternalError("dynamics exceeded the |C|+2 step bound")
+        old, chosen = (fz, gfz) if (fz ^ fz2).bit_count() <= (y2 ^ fz2).bit_count() else (y2, gy2)
+        gfz = G._rechoose(old, chosen, fz2)
+        y, z, gy, fz = y2, z2, gy2, fz2
+    if gfz != fz:
+        raise InternalError("fixpoint reached with choose(G,choose(F,Z)) != choose(F,Z)")
+    if gy != fz:
+        raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
+    return steps, fz
 
 
 def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
     """Iterate Φ from p0 until it stops moving; the fixpoint yields a stable set.
 
-    The second component can strictly shrink at most |C| times and the
-    first component absorbs choose(F,Z) in one further step, so a fixpoint
-    is reached within |C|+2 applications; running past that bound raises
-    InternalError. At the fixpoint, choose(F,Z) = choose(G,choose(F,Z))
-    and choose(G,Y) = choose(F,Z) are both asserted, making
-    S = choose(G,Y) stable with stable pair (Y, Z).
-
-    Each application makes phi_step's checks on the same exact choices,
-    but only p0's validation evaluates the sides in full. The run carries
-    choose(G,Y), choose(F,Z) and (F(Z), choose(G,F(Z))), and each step
-    re-evaluates through ``_rechoose`` from the carried set nearest the
-    new one: choose(F,Z') from Z, choose(G,Y') from Y or F(Z), and
-    choose(G,F(Z')) from F(Z) or Y'. An aggregate side then asks only the
-    agents whose slice changed; from (∅, C), choose(G,Y') = choose(G,F(Z))
-    costs nothing.
+    σ runs on masks (``_sigma``); step objects are built only here, for the
+    returned trace.
     """
     sides.require_certified()
-    F, G, n = sides.F, sides.G, sides.universe_size
-    gy, fz = _ssp_masks(sides, p0.Y, p0.Z)
-    y, z = p0.Y.mask, p0.Z.mask
-    gfz = G._rechoose(y, gy, fz)
-    p = SemiStablePair(p0.Y, p0.Z)
-    steps = [p]
-    while True:
-        y2, z2 = y | fz, (z & ~fz) | gfz
-        gy2 = _nearest(G, ((y, gy), (fz, gfz)), y2)
-        fz2 = F._rechoose(z, fz, z2)
-        nxt = _checked(n, p, y2, z2, gy2, fz2)
-        if y2 == y and z2 == z:
-            break
-        steps.append(nxt)
-        if len(steps) > n + 2:
-            raise InternalError("dynamics exceeded the |C|+2 step bound")
-        gfz = _nearest(G, ((fz, gfz), (y2, gy2)), fz2)
-        p, y, z, gy, fz = nxt, y2, z2, gy2, fz2
-    if gfz != fz:
-        raise InternalError("fixpoint reached with choose(G,choose(F,Z)) != choose(F,Z)")
-    if gy != fz:
-        raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
-    result = StablePair(p.Y, p.Z, ContractSet(n, fz))
-    return ProcessTrace(tuple(steps), result)
+    n = sides.universe_size
+    if p0.Y.universe_size != n or p0.Z.universe_size != n:
+        raise UniverseMismatch("pair outside the market universe")
+    masks, s = _sigma(sides, p0.Y.mask, p0.Z.mask)
+    steps = tuple(SemiStablePair(ContractSet(n, y), ContractSet(n, z)) for y, z in masks)
+    return ProcessTrace(steps, StablePair(steps[-1].Y, steps[-1].Z, ContractSet(n, s)))
 
 
 def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
@@ -275,42 +277,45 @@ def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:
-    """The stable pair (closure_star(G,S), closure_star(F,S)) of a stable set.
+def _closures(sides: SidePair, S: ContractSet) -> tuple[ContractSet, ContractSet]:
+    """(closure_star(G,S), closure_star(F,S)) of a stable set S.
 
     Raises NotStable naming the condition is_stable_set finds failing. Its
     S2 scan asks each side for the gains that its closure is built from, so
     an aggregate side answers the closure from its row cache.
     """
-    sides.require_certified()
     check = is_stable_set(sides, S)
     if not check:
         raise NotStable(f"set fails {check.condition}")
-    return StablePair(closure_star(sides.G, S), closure_star(sides.F, S), S)
+    return closure_star(sides.G, S), closure_star(sides.F, S)
+
+
+def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:
+    """The stable pair (closure_star(G,S), closure_star(F,S)) of a stable set; NotStable if not."""
+    sides.require_certified()
+    return StablePair(*_closures(sides, S), S)
 
 
 def side_optimal(sides: SidePair, favored: str) -> ContractSet:
-    """The stable set best for one side: σ(∅, C), run with that side as F."""
+    """The stable set best for one side: σ(∅, C) on masks, run with that side as F.
+
+    No step objects are built; run_to_fixpoint returns the same set with a trace.
+    """
     if favored not in ("F", "G"):
         raise ValueError("favored must be 'F' or 'G'")
     sides.require_certified()  # before a swap renames the sides
     frame = sides if favored == "F" else sides.swap()
     n = sides.universe_size
-    start = SemiStablePair(ContractSet.empty(n), ContractSet.full(n))
-    return run_to_fixpoint(frame, start).result.S
+    return ContractSet(n, _sigma(frame, 0, (1 << n) - 1)[1])
 
 
-def _run_from(sides: SidePair, Y: ContractSet, Z: ContractSet, failure: str) -> ContractSet:
-    """σ from (Y, Z), a start the theory proves semi-stable.
-
-    run_to_fixpoint validates the start, once; a start that fails raises
-    InternalError(failure).
-    """
+def _run_from(sides: SidePair, y: int, z: int, failure: str) -> ContractSet:
+    """σ from masks (y, z) proven semi-stable; a failing start raises InternalError(failure)."""
     try:
-        trace = run_to_fixpoint(sides, SemiStablePair(Y, Z))
+        _, s = _sigma(sides, y, z)
     except NotSemiStable as exc:
         raise InternalError(failure) from exc
-    return trace.result.S
+    return ContractSet(sides.universe_size, s)
 
 
 def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
@@ -318,17 +323,15 @@ def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
 
     Forms Y = ∪ closure_star(G,S_i), Z = ∩ closure_star(F,S_i), which is
     semi-stable, and runs σ; minimality of σ among stable sets above the
-    start makes the result the join.
+    start makes the result the join. σ runs on masks and builds no steps.
     """
     sides.require_certified()
-    pairs = [set_to_pair(sides, S) for S in stable_sets]
+    pairs = [_closures(sides, S) for S in stable_sets]
     if not pairs:
         raise EmptyList("join of zero stable sets")
-    y = pairs[0].Y
-    z = pairs[0].Z
-    for p in pairs[1:]:
-        y = y | p.Y
-        z = z & p.Z
+    y, z = 0, (1 << sides.universe_size) - 1
+    for Y, Z in pairs:
+        y, z = y | Y.mask, z & Z.mask
     return _run_from(sides, y, z, "union/intersection of stable pairs not semi-stable")
 
 
@@ -411,7 +414,7 @@ def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
     old_pair = set_to_pair(sides, S)
     new_sides = SidePair(f_prime, sides.G, f2_report, sides.g_report)
     z = closure_star(f_prime, old_pair.Z)
-    s_prime = _run_from(new_sides, old_pair.Y, z, "statics start pair not semi-stable")
+    s_prime = _run_from(new_sides, old_pair.Y.mask, z.mask, "statics start pair not semi-stable")
     if not blair_leq(sides.G, S, s_prime):
         raise InternalError("statics result not above S in the firm-side order")
     if not blair_leq(sides.F, s_prime, S):

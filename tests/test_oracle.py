@@ -280,6 +280,17 @@ def test_verify_lattice_asks_the_engine_once_per_unordered_pair(monkeypatch):
         "join({1}, {0}) = {1}, matrix says {0}",
         "meet({1}, {0}) = {0}, matrix says {1}",
     )
+    # a matrix with the two sets incomparable: no bounds, and the engine asked only on the diagonal
+    incomparable = StableSetCatalog(POLAR2, catalog.stable_sets, ((True, False), (False, True)))
+    calls.clear()
+    report = verify_lattice(incomparable, POLAR2)
+    assert len(calls) == 4 and report.pairs_checked == 4
+    assert report.failures == (
+        "no unique join bound for {0}, {1}",
+        "no unique meet bound for {0}, {1}",
+        "no unique join bound for {1}, {0}",
+        "no unique meet bound for {1}, {0}",
+    )
 
 
 def test_generate_is_deterministic_and_certified():

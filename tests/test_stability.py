@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from plottmatch import (
     NotStable,
     OrderChoice,
     PlottReport,
+    PlottmatchError,
     ProcessTrace,
     SemiStablePair,
     SidePair,
@@ -211,6 +213,13 @@ def test_run_to_fixpoint_on_polar2():
     assert len(trace.steps) == 2 and trace.terminated_at == 1
     assert trace.result == StablePair(cs(2, 0), cs(2, 0, 1), cs(2, 0))
     assert is_stable_set(POLAR2, trace.result.S).stable
+    foreign = SemiStablePair(cs(3), cs(3))
+    with pytest.raises(NotCertified):  # before UniverseMismatch
+        run_to_fixpoint(EX2, foreign)
+    with pytest.raises(UniverseMismatch):  # before SSP1, which the foreign pair fails too
+        run_to_fixpoint(POLAR2, foreign)
+    with pytest.raises(NotSemiStable, match="^SSP1 fails"):
+        run_to_fixpoint(POLAR2, SemiStablePair(cs(2), cs(2)))
 
 
 def test_run_to_fixpoint_on_ex1():
@@ -285,6 +294,8 @@ def test_side_optimal_on_fixtures():
     assert side_optimal(QUOTA, "F") == side_optimal(QUOTA, "G") == cs(3, 0)
     with pytest.raises(ValueError):
         side_optimal(POLAR2, "H")
+    with pytest.raises(ValueError, match="^favored must be 'F' or 'G'$"):  # before NotCertified
+        side_optimal(EX2, "X")
 
 
 def test_side_optimal_evaluates_each_side_once_for_its_start(market_text, monkeypatch):
@@ -788,3 +799,75 @@ def test_set_to_pair_fails_exactly_where_is_stable_set_does(market_text):
                 set_to_pair(sides, S)
             if check.condition == "S2":
                 assert not is_stable_set_via_closure(sides, S)
+
+
+def _trace_join(sides, stable_sets):
+    """lattice_join restated on set_to_pair and run_to_fixpoint."""
+    pairs = [set_to_pair(sides, S) for S in stable_sets]
+    Y, Z = pairs[0].Y, pairs[0].Z
+    for p in pairs[1:]:
+        Y, Z = Y | p.Y, Z & p.Z
+    try:
+        return run_to_fixpoint(sides, SemiStablePair(Y, Z)).result.S
+    except NotSemiStable as exc:
+        raise InternalError("union/intersection of stable pairs not semi-stable") from exc
+
+
+def _trace_statics(sides, f_prime, S):
+    """comparative_statics from a dominating, certified f_prime, restated on run_to_fixpoint."""
+    pair = set_to_pair(sides, S)
+    weakened = SidePair(f_prime, sides.G, is_plott(f_prime), sides.g_report)
+    try:
+        trace = run_to_fixpoint(weakened,
+                                SemiStablePair(pair.Y, closure_star(f_prime, pair.Z)))
+    except NotSemiStable as exc:
+        raise InternalError("statics start pair not semi-stable") from exc
+    if not blair_leq(sides.G, S, trace.result.S):
+        raise InternalError("statics result not above S in the firm-side order")
+    if not blair_leq(sides.F, trace.result.S, S):
+        raise InternalError("statics result not below S in the original worker order")
+    return trace.result.S
+
+
+def _answer(call, *args):
+    """What a call returns, or the type and message of the package error it raises."""
+    try:
+        return call(*args)
+    except PlottmatchError as exc:
+        return type(exc), str(exc)
+
+
+def test_sigma_on_masks_answers_as_the_trace_path_does(market_text):
+    rng = random.Random(13)
+    forged = [SidePair(_random_explicit_aggregate(rng, n), _random_explicit_aggregate(rng, n),
+                       PlottReport(True), PlottReport(True))
+              for n in (rng.randint(2, 6) for _ in range(80))]
+    seen = Counter()
+    for sides in [*_small_markets(market_text), *forged]:
+        n = sides.universe_size
+        start = SemiStablePair(ContractSet.empty(n), ContractSet.full(n))
+        answers = []
+        for favored, frame in (("F", sides), ("G", sides.swap())):
+            answer = _answer(side_optimal, sides, favored)
+            assert answer == _answer(lambda: run_to_fixpoint(frame, start).result.S)
+            answers.append(answer)
+        stable = [S for S in map(partial(ContractSet, n), range(1 << n)) if is_stable_set(sides, S)]
+        sets = stable + [ContractSet(n, rng.getrandbits(n))]  # most often unstable
+        for S, T in [(S, T) for S in sets for T in sets if S.mask <= T.mask]:
+            for join, frame in ((lattice_join, sides), (lattice_meet, sides.swap())):
+                answer = _answer(join, sides, [S, T])
+                assert answer == _answer(_trace_join, frame, [S, T])
+                answers.append(answer)
+        order = OrderChoice(n, tuple(rng.sample(range(n), n)), 1, rng.getrandbits(n))
+        weakened = union([sides.F, order])
+        if is_plott(weakened).is_plott:  # always when F is path independent
+            for S in stable:
+                answer = _answer(comparative_statics, sides, weakened, S)
+                assert answer == _answer(_trace_statics, sides, weakened, S)
+                answers.append(answer)
+        seen.update(a[1] if isinstance(a, tuple) else "set" for a in answers)
+    assert {"set", "set fails S1", "update left the semi-stable family",
+            "union/intersection of stable pairs not semi-stable",
+            "statics start pair not semi-stable",
+            "fixpoint reached with choose(G,Y) != choose(F,Z)"} <= set(seen)
+
