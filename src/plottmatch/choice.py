@@ -446,6 +446,12 @@ class _Rows(dict):
         return row
 
 
+def _cache_info(*stores: _Rows) -> CacheInfo:
+    """The hits, misses, bounds and entries of row stores, summed."""
+    return CacheInfo(sum(s.hits for s in stores), sum(s.misses for s in stores),
+                     sum(s.maxsize for s in stores), sum(map(len, stores)))
+
+
 @dataclass(frozen=True)
 class Aggregate(ChoiceFunction):
     """Blockwise choice: a partition of the universe with one function per block.
@@ -503,8 +509,7 @@ class Aggregate(ChoiceFunction):
 
     def cache_info(self) -> CacheInfo:
         """The row cache's hits, misses, bound and entries, both stores summed."""
-        c, g = self._chosen, self._gained
-        return CacheInfo(c.hits + g.hits, c.misses + g.misses, 2 * c.maxsize, len(c) + len(g))
+        return _cache_info(self._chosen, self._gained)
 
     def _choose_mask(self, xmask: int) -> int:
         return self._rechoose(0, 0, xmask)

@@ -15,17 +15,22 @@ sets, and comparative statics under a weakened worker side.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .choice import (
     EXHAUSTIVE_CAP,
     Aggregate,
+    CacheInfo,
     ChoiceFunction,
     ContractSet,
     PlottReport,
+    _cache_info,
     _lift,
+    _Rows,
     _rank_keys,
     choice_table,
     closure_star,
@@ -51,6 +56,18 @@ class SidePair:
 
     ``f_report`` and ``g_report`` are the sides' path-independence checks;
     the dynamics and everything built on it refuse to run uncertified.
+
+    A pair answers a query once. Two stores, made on first use and not
+    fields (equality, hash and repr are the four fields'), keep σ's stable
+    set by start (``_fixpoints``; run_to_fixpoint does not read it) and the
+    closures of each set that has passed is_stable_set (``_pairs``). Each
+    holds up to 256 answers, is emptied when full and counts hits and
+    misses (``cache_info``). A key and its answer are ints of 3|C| bits in
+    all, so a full store holds 1.8 MiB at |C| = 20,001 (2.0 MiB traced).
+    Checks run before a store is read, and no failure is kept. Store steps
+    are single dict calls: threads may compute an answer twice or lose a
+    count, never read a wrong one. ``swap()`` returns one kept twin, whose
+    ``swap()`` is this pair.
     """
 
     F: ChoiceFunction
@@ -69,8 +86,39 @@ class SidePair:
         return f is not None and g is not None and f.is_plott and g.is_plott
 
     def swap(self) -> "SidePair":
-        """The same market with the roles of the two sides exchanged."""
-        return SidePair(self.G, self.F, self.g_report, self.f_report)
+        """The same market with the roles of the two sides exchanged: one kept twin.
+
+        The first call makes the twin and holds it; the twin refers back
+        weakly, so the two form no reference cycle. A twin whose pair was
+        dropped makes and holds a new one. Threads may make two twins at
+        once, each with its own stores.
+        """
+        twin = self.__dict__.get("_twin")
+        if type(twin) is weakref.ref:
+            twin = twin()
+        if twin is None:
+            twin = SidePair(self.G, self.F, self.g_report, self.f_report)
+            twin.__dict__["_twin"] = weakref.ref(self)
+            self.__dict__["_twin"] = twin
+        return twin
+
+    @cached_property
+    def _fixpoints(self) -> _Rows:
+        """σ's stable set by start (y, z), keyed y << |C| | z."""
+        return _Rows()
+
+    @cached_property
+    def _pairs(self) -> _Rows:
+        """closure_star(G,S) << |C| | closure_star(F,S) by stable set S."""
+        return _Rows()
+
+    def cache_info(self) -> CacheInfo:
+        """The stores' hits, misses, bound and entries, both summed."""
+        return _cache_info(self._fixpoints, self._pairs)
+
+    def __reduce__(self):
+        """A copy or a pickle carries the four fields, not the stores or the twin."""
+        return SidePair, (self.F, self.G, self.f_report, self.g_report)
 
     def require_certified(self):
         """Raise NotCertified unless both sides are certified, naming a failed side."""
@@ -250,6 +298,16 @@ def _sigma(sides: SidePair, y: int, z: int) -> tuple[list[tuple[int, int]], int]
     return steps, fz
 
 
+def _fixpoint(sides: SidePair, y: int, z: int) -> int:
+    """σ's stable set from masks (y, z), as ``_sigma`` finds it, kept by start."""
+    key, store = y << sides.universe_size | z, sides._fixpoints
+    s = store.get(key)
+    if s is None:
+        return store.add(key, _sigma(sides, y, z)[1])
+    store.hits += 1
+    return s
+
+
 def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
     """Iterate Φ from p0 until it stops moving; the fixpoint yields a stable set.
 
@@ -277,42 +335,55 @@ def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _closures(sides: SidePair, S: ContractSet) -> tuple[ContractSet, ContractSet]:
-    """(closure_star(G,S), closure_star(F,S)) of a stable set S.
+def _closures(sides: SidePair, S: ContractSet) -> tuple[int, int]:
+    """The masks of (closure_star(G,S), closure_star(F,S)) of a stable set S, kept by S.
 
     Raises NotStable naming the condition is_stable_set finds failing. Its
     S2 scan asks each side for the gains that its closure is built from, so
-    an aggregate side answers the closure from its row cache.
+    an aggregate side answers the closure from its row cache. Only a set
+    that has passed is kept, so a stored mask of this universe is stable.
     """
-    check = is_stable_set(sides, S)
-    if not check:
-        raise NotStable(f"set fails {check.condition}")
-    return closure_star(sides.G, S), closure_star(sides.F, S)
+    n = sides.universe_size
+    if S.universe_size != n:
+        raise UniverseMismatch("set outside the market universe")
+    store = sides._pairs
+    pair = store.get(S.mask)
+    if pair is None:
+        check = is_stable_set(sides, S)
+        if not check:
+            raise NotStable(f"set fails {check.condition}")
+        pair = store.add(S.mask, closure_star(sides.G, S).mask << n | closure_star(sides.F, S).mask)
+    else:
+        store.hits += 1
+    return pair >> n, pair & ((1 << n) - 1)
 
 
 def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:
     """The stable pair (closure_star(G,S), closure_star(F,S)) of a stable set; NotStable if not."""
     sides.require_certified()
-    return StablePair(*_closures(sides, S), S)
+    n = sides.universe_size
+    return StablePair(*(ContractSet(n, mask) for mask in _closures(sides, S)), S)
 
 
 def side_optimal(sides: SidePair, favored: str) -> ContractSet:
     """The stable set best for one side: σ(∅, C) on masks, run with that side as F.
 
-    No step objects are built; run_to_fixpoint returns the same set with a trace.
+    No step objects are built; run_to_fixpoint returns the same set with a
+    trace. The answer is kept by the pair, or for "G" by its twin (see
+    SidePair), so only the first call runs σ; the checks run on every call.
     """
     if favored not in ("F", "G"):
         raise ValueError("favored must be 'F' or 'G'")
     sides.require_certified()  # before a swap renames the sides
     frame = sides if favored == "F" else sides.swap()
     n = sides.universe_size
-    return ContractSet(n, _sigma(frame, 0, (1 << n) - 1)[1])
+    return ContractSet(n, _fixpoint(frame, 0, (1 << n) - 1))
 
 
 def _run_from(sides: SidePair, y: int, z: int, failure: str) -> ContractSet:
     """σ from masks (y, z) proven semi-stable; a failing start raises InternalError(failure)."""
     try:
-        _, s = _sigma(sides, y, z)
+        s = _fixpoint(sides, y, z)
     except NotSemiStable as exc:
         raise InternalError(failure) from exc
     return ContractSet(sides.universe_size, s)
@@ -324,19 +395,22 @@ def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
     Forms Y = ∪ closure_star(G,S_i), Z = ∩ closure_star(F,S_i), which is
     semi-stable, and runs σ; minimality of σ among stable sets above the
     start makes the result the join. σ runs on masks and builds no steps.
+    The pair keeps each stable set's closures and σ's answer by start (see
+    SidePair). Certification and universes are checked on every call, and
+    stability on each call until a set passes.
     """
     sides.require_certified()
     pairs = [_closures(sides, S) for S in stable_sets]
     if not pairs:
         raise EmptyList("join of zero stable sets")
     y, z = 0, (1 << sides.universe_size) - 1
-    for Y, Z in pairs:
-        y, z = y | Y.mask, z & Z.mask
+    for cy, cz in pairs:
+        y, z = y | cy, z & cz
     return _run_from(sides, y, z, "union/intersection of stable pairs not semi-stable")
 
 
 def lattice_meet(sides: SidePair, stable_sets) -> ContractSet:
-    """Greatest lower bound in the firm-side order: the join under swapped roles."""
+    """Greatest lower bound in the firm-side order: the join on the pair's one twin."""
     sides.require_certified()  # before a swap renames the sides
     return lattice_join(sides.swap(), stable_sets)
 

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
+import sys
+import weakref
 from collections import Counter
-from dataclasses import replace
-from functools import partial
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
+from functools import cache, partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -50,10 +57,13 @@ from plottmatch import (
     side_pair,
     union,
 )
-from plottmatch import stability
+from plottmatch import choice, stability
 from plottmatch.choice import choice_table
 from plottmatch.oracle import enumerate_stable_sets, generate_instance, semi_stable_masks
 from plottmatch.stability import _dominates
+
+from conftest import make_market_text
+from test_choice import mixed_aggregates, selection_tables, structural_functions
 
 POLAR2 = side_pair(OrderChoice(2, (0, 1)), OrderChoice(2, (1, 0)))
 ORD3 = side_pair(OrderChoice(3, (0, 1, 2)), OrderChoice(3, (2, 1, 0)))
@@ -871,3 +881,200 @@ def test_sigma_on_masks_answers_as_the_trace_path_does(market_text):
             "statics start pair not semi-stable",
             "fixpoint reached with choose(G,Y) != choose(F,Z)"} <= set(seen)
 
+
+
+# ---------------------------------------------------------------------------
+# the answers a pair keeps
+# ---------------------------------------------------------------------------
+
+
+def _fresh(sides) -> SidePair:
+    """A pair of the same sides and reports, whose stores are empty."""
+    return SidePair(sides.F, sides.G, sides.f_report, sides.g_report)
+
+
+def _polarized(sizes) -> SidePair:
+    """Independent blocks of one-to-one agents, ranked one way by F and the reverse way by G.
+
+    Every contract of a block is a stable set of it, so the market has the
+    product of the block sizes as stable sets.
+    """
+    blocks, start = [], 0
+    for k in sizes:
+        blocks.append(tuple(range(start, start + k)))
+        start += k
+    ranked = [tuple(range(k)) for k in sizes]
+    return side_pair(Aggregate(start, tuple(blocks), tuple(OrderChoice(len(r), r) for r in ranked)),
+                     Aggregate(start, tuple(blocks),
+                               tuple(OrderChoice(len(r), r[::-1]) for r in ranked)))
+
+
+@cache
+def _small_market_list() -> tuple[SidePair, ...]:
+    return (*_small_markets(make_market_text), _polarized((3, 2, 2)))
+
+
+@st.composite
+def stored_markets(draw):
+    """A seeded small market, or mixed aggregates on both sides, uncertified or forged."""
+    if draw(st.booleans()):
+        markets = _small_market_list()
+        return markets[draw(st.integers(0, len(markets) - 1))]
+    F = draw(mixed_aggregates())
+    places = draw(st.permutations(range(F.universe_size)))
+    blocks = tuple(tuple(places[g] for g in block) for block in F.blocks)
+    parts = tuple(draw(st.one_of(selection_tables(len(block)), structural_functions(len(block))))
+                  if block else ExplicitTable(0, (0,)) for block in blocks)
+    sides = side_pair(F, Aggregate(F.universe_size, blocks, parts))
+    if not sides.certified and draw(st.booleans()):
+        return SidePair(sides.F, sides.G, PlottReport(True), PlottReport(True))
+    return sides
+
+
+@settings(max_examples=60, deadline=None)
+@given(stored_markets(), st.randoms(use_true_random=False))
+def test_stored_answers_equal_fresh_ones_past_the_bound(sides, rng):
+    n = sides.universe_size
+    stored = _fresh(sides)
+    start = SemiStablePair(ContractSet.empty(n), ContractSet.full(n))
+    stable = [S for S in map(partial(ContractSet, n), range(1 << n)) if is_stable_set(sides, S)]
+    pool = rng.sample(stable, min(5, len(stable))) + [ContractSet(n, rng.getrandbits(n))]
+    order = OrderChoice(n, tuple(rng.sample(range(n), n)), 1, rng.getrandbits(n))
+    weakened = union([sides.F, order])
+    statics = is_plott(weakened).is_plott  # always when F is path independent
+    full = (1 << n) - 1
+    ys = (0, rng.getrandbits(n), rng.getrandbits(n))  # each with starts that differ in Z alone
+    starts = [(y, z) for y in ys for z in {full & ~y | rng.getrandbits(n) for _ in range(4)}]
+    with mock.patch.object(choice._Rows, "maxsize", 3):
+        for _ in range(40):
+            S, T = rng.choice(pool), rng.choice(pool)
+            fresh = _fresh(sides)
+            kind = rng.randrange(6)
+            if kind == 0:
+                favored = rng.choice("FG")
+                frame = fresh if favored == "F" else fresh.swap()
+                assert _answer(side_optimal, stored, favored) == _answer(  # checked unswapped
+                    lambda: fresh.require_certified() or run_to_fixpoint(frame, start).result.S)
+            elif kind == 1:
+                assert _answer(lattice_join, stored, [S, T]) == _answer(_trace_join, fresh, [S, T])
+            elif kind == 2:
+                assert _answer(lattice_meet, stored, [S, T]) == _answer(
+                    lambda: fresh.require_certified() or _trace_join(fresh.swap(), [S, T]))
+            elif kind == 3:
+                assert _answer(set_to_pair, stored, S) == _answer(set_to_pair, fresh, S)
+            elif kind == 4:
+                y, z = rng.choice(starts)
+                p = SemiStablePair(ContractSet(n, y), ContractSet(n, z))
+                assert _answer(lambda: stored.require_certified() or stability._fixpoint(
+                    stored, y, z)) == _answer(lambda: run_to_fixpoint(fresh, p).result.S.mask)
+            elif statics:
+                assert _answer(comparative_statics, stored, weakened, S) == _answer(
+                    _trace_statics, fresh, weakened, S)
+        infos = stored.cache_info(), stored.swap().cache_info()
+    assert all(info.currsize <= info.maxsize == 6 for info in infos)
+
+
+def test_every_check_runs_before_a_stored_answer_and_no_failure_is_kept():
+    sides = _polarized((3, 2, 2))
+    n = sides.universe_size
+    fresh = _fresh(sides)
+    assert (fresh, hash(fresh), repr(fresh)) == (sides, hash(sides), repr(sides))
+    assert [f.name for f in fields(SidePair)] == ["F", "G", "f_report", "g_report"]
+    assert sides.swap() is sides.swap() and sides.swap().swap() is sides
+    assert sides.swap() == SidePair(sides.G, sides.F, sides.g_report, sides.f_report)
+    worst, best = side_optimal(sides, "F"), side_optimal(sides, "G")
+    assert lattice_join(sides, [worst, best]) == best and lattice_meet(sides, [worst, best]) == worst
+    assert set_to_pair(sides, best) == StablePair(closure_star(sides.G, best),
+                                                  closure_star(sides.F, best), best)
+    assert (fresh, hash(fresh), repr(fresh)) == (sides, hash(sides), repr(sides))
+    for copied in (pickle.loads(pickle.dumps(sides)), copy.copy(sides), copy.deepcopy(sides)):
+        assert copied == sides and copied.swap().swap() is copied
+        assert copied.cache_info().currsize == 0 < sides.cache_info().currsize
+
+    with pytest.raises(ValueError, match="^favored must be 'F' or 'G'$"):
+        side_optimal(sides, "X")
+    bare = SidePair(sides.F, sides.G)  # the same aggregates, not certified
+    with pytest.raises(ValueError, match="^favored must be 'F' or 'G'$"):  # before NotCertified
+        side_optimal(bare, "X")
+    for call, arg in ((side_optimal, "F"), (side_optimal, "G"), (set_to_pair, best),
+                      (lattice_join, [worst, best]), (lattice_meet, [worst, best])):
+        with pytest.raises(NotCertified, match="^operation requires both sides certified "
+                                               "path-independent$"):
+            call(bare, arg)
+    foreign = ContractSet(n + 1, best.mask)  # its mask is stored
+    for call, arg in ((set_to_pair, foreign), (lattice_join, [best, foreign]),
+                      (lattice_meet, [foreign])):
+        with pytest.raises(UniverseMismatch, match="^set outside the market universe$"):
+            call(sides, arg)
+    unstable = ContractSet.full(n)
+    assert is_stable_set(sides, unstable).condition == "S1"
+    before = sides.cache_info()
+    for _ in range(3):
+        with pytest.raises(NotStable, match="^set fails S1$"):
+            lattice_join(sides, [best, unstable])
+    assert sides.cache_info() == before._replace(hits=before.hits + 3)  # best's closures
+
+    maxsize = 2 * choice._Rows.maxsize
+    assert type(fresh.cache_info())._fields == ("hits", "misses", "maxsize", "currsize")
+    assert fresh.cache_info() == (0, 0, maxsize, 0)
+    assert side_optimal(fresh, "F") == worst
+    assert fresh.cache_info() == (0, 1, maxsize, 1)
+    assert side_optimal(fresh, "F") == worst
+    assert fresh.cache_info() == (1, 1, maxsize, 1)
+    assert side_optimal(fresh, "G") == best  # kept by the twin
+    assert fresh.cache_info() == (1, 1, maxsize, 1)
+    assert fresh.swap().cache_info() == (0, 1, maxsize, 1)
+
+
+def test_a_pair_and_its_twin_are_freed_without_the_cyclic_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sides = _polarized((3, 2))
+        twin = sides.swap()
+        assert side_optimal(sides, "G") == side_optimal(twin, "F")
+        dropped = weakref.ref(sides)
+        del sides
+        assert dropped() is None
+        again = twin.swap()  # a new pair, held by the twin
+        assert again == _polarized((3, 2)) and again.swap() is twin and twin.swap() is again
+        dropped = weakref.ref(twin)
+        del twin
+        assert dropped() is None and again.swap() == _polarized((3, 2)).swap()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_threads_sharing_a_pair_read_only_its_answers():
+    sides = _polarized((3, 3, 2))
+    n = sides.universe_size
+    stable = [S for S in map(partial(ContractSet, n), range(1 << n)) if is_stable_set(sides, S)]
+    assert len(stable) == 18
+    optima = {favored: side_optimal(_fresh(sides), favored) for favored in "FG"}
+    pairs = [set_to_pair(_fresh(sides), S) for S in stable]
+    unstable = ContractSet.full(n)
+    shared = _fresh(sides)
+
+    def ask(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            favored = rng.choice("FG")
+            assert side_optimal(shared, favored) == optima[favored]
+            (i, S), (j, T) = rng.choice(list(enumerate(stable))), rng.choice(list(enumerate(stable)))
+            assert set_to_pair(shared, S) == pairs[i]
+            join, meet = lattice_join(shared, [S, T]), lattice_meet(shared, [S, T])
+            assert join == lattice_join(_fresh(sides), [S, T])
+            assert meet == lattice_meet(_fresh(sides), [S, T])
+            with pytest.raises(NotStable, match="^set fails S1$"):
+                lattice_join(shared, [T, unstable])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(choice._Rows, "maxsize", 2), ThreadPoolExecutor(4) as pool:
+            list(pool.map(ask, range(4), timeout=120))  # emptying a store on nearly every miss
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared.swap().swap() is shared
+    assert all(p.cache_info().currsize <= 4 for p in (shared, shared.swap()))
