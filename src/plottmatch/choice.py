@@ -18,6 +18,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, partial, update_wrapper
 from itertools import count
+from numbers import Integral
 from threading import Lock
 
 import numpy as np
@@ -276,6 +277,8 @@ class OrderChoice(ChoiceFunction):
         n = self.universe_size
         if sorted(self.order) != list(range(n)):
             raise ValueError("order must be a permutation of all contract indices")
+        if not isinstance(self.quota, Integral):
+            raise ValueError("quota must be an integer")
         if self.quota < 0:
             raise ValueError("quota must be non-negative")
         if self.acceptable_mask == -1:

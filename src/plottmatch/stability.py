@@ -15,7 +15,6 @@ sets, and comparative statics under a weakened worker side.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,23 +56,28 @@ class SidePair:
     ``f_report`` and ``g_report`` are the sides' path-independence checks;
     the dynamics and everything built on it refuse to run uncertified.
 
-    A pair answers a query once. Two stores, made on first use and not
+    A pair answers a query once, for either side proposing: stability and
+    both closures do not depend on which side is called F, and σ's keys
+    carry the proposer in one bit. Two stores, made on first use and not
     fields (equality, hash and repr are the four fields'), keep σ's stable
-    set by start (``_fixpoints``; run_to_fixpoint does not read it) and the
-    closures of each set that has passed is_stable_set (``_pairs``). Each
-    holds up to 256 answers, is emptied when full and counts hits and
-    misses (``cache_info``). A key and its answer are ints of 3|C| bits in
-    all, so a full store holds 1.8 MiB at |C| = 20,001 (2.0 MiB traced).
-    Checks run before a store is read, and no failure is kept. Store steps
-    are single dict calls: threads may compute an answer twice or lose a
-    count, never read a wrong one. ``swap()`` returns one kept twin, whose
-    ``swap()`` is this pair.
+    set by start and proposer (``_fixpoints``; run_to_fixpoint does not
+    read it) and the closures of each set that has passed is_stable_set
+    (``_pairs``). Each holds up to 256 answers, is emptied when full and
+    counts hits and misses (``cache_info``). A key and its answer are ints
+    of about 3|C| bits in all, so a full store holds 1.8 MiB at |C| =
+    20,001 (2.0 MiB traced). Checks run before a store is read, and no
+    failure is kept. Store steps are single dict calls: threads may compute
+    an answer twice or lose a count, never read a wrong one.
     """
 
     F: ChoiceFunction
     G: ChoiceFunction
     f_report: PlottReport | None = None
     g_report: PlottReport | None = None
+
+    def __post_init__(self):
+        if self.F.universe_size != self.G.universe_size:
+            raise UniverseMismatch("both sides must share one universe")
 
     @property
     def universe_size(self) -> int:
@@ -86,25 +90,12 @@ class SidePair:
         return f is not None and g is not None and f.is_plott and g.is_plott
 
     def swap(self) -> "SidePair":
-        """The same market with the roles of the two sides exchanged: one kept twin.
-
-        The first call makes the twin and holds it; the twin refers back
-        weakly, so the two form no reference cycle. A twin whose pair was
-        dropped makes and holds a new one. Threads may make two twins at
-        once, each with its own stores.
-        """
-        twin = self.__dict__.get("_twin")
-        if type(twin) is weakref.ref:
-            twin = twin()
-        if twin is None:
-            twin = SidePair(self.G, self.F, self.g_report, self.f_report)
-            twin.__dict__["_twin"] = weakref.ref(self)
-            self.__dict__["_twin"] = twin
-        return twin
+        """The same market with the roles of the two sides exchanged, with empty stores."""
+        return SidePair(self.G, self.F, self.g_report, self.f_report)
 
     @cached_property
     def _fixpoints(self) -> _Rows:
-        """σ's stable set by start (y, z), keyed y << |C| | z."""
+        """σ's stable set by start (y, z) and proposer, keyed (y << |C| | z) << 1 | G proposes."""
         return _Rows()
 
     @cached_property
@@ -117,7 +108,7 @@ class SidePair:
         return _cache_info(self._fixpoints, self._pairs)
 
     def __reduce__(self):
-        """A copy or a pickle carries the four fields, not the stores or the twin."""
+        """A copy or a pickle carries the four fields, not the stores."""
         return SidePair, (self.F, self.G, self.f_report, self.g_report)
 
     def require_certified(self):
@@ -135,11 +126,8 @@ def side_pair(F: ChoiceFunction, G: ChoiceFunction, *, certify: bool = True) -> 
     The check is exact at any size: a side that acts block by block is path
     independent exactly when every agent's function is (see is_plott).
     """
-    if F.universe_size != G.universe_size:
-        raise UniverseMismatch("both sides must share one universe")
-    if not certify:
-        return SidePair(F, G)
-    return SidePair(F, G, is_plott(F), is_plott(G))
+    sides = SidePair(F, G)  # the universes are checked before either side is certified
+    return SidePair(F, G, is_plott(F), is_plott(G)) if certify else sides
 
 
 @dataclass(frozen=True)
@@ -161,15 +149,29 @@ class StablePair:
 
 @dataclass(frozen=True)
 class ProcessTrace:
-    """A full Φ run: every visited pair and its stable pair."""
+    """A full Φ run as σ found it: the masks of each visited (Y, Z) and of the stable set.
 
-    steps: tuple[SemiStablePair, ...]
-    result: StablePair
+    ``steps`` and ``result`` are built from the masks when first read.
+    """
+
+    universe_size: int
+    masks: tuple[tuple[int, int], ...]
+    stable_mask: int
+
+    @cached_property
+    def steps(self) -> tuple[SemiStablePair, ...]:
+        n = self.universe_size
+        return tuple(SemiStablePair(ContractSet(n, y), ContractSet(n, z)) for y, z in self.masks)
+
+    @cached_property
+    def result(self) -> StablePair:
+        n, (y, z) = self.universe_size, self.masks[-1]
+        return StablePair(ContractSet(n, y), ContractSet(n, z), ContractSet(n, self.stable_mask))
 
     @property
     def terminated_at(self) -> int:
         """The index of the fixpoint in ``steps``."""
-        return len(self.steps) - 1
+        return len(self.masks) - 1
 
 
 @dataclass(frozen=True)
@@ -218,19 +220,12 @@ def _ssp_check(n: int, y: int, z: int, gy: int, fz: int):
         raise NotSemiStable("SSP2 fails: choose(G,Y) is not within choose(F,Z)")
 
 
-def _ssp_masks(sides: SidePair, Y: ContractSet, Z: ContractSet) -> tuple[int, int]:
-    """Validate SSP1 and SSP2 on (Y, Z); return the masks of choose(G,Y), choose(F,Z)."""
-    if Y.universe_size != sides.universe_size or Z.universe_size != sides.universe_size:
-        raise UniverseMismatch("pair outside the market universe")
-    gy = sides.G._choose_mask(Y.mask)
-    fz = sides.F._choose_mask(Z.mask)
-    _ssp_check(sides.universe_size, Y.mask, Z.mask, gy, fz)
-    return gy, fz
-
-
 def semi_stable_pair(sides: SidePair, Y: ContractSet, Z: ContractSet) -> SemiStablePair:
     """Validate SSP1 (Y ∪ Z = C) and SSP2 (choose(G,Y) ⊆ choose(F,Z))."""
-    _ssp_masks(sides, Y, Z)
+    n = sides.universe_size
+    if Y.universe_size != n or Z.universe_size != n:
+        raise UniverseMismatch("pair outside the market universe")
+    _ssp_check(n, Y.mask, Z.mask, sides.G._choose_mask(Y.mask), sides.F._choose_mask(Z.mask))
     return SemiStablePair(Y, Z)
 
 
@@ -252,15 +247,16 @@ def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     full evaluation.
     """
     sides.require_certified()
-    G, n = sides.G, sides.universe_size
-    _, fz = _ssp_masks(sides, p.Y, p.Z)
+    semi_stable_pair(sides, p.Y, p.Z)
+    F, G, n = sides.F, sides.G, sides.universe_size
+    fz = F._choose_mask(p.Z.mask)
     y, z = p.Y.mask | fz, (p.Z.mask & ~fz) | G._choose_mask(fz)
-    _checked(n, p.Y.mask, p.Z.mask, y, z, G._choose_mask(y), sides.F._choose_mask(z))
+    _checked(n, p.Y.mask, p.Z.mask, y, z, G._choose_mask(y), F._choose_mask(z))
     return SemiStablePair(ContractSet(n, y), ContractSet(n, z))
 
 
-def _sigma(sides: SidePair, y: int, z: int) -> tuple[list[tuple[int, int]], int]:
-    """σ on masks from a semi-stable (y, z): every (Y, Z) visited, and the stable set.
+def _sigma(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int) -> tuple[tuple, int]:
+    """σ on masks, F proposing, from a semi-stable (y, z): every (Y, Z) visited, and the stable set.
 
     Z can strictly shrink at most |C| times and Y absorbs choose(F,Z) in one
     further step, so more than |C|+2 applications raise InternalError, as
@@ -272,7 +268,7 @@ def _sigma(sides: SidePair, y: int, z: int) -> tuple[list[tuple[int, int]], int]
     (the first on a tie), so an aggregate asks only the agents whose slice
     changed; from (∅, C), choose(G,Y') = choose(G,F(Z)) costs nothing.
     """
-    F, G, n = sides.F, sides.G, sides.universe_size
+    n = F.universe_size
     gy, fz = G._choose_mask(y), F._choose_mask(z)
     _ssp_check(n, y, z, gy, fz)
     gfz = G._rechoose(y, gy, fz)
@@ -295,15 +291,16 @@ def _sigma(sides: SidePair, y: int, z: int) -> tuple[list[tuple[int, int]], int]
         raise InternalError("fixpoint reached with choose(G,choose(F,Z)) != choose(F,Z)")
     if gy != fz:
         raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
-    return steps, fz
+    return tuple(steps), fz
 
 
-def _fixpoint(sides: SidePair, y: int, z: int) -> int:
-    """σ's stable set from masks (y, z), as ``_sigma`` finds it, kept by start."""
-    key, store = y << sides.universe_size | z, sides._fixpoints
+def _fixpoint(sides: SidePair, y: int, z: int, flip: bool = False) -> int:
+    """σ's stable set from masks (y, z), as ``_sigma`` finds it (G proposing if flip); kept."""
+    key, store = (y << sides.universe_size | z) << 1 | flip, sides._fixpoints
     s = store.get(key)
     if s is None:
-        return store.add(key, _sigma(sides, y, z)[1])
+        F, G = (sides.G, sides.F) if flip else (sides.F, sides.G)
+        return store.add(key, _sigma(F, G, y, z)[1])
     store.hits += 1
     return s
 
@@ -311,16 +308,14 @@ def _fixpoint(sides: SidePair, y: int, z: int) -> int:
 def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
     """Iterate Φ from p0 until it stops moving; the fixpoint yields a stable set.
 
-    σ runs on masks (``_sigma``); step objects are built only here, for the
-    returned trace.
+    σ runs on masks (``_sigma``), and the trace keeps them; step objects are
+    built only when the trace's steps are read.
     """
     sides.require_certified()
     n = sides.universe_size
     if p0.Y.universe_size != n or p0.Z.universe_size != n:
         raise UniverseMismatch("pair outside the market universe")
-    masks, s = _sigma(sides, p0.Y.mask, p0.Z.mask)
-    steps = tuple(SemiStablePair(ContractSet(n, y), ContractSet(n, z)) for y, z in masks)
-    return ProcessTrace(steps, StablePair(steps[-1].Y, steps[-1].Z, ContractSet(n, s)))
+    return ProcessTrace(n, *_sigma(sides.F, sides.G, p0.Y.mask, p0.Z.mask))
 
 
 def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
@@ -361,32 +356,36 @@ def _closures(sides: SidePair, S: ContractSet) -> tuple[int, int]:
 def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:
     """The stable pair (closure_star(G,S), closure_star(F,S)) of a stable set; NotStable if not."""
     sides.require_certified()
-    n = sides.universe_size
-    return StablePair(*(ContractSet(n, mask) for mask in _closures(sides, S)), S)
+    return StablePair(*(ContractSet(sides.universe_size, m) for m in _closures(sides, S)), S)
 
 
 def side_optimal(sides: SidePair, favored: str) -> ContractSet:
-    """The stable set best for one side: σ(∅, C) on masks, run with that side as F.
+    """The stable set best for one side: σ(∅, C) on masks, run with that side proposing.
 
     No step objects are built; run_to_fixpoint returns the same set with a
-    trace. The answer is kept by the pair, or for "G" by its twin (see
-    SidePair), so only the first call runs σ; the checks run on every call.
+    trace. The pair keeps the answer for either side (see SidePair), so
+    only the first call runs σ; the checks run on every call.
     """
     if favored not in ("F", "G"):
         raise ValueError("favored must be 'F' or 'G'")
-    sides.require_certified()  # before a swap renames the sides
-    frame = sides if favored == "F" else sides.swap()
+    sides.require_certified()
     n = sides.universe_size
-    return ContractSet(n, _fixpoint(frame, 0, (1 << n) - 1))
+    return ContractSet(n, _fixpoint(sides, 0, (1 << n) - 1, favored == "G"))
 
 
-def _run_from(sides: SidePair, y: int, z: int, failure: str) -> ContractSet:
-    """σ from masks (y, z) proven semi-stable; a failing start raises InternalError(failure)."""
-    try:
-        s = _fixpoint(sides, y, z)
+def _join(sides: SidePair, stable_sets, flip: bool) -> ContractSet:
+    """lattice_join, or with flip the join of the swapped market: each pair's halves exchanged."""
+    sides.require_certified()
+    pairs = [_closures(sides, S)[::-1 if flip else 1] for S in stable_sets]
+    if not pairs:
+        raise EmptyList("join of zero stable sets")
+    y, z = 0, (1 << sides.universe_size) - 1
+    for cy, cz in pairs:
+        y, z = y | cy, z & cz
+    try:  # a theorem makes the start semi-stable
+        return ContractSet(sides.universe_size, _fixpoint(sides, y, z, flip))
     except NotSemiStable as exc:
-        raise InternalError(failure) from exc
-    return ContractSet(sides.universe_size, s)
+        raise InternalError("union/intersection of stable pairs not semi-stable") from exc
 
 
 def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
@@ -399,20 +398,12 @@ def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
     SidePair). Certification and universes are checked on every call, and
     stability on each call until a set passes.
     """
-    sides.require_certified()
-    pairs = [_closures(sides, S) for S in stable_sets]
-    if not pairs:
-        raise EmptyList("join of zero stable sets")
-    y, z = 0, (1 << sides.universe_size) - 1
-    for cy, cz in pairs:
-        y, z = y | cy, z & cz
-    return _run_from(sides, y, z, "union/intersection of stable pairs not semi-stable")
+    return _join(sides, stable_sets, False)
 
 
 def lattice_meet(sides: SidePair, stable_sets) -> ContractSet:
-    """Greatest lower bound in the firm-side order: the join on the pair's one twin."""
-    sides.require_certified()  # before a swap renames the sides
-    return lattice_join(sides.swap(), stable_sets)
+    """Greatest lower bound in the firm-side order: the join with the sides' roles exchanged."""
+    return _join(sides, stable_sets, True)
 
 
 def blair_compare_stable(sides: SidePair, S: ContractSet, T: ContractSet) -> str:
@@ -420,12 +411,11 @@ def blair_compare_stable(sides: SidePair, S: ContractSet, T: ContractSet) -> str
 
     Returns "less", "greater", "equal", or "incomparable"; both directions
     holding forces S = T (antisymmetry on stable sets), which is asserted.
+    Stability is checked through the pair's store, as set_to_pair does.
     """
     sides.require_certified()
     for X in (S, T):
-        check = is_stable_set(sides, X)
-        if not check:
-            raise NotStable(f"set fails {check.condition}")
+        _closures(sides, X)  # NotStable unless X is stable
     st = blair_leq(sides.G, S, T)
     ts = blair_leq(sides.G, T, S)
     if st and ts:
@@ -482,13 +472,15 @@ def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
     if witness is not None:
         raise NotDominated(
             f"choose(F,X) not within choose(F',X) at X mask {witness}")
-    f2_report = is_plott(f_prime)
-    if not f2_report.is_plott:
+    if not is_plott(f_prime).is_plott:
         raise NotCertified("weakened side is not path-independent")
-    old_pair = set_to_pair(sides, S)
-    new_sides = SidePair(f_prime, sides.G, f2_report, sides.g_report)
-    z = closure_star(f_prime, old_pair.Z)
-    s_prime = _run_from(new_sides, old_pair.Y.mask, z.mask, "statics start pair not semi-stable")
+    n = sides.universe_size
+    y, z = _closures(sides, S)
+    z = ((1 << n) - 1) ^ f_prime._gains(z)  # closure_star(F′, z)
+    try:
+        s_prime = ContractSet(n, _sigma(f_prime, sides.G, y, z)[1])
+    except NotSemiStable as exc:
+        raise InternalError("statics start pair not semi-stable") from exc
     if not blair_leq(sides.G, S, s_prime):
         raise InternalError("statics result not above S in the firm-side order")
     if not blair_leq(sides.F, s_prime, S):

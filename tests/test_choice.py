@@ -131,6 +131,15 @@ def test_quota_by_order():
         OrderChoice(3, (0, 1, 2), -1)
 
 
+def test_a_quota_must_be_an_integer():
+    for quota in (1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="^quota must be an integer$"):
+            OrderChoice(3, (0, 1, 2), quota)
+    for quota in (2, np.int64(2), np.uint8(2)):
+        f = OrderChoice(3, (0, 1, 2), quota)
+        assert f._choose_mask(0b111) == choice_table(f)[0b111] == 0b011
+
+
 def test_utility_threshold():
     f = OrderChoice.by_utility((5, 5, -1))
     assert f.choose(cs(3, 0, 1)) == cs(3, 0)  # tie goes to the lower index

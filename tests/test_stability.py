@@ -134,6 +134,16 @@ def test_certification_is_read_from_the_reports():
         SidePair(F, G).require_certified()
 
 
+def test_a_pair_over_two_universes_is_refused_before_certification():
+    F3, G2 = OrderChoice(3, (0, 1, 2)), OrderChoice(2, (0, 1))
+    with pytest.raises(UniverseMismatch, match="^both sides must share one universe$"):
+        SidePair(F3, G2, is_plott(F3), is_plott(G2))
+    with mock.patch.object(stability, "is_plott", side_effect=AssertionError("certified")):
+        for certify in (True, False):
+            with pytest.raises(UniverseMismatch, match="^both sides must share one universe$"):
+                side_pair(F3, G2, certify=certify)
+
+
 def test_one_failing_report_leaves_the_pair_uncertified():
     failing, passing = is_plott(EX2.F), PlottReport(True)
     assert not failing.is_plott
@@ -766,7 +776,7 @@ def _reference_run(sides, p):
         raise InternalError("fixpoint reached with choose(G,choose(F,Z)) != choose(F,Z)")
     if sides.G.choose(p.Y) != fz:
         raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
-    return ProcessTrace(tuple(steps), StablePair(p.Y, p.Z, fz))
+    return ProcessTrace(sides.universe_size, tuple((q.Y.mask, q.Z.mask) for q in steps), fz.mask)
 
 
 def _outcome(run, sides, p):
@@ -980,7 +990,7 @@ def test_every_check_runs_before_a_stored_answer_and_no_failure_is_kept():
     fresh = _fresh(sides)
     assert (fresh, hash(fresh), repr(fresh)) == (sides, hash(sides), repr(sides))
     assert [f.name for f in fields(SidePair)] == ["F", "G", "f_report", "g_report"]
-    assert sides.swap() is sides.swap() and sides.swap().swap() is sides
+    assert sides.swap() == sides.swap() and sides.swap().swap() == sides
     assert sides.swap() == SidePair(sides.G, sides.F, sides.g_report, sides.f_report)
     worst, best = side_optimal(sides, "F"), side_optimal(sides, "G")
     assert lattice_join(sides, [worst, best]) == best and lattice_meet(sides, [worst, best]) == worst
@@ -988,7 +998,7 @@ def test_every_check_runs_before_a_stored_answer_and_no_failure_is_kept():
                                                   closure_star(sides.F, best), best)
     assert (fresh, hash(fresh), repr(fresh)) == (sides, hash(sides), repr(sides))
     for copied in (pickle.loads(pickle.dumps(sides)), copy.copy(sides), copy.deepcopy(sides)):
-        assert copied == sides and copied.swap().swap() is copied
+        assert copied == sides and copied.swap().swap() == copied
         assert copied.cache_info().currsize == 0 < sides.cache_info().currsize
 
     with pytest.raises(ValueError, match="^favored must be 'F' or 'G'$"):
@@ -1021,26 +1031,59 @@ def test_every_check_runs_before_a_stored_answer_and_no_failure_is_kept():
     assert fresh.cache_info() == (0, 1, maxsize, 1)
     assert side_optimal(fresh, "F") == worst
     assert fresh.cache_info() == (1, 1, maxsize, 1)
-    assert side_optimal(fresh, "G") == best  # kept by the twin
-    assert fresh.cache_info() == (1, 1, maxsize, 1)
-    assert fresh.swap().cache_info() == (0, 1, maxsize, 1)
+    assert side_optimal(fresh, "G") == best  # kept by the same pair, under its own key
+    assert fresh.cache_info() == (1, 2, maxsize, 2)
+    assert side_optimal(fresh, "G") == best
+    assert fresh.cache_info() == (2, 2, maxsize, 2)
+    assert fresh.swap().cache_info() == (0, 0, maxsize, 0)
+    assert lattice_join(fresh, [worst, best]) == best  # two closures and one start missed
+    assert choice._cache_info(fresh._pairs) == (0, 2, maxsize // 2, 2)
+    assert fresh.cache_info() == (2, 5, maxsize, 5)
+    assert lattice_meet(fresh, [worst, best]) == worst  # the join's closures, exchanged
+    assert choice._cache_info(fresh._pairs) == (2, 2, maxsize // 2, 2)
+    assert fresh.cache_info() == (4, 6, maxsize, 6)
 
 
-def test_a_pair_and_its_twin_are_freed_without_the_cyclic_collector():
+def test_compare_reads_stability_from_the_pair_store():
+    sides = _polarized((3, 2, 2))
+    n = sides.universe_size
+    worst, best = side_optimal(sides, "F"), side_optimal(sides, "G")
+    assert set_to_pair(sides, worst) and set_to_pair(sides, best)
+    f_info, g_gains = sides.F.cache_info(), choice._cache_info(sides.G._gained)
+    pairs = choice._cache_info(sides._pairs)
+    assert blair_compare_stable(sides, worst, best) == "less"
+    assert blair_compare_stable(sides, best, worst) == "greater"
+    assert blair_compare_stable(sides, best, best) == "equal"
+    assert sides.F.cache_info() == f_info and choice._cache_info(sides.G._gained) == g_gains
+    assert choice._cache_info(sides._pairs) == pairs._replace(hits=pairs.hits + 6)
+
+    unstable = ContractSet.full(n)
+    assert is_stable_set(sides, unstable).condition == "S1"
+    before = sides.cache_info()
+    for _ in range(3):
+        with pytest.raises(NotStable, match="^set fails S1$"):
+            blair_compare_stable(sides, best, unstable)
+    assert sides.cache_info() == before._replace(hits=before.hits + 3)  # best's closures
+    assert unstable.mask not in sides._pairs
+    foreign = ContractSet(n + 1, best.mask)  # its mask is stored
+    for S, T in ((foreign, unstable), (best, foreign), (ContractSet(n + 1, unstable.mask), best)):
+        with pytest.raises(UniverseMismatch, match="^set outside the market universe$"):
+            blair_compare_stable(sides, S, T)
+
+
+def test_a_pair_that_answered_both_directions_is_freed_without_the_cyclic_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
         sides = _polarized((3, 2))
-        twin = sides.swap()
-        assert side_optimal(sides, "G") == side_optimal(twin, "F")
+        worst, best = side_optimal(sides, "F"), side_optimal(sides, "G")
+        assert worst == side_optimal(sides.swap(), "G") and best == side_optimal(sides.swap(), "F")
+        assert lattice_join(sides, [worst, best]) == best
+        assert lattice_meet(sides, [worst, best]) == worst
+        assert sides.cache_info().currsize == 6
         dropped = weakref.ref(sides)
         del sides
         assert dropped() is None
-        again = twin.swap()  # a new pair, held by the twin
-        assert again == _polarized((3, 2)) and again.swap() is twin and twin.swap() is again
-        dropped = weakref.ref(twin)
-        del twin
-        assert dropped() is None and again.swap() == _polarized((3, 2)).swap()
     finally:
         if enabled:
             gc.enable()
@@ -1076,5 +1119,5 @@ def test_threads_sharing_a_pair_read_only_its_answers():
             list(pool.map(ask, range(4), timeout=120))  # emptying a store on nearly every miss
     finally:
         sys.setswitchinterval(interval)
-    assert shared.swap().swap() is shared
-    assert all(p.cache_info().currsize <= 4 for p in (shared, shared.swap()))
+    assert shared.swap().swap() == shared
+    assert shared.cache_info().currsize <= 4
