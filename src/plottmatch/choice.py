@@ -29,9 +29,6 @@ EXHAUSTIVE_CAP = 16
 # Bounds of the one store of every per-value memo, in entries and table rows (see _Memo).
 MEMO_ENTRIES = 1024
 MEMO_ROWS = 1 << 19
-# Up to this many contracts a table is checked row by row on plain ints first:
-# 3.5 µs at 2 contracts and 24 µs at 5, against 32 and 47 µs for a numpy scan.
-ROW_CHECK_CAP = 5
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])  # as functools'
 
 
@@ -540,11 +537,8 @@ class Aggregate(ChoiceFunction):
         return self._chosen.add(new, chosen)
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
-        table = np.zeros_like(masks)
-        for block, part in zip(self.blocks, self.parts):
-            runs = _runs(block)
-            table |= _scatter(choice_table(part), runs)[_gather(masks, runs)]
-        return table
+        agents = _agents(self)
+        return _choose(agents, _slices(agents, masks), masks)
 
 
 def union(cfs) -> UnionChoice:
@@ -644,6 +638,52 @@ def choice_table(cf: ChoiceFunction) -> np.ndarray:
     return table
 
 
+def _fit(what: str, n: int, cap: int, limit: int = EXHAUSTIVE_CAP) -> None:
+    """Refuse ``what`` over n contracts above ``cap``, which may lower ``limit`` but not raise it."""
+    cap = min(cap, limit)
+    if n > cap:
+        raise CapExceeded(f"{what} needs universe_size <= {cap}, got {n}")
+
+
+def _agents(cf: ChoiceFunction) -> list[tuple[tuple[int, ...], list, np.ndarray, np.ndarray]]:
+    """Each agent of a side as (block, runs, its choice table, the table on global bits).
+
+    A side that is not an aggregate is one agent over the whole universe,
+    whose local masks are the global ones.
+    """
+    if isinstance(cf, Aggregate):
+        pairs = zip(cf.blocks, cf.parts)
+    else:
+        pairs = ((tuple(range(cf.universe_size)), cf),)
+    agents = []
+    for block, part in pairs:
+        runs, table = _runs(block), choice_table(part)
+        agents.append((block, runs, table, _scatter(table, runs)))
+    return agents
+
+
+def _slices(agents, xs: np.ndarray) -> list[np.ndarray]:
+    """Each agent's local masks of its slice of every global mask in xs."""
+    return [_gather(xs, runs) for _, runs, _, _ in agents]
+
+
+def _choose(agents, slices, xs: np.ndarray) -> np.ndarray:
+    """A side's choice on each mask in xs, from its agents' slices: their choices' union."""
+    chosen = np.zeros_like(xs)
+    for (_, _, _, lifted), local in zip(agents, slices):
+        chosen |= lifted[local]
+    return chosen
+
+
+def _gains(agents, slices, xs: np.ndarray) -> np.ndarray:
+    """For each mask in xs, the contracts c outside it chosen from it plus c alone."""
+    gains = np.zeros_like(xs)
+    for (block, _, _, lifted), local in zip(agents, slices):
+        for j, g in enumerate(block):
+            gains |= lifted[local | 1 << j] & 1 << g
+    return gains & ~xs
+
+
 # ---------------------------------------------------------------------------
 # Path-independence verification
 # ---------------------------------------------------------------------------
@@ -717,29 +757,10 @@ def _violation_scan(table: np.ndarray, n: int, place):
     return None
 
 
-def _clean_rows(cf: ChoiceFunction, n: int) -> bool:
-    """Whether no one-element removal breaks Heredity or Outcast, row by row on plain ints."""
-    rows = [cf._choose_mask(x) for x in range(1 << n)]
-    for x in range(1, 1 << n):
-        chosen = rows[x]
-        for c in range(n):
-            bit = 1 << c
-            if x & bit:
-                kept = rows[x ^ bit]
-                if chosen & ~bit & ~kept or not chosen & bit and kept != chosen:
-                    return False
-    return True
-
-
 @partial(_Memo, lambda cf, clean: 1 << cf.universe_size)
 def _proven(cf: ChoiceFunction):
-    """True when cf's own table is path independent, else None, which is not kept.
-
-    Up to ROW_CHECK_CAP contracts the rows are checked on plain ints, above it in numpy.
-    """
+    """True when cf's own table is path independent, else None, which is not kept."""
     n = cf.universe_size
-    if n <= ROW_CHECK_CAP:
-        return _clean_rows(cf, n) or None
     return _violation_scan(choice_table(cf), n, range(n)) is None or None
 
 
@@ -754,9 +775,9 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
     block alone, G(X) = ∪ G_i(X ∩ block_i), so it is path independent
     exactly when every part is, and each violation of a part, with the
     other blocks empty, is the least violation of the whole with that
-    contract. Everything else is checked over its own table, which must fit
-    under ``cap`` (see _proven), and only a table that fails there is
-    scanned for its witness.
+    contract. Everything else is scanned over its own table, which must fit
+    under ``cap`` and EXHAUSTIVE_CAP; a clean table's verdict is kept (see
+    _proven), and only a table that fails there is scanned for its witness.
     """
     if type(cf) is OrderChoice:
         return None
@@ -768,8 +789,7 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
             _plott_witness(part, cap, place) is None for part in cf.parts):
         return None
     n = cf.universe_size
-    if n > cap:
-        raise CapExceeded(f"exhaustive check needs universe_size <= {cap}, got {n}")
+    _fit("exhaustive check", n, cap)
     if _proven(cf):
         return None
     return _violation_scan(choice_table(cf), n, place)
@@ -785,9 +805,10 @@ def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
     (explicit ones, failing unions, other functions) are scanned, every
     one-element removal over their own 2^k rows, which by induction decides
     both axioms over all subset pairs; each scanned table must fit under
-    ``cap``, on every call. Tables found path independent are memoized by
-    value (see _Memo); a failing one is scanned on every call, so that its
-    witness is placed by that call. The witness is the one a scan of the
+    ``cap``, which may lower EXHAUSTIVE_CAP but never raise it, on every
+    call. Tables found path independent are memoized by value (see _Memo);
+    a failing one is scanned on every call, so that its witness is placed
+    by that call. The witness is the one a scan of the
     whole function's table would return: heredity first, then the least set.
     """
     n = cf.universe_size
@@ -875,9 +896,7 @@ def decompose_into_orders(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> l
     per function value (see _Memo); each call returns a new list of them. A
     function that is not path independent raises NotPlott on every call.
     """
-    n = cf.universe_size
-    if n > cap:
-        raise CapExceeded(f"decomposition needs universe_size <= {cap}, got {n}")
+    _fit("decomposition", cf.universe_size, cap)
     return list(_decomposition(cf))
 
 

@@ -21,10 +21,11 @@ from .choice import (
     ContractSet,
     ExplicitTable,
     _Memo,
+    _fit,
     _violation_scan,
     choice_table,
 )
-from .errors import AxiomsFail, CapExceeded, InternalError, UniverseMismatch
+from .errors import AxiomsFail, InternalError, UniverseMismatch
 
 AUDIT_CAP = 8
 
@@ -155,14 +156,6 @@ def _first_true(condition: np.ndarray):
     return tuple(int(v) for v in np.unravel_index(at, condition.shape))
 
 
-def _capped(rel, cap: int):
-    """rel, once its universe is found to fit under the audit ``cap`` (CapExceeded if not)."""
-    n = rel.universe_size
-    if n > cap:
-        raise CapExceeded(f"axiom audit needs universe_size <= {cap}, got {n}")
-    return rel
-
-
 def _key_rows(rel) -> int:
     """The table rows a relation keeps alive: 2^k, or 3 per pair (88 bytes in a frozenset)."""
     return 1 << rel.universe_size if isinstance(rel, DerivedLehmann) else 3 * len(rel.true_pairs)
@@ -230,11 +223,13 @@ def audit_lehmann_axioms(rel, *, cap: int = AUDIT_CAP) -> AxiomReport:
     first failing one: a whole (B, A1, A2) array has 8^n entries, and at
     the cap it took over 100 times as long as the scan and 32 MiB more.
 
-    The cap is checked on every call. Behind it a relation is audited once
+    The cap, which may lower AUDIT_CAP but never raise it, since the matrix
+    grows 4^n, is checked on every call. Behind it a relation is audited once
     per value (see choice._Memo), equal relations sharing the result with
     each other and with reconstruct_choice.
     """
-    return _audited(_capped(rel, cap))[1]
+    _fit("axiom audit", rel.universe_size, cap, AUDIT_CAP)
+    return _audited(rel)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +246,12 @@ def reconstruct_choice(rel, *, cap: int = AUDIT_CAP) -> ExplicitTable:
     on every call otherwise). The result is certified path independent by
     an exact scan of its table, which the bijection guarantees, so a failed
     certification raises InternalError. So does a derived relation with
-    choose(A∪{c}) ≠ choose(A) on a pair {c} ≺ A it reads. The cap is
-    checked on every call; behind it the table is rebuilt once per
-    relation value (see choice._Memo).
+    choose(A∪{c}) ≠ choose(A) on a pair {c} ≺ A it reads. The cap, as
+    the audit's, is checked on every call; behind it the table is rebuilt
+    once per relation value (see choice._Memo).
     """
-    return _rebuilt(_capped(rel, cap))
+    _fit("axiom audit", rel.universe_size, cap, AUDIT_CAP)
+    return _rebuilt(rel)
 
 
 @partial(_Memo, lambda rel, table: _key_rows(rel) + (1 << rel.universe_size))

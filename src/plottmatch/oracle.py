@@ -21,18 +21,19 @@ import numpy as np
 
 from .choice import (
     EXHAUSTIVE_CAP,
-    Aggregate,
     ContractSet,
     OrderChoice,
     UnionChoice,
-    _gather,
-    _runs,
-    _scatter,
+    _agents,
+    _choose,
+    _fit,
+    _gains,
+    _slices,
     choice_table,
     closure_star,
     format_set,
 )
-from .errors import CapExceeded, EmptyList, InternalError, NotStable, UniverseMismatch
+from .errors import EmptyList, InternalError, NotStable, UniverseMismatch
 from .stability import SidePair, lattice_join, lattice_meet, side_pair
 
 SEMI_STABLE_CAP = 10
@@ -86,45 +87,6 @@ class StableSetCatalog:
         raise InternalError("catalog has no extreme element")
 
 
-def _agents(cf) -> list[tuple[tuple[int, ...], list, np.ndarray, np.ndarray]]:
-    """Each agent of a side as (block, runs, its choice table, the table on global bits).
-
-    A side that is not an aggregate is one agent over the whole universe,
-    whose local masks are the global ones.
-    """
-    if isinstance(cf, Aggregate):
-        pairs = zip(cf.blocks, cf.parts)
-    else:
-        pairs = ((tuple(range(cf.universe_size)), cf),)
-    agents = []
-    for block, part in pairs:
-        runs, table = _runs(block), choice_table(part)
-        agents.append((block, runs, table, _scatter(table, runs)))
-    return agents
-
-
-def _slices(agents, xs: np.ndarray) -> list[np.ndarray]:
-    """Each agent's local masks of its slice of every global mask in xs."""
-    return [_gather(xs, runs) for _, runs, _, _ in agents]
-
-
-def _choose(agents, slices, xs: np.ndarray) -> np.ndarray:
-    """A side's choice on each mask in xs, from its agents' slices: their choices' union."""
-    chosen = np.zeros_like(xs)
-    for (_, _, _, lifted), local in zip(agents, slices):
-        chosen |= lifted[local]
-    return chosen
-
-
-def _gains(agents, slices, xs: np.ndarray) -> np.ndarray:
-    """For each mask in xs, the contracts c outside it chosen from it plus c alone."""
-    gains = np.zeros_like(xs)
-    for (block, _, _, lifted), local in zip(agents, slices):
-        for j, g in enumerate(block):
-            gains |= lifted[local | 1 << j] & 1 << g
-    return gains & ~xs
-
-
 def enumerate_stable_sets(sides: SidePair, *, cap: int = EXHAUSTIVE_CAP) -> StableSetCatalog:
     """Find every stable set agent by agent and assemble the catalog.
 
@@ -143,10 +105,7 @@ def enumerate_stable_sets(sides: SidePair, *, cap: int = EXHAUSTIVE_CAP) -> Stab
     equals the worker-side matrix; all three are enforced.
     """
     n = sides.universe_size
-    if n > cap:
-        raise CapExceeded(f"enumeration needs universe_size <= {cap}, got {n}")
-    if n > EXHAUSTIVE_CAP:  # the fingerprint needs whole tables; masks stay int64
-        raise CapExceeded(f"full tables are capped at {EXHAUSTIVE_CAP} contracts")
+    _fit("enumeration", n, cap)  # the fingerprint needs whole tables; masks stay int64
     f_agents, g_agents = _agents(sides.F), _agents(sides.G)
     sets = np.zeros(1, dtype=np.int64)
     for _, _, table, lifted in f_agents:
@@ -285,10 +244,12 @@ def generate_instance(seed: int, universe_size: int, side_spec) -> SidePair:
 
 
 def semi_stable_masks(sides: SidePair, *, cap: int = SEMI_STABLE_CAP) -> list[tuple[int, int]]:
-    """All (Y, Z) mask pairs satisfying SSP1 and SSP2, by full grid scan."""
+    """All (Y, Z) mask pairs satisfying SSP1 and SSP2, by a scan of the 4^|C| grid.
+
+    The cap may lower SEMI_STABLE_CAP but never raise it.
+    """
     n = sides.universe_size
-    if n > cap:
-        raise CapExceeded(f"semi-stable scan needs universe_size <= {cap}, got {n}")
+    _fit("semi-stable scan", n, cap, SEMI_STABLE_CAP)
     tf, tg = choice_table(sides.F), choice_table(sides.G)
     masks = np.arange(1 << n, dtype=np.int64)
     full = (1 << n) - 1

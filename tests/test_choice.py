@@ -319,12 +319,10 @@ def test_is_plott_mode_and_cap():
 
 
 def _counted_scans(monkeypatch) -> list:
-    """Record every table check: ("rows", n) by ``_clean_rows``, ("scan", n) by the scan."""
-    calls = []
-    for name, tag in (("_clean_rows", "rows"), ("_violation_scan", "scan")):
-        check = getattr(choice, name)
-        monkeypatch.setattr(choice, name, lambda *args, check=check, tag=tag: (
-            calls.append((tag, args[1])) or check(*args)))
+    """Record the size n of every table that the scan checks."""
+    calls, scan = [], choice._violation_scan
+    monkeypatch.setattr(choice, "_violation_scan", lambda table, n, place: (
+        calls.append(n) or scan(table, n, place)))
     return calls
 
 
@@ -335,8 +333,8 @@ def test_a_failing_table_is_placed_by_each_call_and_never_kept(monkeypatch):
         agg = Aggregate(4, blocks, (EX2_F, other))
         before = len(scans)
         report = is_plott(agg)
-        assert not report.is_plott  # checked and scanned once, on every call
-        assert scans[before:] == [("rows", 2), ("scan", 2)]
+        assert not report.is_plott  # checked, then scanned for its witness, on every call
+        assert scans[before:] == [2, 2]
         assert report == is_plott(_as_table(agg))  # the whole table's own witness
         b, a, element = report.heredity_witness
         assert element == blocks[0][1] and b.mask == (1 << blocks[0][0]) | (1 << element)
@@ -352,9 +350,9 @@ def test_a_proven_table_is_scanned_once_per_value(monkeypatch):
     side = Aggregate(12, blocks, (pair, three, ExplicitTable(2, (0, 1, 2, 3)), pair,
                                   _as_table(OrderChoice(3, (2, 0, 1), 2))))
     assert is_plott(side).is_plott
-    assert sorted(scans) == [("rows", 2), ("rows", 3)]  # one check per distinct table
+    assert sorted(scans) == [2, 3]  # one scan per distinct table
     assert is_plott(side).is_plott and is_plott(three).is_plott
-    assert sorted(scans) == [("rows", 2), ("rows", 3)]
+    assert sorted(scans) == [2, 3]
     assert len(choice._proven) == 2
 
 
@@ -389,18 +387,18 @@ def test_verdicts_are_bounded_in_functions_and_in_table_rows(monkeypatch):
     monkeypatch.setattr(choice, "MEMO_ENTRIES", 2)
     for table in small:
         assert is_plott(table).is_plott
-    # the two newest: the 6-contract table is scanned, its 3-contract forerunner checked by rows
+    # the two newest: the 6-contract table and its verdict; each check keeps its table first
     assert _kept() == [(choice_table, small[2]), (choice._proven, small[2])]
     assert choice._Memo._rows == _charged() == 2 * 64 + 64
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, choice.ROW_CHECK_CAP).flatmap(
+@given(st.integers(0, 5).flatmap(
     lambda n: st.one_of(selection_tables(n), structural_functions(n))))
-def test_the_row_check_agrees_with_the_scan(cf):
+def test_the_scan_agrees_with_the_definition(cf):
     n = cf.universe_size
     clean = choice._violation_scan(choice_table(cf), n, range(n)) is None
-    assert choice._clean_rows(cf, n) == clean == _definition_plott(cf)
+    assert clean == _definition_plott(cf)
 
 
 def test_threads_sharing_the_verdict_store_keep_only_clean_tables_within_its_bounds():

@@ -131,6 +131,19 @@ def test_check_skips_the_audit_above_its_cap(capsys, tmp_path):
                    "lehmann: skipped (universe exceeds audit cap)\n")
 
 
+def test_a_cap_lowers_the_audit_limit_but_never_raises_it(capsys, tmp_path, market_text):
+    path = tmp_path / "nine.mkt"
+    path.write_text(market_text(3, 3, 3, seed=1))
+    code, out, err = run(capsys, "check", str(path), "--side", "F", "--cap", "9")
+    assert (code, err) == (0, "")
+    assert out == "PLOTT (exhaustive)\nlehmann: skipped (universe exceeds audit cap)\n"
+    code, out, err = run(capsys, "lehmann", str(path), "--side", "F", "--cap", "99")
+    assert (code, out, err) == (0, "lehmann: skipped (universe exceeds audit cap)\n", "")
+    code, _, err = run(capsys, "lehmann", str(path), "--side", "F", "--roundtrip", "--cap", "9")
+    assert (code, err) == (1, "error: axiom audit needs universe_size <= 8, got 9\n")
+    assert hyperorders._audited.cache_info().misses == 0  # no 4^9 matrix was built
+
+
 def test_check_is_exact_above_the_table_cap(capsys, tmp_path, market_text):
     path = tmp_path / "mixed24.mkt"
     path.write_text(market_text(8, 6, 3, seed=3, worker_kinds=("order", "explicit", "quota"),

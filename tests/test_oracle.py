@@ -329,3 +329,16 @@ def test_semi_stable_cap():
                     OrderChoice(11, tuple(range(11))), certify=False)
     with pytest.raises(CapExceeded):
         semi_stable_masks(big)
+
+
+def test_a_cap_lowers_the_size_limits_but_never_raises_them():
+    big = side_pair(OrderChoice(11, tuple(range(11))),
+                    OrderChoice(11, tuple(range(11))), certify=False)
+    for cap in (11, 20):  # a 2^11 × 2^11 grid would be built
+        with pytest.raises(CapExceeded, match=r"^semi-stable scan needs universe_size <= 10, got 11$"):
+            semi_stable_masks(big, cap=cap)
+    wide = side_pair(OrderChoice(17, tuple(range(17))), OrderChoice(17, tuple(range(17))))
+    with pytest.raises(CapExceeded, match=r"^enumeration needs universe_size <= 16, got 17$"):
+        enumerate_stable_sets(wide, cap=17)
+    with pytest.raises(CapExceeded, match=r"^semi-stable scan needs universe_size <= 1, got 2$"):
+        semi_stable_masks(POLAR2, cap=1)

@@ -1,4 +1,4 @@
-"""Every `$ plottmatch ...` transcript in README.md, replayed byte for byte."""
+"""README.md replayed: every `$ plottmatch ...` transcript byte for byte, and its library example."""
 
 from __future__ import annotations
 
@@ -47,3 +47,10 @@ def test_readme_transcript(args, expected, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == expected
+
+
+def test_the_readme_library_example_runs(monkeypatch):
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    monkeypatch.chdir(ROOT)
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
