@@ -233,8 +233,7 @@ class ExplicitTable(ChoiceFunction):
 
     def __post_init__(self):
         n = self.universe_size
-        if n > EXHAUSTIVE_CAP:
-            raise CapExceeded(f"explicit tables are capped at {EXHAUSTIVE_CAP} contracts")
+        _fit("explicit table", n)
         if len(self.table) != 1 << n:
             raise ValueError(f"table must have {1 << n} entries, got {len(self.table)}")
         if self.table[0] != 0:
@@ -511,6 +510,10 @@ class Aggregate(ChoiceFunction):
         """The row cache's hits, misses, bound and entries, both stores summed."""
         return _cache_info(self._chosen, self._gained)
 
+    def __reduce__(self):
+        """A copy or a pickle carries the three fields, not the kernels or the row stores."""
+        return Aggregate, (self.universe_size, self.blocks, self.parts)
+
     def _choose_mask(self, xmask: int) -> int:
         return self._rechoose(0, 0, xmask)
 
@@ -631,18 +634,16 @@ def choice_table(cf: ChoiceFunction) -> np.ndarray:
     every call.
     """
     n = cf.universe_size
-    if n > EXHAUSTIVE_CAP:
-        raise CapExceeded(f"full tables are capped at {EXHAUSTIVE_CAP} contracts")
+    _fit("full table", n)
     table = cf._table(np.arange(1 << n, dtype=np.int64))
     table.setflags(write=False)
     return table
 
 
-def _fit(what: str, n: int, cap: int, limit: int = EXHAUSTIVE_CAP) -> None:
-    """Refuse ``what`` over n contracts above ``cap``, which may lower ``limit`` but not raise it."""
-    cap = min(cap, limit)
-    if n > cap:
-        raise CapExceeded(f"{what} needs universe_size <= {cap}, got {n}")
+def _fit(what: str, n: int, limit: int = EXHAUSTIVE_CAP) -> None:
+    """Refuse ``what`` over n contracts above ``limit``: every exhaustive size check."""
+    if n > limit:
+        raise CapExceeded(f"{what} needs universe_size <= {limit}, got {n}")
 
 
 def _agents(cf: ChoiceFunction) -> list[tuple[tuple[int, ...], list, np.ndarray, np.ndarray]]:
@@ -764,7 +765,7 @@ def _proven(cf: ChoiceFunction):
     return _violation_scan(choice_table(cf), n, range(n)) is None or None
 
 
-def _plott_witness(cf: ChoiceFunction, cap: int, place):
+def _plott_witness(cf: ChoiceFunction, place):
     """The least Plott violation of cf, with masks lifted through ``place``.
 
     Returns None when cf is path independent, else ``(0, B, A, element)``
@@ -776,26 +777,26 @@ def _plott_witness(cf: ChoiceFunction, cap: int, place):
     exactly when every part is, and each violation of a part, with the
     other blocks empty, is the least violation of the whole with that
     contract. Everything else is scanned over its own table, which must fit
-    under ``cap`` and EXHAUSTIVE_CAP; a clean table's verdict is kept (see
+    under EXHAUSTIVE_CAP; a clean table's verdict is kept (see
     _proven), and only a table that fails there is scanned for its witness.
     """
     if type(cf) is OrderChoice:
         return None
     if type(cf) is Aggregate:
-        hits = (_plott_witness(part, cap, tuple(map(place.__getitem__, block)))
+        hits = (_plott_witness(part, tuple(map(place.__getitem__, block)))
                 for block, part in zip(cf.blocks, cf.parts) if type(part) is not OrderChoice)
         return min((w for w in hits if w is not None), default=None)
     if type(cf) is UnionChoice and all(
-            _plott_witness(part, cap, place) is None for part in cf.parts):
+            _plott_witness(part, place) is None for part in cf.parts):
         return None
     n = cf.universe_size
-    _fit("exhaustive check", n, cap)
+    _fit("exhaustive check", n)
     if _proven(cf):
         return None
     return _violation_scan(choice_table(cf), n, place)
 
 
-def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
+def is_plott(cf: ChoiceFunction) -> PlottReport:
     """Check Heredity and Outcast, whose conjunction is path independence.
 
     Exact at any universe size. The check walks the structure of cf: an
@@ -805,14 +806,14 @@ def is_plott(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> PlottReport:
     (explicit ones, failing unions, other functions) are scanned, every
     one-element removal over their own 2^k rows, which by induction decides
     both axioms over all subset pairs; each scanned table must fit under
-    ``cap``, which may lower EXHAUSTIVE_CAP but never raise it, on every
-    call. Tables found path independent are memoized by value (see _Memo);
-    a failing one is scanned on every call, so that its witness is placed
-    by that call. The witness is the one a scan of the
-    whole function's table would return: heredity first, then the least set.
+    the limit, EXHAUSTIVE_CAP, on every call. Tables found path independent
+    are memoized by value (see _Memo); a failing one is scanned on every
+    call, so that its witness is placed by that call. The witness is the one
+    a scan of the whole function's table would return: heredity first, then
+    the least set.
     """
     n = cf.universe_size
-    hit = _plott_witness(cf, cap, range(n))
+    hit = _plott_witness(cf, range(n))
     if hit is None:
         return PlottReport(True)
     if hit[0] == 0:
@@ -871,7 +872,7 @@ def _order_covering(choices: list[int], active: int, X: int, x: int) -> tuple[in
     return tuple(order)
 
 
-def decompose_into_orders(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> list[OrderChoice]:
+def decompose_into_orders(cf: ChoiceFunction) -> list[OrderChoice]:
     """Write a path-independent function f as a union of order maximizers.
 
     The orders are built, not searched for. The demands (X, x) with x ∈ f(X)
@@ -892,20 +893,20 @@ def decompose_into_orders(cf: ChoiceFunction, *, cap: int = EXHAUSTIVE_CAP) -> l
     reproduces f on every subset (asserted when it is built). The result is
     deterministic but neither canonical nor minimum-size.
 
-    The cap is checked on every call. Behind it the orders are built once
-    per function value (see _Memo); each call returns a new list of them. A
-    function that is not path independent raises NotPlott on every call.
+    The limit, EXHAUSTIVE_CAP, is checked on every call. Behind it the
+    orders are built once per function value (see _Memo); each call returns
+    a new list of them. A function that is not path independent raises
+    NotPlott on every call.
     """
-    _fit("decomposition", cf.universe_size, cap)
+    _fit("decomposition", cf.universe_size)
     return list(_decomposition(cf))
 
 
 @partial(_Memo, lambda cf, orders: (1 << cf.universe_size) + 16 * len(orders))
 def _decomposition(cf: ChoiceFunction) -> tuple[OrderChoice, ...]:
-    """decompose_into_orders for a function within the cap."""
+    """decompose_into_orders for a function within the limit."""
     n = cf.universe_size
-    report = is_plott(cf, cap=n)  # every table it scans has at most n contracts
-    if not report.is_plott:
+    if not is_plott(cf).is_plott:
         raise NotPlott("cannot decompose: function is not path-independent")
     table = choice_table(cf)
     active = cf._gains(0)  # the non-Nil contracts: each is chosen from its singleton

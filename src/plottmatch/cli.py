@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .choice import (
-    EXHAUSTIVE_CAP,
     ContractSet,
     choice_table,
     decompose_into_orders,
@@ -21,7 +20,7 @@ from .choice import (
     parse_set,
 )
 from .errors import CapExceeded, NotCertified, ParseError, PlottmatchError
-from .hyperorders import AUDIT_CAP, DerivedLehmann, audit_lehmann_axioms, reconstruct_choice
+from .hyperorders import DerivedLehmann, audit_lehmann_axioms, reconstruct_choice
 from .market import MarketInstance, aggregate_sides, parse_instance
 from .oracle import enumerate_stable_sets, format_catalog, verify_lattice
 from .stability import (
@@ -48,22 +47,6 @@ def _parse_cli_set(text: str, labels, n: int) -> ContractSet:
         return parse_set(text, labels, n)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def _cap(args, default: int) -> int:
-    """The --cap value when one was given, 0 included; the default otherwise."""
-    return default if args.cap is None else args.cap
-
-
-def _non_negative(text: str) -> int:
-    """Parse a --cap value; a negative one is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
 
 
 def _targets(m: MarketInstance, args, *, default_both: bool):
@@ -99,12 +82,12 @@ def _audit_lines(report, labels) -> list[str]:
 def cmd_check(args) -> int:
     m = _load(args.instance)
     for prefix, cf, labels in _targets(m, args, default_both=True):
-        report = is_plott(cf, cap=_cap(args, EXHAUSTIVE_CAP))
+        report = is_plott(cf)
         lines = []
         if report.is_plott:
             lines.append("PLOTT (exhaustive)")
             try:
-                audit = audit_lehmann_axioms(DerivedLehmann(cf), cap=_cap(args, AUDIT_CAP))
+                audit = audit_lehmann_axioms(DerivedLehmann(cf))
             except CapExceeded:
                 lines.append(SKIPPED)
             else:
@@ -140,7 +123,7 @@ def cmd_solve(args) -> int:
 def cmd_enumerate(args) -> int:
     m = _load(args.instance)
     sides = aggregate_sides(m)
-    catalog = enumerate_stable_sets(sides, cap=_cap(args, EXHAUSTIVE_CAP))
+    catalog = enumerate_stable_sets(sides)
     if args.catalog:
         print(format_catalog(catalog, m.labels), end="")
         return 0
@@ -156,7 +139,7 @@ def cmd_lattice(args) -> int:
     m = _load(args.instance)
     sides = aggregate_sides(m)
     sides.require_certified()
-    catalog = enumerate_stable_sets(sides, cap=_cap(args, EXHAUSTIVE_CAP))
+    catalog = enumerate_stable_sets(sides)
     report = verify_lattice(catalog, sides, m.labels)
     print(f"stable sets: {report.sets}")
     print(f"bottom: {format_set(catalog.bottom(), m.labels)}")
@@ -200,14 +183,12 @@ def cmd_statics(args) -> int:
 def cmd_lehmann(args) -> int:
     m = _load(args.instance)
     [(prefix, cf, labels)] = _targets(m, args, default_both=False)
-    report = is_plott(cf, cap=_cap(args, EXHAUSTIVE_CAP))
-    if not report.is_plott:
+    if not is_plott(cf).is_plott:
         target = f"agent {args.agent}" if args.agent else f"side {args.side or 'G'}"
         raise NotCertified(f"{target} is not path-independent")
     rel = DerivedLehmann(cf)
-    cap = _cap(args, AUDIT_CAP)
     try:
-        audit = audit_lehmann_axioms(rel, cap=cap)
+        audit = audit_lehmann_axioms(rel)
     except CapExceeded:
         print(SKIPPED)
         if args.roundtrip:
@@ -216,7 +197,7 @@ def cmd_lehmann(args) -> int:
     for line in _audit_lines(audit, labels):
         print(line)
     if args.roundtrip:
-        rebuilt = reconstruct_choice(rel, cap=cap)
+        rebuilt = reconstruct_choice(rel)
         total = 1 << cf.universe_size
         bad = int((choice_table(cf) != rebuilt.table).sum())
         if bad == 0:
@@ -229,7 +210,7 @@ def cmd_lehmann(args) -> int:
 def cmd_decompose(args) -> int:
     m = _load(args.instance)
     [(prefix, cf, labels)] = _targets(m, args, default_both=False)
-    orders = decompose_into_orders(cf, cap=_cap(args, EXHAUSTIVE_CAP))
+    orders = decompose_into_orders(cf)
     n = cf.universe_size
     full = (1 << n) - 1
     for o in orders:
@@ -243,10 +224,6 @@ def cmd_decompose(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=_non_negative, default=None,
-                        help="override the exhaustive-scan size cap")
-
     parser = argparse.ArgumentParser(
         prog="plottmatch",
         description="Two-sided matching with contracts under "
@@ -254,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
-        capped = name in ("check", "enumerate", "lattice", "lehmann", "decompose")
-        p = sub.add_parser(name, parents=[common] if capped else [], help=help_text)
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance file")
         p.set_defaults(func=func)
         if name in ("check", "lehmann", "decompose"):

@@ -206,7 +206,7 @@ def _audited(rel):
     return p, AxiomReport(checks, overall)
 
 
-def audit_lehmann_axioms(rel, *, cap: int = AUDIT_CAP) -> AxiomReport:
+def audit_lehmann_axioms(rel) -> AxiomReport:
     """Exhaustively audit L0..L5 and (separately) transitivity.
 
     L1 and L3 are checked in their one-element-step forms, which are
@@ -223,12 +223,12 @@ def audit_lehmann_axioms(rel, *, cap: int = AUDIT_CAP) -> AxiomReport:
     first failing one: a whole (B, A1, A2) array has 8^n entries, and at
     the cap it took over 100 times as long as the scan and 32 MiB more.
 
-    The cap, which may lower AUDIT_CAP but never raise it, since the matrix
-    grows 4^n, is checked on every call. Behind it a relation is audited once
-    per value (see choice._Memo), equal relations sharing the result with
-    each other and with reconstruct_choice.
+    The limit, AUDIT_CAP, since the matrix grows 4^n, is checked on every
+    call. Behind it a relation is audited once per value (see choice._Memo),
+    equal relations sharing the result with each other and with
+    reconstruct_choice.
     """
-    _fit("axiom audit", rel.universe_size, cap, AUDIT_CAP)
+    _fit("axiom audit", rel.universe_size, AUDIT_CAP)
     return _audited(rel)[1]
 
 
@@ -237,7 +237,7 @@ def audit_lehmann_axioms(rel, *, cap: int = AUDIT_CAP) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_choice(rel, *, cap: int = AUDIT_CAP) -> ExplicitTable:
+def reconstruct_choice(rel) -> ExplicitTable:
     """Rebuild the choice function T(A) = A ∖ L(A) from a Lehmann relation.
 
     L(A), the contracts c with ∅ ⊀ {c} or {c} ≺ A, is read off the relation
@@ -246,17 +246,17 @@ def reconstruct_choice(rel, *, cap: int = AUDIT_CAP) -> ExplicitTable:
     on every call otherwise). The result is certified path independent by
     an exact scan of its table, which the bijection guarantees, so a failed
     certification raises InternalError. So does a derived relation with
-    choose(A∪{c}) ≠ choose(A) on a pair {c} ≺ A it reads. The cap, as
+    choose(A∪{c}) ≠ choose(A) on a pair {c} ≺ A it reads. The limit, as
     the audit's, is checked on every call; behind it the table is rebuilt
     once per relation value (see choice._Memo).
     """
-    _fit("axiom audit", rel.universe_size, cap, AUDIT_CAP)
+    _fit("axiom audit", rel.universe_size, AUDIT_CAP)
     return _rebuilt(rel)
 
 
 @partial(_Memo, lambda rel, table: _key_rows(rel) + (1 << rel.universe_size))
 def _rebuilt(rel) -> ExplicitTable:
-    """reconstruct_choice for a relation within the cap."""
+    """reconstruct_choice for a relation within the limit."""
     p, report = _audited(rel)
     if not report.overall:
         raise AxiomsFail("relation fails the Lehmann axioms", report)

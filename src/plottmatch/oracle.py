@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .choice import (
-    EXHAUSTIVE_CAP,
     ContractSet,
     OrderChoice,
     UnionChoice,
@@ -87,7 +86,7 @@ class StableSetCatalog:
         raise InternalError("catalog has no extreme element")
 
 
-def enumerate_stable_sets(sides: SidePair, *, cap: int = EXHAUSTIVE_CAP) -> StableSetCatalog:
+def enumerate_stable_sets(sides: SidePair) -> StableSetCatalog:
     """Find every stable set agent by agent and assemble the catalog.
 
     A side chooses agent by agent, so S1 holds exactly when every agent
@@ -105,7 +104,7 @@ def enumerate_stable_sets(sides: SidePair, *, cap: int = EXHAUSTIVE_CAP) -> Stab
     equals the worker-side matrix; all three are enforced.
     """
     n = sides.universe_size
-    _fit("enumeration", n, cap)  # the fingerprint needs whole tables; masks stay int64
+    _fit("enumeration", n)  # the fingerprint needs whole tables; masks stay int64
     f_agents, g_agents = _agents(sides.F), _agents(sides.G)
     sets = np.zeros(1, dtype=np.int64)
     for _, _, table, lifted in f_agents:
@@ -243,13 +242,13 @@ def generate_instance(seed: int, universe_size: int, side_spec) -> SidePair:
     return sides
 
 
-def semi_stable_masks(sides: SidePair, *, cap: int = SEMI_STABLE_CAP) -> list[tuple[int, int]]:
+def semi_stable_masks(sides: SidePair) -> list[tuple[int, int]]:
     """All (Y, Z) mask pairs satisfying SSP1 and SSP2, by a scan of the 4^|C| grid.
 
-    The cap may lower SEMI_STABLE_CAP but never raise it.
+    The limit is SEMI_STABLE_CAP.
     """
     n = sides.universe_size
-    _fit("semi-stable scan", n, cap, SEMI_STABLE_CAP)
+    _fit("semi-stable scan", n, SEMI_STABLE_CAP)
     tf, tg = choice_table(sides.F), choice_table(sides.G)
     masks = np.arange(1 << n, dtype=np.int64)
     full = (1 << n) - 1

@@ -21,13 +21,13 @@ from functools import cached_property
 import numpy as np
 
 from .choice import (
-    EXHAUSTIVE_CAP,
     Aggregate,
     CacheInfo,
     ChoiceFunction,
     ContractSet,
     PlottReport,
     _cache_info,
+    _fit,
     _lift,
     _Rows,
     _rank_keys,
@@ -37,7 +37,6 @@ from .choice import (
     is_plott,
 )
 from .errors import (
-    CapExceeded,
     EmptyList,
     InternalError,
     NotCertified,
@@ -437,16 +436,14 @@ def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
     every block whose parts differ, and a block's least failing slice, with
     the other blocks empty, is the least failing set of the whole with a
     contract there. Those blocks and any other pair of functions are
-    compared through whole tables, which must fit under the table cap.
+    compared through whole tables, which must fit under the table limit.
     """
     if isinstance(F, Aggregate) and isinstance(F2, Aggregate) and F.blocks == F2.blocks:
         pairs = [(block, p, q) for block, p, q in zip(F.blocks, F.parts, F2.parts) if p != q]
     else:
         pairs = [(range(F.universe_size), F, F2)]
     for block, _, _ in pairs:
-        if len(block) > EXHAUSTIVE_CAP:
-            raise CapExceeded(f"dominance check needs tables of at most {EXHAUSTIVE_CAP} "
-                              f"contracts, got {len(block)}")
+        _fit("dominance check", len(block))
     least = None
     for block, p, q in pairs:
         bad = (choice_table(p) & ~choice_table(q)).nonzero()[0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import pickle
@@ -27,12 +28,14 @@ from plottmatch import (
     PlottReport,
     UnionChoice,
     UniverseMismatch,
+    aggregate_sides,
     choice_table,
     closure_star,
     decompose_into_orders,
     invert_closure,
     is_plott,
     nil_set,
+    parse_instance,
     union,
 )
 from plottmatch import choice, hyperorders
@@ -97,7 +100,7 @@ def test_explicit_table_validation():
         ExplicitTable(2, (0, 2, 2, 3))  # entry for {a} picks b
     with pytest.raises(ValueError):
         ExplicitTable(1, (1, 1))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^explicit table needs universe_size <= 16, got 17$"):
         ExplicitTable(17, (0,) * (1 << 17))
 
 
@@ -274,7 +277,7 @@ def test_choice_table_generic_fallback():
 
 
 def test_choice_table_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^full table needs universe_size <= 16, got 17$"):
         choice_table(_Identity(17))
 
 
@@ -311,11 +314,14 @@ def test_is_plott_mode_and_cap():
     # there is one mode, the exact check; no mode argument is taken
     with pytest.raises(TypeError):
         is_plott(EX2_G, "exhaustive")
-    # the cap bounds the tables that are scanned: explicit ones
-    with pytest.raises(CapExceeded, match=r"^exhaustive check needs universe_size <= 2, got 3$"):
-        is_plott(_as_table(ORD3_G), cap=2)
+    # nor a cap: the limit of 16 contracts is fixed
+    with pytest.raises(TypeError):
+        is_plott(EX2_G, cap=2)
+    # it bounds the tables that are scanned: functions of no known structure
+    with pytest.raises(CapExceeded, match=r"^exhaustive check needs universe_size <= 16, got 17$"):
+        is_plott(_Identity(17))
     # an order is path independent by construction and scans nothing
-    assert is_plott(ORD3_G, cap=2).is_plott
+    assert is_plott(OrderChoice(17, tuple(range(17)))).is_plott
 
 
 def _counted_scans(monkeypatch) -> list:
@@ -437,14 +443,14 @@ def test_threads_sharing_the_verdict_store_keep_only_clean_tables_within_its_bou
 
 
 def test_a_table_over_the_cap_is_refused_on_every_call():
-    table = _as_table(ORD3_G)
-    assert is_plott(table).is_plott  # its verdict is kept from here on
-    refused = r"^exhaustive check needs universe_size <= 2, got 3$"
+    wide = _Identity(17)
+    aggregate = Aggregate(18, ((0,), tuple(range(1, 18))), (OrderChoice(1, (0,)), wide))
+    refused = r"^exhaustive check needs universe_size <= 16, got 17$"
     for _ in range(3):
-        with pytest.raises(CapExceeded, match=refused):
-            is_plott(table, cap=2)
-        with pytest.raises(CapExceeded):
-            is_plott(Aggregate(4, ((0,), (1, 2, 3)), (OrderChoice(1, (0,)), table)), cap=2)
+        for cf in (wide, aggregate):
+            with pytest.raises(CapExceeded, match=refused):
+                is_plott(cf)
+    assert choice._proven.cache_info().misses == 0  # refused before the memo is read
 
 
 def test_non_plott_agent_in_a_large_aggregate_is_rejected_under_every_seed():
@@ -788,6 +794,21 @@ def test_threads_sharing_an_aggregate_read_only_its_rows():
     assert agg.cache_info().currsize <= 4
 
 
+def test_a_copied_aggregate_carries_its_fields_not_its_kernels_or_rows(market_text):
+    side = aggregate_sides(parse_instance(market_text(900, 300, 3, seed=1)), certify=False).F
+    n = side.universe_size
+    assert n == 2700
+    masks = [0, 0b1011, (1 << n) - 1, random.Random(n).getrandbits(n)]
+    answers = [(side._choose_mask(x), side._gains(x)) for x in masks]
+    assert side.cache_info().currsize == 2 * len(masks)
+    fields = (side.universe_size, side.blocks, side.parts)
+    assert len(pickle.dumps(side)) <= 2 * len(pickle.dumps(fields))
+    for copied in (pickle.loads(pickle.dumps(side)), copy.copy(side), copy.deepcopy(side)):
+        assert copied == side and hash(copied) == hash(side)
+        assert copied.cache_info().currsize == 0
+        assert [(copied._choose_mask(x), copied._gains(x)) for x in masks] == answers
+
+
 @st.composite
 def table_aggregates(draw):
     """Aggregates of at most 12 contracts, for whole side tables (`Aggregate._table`).
@@ -1029,8 +1050,8 @@ def test_decompose_degenerate_and_errors():
     assert decompose_into_orders(ExplicitTable(2, (0, 0, 0, 0))) == []
     with pytest.raises(NotPlott):
         decompose_into_orders(EX2_F)
-    with pytest.raises(CapExceeded):
-        decompose_into_orders(ORD3_G, cap=2)
+    with pytest.raises(CapExceeded, match=r"^decomposition needs universe_size <= 16, got 17$"):
+        decompose_into_orders(OrderChoice(17, tuple(range(17))))
 
 
 def _assert_exact_decomposition(cf, orders):
@@ -1093,8 +1114,6 @@ def test_equal_functions_share_one_decomposition(monkeypatch):
     assert second == first and second is not first and len(built) == orders_built
     first.clear()  # the caller's list is the caller's own
     assert decompose_into_orders(a) == second
-    with pytest.raises(CapExceeded, match="decomposition needs universe_size <= 2, got 3"):
-        decompose_into_orders(a, cap=2)  # a hit still checks the cap
     assert len(built) == orders_built
 
 

@@ -65,56 +65,35 @@ def test_check_outcast_witness_wording(capsys, tmp_path):
     assert out == "NOT PLOTT: outcast violated at X={a,b}, Y={a}\n"
 
 
-def test_check_cap_overflow_is_a_domain_error(capsys, tmp_path):
-    # ord3's firm as an explicit table: only explicit tables are scanned
-    rows = ("{} -> {}", "{x} -> {x}", "{y} -> {y}", "{x,y} -> {y}", "{z} -> {z}",
-            "{x,z} -> {z}", "{y,z} -> {z}", "{x,y,z} -> {z}")
-    doc = ("[firms] firm1\n[workers] worker1\n[contracts]\n"
-           "x firm1 worker1\ny firm1 worker1\nz firm1 worker1\n"
-           "[choice worker1] kind=order\nx y z\n"
-           "[choice firm1] kind=explicit\n" + "\n".join(rows) + "\n")
-    path = tmp_path / "ord3_explicit.mkt"
-    path.write_text(doc)
-    code, out, err = run(capsys, "check", str(path), "--side", "G", "--cap", "2")
-    assert code == 1 and out == ""
-    assert err == "error: exhaustive check needs universe_size <= 2, got 3\n"
-    # the order-kind original scans nothing, so the cap does not bind
-    code, out, _ = run(capsys, "check", ORD3, "--side", "G", "--cap", "2")
-    assert code == 0 and out.startswith("PLOTT (exhaustive)\n")
-
-
-def test_cap_zero_is_honoured(capsys):
-    code, out, err = run(capsys, "check", EX2, "--side", "F", "--cap", "0")
-    assert code == 1 and out == ""
-    assert err == "error: exhaustive check needs universe_size <= 0, got 2\n"
-    # an order scans nothing, but the audit's cap of 0 does bind
-    code, out, _ = run(capsys, "check", ORD3, "--side", "G", "--cap", "0")
-    assert code == 0
-    assert out == "PLOTT (exhaustive)\nlehmann: skipped (universe exceeds audit cap)\n"
-    code, _, err = run(capsys, "enumerate", EX1, "--cap", "0")
-    assert code == 1 and err == "error: enumeration needs universe_size <= 0, got 6\n"
-    code, _, err = run(capsys, "lattice", EX1, "--cap", "0")
-    assert code == 1 and err == "error: enumeration needs universe_size <= 0, got 6\n"
-    code, _, err = run(capsys, "lehmann", EX1, "--roundtrip", "--cap", "0")
-    assert code == 1 and err == "error: axiom audit needs universe_size <= 0, got 6\n"
-    code, _, err = run(capsys, "decompose", EX1, "--cap", "0")
-    assert code == 1 and err == "error: decomposition needs universe_size <= 0, got 6\n"
+def test_commands_refuse_a_market_over_their_limits(capsys, tmp_path, market_text):
+    path = tmp_path / "ninety.mkt"
+    path.write_text(market_text(30, 10, 3, seed=1))
+    for args, what in ((("enumerate",), "enumeration"), (("lattice",), "enumeration"),
+                       (("decompose", "--side", "F"), "decomposition")):
+        code, out, err = run(capsys, args[0], str(path), *args[1:])
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} needs universe_size <= 16, got 90\n"
 
 
 def test_cap_is_a_usage_error_where_nothing_reads_it(capsys):
-    for args in (("solve", EX1), ("compare", EX1, "{a}", "{b}"),
-                 ("statics", POLAR2, POLAR2_WEAK, "{a}")):
-        code, out, err = run(capsys, *args, "--cap", "0")
-        assert code == 2 and out == ""
-        assert err.endswith("error: unrecognized arguments: --cap 0\n")
+    # the limits are fixed: no command takes --cap, whatever its value
+    for args in (("check", EX2, "--side", "F"), ("solve", EX1), ("enumerate", EX1),
+                 ("lattice", EX1), ("compare", EX1, "{a}", "{b}"),
+                 ("statics", POLAR2, POLAR2_WEAK, "{a}"), ("lehmann", EX1), ("decompose", EX1)):
+        for value in ("0", "99"):
+            code, out, err = run(capsys, *args, "--cap", value)
+            assert code == 2 and out == ""
+            assert err.endswith(f"error: unrecognized arguments: --cap {value}\n")
         assert run(capsys, *args)[0] == 0
 
 
 def test_negative_cap_is_a_usage_error(capsys):
     code, out, err = run(capsys, "check", EX2, "--side", "F", "--cap", "-1")
     assert code == 2 and out == ""
-    assert err.endswith("error: argument --cap: must be non-negative, got -1\n")
-    assert run(capsys, "enumerate", EX1, "--cap", "x")[0] == 2
+    assert err.endswith("error: unrecognized arguments: --cap -1\n")
+    code, out, err = run(capsys, "enumerate", EX1, "--cap", "x")
+    assert code == 2 and out == ""
+    assert err.endswith("error: unrecognized arguments: --cap x\n")
 
 
 def test_check_skips_the_audit_above_its_cap(capsys, tmp_path):
@@ -132,15 +111,18 @@ def test_check_skips_the_audit_above_its_cap(capsys, tmp_path):
 
 
 def test_a_cap_lowers_the_audit_limit_but_never_raises_it(capsys, tmp_path, market_text):
+    # no flag moves the audit limit of 8 contracts; a 9-contract side is skipped
     path = tmp_path / "nine.mkt"
     path.write_text(market_text(3, 3, 3, seed=1))
-    code, out, err = run(capsys, "check", str(path), "--side", "F", "--cap", "9")
+    assert run(capsys, "check", str(path), "--side", "F", "--cap", "9")[0] == 2
+    code, out, err = run(capsys, "check", str(path), "--side", "F")
     assert (code, err) == (0, "")
     assert out == "PLOTT (exhaustive)\nlehmann: skipped (universe exceeds audit cap)\n"
-    code, out, err = run(capsys, "lehmann", str(path), "--side", "F", "--cap", "99")
+    code, out, err = run(capsys, "lehmann", str(path), "--side", "F")
     assert (code, out, err) == (0, "lehmann: skipped (universe exceeds audit cap)\n", "")
-    code, _, err = run(capsys, "lehmann", str(path), "--side", "F", "--roundtrip", "--cap", "9")
-    assert (code, err) == (1, "error: axiom audit needs universe_size <= 8, got 9\n")
+    code, out, err = run(capsys, "lehmann", str(path), "--side", "F", "--roundtrip")
+    assert (code, out) == (1, "lehmann: skipped (universe exceeds audit cap)\n")
+    assert err == "error: axiom audit needs universe_size <= 8, got 9\n"
     assert hyperorders._audited.cache_info().misses == 0  # no 4^9 matrix was built
 
 
@@ -287,7 +269,7 @@ def test_lehmann_round_trip(capsys):
     assert out == f"{AUDIT_OK}\nround-trip OK (8/8 subsets)\n"
 
 
-def test_lehmann_round_trip_audits_once(capsys, monkeypatch):
+def test_lehmann_round_trip_audits_once(capsys, monkeypatch, tmp_path, market_text):
     built = []
 
     def counted(rel, n):
@@ -300,11 +282,12 @@ def test_lehmann_round_trip_audits_once(capsys, monkeypatch):
     assert capsys.readouterr().out == f"{AUDIT_OK}\nround-trip OK (8/8 subsets)\n"
     assert built == [3]
     # above the audit cap the skip line comes first, then the round trip's error
-    code, out, err = run(capsys, "lehmann", EX1, "--roundtrip", "--cap", "0")
+    path = tmp_path / "nine.mkt"
+    path.write_text(market_text(3, 3, 3, seed=1))
+    code, out, err = run(capsys, "lehmann", str(path), "--side", "F", "--roundtrip")
     assert code == 1 and out == "lehmann: skipped (universe exceeds audit cap)\n"
-    assert err == "error: axiom audit needs universe_size <= 0, got 6\n"
-    assert run(capsys, "lehmann", EX1, "--cap", "0")[:2] == (
-        0, "lehmann: skipped (universe exceeds audit cap)\n")
+    assert err == "error: axiom audit needs universe_size <= 8, got 9\n"
+    assert built == [3]
 
 
 def test_lehmann_defaults_to_the_firm_side(capsys):

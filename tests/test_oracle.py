@@ -332,13 +332,14 @@ def test_semi_stable_cap():
 
 
 def test_a_cap_lowers_the_size_limits_but_never_raises_them():
+    # the limits are fixed: neither scan takes a cap, and both refuse above their limit
     big = side_pair(OrderChoice(11, tuple(range(11))),
                     OrderChoice(11, tuple(range(11))), certify=False)
-    for cap in (11, 20):  # a 2^11 × 2^11 grid would be built
-        with pytest.raises(CapExceeded, match=r"^semi-stable scan needs universe_size <= 10, got 11$"):
-            semi_stable_masks(big, cap=cap)
+    with pytest.raises(CapExceeded, match=r"^semi-stable scan needs universe_size <= 10, got 11$"):
+        semi_stable_masks(big)  # a 2^11 × 2^11 grid would be built
     wide = side_pair(OrderChoice(17, tuple(range(17))), OrderChoice(17, tuple(range(17))))
     with pytest.raises(CapExceeded, match=r"^enumeration needs universe_size <= 16, got 17$"):
-        enumerate_stable_sets(wide, cap=17)
-    with pytest.raises(CapExceeded, match=r"^semi-stable scan needs universe_size <= 1, got 2$"):
-        semi_stable_masks(POLAR2, cap=1)
+        enumerate_stable_sets(wide)
+    for scan, sides in ((semi_stable_masks, big), (enumerate_stable_sets, wide)):
+        with pytest.raises(TypeError):
+            scan(sides, cap=20)

@@ -47,3 +47,21 @@ def unused_exports() -> list[str]:
 def test_exports_are_read_outside_the_tests():
     assert _exports(), "no exports parsed"
     assert unused_exports() == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads (``from __future__`` aside)."""
+    tree = ast.parse(path.read_text())
+    imported = [alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_module_uses_what_it_imports():
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) >= 7, "no modules found"
+    assert {path.name: unused_imports(path) for path in modules} == {
+        path.name: [] for path in modules}

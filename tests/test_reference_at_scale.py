@@ -6,11 +6,16 @@ substitutable and size-monotone, so deferred acceptance from either side
 gives that side's optimal stable set (Hatfield and Milgrom 2005). The
 reference reads each agent's choice from the generator's own data and
 never imports the package. F is the workers' side, G the firms'.
+
+A third market, built in the library, gives each agent a union of seeded
+orders. Unions are path independent but need not be size-monotone, so its
+optima are checked against the definitions, not against deferred acceptance.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +23,10 @@ from bench.markets import Shape, generate
 from bench.reference import Reference
 from bench.workloads import MIXED_FIRMS, MIXED_WORKERS
 from plottmatch import (
+    Aggregate,
     ContractSet,
+    OrderChoice,
+    UnionChoice,
     aggregate_sides,
     closure_star,
     is_stable_set,
@@ -29,6 +37,7 @@ from plottmatch import (
     semi_stable_pair,
     set_to_pair,
     side_optimal,
+    side_pair,
 )
 
 SHAPES = (Shape((3,) * 222, 2, MIXED_WORKERS, MIXED_FIRMS),   # 2,000 contracts
@@ -114,3 +123,100 @@ def test_phi_from_the_bottom_pair_stays_within_its_bound(market):
         trace = run_to_fixpoint(frame, semi_stable_pair(frame, empty, full))
         assert trace.terminated_at <= n + 2
         assert trace.result.S.mask == optimum
+
+
+# 10 firms × 10 workers, 4 contracts per pair: contract (f·10 + w)·4 + k
+AGENTS, PER_PAIR, ORDERS = 10, 4, 3
+UNION_N = AGENTS * AGENTS * PER_PAIR
+
+
+class _UnionSide:
+    """The test's own chooser for one side: each agent unites its orders.
+
+    An order is (its acceptable contracts best first, as global indices;
+    its quota), and takes the first ``quota`` of them in S.
+    """
+
+    def __init__(self, agents):
+        self.agents = agents
+
+    def choose(self, s: int) -> int:
+        chosen = 0
+        for agent in self.agents:
+            for accepted, quota in agent:
+                chosen |= sum(1 << c for c in [c for c in accepted if s >> c & 1][:quota])
+        return chosen
+
+    def keeps_with(self, s: int, c: int) -> bool:
+        return bool(self.choose(s | 1 << c) >> c & 1)
+
+
+def _union_side(blocks, rng):
+    """(aggregate, reference chooser) of agents that each unite ORDERS seeded orders."""
+    parts, agents = [], []
+    for block in blocks:
+        k, orders, agent = len(block), [], []
+        for _ in range(ORDERS):
+            order = tuple(rng.sample(range(k), k))
+            acceptable = sum(1 << j for j in range(k) if rng.random() < 0.8)
+            quota = rng.randint(1, 3)
+            orders.append(OrderChoice(k, order, quota, acceptable))
+            agent.append(([block[j] for j in order if acceptable >> j & 1], quota))
+        parts.append(UnionChoice(k, tuple(orders)))
+        agents.append(agent)
+    return Aggregate(UNION_N, blocks, tuple(parts)), _UnionSide(agents)
+
+
+@pytest.fixture(scope="module")
+def union_market():
+    """(reference, sides, F-optimum, G-optimum) of the 400-contract union market.
+
+    The reference has the ``n``, ``workers`` and ``firms`` that ``_stability``
+    and ``_closure`` read, and no deferred acceptance.
+    """
+    rng = random.Random(2)
+    contract = [[[(f * AGENTS + w) * PER_PAIR + k for k in range(PER_PAIR)]
+                 for w in range(AGENTS)] for f in range(AGENTS)]
+    firm_blocks = tuple(tuple(c for w in range(AGENTS) for c in contract[f][w])
+                        for f in range(AGENTS))
+    worker_blocks = tuple(tuple(c for f in range(AGENTS) for c in contract[f][w])
+                          for w in range(AGENTS))
+    F, workers = _union_side(worker_blocks, rng)
+    G, firms = _union_side(firm_blocks, rng)
+    sides = side_pair(F, G)
+    assert sides.certified  # by structure: no 40-contract table is scanned
+    ref = SimpleNamespace(n=UNION_N, workers=workers, firms=firms)
+    return ref, sides, side_optimal(sides, "F"), side_optimal(sides, "G")
+
+
+def test_union_market_optima_and_phi_pass_the_definitions(union_market):
+    ref, sides, worst, best = union_market
+    n = ref.n
+    # two ends of different sizes: without size monotonicity the matched count may vary
+    assert len(worst) != len(best)
+    for frame, optimum in ((sides, worst), (sides.swap(), best)):
+        assert _stability(ref, optimum.mask) == (True, None, None, None)
+        assert _verdict(is_stable_set(sides, optimum)) == (True, None, None, None)
+        pair = set_to_pair(sides, optimum)
+        assert pair.Y.mask == _closure(ref.firms, optimum.mask, n)
+        assert pair.Z.mask == _closure(ref.workers, optimum.mask, n)
+        empty, full = ContractSet.empty(n), ContractSet.full(n)
+        trace = run_to_fixpoint(frame, semi_stable_pair(frame, empty, full))
+        assert trace.terminated_at <= n + 2
+        assert trace.result.S == optimum
+    assert lattice_join(sides, [worst, best]) == best
+    assert lattice_meet(sides, [worst, best]) == worst
+
+
+def test_union_market_sets_one_contract_away_get_the_definition_verdict(union_market):
+    ref, sides, worst, best = union_market
+    rng = random.Random(ref.n)
+    verdicts = []
+    for i in range(20):
+        s = (worst, best)[i % 2].mask
+        members = [c for c in range(ref.n) if s >> c & 1]
+        t = s ^ 1 << (rng.choice(members) if i % 4 < 2 else rng.randrange(ref.n))
+        expected = _stability(ref, t)
+        assert _verdict(is_stable_set(sides, ContractSet(ref.n, t))) == expected
+        verdicts.append(expected[1])
+    assert {"S1", "S2"} <= set(verdicts)

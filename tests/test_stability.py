@@ -526,7 +526,7 @@ def test_statics_above_the_table_cap(market_text):
 
 def test_dominance_above_the_cap_needs_shared_blocks():
     big = OrderChoice(17, tuple(range(17)))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^dominance check needs universe_size <= 16, got 17$"):
         _dominates(big, OrderChoice(17, tuple(range(17)), 2))
     # equal parts of one block are never tabulated, whatever their size
     agg = Aggregate(17, (tuple(range(17)),), (big,))
