@@ -20,16 +20,13 @@ from .choice import (
 from .errors import (
     AxiomsFail,
     CapExceeded,
-    ContractOutsideBlock,
     EmptyList,
     InternalError,
     NotCertified,
     NotDominated,
-    NotPlott,
     NotSemiStable,
     NotStable,
     ParseError,
-    PartialTable,
     PlottmatchError,
     UniverseMismatch,
     UnknownAgent,

@@ -23,7 +23,7 @@ from threading import Lock
 
 import numpy as np
 
-from .errors import CapExceeded, EmptyList, InternalError, NotPlott, UniverseMismatch
+from .errors import CapExceeded, EmptyList, InternalError, NotCertified, ParseError, UniverseMismatch
 
 EXHAUSTIVE_CAP = 16
 # Bounds of the one store of every per-value memo, in entries and table rows (see _Memo).
@@ -146,10 +146,10 @@ def format_set(X: ContractSet, labels=None) -> str:
 
 
 def parse_set(text: str, labels, universe_size: int) -> ContractSet:
-    """Parse a ``{a,b}`` literal against a label list."""
+    """Parse a ``{a,b}`` literal against a label list; ParseError if it is malformed."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"expected a brace-delimited set, got {text!r}")
+        raise ParseError(f"expected a brace-delimited set, got {text!r}")
     body = text[1:-1].strip()
     if not body:
         return ContractSet.empty(universe_size)
@@ -158,7 +158,7 @@ def parse_set(text: str, labels, universe_size: int) -> ContractSet:
     for part in body.split(","):
         part = part.strip()
         if part not in index_of:
-            raise ValueError(f"unknown contract label {part!r}")
+            raise ParseError(f"unknown contract label {part!r}")
         indices.append(index_of[part])
     return ContractSet.from_indices(universe_size, indices)
 
@@ -896,7 +896,7 @@ def decompose_into_orders(cf: ChoiceFunction) -> list[OrderChoice]:
     The limit, EXHAUSTIVE_CAP, is checked on every call. Behind it the
     orders are built once per function value (see _Memo); each call returns
     a new list of them. A function that is not path independent raises
-    NotPlott on every call.
+    NotCertified on every call.
     """
     _fit("decomposition", cf.universe_size)
     return list(_decomposition(cf))
@@ -907,7 +907,7 @@ def _decomposition(cf: ChoiceFunction) -> tuple[OrderChoice, ...]:
     """decompose_into_orders for a function within the limit."""
     n = cf.universe_size
     if not is_plott(cf).is_plott:
-        raise NotPlott("cannot decompose: function is not path-independent")
+        raise NotCertified("cannot decompose: function is not path-independent")
     table = choice_table(cf)
     active = cf._gains(0)  # the non-Nil contracts: each is chosen from its singleton
     nil_tail = tuple(_bits(((1 << n) - 1) ^ active))

@@ -42,13 +42,6 @@ def _load(path: str) -> MarketInstance:
     return parse_instance(text)
 
 
-def _parse_cli_set(text: str, labels, n: int) -> ContractSet:
-    try:
-        return parse_set(text, labels, n)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
 def _targets(m: MarketInstance, args, *, default_both: bool):
     """Resolve --agent/--side into (prefix, cf, labels) triples."""
     agent, side = args.agent, args.side
@@ -157,8 +150,8 @@ def cmd_compare(args) -> int:
     m = _load(args.instance)
     sides = aggregate_sides(m)
     sides.require_certified()
-    S = _parse_cli_set(args.set_a, m.labels, m.universe_size)
-    T = _parse_cli_set(args.set_b, m.labels, m.universe_size)
+    S = parse_set(args.set_a, m.labels, m.universe_size)
+    T = parse_set(args.set_b, m.labels, m.universe_size)
     print(blair_compare_stable(sides, S, T))
     return 0
 
@@ -171,7 +164,7 @@ def cmd_statics(args) -> int:
     sides = aggregate_sides(m)
     sides.require_certified()
     f_prime = aggregate_sides(m2, certify=False).F
-    S = _parse_cli_set(args.stable_set, m.labels, m.universe_size)
+    S = parse_set(args.stable_set, m.labels, m.universe_size)
     s_prime = comparative_statics(sides, f_prime, S)
     print(format_set(s_prime, m.labels))
     weakened_sides = side_pair(f_prime, sides.G, certify=False)

@@ -17,10 +17,6 @@ class EmptyList(PlottmatchError):
     """A nonempty collection (of choice functions, or of stable sets) was required."""
 
 
-class NotPlott(PlottmatchError):
-    """A path-independence violation was detected where none is allowed."""
-
-
 class AxiomsFail(PlottmatchError):
     """A Lehmann relation failed its axiom audit.
 
@@ -37,7 +33,7 @@ class NotSemiStable(PlottmatchError):
 
 
 class NotCertified(PlottmatchError):
-    """An operation requiring Plott-certified sides got uncertified ones."""
+    """A side or function that must be path-independent (Plott) is not, or is not certified."""
 
 
 class NotStable(PlottmatchError):
@@ -53,7 +49,7 @@ class InternalError(PlottmatchError):
 
 
 class ParseError(PlottmatchError):
-    """A market instance document is malformed.
+    """A market instance document, or a set literal, is malformed.
 
     Named ParseError rather than SyntaxError to avoid shadowing the
     builtin. Carries the 1-based line number on ``line``.
@@ -67,12 +63,4 @@ class ParseError(PlottmatchError):
 
 
 class UnknownAgent(ParseError):
-    """A document referenced a firm or worker that was never declared."""
-
-
-class ContractOutsideBlock(ParseError):
-    """A choice spec mentioned a contract outside the agent's own block."""
-
-
-class PartialTable(ParseError):
-    """An explicit choice table does not cover every subset of its block."""
+    """A document or a lookup named an agent (or an agent's spec) that was never declared."""

@@ -33,8 +33,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .choice import Aggregate, ChoiceFunction, ExplicitTable, OrderChoice
-from .errors import ContractOutsideBlock, ParseError, PartialTable, UnknownAgent
+from .choice import Aggregate, ChoiceFunction, ExplicitTable, OrderChoice, _fit
+from .errors import ParseError, UnknownAgent
 from .stability import SidePair, side_pair
 
 _SET_SYNTAX = re.compile(r"[,{}]|->")  # what a contract id may not contain
@@ -134,7 +134,7 @@ def _parse_keyvals(rest: str, lineno: int) -> dict[str, str]:
 def _missing(label: str, lineno: int, index) -> ParseError:
     """The error for a contract id outside the agent's block: foreign, or unknown."""
     if label in index:
-        return ContractOutsideBlock(f"contract {label!r} belongs to another agent", lineno)
+        return ParseError(f"contract {label!r} belongs to another agent", lineno)
     return ParseError(f"unknown contract id {label!r}", lineno)
 
 
@@ -155,6 +155,7 @@ def _set_mask(text: str, bits, lineno: int, index) -> int:
 
 def _build_explicit(agent, bits, body, header_line, index):
     k = len(bits)
+    _fit(f"agent {agent!r}: explicit table", k)  # before any of its 2^k rows is read
     rows: dict[int, int] = {}
     for lineno, line in body:
         left, sep, right = line.partition("->")
@@ -170,7 +171,7 @@ def _build_explicit(agent, bits, body, header_line, index):
             raise ParseError("choice selects outside its argument", lineno)
         rows[xmask] = chosen
     if len(rows) != 1 << k:
-        raise PartialTable(
+        raise ParseError(
             f"agent {agent!r}: table covers {len(rows)} of {1 << k} subsets",
             header_line)
     return ExplicitTable(k, tuple(map(rows.__getitem__, range(1 << k))))
@@ -196,11 +197,11 @@ def _parse_order_ids(body, bits, agent, header_line, index):
 def parse_instance(text: str) -> MarketInstance:
     """Parse an instance document in one pass, enforcing every structural invariant.
 
-    Errors carry the offending line number: ParseError for malformed
-    directives, UnknownAgent for references to undeclared agents,
-    ContractOutsideBlock when a choice spec mentions a foreign contract,
-    PartialTable for explicit tables that do not cover their block. Blocks are
-    built while the contract lines are read, as contract id -> local bit dicts.
+    A malformed document raises ParseError, whose message carries the
+    offending line number; a reference to an undeclared agent raises its
+    subclass UnknownAgent. An explicit table over EXHAUSTIVE_CAP contracts
+    raises CapExceeded before its rows are read. Blocks are built while the
+    contract lines are read, as contract id -> local bit dicts.
     """
     # agent id -> {contract id: local bit}, in declaration order
     firms: dict[str, dict[str, int]] = {}

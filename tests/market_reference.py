@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 
-from plottmatch.choice import ExplicitTable, OrderChoice
-from plottmatch.errors import ContractOutsideBlock, ParseError, PartialTable, UnknownAgent
+from plottmatch.choice import EXHAUSTIVE_CAP, ExplicitTable, OrderChoice
+from plottmatch.errors import CapExceeded, ParseError, UnknownAgent
 from plottmatch.market import ChoiceSpec, Contract, MarketInstance
 
 
@@ -67,7 +67,7 @@ def _local_index(label: str, index_of, lineno: int, all_labels) -> int:
     """The index of a contract id within the agent's block."""
     if label not in index_of:
         if label in all_labels:
-            raise ContractOutsideBlock(f"contract {label!r} belongs to another agent", lineno)
+            raise ParseError(f"contract {label!r} belongs to another agent", lineno)
         raise ParseError(f"unknown contract id {label!r}", lineno)
     return index_of[label]
 
@@ -87,6 +87,9 @@ def _local_set_mask(text: str, index_of, lineno: int, all_labels) -> int:
 
 def _build_explicit(agent, block, index_of, body, header_line, all_labels):
     k = len(block)
+    if k > EXHAUSTIVE_CAP:
+        raise CapExceeded(
+            f"agent {agent!r}: explicit table needs universe_size <= {EXHAUSTIVE_CAP}, got {k}")
     rows: dict[int, int] = {}
     for lineno, line in body:
         left, sep, right = line.partition("->")
@@ -102,7 +105,7 @@ def _build_explicit(agent, block, index_of, body, header_line, all_labels):
             raise ParseError("choice selects outside its argument", lineno)
         rows[xmask] = chosen
     if len(rows) != 1 << k:
-        raise PartialTable(
+        raise ParseError(
             f"agent {agent!r}: table covers {len(rows)} of {1 << k} subsets",
             header_line)
     return ExplicitTable(k, tuple(rows[m] for m in range(1 << k)))
@@ -125,9 +128,9 @@ def reference_parse(text: str) -> MarketInstance:
     """Parse an instance document, enforcing every structural invariant.
 
     Errors carry the offending line number: ParseError for malformed
-    directives, UnknownAgent for references to undeclared agents,
-    ContractOutsideBlock when a choice spec mentions a foreign contract,
-    PartialTable for explicit tables that do not cover their block.
+    directives, its subclass UnknownAgent for references to undeclared
+    agents. An explicit table over EXHAUSTIVE_CAP contracts raises
+    CapExceeded.
     """
     # agent ids in declaration order, as dicts for constant-time lookups
     firms: dict[str, None] = {}

@@ -23,7 +23,7 @@ from plottmatch import (
     ContractSet,
     EmptyList,
     ExplicitTable,
-    NotPlott,
+    NotCertified,
     OrderChoice,
     PlottReport,
     UnionChoice,
@@ -1048,7 +1048,7 @@ def test_decompose_puts_nil_last_and_marks_it_unacceptable():
 
 def test_decompose_degenerate_and_errors():
     assert decompose_into_orders(ExplicitTable(2, (0, 0, 0, 0))) == []
-    with pytest.raises(NotPlott):
+    with pytest.raises(NotCertified, match="^cannot decompose: function is not path-independent$"):
         decompose_into_orders(EX2_F)
     with pytest.raises(CapExceeded, match=r"^decomposition needs universe_size <= 16, got 17$"):
         decompose_into_orders(OrderChoice(17, tuple(range(17))))
@@ -1117,9 +1117,9 @@ def test_equal_functions_share_one_decomposition(monkeypatch):
     assert len(built) == orders_built
 
 
-def test_decompose_raises_not_plott_on_every_call():
+def test_decompose_raises_not_certified_on_every_call():
     for _ in range(3):
-        with pytest.raises(NotPlott, match="^cannot decompose: function is not path-independent$"):
+        with pytest.raises(NotCertified, match="^cannot decompose: function is not path-independent$"):
             decompose_into_orders(EX2_F)
     assert choice._decomposition.cache_info().currsize == 0
 

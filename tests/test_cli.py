@@ -394,3 +394,15 @@ def test_parse_errors_carry_line_numbers(capsys, tmp_path):
     code, out, err = run(capsys, "enumerate", str(path))
     assert code == 1
     assert err == "error: line 4: no worker named 'nobody'\n"
+
+
+def test_explicit_table_over_the_cap_is_refused_at_its_header(capsys, tmp_path):
+    ids = [f"c{i}" for i in range(17)]
+    path = tmp_path / "wide.mkt"
+    path.write_text("[firms] f1\n[workers] w1\n[contracts]\n"
+                    + "".join(f"{c} f1 w1\n" for c in ids)
+                    + "[choice f1] kind=explicit\n{} -> {}\n"
+                    + "[choice w1] kind=order\n" + " ".join(ids) + "\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: agent 'f1': explicit table needs universe_size <= 16, got 17\n"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plottmatch import ContractSet, UniverseMismatch, format_set, parse_set
+from plottmatch import ContractSet, ParseError, UniverseMismatch, format_set, parse_set
 from plottmatch.choice import _bits
 
 masks8 = st.integers(min_value=0, max_value=255)
@@ -86,9 +86,9 @@ def test_format_without_labels_uses_indices():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="^expected a brace-delimited set, got 'a,c'$"):
         parse_set("a,c", ("a", "b", "c"), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="^unknown contract label 'z'$"):
         parse_set("{z}", ("a", "b", "c"), 3)
 
 

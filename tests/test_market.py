@@ -12,15 +12,15 @@ from market_reference import reference_parse
 
 from plottmatch import (
     Aggregate,
-    ContractOutsideBlock,
+    CapExceeded,
     ContractSet,
     ExplicitTable,
     MarketInstance,
     OrderChoice,
     ParseError,
-    PartialTable,
     UnknownAgent,
     aggregate_sides,
+    market,
     parse_instance,
 )
 
@@ -164,14 +164,29 @@ def test_contract_outside_block():
             "[choice f1] kind=order\na c\n"
             "[choice f2] kind=order\nc\n"
             "[choice w1] kind=order\na c\n")
-    _expect(text, ContractOutsideBlock, "line 7", "'c'")
+    _expect(text, ParseError, "line 7", "contract 'c' belongs to another agent")
 
 
 def test_partial_table():
     text = ("[firms] f1\n[workers] w1\n[contracts]\na f1 w1\n"
             "[choice f1] kind=explicit\n{} -> {}\n"
             "[choice w1] kind=order\na\n")
-    _expect(text, PartialTable, "line 5", "1 of 2 subsets")
+    _expect(text, ParseError, "line 5", "agent 'f1': table covers 1 of 2 subsets")
+
+
+def test_explicit_table_over_the_cap_reads_no_row(monkeypatch):
+    ids = [f"c{i}" for i in range(17)]
+    text = ("[firms] f1\n[workers] w1\n[contracts]\n" + "".join(f"{c} f1 w1\n" for c in ids)
+            + "[choice f1] kind=explicit\n{} -> {}\n{c0} -> {c0}\n{c1} -> {zz}\n"
+            + "[choice w1] kind=order\n" + " ".join(ids) + "\n")
+    reads = []
+    original = market._set_mask
+    monkeypatch.setattr(market, "_set_mask", lambda *args: reads.append(args) or original(*args))
+    message = "^agent 'f1': explicit table needs universe_size <= 16, got 17$"
+    with pytest.raises(CapExceeded, match=message):
+        parse_instance(text)
+    assert reads == []
+    assert _outcome(reference_parse, text) == _outcome(parse_instance, text)
 
 
 def test_structural_parse_errors():
@@ -383,15 +398,30 @@ def test_one_pass_parser_matches_the_two_pass_reference(text):
     assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
 
 
-def test_the_corruptions_reach_every_parse_error_class():
+FAMILIES = ("belongs to another agent", "table covers", "no agent named", "no firm named",
+            "no worker named")
+
+
+def _family(outcome):
+    """None for a parsed document, else the error's class and message family (None if other)."""
+    if not isinstance(outcome, tuple):
+        return None
+    kind, message = outcome
+    return kind, next((family for family in FAMILIES if family in message), None)
+
+
+def test_the_corruptions_reach_every_parse_error_family():
     raised = set()
     for seed in range(40):
         text = make_market_text(4, 3, 2, seed, KINDS, KINDS[::-1])
         for corrupt in CORRUPTIONS:
             outcome = _outcome(reference_parse, _corrupted(text, corrupt, seed))
             assert outcome == _outcome(parse_instance, _corrupted(text, corrupt, seed))
-            raised.add(outcome[0] if isinstance(outcome, tuple) else None)
-    assert raised == {None, ParseError, UnknownAgent, ContractOutsideBlock, PartialTable}
+            raised.add(_family(outcome))
+    assert raised == {None, (ParseError, None),
+                      (ParseError, "belongs to another agent"), (ParseError, "table covers"),
+                      (UnknownAgent, "no agent named"), (UnknownAgent, "no firm named"),
+                      (UnknownAgent, "no worker named")}
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Every name that ``plottmatch/__init__.py`` re-exports from a module other
 than ``oracle`` (the tests' ground truth) or ``errors`` must be used by the
 package itself (a name or attribute in one of its modules, not counting
 ``__init__.py``), by the benchmark, or in the README. A definition is not a
-use.
+use. Likewise every error class but the base is raised somewhere, and only
+``errors`` defines error classes.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -65,3 +67,25 @@ def test_every_module_uses_what_it_imports():
     assert len(modules) >= 7, "no modules found"
     assert {path.name: unused_imports(path) for path in modules} == {
         path.name: [] for path in modules}
+
+
+def _called_names(path: Path) -> set[str]:
+    """The names a module calls, bare or as an attribute."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)}
+
+
+def test_every_error_class_is_raised_and_defined_in_errors():
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert "ParseError" in defined, "no error classes parsed"
+    modules = [path for path in PACKAGE.glob("*.py") if path.name != "errors.py"]
+    constructed = set().union(*map(_called_names, modules))
+    assert sorted(defined - constructed) == ["PlottmatchError"]
+    elsewhere = [f"{module.__name__}.{name}"
+                 for module in (importlib.import_module(f"plottmatch.{path.stem}")
+                                for path in modules if path.name != "__init__.py")
+                 for name, obj in vars(module).items()
+                 if isinstance(obj, type) and issubclass(obj, BaseException)
+                 and obj.__module__ == module.__name__]
+    assert elsewhere == []

@@ -7,6 +7,12 @@ gives that side's optimal stable set (Hatfield and Milgrom 2005). The
 reference reads each agent's choice from the generator's own data and
 never imports the package. F is the workers' side, G the firms'.
 
+The baseline family, ``make_market_text`` with order workers and quota
+q = 2 firms, gets the same checks at 2,001 and 6,669 contracts. Its agents
+are handed to the reference as generated ``Market`` agents, each parsed
+order, acceptable set and quota on global indices. Its random preferences
+leave one stable set, so there the two optima coincide.
+
 A third market, built in the library, gives each agent a union of seeded
 orders. Unions are path independent but need not be size-monotone, so its
 optima are checked against the definitions, not against deferred acceptance.
@@ -18,8 +24,9 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from conftest import make_market_text
 
-from bench.markets import Shape, generate
+from bench.markets import Agent, Market, Shape, generate
 from bench.reference import Reference
 from bench.workloads import MIXED_FIRMS, MIXED_WORKERS
 from plottmatch import (
@@ -42,15 +49,43 @@ from plottmatch import (
 
 SHAPES = (Shape((3,) * 222, 2, MIXED_WORKERS, MIXED_FIRMS),   # 2,000 contracts
           Shape((3,) * 741, 1, MIXED_WORKERS, MIXED_FIRMS))   # 6,670 contracts
+BASELINE = ((667, 222), (2223, 741))  # workers, firms: 2,001 and 6,669 contracts
 
 
-@pytest.fixture(scope="module", params=SHAPES, ids=lambda shape: str(shape.contracts))
+def _as_generated(m) -> Market:
+    """The parsed baseline market as generator data: each agent's order, acceptable set
+    and quota on global indices."""
+    firm_of = {a: i for i, a in enumerate(m.firms)}
+    worker_of = {a: i for i, a in enumerate(m.workers)}
+
+    def agent(name):
+        spec = m.spec_of(name)
+        block, cf = spec.block, spec.cf
+        acceptable = sum(1 << g for j, g in enumerate(block) if cf.acceptable_mask >> j & 1)
+        return Agent(name, spec.kind, block,
+                     ((tuple(block[j] for j in cf.order), acceptable, cf.quota),))
+
+    contracts = tuple((firm_of[c.firm], worker_of[c.worker], c.u_worker, c.u_firm)
+                      for c in m.contracts)
+    return Market(m.firms, m.workers, contracts, tuple(map(agent, m.firms)),
+                  tuple(map(agent, m.workers)))
+
+
+@pytest.fixture(scope="module", params=SHAPES + BASELINE,
+                ids=lambda p: str(p.contracts) if isinstance(p, Shape) else f"baseline-{3 * p[0]}")
 def market(request):
     """(reference, sides, F-optimum mask, G-optimum mask) of one seeded market."""
-    generated = generate(request.param, f"scale:{request.param.contracts}")
-    sides = aggregate_sides(parse_instance(generated.text()))
-    assert sides.certified and sides.universe_size == request.param.contracts
+    if isinstance(request.param, Shape):
+        generated = generate(request.param, f"scale:{request.param.contracts}")
+        m = parse_instance(generated.text())
+    else:
+        m = parse_instance(make_market_text(*request.param, 3, seed=1))
+        generated = _as_generated(m)
+    sides = aggregate_sides(m)
+    assert sides.certified and sides.universe_size == generated.size
     worst, best = side_optimal(sides, "F"), side_optimal(sides, "G")
+    # opposed groups keep a shape's two optima apart
+    assert worst != best or not isinstance(request.param, Shape)
     return Reference(generated), sides, worst.mask, best.mask
 
 
@@ -79,7 +114,6 @@ def test_side_optima_are_deferred_acceptance(market):
     ref, _, worst, best = market
     assert worst == ref.deferred_acceptance("workers")
     assert best == ref.deferred_acceptance("firms")
-    assert worst != best  # opposed groups keep the two optima apart
 
 
 def test_both_optima_pass_the_reference_check(market):
