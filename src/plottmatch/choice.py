@@ -646,18 +646,17 @@ def _fit(what: str, n: int, limit: int = EXHAUSTIVE_CAP) -> None:
         raise CapExceeded(f"{what} needs universe_size <= {limit}, got {n}")
 
 
-def _agents(cf: ChoiceFunction) -> list[tuple[tuple[int, ...], list, np.ndarray, np.ndarray]]:
-    """Each agent of a side as (block, runs, its choice table, the table on global bits).
-
-    A side that is not an aggregate is one agent over the whole universe,
-    whose local masks are the global ones.
-    """
+def _blocks(cf: ChoiceFunction) -> list[tuple[tuple[int, ...], ChoiceFunction]]:
+    """An aggregate's (block, part) pairs; any other function is one agent over range(n)."""
     if isinstance(cf, Aggregate):
-        pairs = zip(cf.blocks, cf.parts)
-    else:
-        pairs = ((tuple(range(cf.universe_size)), cf),)
+        return list(zip(cf.blocks, cf.parts))
+    return [(tuple(range(cf.universe_size)), cf)]
+
+
+def _agents(cf: ChoiceFunction) -> list[tuple[tuple[int, ...], list, np.ndarray, np.ndarray]]:
+    """Each agent of a side (see _blocks) as (block, runs, its table, the table on global bits)."""
     agents = []
-    for block, part in pairs:
+    for block, part in _blocks(cf):
         runs, table = _runs(block), choice_table(part)
         agents.append((block, runs, table, _scatter(table, runs)))
     return agents
@@ -794,6 +793,32 @@ def _plott_witness(cf: ChoiceFunction, place):
     if _proven(cf):
         return None
     return _violation_scan(choice_table(cf), n, place)
+
+
+def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
+    """Check choose(F,X) ⊆ choose(F2,X) everywhere; returns the least failing X mask or None.
+
+    Exact at any size when F and F2 choose over the same blocks (see
+    _blocks): both choose block by block, so dominance holds exactly when it
+    holds on every block whose parts differ, and a block's least failing
+    slice, with the other blocks empty, is the least failing set of the
+    whole with a contract there. Those blocks, and two functions over
+    different blocks, are compared through whole tables, which must fit
+    under the table limit.
+    """
+    ours, theirs = _blocks(F), _blocks(F2)
+    if [block for block, _ in ours] != [block for block, _ in theirs]:
+        ours, theirs = [(range(F.universe_size), F)], [(range(F.universe_size), F2)]
+    pairs = [(block, p, q) for (block, p), (_, q) in zip(ours, theirs) if p != q]
+    for block, _, _ in pairs:
+        _fit("dominance check", len(block))
+    least = None
+    for block, p, q in pairs:
+        bad = (choice_table(p) & ~choice_table(q)).nonzero()[0]
+        if bad.size:
+            x = _lift(int(bad[np.argmin(_rank_keys(bad, block))]), block)
+            least = x if least is None else min(least, x)
+    return least
 
 
 def is_plott(cf: ChoiceFunction) -> PlottReport:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every command reads an instance file and prints deterministic text: same
-invocation, same bytes. Exit codes: 0 on success, 1 on domain errors (one
-`error: ...` line on stderr), 2 on usage errors.
+Every command reads an instance file, which `main` loads and hands to it,
+and prints deterministic text: same invocation, same bytes. Exit codes: 0
+on success, 1 on domain errors (one `error: ...` line on stderr, printed
+by `main`), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -43,25 +44,21 @@ def _load(path: str) -> MarketInstance:
 
 
 def _targets(m: MarketInstance, args, *, default_both: bool):
-    """Resolve --agent/--side into (prefix, cf, labels) triples."""
-    agent, side = args.agent, args.side
-    if agent is not None:
-        spec = m.spec_of(agent)
-        labels = tuple(m.labels[g] for g in spec.block)
-        return [(None, spec.cf, labels)]
+    """Resolve --agent/--side into (name, cf, labels) triples."""
+    if args.agent is not None:
+        spec = m.spec_of(args.agent)
+        return [(f"agent {args.agent}", spec.cf, tuple(m.labels[g] for g in spec.block))]
     sides = aggregate_sides(m, certify=False)
-    if side is not None:
-        cf = sides.F if side == "F" else sides.G
-        return [(None, cf, m.labels)]
-    if default_both:
-        return [("F", sides.F, m.labels), ("G", sides.G, m.labels)]
-    return [(None, sides.G, m.labels)]
+    names = (args.side,) if args.side else ("F", "G") if default_both else ("G",)
+    return [(f"side {s}", sides.F if s == "F" else sides.G, m.labels) for s in names]
 
 
-SKIPPED = "lehmann: skipped (universe exceeds audit cap)"
-
-
-def _audit_lines(report, labels) -> list[str]:
+def _audit_lines(cf, labels) -> list[str]:
+    """The Lehmann audit of cf: its verdicts and witnesses, or the skip line over the limit."""
+    try:
+        report = audit_lehmann_axioms(DerivedLehmann(cf))
+    except CapExceeded:
+        return ["lehmann: skipped (universe exceeds audit cap)"]
     verdicts = " ".join(
         f"{c.name}={'pass' if c.passed else 'fail'}" for c in report.checks)
     lines = [f"lehmann: {verdicts}"]
@@ -72,38 +69,29 @@ def _audit_lines(report, labels) -> list[str]:
     return lines
 
 
-def cmd_check(args) -> int:
-    m = _load(args.instance)
-    for prefix, cf, labels in _targets(m, args, default_both=True):
+def cmd_check(m: MarketInstance, args) -> int:
+    targets = _targets(m, args, default_both=True)
+    for name, cf, labels in targets:
+        prefix = f"{name[-1]}: " if len(targets) > 1 else ""  # the side letter, both sides only
         report = is_plott(cf)
-        lines = []
         if report.is_plott:
-            lines.append("PLOTT (exhaustive)")
-            try:
-                audit = audit_lehmann_axioms(DerivedLehmann(cf))
-            except CapExceeded:
-                lines.append(SKIPPED)
-            else:
-                lines.extend(_audit_lines(audit, labels))
+            lines = ["PLOTT (exhaustive)", *_audit_lines(cf, labels)]
         elif report.heredity_witness is not None:
             b, a, element = report.heredity_witness
-            lines.append(
-                f"NOT PLOTT: heredity violated at B={format_set(b, labels)}, "
-                f"A={format_set(a, labels)}, element {labels[element]}")
+            lines = [f"NOT PLOTT: heredity violated at B={format_set(b, labels)}, "
+                     f"A={format_set(a, labels)}, element {labels[element]}"]
         else:
             x, y = report.outcast_witness
-            lines.append(
-                f"NOT PLOTT: outcast violated at X={format_set(x, labels)}, "
-                f"Y={format_set(y, labels)}")
+            lines = [f"NOT PLOTT: outcast violated at X={format_set(x, labels)}, "
+                     f"Y={format_set(y, labels)}"]
         for line in lines:
-            print(f"{prefix}: {line}" if prefix else line)
+            print(prefix + line)
     return 0
 
 
-def cmd_solve(args) -> int:
-    m = _load(args.instance)
+def cmd_solve(m: MarketInstance, args) -> int:
     sides = aggregate_sides(m)
-    sides.require_certified()
+    sides.require_certified()  # before swap(), so that a refusal names the side that fails
     frame = sides if args.favor == "F" else sides.swap()
     n = m.universe_size
     trace = run_to_fixpoint(frame, SemiStablePair(ContractSet.empty(n), ContractSet.full(n)))
@@ -113,10 +101,8 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    m = _load(args.instance)
-    sides = aggregate_sides(m)
-    catalog = enumerate_stable_sets(sides)
+def cmd_enumerate(m: MarketInstance, args) -> int:
+    catalog = enumerate_stable_sets(aggregate_sides(m))
     if args.catalog:
         print(format_catalog(catalog, m.labels), end="")
         return 0
@@ -128,8 +114,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_lattice(args) -> int:
-    m = _load(args.instance)
+def cmd_lattice(m: MarketInstance, args) -> int:
     sides = aggregate_sides(m)
     sides.require_certified()
     catalog = enumerate_stable_sets(sides)
@@ -146,8 +131,7 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    m = _load(args.instance)
+def cmd_compare(m: MarketInstance, args) -> int:
     sides = aggregate_sides(m)
     sides.require_certified()
     S = parse_set(args.set_a, m.labels, m.universe_size)
@@ -156,8 +140,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_statics(args) -> int:
-    m = _load(args.instance)
+def cmd_statics(m: MarketInstance, args) -> int:
     m2 = _load(args.weakened)
     if m2.labels != m.labels:
         raise ParseError("weakened instance must declare the same contracts")
@@ -173,24 +156,13 @@ def cmd_statics(args) -> int:
     return 0
 
 
-def cmd_lehmann(args) -> int:
-    m = _load(args.instance)
-    [(prefix, cf, labels)] = _targets(m, args, default_both=False)
+def cmd_lehmann(m: MarketInstance, args) -> int:
+    [(name, cf, labels)] = _targets(m, args, default_both=False)
     if not is_plott(cf).is_plott:
-        target = f"agent {args.agent}" if args.agent else f"side {args.side or 'G'}"
-        raise NotCertified(f"{target} is not path-independent")
-    rel = DerivedLehmann(cf)
-    try:
-        audit = audit_lehmann_axioms(rel)
-    except CapExceeded:
-        print(SKIPPED)
-        if args.roundtrip:
-            raise
-        return 0
-    for line in _audit_lines(audit, labels):
-        print(line)
-    if args.roundtrip:
-        rebuilt = reconstruct_choice(rel)
+        raise NotCertified(f"{name} is not path-independent")
+    print(*_audit_lines(cf, labels), sep="\n")
+    if args.roundtrip:  # over the audit limit this raises after the skip line
+        rebuilt = reconstruct_choice(DerivedLehmann(cf))
         total = 1 << cf.universe_size
         bad = int((choice_table(cf) != rebuilt.table).sum())
         if bad == 0:
@@ -200,9 +172,8 @@ def cmd_lehmann(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    m = _load(args.instance)
-    [(prefix, cf, labels)] = _targets(m, args, default_both=False)
+def cmd_decompose(m: MarketInstance, args) -> int:
+    [(_, cf, labels)] = _targets(m, args, default_both=False)
     orders = decompose_into_orders(cf)
     n = cf.universe_size
     full = (1 << n) - 1
@@ -270,14 +241,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except PlottmatchError as exc:
+        return args.func(_load(args.instance), args)
+    except (PlottmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -78,7 +78,7 @@ class MarketInstance:
     def universe_size(self) -> int:
         return len(self.contracts)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.contracts)
 

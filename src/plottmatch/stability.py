@@ -18,20 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .choice import (
-    Aggregate,
     CacheInfo,
     ChoiceFunction,
     ContractSet,
     PlottReport,
     _cache_info,
-    _fit,
-    _lift,
+    _dominates,
     _Rows,
-    _rank_keys,
-    choice_table,
     closure_star,
     format_set,
     is_plott,
@@ -426,31 +420,6 @@ def blair_compare_stable(sides: SidePair, S: ContractSet, T: ContractSet) -> str
     if ts:
         return "greater"
     return "incomparable"
-
-
-def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
-    """Check choose(F,X) ⊆ choose(F2,X) everywhere; returns the least failing X mask or None.
-
-    Exact at any size when F and F2 are aggregates over the same blocks:
-    both choose block by block, so dominance holds exactly when it holds on
-    every block whose parts differ, and a block's least failing slice, with
-    the other blocks empty, is the least failing set of the whole with a
-    contract there. Those blocks and any other pair of functions are
-    compared through whole tables, which must fit under the table limit.
-    """
-    if isinstance(F, Aggregate) and isinstance(F2, Aggregate) and F.blocks == F2.blocks:
-        pairs = [(block, p, q) for block, p, q in zip(F.blocks, F.parts, F2.parts) if p != q]
-    else:
-        pairs = [(range(F.universe_size), F, F2)]
-    for block, _, _ in pairs:
-        _fit("dominance check", len(block))
-    least = None
-    for block, p, q in pairs:
-        bad = (choice_table(p) & ~choice_table(q)).nonzero()[0]
-        if bad.size:
-            x = _lift(int(bad[np.argmin(_rank_keys(bad, block))]), block)
-            least = x if least is None else min(least, x)
-    return least
 
 
 def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,

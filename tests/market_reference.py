@@ -138,7 +138,7 @@ def reference_parse(text: str) -> MarketInstance:
     contracts: list[Contract] = []
     contract_ids: set[str] = set()
     spec_agents: set[str] = set()
-    sections_seen: set[str] = set()  # [firms], [workers] and [contracts]
+    sections_seen: dict[str, int] = {}  # [firms], [workers] and [contracts] -> header line
     # (agent, keyvals, header lineno, body [(lineno, line), ...])
     raw_specs: list[tuple[str, dict[str, str], int, list]] = []
     section = None
@@ -161,7 +161,7 @@ def reference_parse(text: str) -> MarketInstance:
                     raise ParseError(f"[{name}] takes its ids after the bracket", lineno)
                 if name in sections_seen:
                     raise ParseError(f"duplicate [{name}] section", lineno)
-                sections_seen.add(name)
+                sections_seen[name] = lineno
                 target = firms if name == "firms" else workers
                 ids = rest.split()
                 if len(set(ids)) != len(ids):
@@ -173,7 +173,7 @@ def reference_parse(text: str) -> MarketInstance:
                     raise ParseError("[contracts] header takes no arguments", lineno)
                 if name in sections_seen:
                     raise ParseError("duplicate [contracts] section", lineno)
-                sections_seen.add(name)
+                sections_seen[name] = lineno
                 section = "contracts"
             elif name == "choice":
                 if len(head) != 2:
@@ -220,7 +220,8 @@ def reference_parse(text: str) -> MarketInstance:
 
     overlap = firms.keys() & workers.keys()
     if overlap:
-        raise ParseError(f"agent id on both sides: {sorted(overlap)[0]!r}")
+        raise ParseError(f"agent id on both sides: {sorted(overlap)[0]!r}",
+                         max(sections_seen["firms"], sections_seen["workers"]))
 
     contracts_t = tuple(contracts)
     all_labels = tuple(c.id for c in contracts_t)
@@ -274,6 +275,7 @@ def reference_parse(text: str) -> MarketInstance:
 
     for agent in (*firms, *workers):
         if agent not in spec_agents and instance_stub.block_of(agent):
-            raise ParseError(f"agent {agent!r} has contracts but no [choice] section")
+            raise ParseError(f"agent {agent!r} has contracts but no [choice] section",
+                             sections_seen["firms" if agent in firms else "workers"])
 
     return MarketInstance(tuple(firms), tuple(workers), contracts_t, tuple(specs))

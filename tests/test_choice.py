@@ -310,7 +310,7 @@ def test_plott_positives():
         assert is_plott(cf).is_plott
 
 
-def test_is_plott_mode_and_cap():
+def test_is_plott_has_one_mode_and_a_fixed_limit():
     # there is one mode, the exact check; no mode argument is taken
     with pytest.raises(TypeError):
         is_plott(EX2_G, "exhaustive")

@@ -80,20 +80,11 @@ def test_cap_is_a_usage_error_where_nothing_reads_it(capsys):
     for args in (("check", EX2, "--side", "F"), ("solve", EX1), ("enumerate", EX1),
                  ("lattice", EX1), ("compare", EX1, "{a}", "{b}"),
                  ("statics", POLAR2, POLAR2_WEAK, "{a}"), ("lehmann", EX1), ("decompose", EX1)):
-        for value in ("0", "99"):
+        for value in ("0", "99", "-1", "x"):
             code, out, err = run(capsys, *args, "--cap", value)
             assert code == 2 and out == ""
             assert err.endswith(f"error: unrecognized arguments: --cap {value}\n")
         assert run(capsys, *args)[0] == 0
-
-
-def test_negative_cap_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "check", EX2, "--side", "F", "--cap", "-1")
-    assert code == 2 and out == ""
-    assert err.endswith("error: unrecognized arguments: --cap -1\n")
-    code, out, err = run(capsys, "enumerate", EX1, "--cap", "x")
-    assert code == 2 and out == ""
-    assert err.endswith("error: unrecognized arguments: --cap x\n")
 
 
 def test_check_skips_the_audit_above_its_cap(capsys, tmp_path):
@@ -110,7 +101,7 @@ def test_check_skips_the_audit_above_its_cap(capsys, tmp_path):
                    "lehmann: skipped (universe exceeds audit cap)\n")
 
 
-def test_a_cap_lowers_the_audit_limit_but_never_raises_it(capsys, tmp_path, market_text):
+def test_the_audit_limit_is_fixed_at_eight_contracts(capsys, tmp_path, market_text):
     # no flag moves the audit limit of 8 contracts; a 9-contract side is skipped
     path = tmp_path / "nine.mkt"
     path.write_text(market_text(3, 3, 3, seed=1))
@@ -177,6 +168,9 @@ def test_solve_refuses_uncertified_sides(capsys):
     code, out, err = run(capsys, "solve", EX2)
     assert code == 1 and out == ""
     assert err == "error: side F is not path-independent\n"
+    # favoring G swaps the sides only after both are certified, so F is still named
+    assert run(capsys, "solve", EX2, "--favor", "G") == (
+        1, "", "error: side F is not path-independent\n")
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +366,38 @@ def test_agent_and_side_only_where_a_target_is_read(capsys):
             assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
+# every command with the extra arguments it needs after its instance file
+EXTRA_ARGS = (("check", ()), ("solve", ()), ("enumerate", ()), ("lattice", ()),
+              ("compare", ("{a}", "{b}")), ("statics", (POLAR2_WEAK, "{a}")),
+              ("lehmann", ()), ("decompose", ()))
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_missing_file_is_a_domain_error(capsys):
-    code, out, err = run(capsys, "solve", "/nonexistent/market.mkt")
+    missing = "/nonexistent/market.mkt"
+    for command, extra in EXTRA_ARGS:
+        code, out, err = run(capsys, command, missing, *extra)
+        assert code == 1 and out == ""
+        assert _one_error_line(err) and missing in err
+    # statics' weakened file is read by the same path, and named alone
+    weak = "/nonexistent/weak.mkt"
+    code, out, err = run(capsys, "statics", POLAR2, weak, "{a}")
     assert code == 1 and out == ""
-    assert err.startswith("error: ")
+    assert _one_error_line(err) and weak in err
 
 
 def test_non_utf8_input_is_a_domain_error_naming_the_file(capsys, tmp_path):
     path = tmp_path / "bad.mkt"
     path.write_bytes(b"\xff\xfe[firms] f\n")
-    for args in (("solve", str(path)), ("statics", POLAR2, str(path), "{a}")):
+    runs = [(command, str(path), *extra) for command, extra in EXTRA_ARGS]
+    for args in (*runs, ("statics", POLAR2, str(path), "{a}")):
         code, out, err = run(capsys, *args)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path} is not UTF-8 text: ")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert _one_error_line(err)
 
 
 def test_parse_errors_carry_line_numbers(capsys, tmp_path):

@@ -96,6 +96,13 @@ def test_block_and_spec_lookup():
         m.spec_of("nobody")
 
 
+def test_labels_are_built_once_and_leave_equality_alone():
+    m, twin = parse_instance(TWO_BY_TWO), parse_instance(TWO_BY_TWO)
+    assert m.labels is m.labels
+    assert m.labels == ("a", "b", "c", "d")
+    assert m == twin and hash(m) == hash(twin)  # one has read its labels, the other not
+
+
 def test_a_hand_built_agent_with_contracts_but_no_spec_is_unknown():
     m = parse_instance(TWO_BY_TWO)
     hand_built = MarketInstance(m.firms, m.workers, m.contracts,
@@ -364,8 +371,22 @@ def _bad_number(lines, rng):
     lines[at] = " ".join(tokens)
 
 
+def _shared_agent(lines, rng):
+    """A firm id also declared in the [workers] header."""
+    firms = next(line for line in lines if line.startswith("[firms]")).split()[1:]
+    at = next(i for i, line in enumerate(lines) if line.startswith("[workers]"))
+    lines[at] += " " + rng.choice(firms)
+
+
+def _missing_section(lines, rng):
+    """A whole [choice ...] section deleted, header and body."""
+    at = _pick(rng, lines, "header")
+    end = next((i for i in range(at + 1, len(lines)) if lines[i].startswith("[")), len(lines))
+    del lines[at:end]
+
+
 CORRUPTIONS = (_unknown_id, _foreign_contract, _bad_brace, _duplicate_row, _missing_row,
-               _bad_key, _bad_number)
+               _bad_key, _bad_number, _shared_agent, _missing_section)
 
 
 def _corrupted(text: str, corrupt, seed: int) -> str:
@@ -399,7 +420,7 @@ def test_one_pass_parser_matches_the_two_pass_reference(text):
 
 
 FAMILIES = ("belongs to another agent", "table covers", "no agent named", "no firm named",
-            "no worker named")
+            "no worker named", "agent id on both sides", "has contracts but no [choice] section")
 
 
 def _family(outcome):
@@ -420,6 +441,8 @@ def test_the_corruptions_reach_every_parse_error_family():
             raised.add(_family(outcome))
     assert raised == {None, (ParseError, None),
                       (ParseError, "belongs to another agent"), (ParseError, "table covers"),
+                      (ParseError, "agent id on both sides"),
+                      (ParseError, "has contracts but no [choice] section"),
                       (UnknownAgent, "no agent named"), (UnknownAgent, "no firm named"),
                       (UnknownAgent, "no worker named")}
 

@@ -331,7 +331,7 @@ def test_semi_stable_cap():
         semi_stable_masks(big)
 
 
-def test_a_cap_lowers_the_size_limits_but_never_raises_them():
+def test_the_scan_size_limits_are_fixed():
     # the limits are fixed: neither scan takes a cap, and both refuse above their limit
     big = side_pair(OrderChoice(11, tuple(range(11))),
                     OrderChoice(11, tuple(range(11))), certify=False)

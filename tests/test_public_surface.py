@@ -5,7 +5,8 @@ than ``oracle`` (the tests' ground truth) or ``errors`` must be used by the
 package itself (a name or attribute in one of its modules, not counting
 ``__init__.py``), by the benchmark, or in the README. A definition is not a
 use. Likewise every error class but the base is raised somewhere, and only
-``errors`` defines error classes.
+``errors`` defines error classes. Only the exhaustive layer (``choice``,
+``oracle``, ``hyperorders``) imports numpy.
 """
 
 from __future__ import annotations
@@ -89,3 +90,22 @@ def test_every_error_class_is_raised_and_defined_in_errors():
                  if isinstance(obj, type) and issubclass(obj, BaseException)
                  and obj.__module__ == module.__name__]
     assert elsewhere == []
+
+
+def _imports_numpy(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_only_the_exhaustive_layer_imports_numpy():
+    # whole tables live in choice, oracle and hyperorders; every other query is on bitmasks
+    users = {path.stem for path in PACKAGE.glob("*.py") if _imports_numpy(path)}
+    assert users == {"choice", "oracle", "hyperorders"}

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import shlex
 from pathlib import Path
 
 import pytest
 
-from plottmatch.cli import main
+from plottmatch.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,6 +39,13 @@ TRANSCRIPTS = _transcripts()
 
 def test_the_readme_has_its_transcripts():
     assert len(TRANSCRIPTS) == 9
+
+
+def test_every_command_has_a_transcript():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = {shlex.split(args)[0] for args, _ in TRANSCRIPTS}
+    assert len(sub.choices) == 8
+    assert set(sub.choices) == commands
 
 
 @pytest.mark.parametrize("args,expected", TRANSCRIPTS, ids=[a for a, _ in TRANSCRIPTS])

@@ -58,9 +58,8 @@ from plottmatch import (
     union,
 )
 from plottmatch import choice, stability
-from plottmatch.choice import choice_table
+from plottmatch.choice import _dominates, choice_table
 from plottmatch.oracle import enumerate_stable_sets, generate_instance, semi_stable_masks
-from plottmatch.stability import _dominates
 
 from conftest import make_market_text
 from test_choice import mixed_aggregates, selection_tables, structural_functions
