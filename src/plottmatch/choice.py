@@ -14,6 +14,7 @@ to the table cap. Orders, quotas and utility maximizers are one class,
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, partial, update_wrapper
@@ -39,14 +40,6 @@ def _bits(mask: int):
     while i >= 0:
         yield i
         i = digits.find("1", i + 1)
-
-
-def _lift(mask: int, place) -> int:
-    """The mask of local indices j mapped to the global indices ``place[j]``."""
-    out = 0
-    for j in _bits(mask):
-        out |= 1 << place[j]
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,20 +140,32 @@ def format_set(X: ContractSet, labels=None) -> str:
 
 def parse_set(text: str, labels, universe_size: int) -> ContractSet:
     """Parse a ``{a,b}`` literal against a label list; ParseError if it is malformed."""
+    return ContractSet(universe_size, _set_mask(text, dict(zip(labels, count())), None, ()))
+
+
+_SET_SYNTAX = re.compile(r"[,{}]|->")  # what a contract id may not contain
+
+
+def _missing(label: str, lineno, index) -> ParseError:
+    """The error for a contract id outside the agent's block: foreign, or unknown."""
+    if label in index:
+        return ParseError(f"contract {label!r} belongs to another agent", lineno)
+    return ParseError(f"unknown contract id {label!r}", lineno)
+
+
+def _set_mask(text: str, position, lineno, index) -> int:
+    """The local mask of a ``{a,b}`` literal, read through a label → local position dict."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"expected a brace-delimited set, got {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return ContractSet.empty(universe_size)
-    index_of = {lab: i for i, lab in enumerate(labels)}
-    indices = []
-    for part in body.split(","):
-        part = part.strip()
-        if part not in index_of:
-            raise ParseError(f"unknown contract label {part!r}")
-        indices.append(index_of[part])
-    return ContractSet.from_indices(universe_size, indices)
+        raise ParseError(f"expected a brace-delimited set, got {text!r}", lineno)
+    mask = 0
+    try:
+        for label in text[1:-1].split(","):
+            mask |= 1 << position[label.strip()]
+    except KeyError as miss:
+        if text[1:-1].strip():  # else the one label is blank: the empty set
+            raise _missing(*miss.args, lineno, index) from None
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +420,17 @@ def _runs(place) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _gather(xs: np.ndarray, runs) -> np.ndarray:
-    """The local masks of the global masks in xs, each run moved to its local start (a pext)."""
-    local = np.zeros_like(xs)
+def _gather(xs, runs):
+    """The local masks of global masks xs, an int or an int64 array: a pext, run by run."""
+    local = xs & 0
     for g, j, k in runs:
         local |= (xs >> g & ((1 << k) - 1)) << j
     return local
 
 
-def _scatter(local: np.ndarray, runs) -> np.ndarray:
-    """The global masks of the local masks, each run moved to its global start (a pdep)."""
-    out = np.zeros_like(local)
+def _scatter(local, runs):
+    """The global masks of local masks, an int or an int64 array: a pdep, run by run."""
+    out = local & 0
     for g, j, k in runs:
         out |= (local >> j & ((1 << k) - 1)) << g
     return out
@@ -713,10 +718,7 @@ def _rank_keys(masks: np.ndarray, place) -> np.ndarray:
     """
     if list(place) == sorted(place):
         return masks
-    keys = np.zeros_like(masks)
-    for r, j in enumerate(sorted(range(len(place)), key=place.__getitem__)):
-        keys |= (masks >> j & 1) << r
-    return keys
+    return _scatter(masks, _runs(np.argsort(np.argsort(place)).tolist()))
 
 
 def _violation_scan(table: np.ndarray, n: int, place):
@@ -750,10 +752,10 @@ def _violation_scan(table: np.ndarray, n: int, place):
         *_, b, c = heredity
         a = b ^ (1 << c)
         element = min(_bits(int(table[b]) & a & ~int(table[a])), key=place.__getitem__)
-        return 0, _lift(b, place), _lift(a, place), place[element]
+        return 0, _scatter(b, _runs(place)), _scatter(a, _runs(place)), place[element]
     if outcast is not None:
         *_, x, c = outcast
-        return 1, _lift(x, place), _lift(x ^ (1 << c), place)
+        return 1, _scatter(x, _runs(place)), _scatter(x ^ (1 << c), _runs(place))
     return None
 
 
@@ -816,7 +818,7 @@ def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
     for block, p, q in pairs:
         bad = (choice_table(p) & ~choice_table(q)).nonzero()[0]
         if bad.size:
-            x = _lift(int(bad[np.argmin(_rank_keys(bad, block))]), block)
+            x = _scatter(int(bad[np.argmin(_rank_keys(bad, block))]), _runs(block))
             least = x if least is None else min(least, x)
     return least
 

@@ -29,15 +29,13 @@ and quota as written (q = 1 for order), utility as the order by
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .choice import Aggregate, ChoiceFunction, ExplicitTable, OrderChoice, _fit
+from .choice import (_SET_SYNTAX, Aggregate, ChoiceFunction, ExplicitTable, OrderChoice, _fit,
+                     _missing, _set_mask)
 from .errors import ParseError, UnknownAgent
 from .stability import SidePair, side_pair
-
-_SET_SYNTAX = re.compile(r"[,{}]|->")  # what a contract id may not contain
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,38 +129,16 @@ def _parse_keyvals(rest: str, lineno: int) -> dict[str, str]:
     return out
 
 
-def _missing(label: str, lineno: int, index) -> ParseError:
-    """The error for a contract id outside the agent's block: foreign, or unknown."""
-    if label in index:
-        return ParseError(f"contract {label!r} belongs to another agent", lineno)
-    return ParseError(f"unknown contract id {label!r}", lineno)
-
-
-def _set_mask(text: str, bits, lineno: int, index) -> int:
-    """The local mask of a ``{a,b}`` literal, read through the agent's label → bit dict."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"expected a brace-delimited set, got {text!r}", lineno)
-    mask = 0
-    try:
-        for label in text[1:-1].split(","):
-            mask |= bits[label.strip()]
-    except KeyError as miss:
-        if text[1:-1].strip():  # else the one label is blank: the empty set
-            raise _missing(*miss.args, lineno, index) from None
-    return mask
-
-
-def _build_explicit(agent, bits, body, header_line, index):
-    k = len(bits)
+def _build_explicit(agent, position, body, header_line, index):
+    k = len(position)
     _fit(f"agent {agent!r}: explicit table", k)  # before any of its 2^k rows is read
     rows: dict[int, int] = {}
     for lineno, line in body:
         left, sep, right = line.partition("->")
         if not sep:
             raise ParseError("expected '{...} -> {...}'", lineno)
-        xmask = _set_mask(left, bits, lineno, index)
-        chosen = _set_mask(right, bits, lineno, index)
+        xmask = _set_mask(left, position, lineno, index)
+        chosen = _set_mask(right, position, lineno, index)
         if xmask in rows:
             raise ParseError("duplicate table row", lineno)
         if xmask == 0 and chosen != 0:
@@ -177,21 +153,20 @@ def _build_explicit(agent, bits, body, header_line, index):
     return ExplicitTable(k, tuple(map(rows.__getitem__, range(1 << k))))
 
 
-def _parse_order_ids(body, bits, agent, header_line, index):
+def _parse_order_ids(body, position, agent, header_line, index):
     if len(body) != 1:
         raise ParseError(
             f"agent {agent!r}: expected one line of contract ids, got {len(body)}",
             header_line)
     lineno, line = body[0]
     try:
-        picked = list(map(bits.__getitem__, line.split()))
+        order = tuple(map(position.__getitem__, line.split()))
     except KeyError as miss:
         raise _missing(*miss.args, lineno, index) from None
-    # k powers of two below 2^k sum to 2^k - 1 only when they are distinct
-    if len(picked) != len(bits) or sum(picked) != (1 << len(bits)) - 1:
+    if not len(set(order)) == len(order) == len(position):
         raise ParseError(
             f"order must list every contract of agent {agent!r} exactly once", lineno)
-    return tuple([bit.bit_length() - 1 for bit in picked])
+    return order
 
 
 def parse_instance(text: str) -> MarketInstance:
@@ -201,9 +176,9 @@ def parse_instance(text: str) -> MarketInstance:
     offending line number; a reference to an undeclared agent raises its
     subclass UnknownAgent. An explicit table over EXHAUSTIVE_CAP contracts
     raises CapExceeded before its rows are read. Blocks are built while the
-    contract lines are read, as contract id -> local bit dicts.
+    contract lines are read, as contract id -> local position dicts.
     """
-    # agent id -> {contract id: local bit}, in declaration order
+    # agent id -> {contract id: local position}, in declaration order
     firms: dict[str, dict[str, int]] = {}
     workers: dict[str, dict[str, int]] = {}
     header_line = {}  # [firms], [workers] and [contracts] -> the line declaring it
@@ -269,19 +244,19 @@ def parse_instance(text: str) -> MarketInstance:
             if cid in index:
                 raise ParseError(f"duplicate contract id {cid!r}", lineno)
             index[cid] = len(contracts)
-            firm_bits = firms.get(firm)
-            if firm_bits is None:
+            firm_position = firms.get(firm)
+            if firm_position is None:
                 raise UnknownAgent(f"no firm named {firm!r}", lineno)
-            worker_bits = workers.get(worker)
-            if worker_bits is None:
+            worker_position = workers.get(worker)
+            if worker_position is None:
                 raise UnknownAgent(f"no worker named {worker!r}", lineno)
             u_worker = u_firm = None
             if len(tokens) == 5:
                 u_worker = _parse_number(tokens[3], lineno)
                 u_firm = _parse_number(tokens[4], lineno)
             contracts.append(Contract(cid, firm, worker, u_worker, u_firm))
-            firm_bits[cid] = 1 << len(firm_bits)
-            worker_bits[cid] = 1 << len(worker_bits)
+            firm_position[cid] = len(firm_position)
+            worker_position[cid] = len(worker_position)
         elif section == "choice":
             body.append((lineno, line))
         else:
@@ -295,8 +270,8 @@ def parse_instance(text: str) -> MarketInstance:
     specs = []
     for agent, (keyvals, header, body) in raw_specs.items():
         side_is_firm = agent in firms
-        bits = firms[agent] if side_is_firm else workers[agent]
-        block = tuple(map(index.__getitem__, bits))
+        position = firms[agent] if side_is_firm else workers[agent]
+        block = tuple(map(index.__getitem__, position))
         kind = keyvals.pop("kind")
         acceptable_text = keyvals.pop("acceptable", None)
         quota_text = keyvals.pop("q", None)
@@ -307,12 +282,12 @@ def parse_instance(text: str) -> MarketInstance:
         if quota_text is not None and kind != "quota":
             raise ParseError("q= only applies to kind=quota", header)
         if kind == "explicit":
-            cf = _build_explicit(agent, bits, body, header, index)
+            cf = _build_explicit(agent, position, body, header, index)
         elif kind in ("order", "quota"):
-            order = _parse_order_ids(body, bits, agent, header, index)
+            order = _parse_order_ids(body, position, agent, header, index)
             acceptable = -1
             if acceptable_text is not None:
-                acceptable = _set_mask(acceptable_text, bits, header, index)
+                acceptable = _set_mask(acceptable_text, position, header, index)
             q = 1
             if kind == "quota":
                 if quota_text is None:
@@ -336,8 +311,8 @@ def parse_instance(text: str) -> MarketInstance:
         specs.append(ChoiceSpec(agent, kind, block, cf))
 
     for agents, name in ((firms, "firms"), (workers, "workers")):
-        for agent, bits in agents.items():
-            if bits and agent not in raw_specs:
+        for agent, position in agents.items():
+            if position and agent not in raw_specs:
                 raise ParseError(f"agent {agent!r} has contracts but no [choice] section",
                                  header_line[name])
 

@@ -177,8 +177,10 @@ def verify_lattice(catalog: StableSetCatalog, sides: SidePair,
     symmetric in their two sets, so the matrix bound is found and the engine
     asked once per unordered pair, k(k+1)/2 of the k² ordered pairs counted
     in ``pairs_checked``; that the engine ignores the order of its arguments
-    is tested apart.
+    is tested apart. ``sides`` must equal ``catalog.sides``, else ValueError.
     """
+    if sides != catalog.sides:
+        raise ValueError("sides differ from the market that the catalog enumerated")
     sets = catalog.stable_sets
     failures = []
     pairs = 0

@@ -39,7 +39,7 @@ from plottmatch import (
     union,
 )
 from plottmatch import choice, hyperorders
-from plottmatch.choice import _lift, _rank_keys
+from plottmatch.choice import _gather, _rank_keys, _runs, _scatter
 from plottmatch.hyperorders import DerivedLehmann, reconstruct_choice
 from plottmatch.oracle import generate_instance
 
@@ -528,6 +528,38 @@ def test_lifted_witness_equals_the_whole_table_witness(agg):
     assert report == is_plott(_as_table(agg))
 
 
+@st.composite
+def places(draw, top):
+    """Distinct global indices up to ``top``, a few runs of consecutive ones in shuffled order."""
+    cuts = sorted(draw(st.lists(st.integers(0, top + 1), min_size=2, max_size=12, unique=True)))
+    runs = draw(st.permutations([range(a, b) for a, b in zip(cuts[::2], cuts[1::2])]))
+    return tuple(g for run in runs for g in run)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("top", (200, 62))
+def test_scatter_and_gather_are_the_one_lift(top, data):
+    place = data.draw(places(top))
+    runs, k = _runs(place), len(place)
+    masks = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=8))
+    wide = data.draw(st.lists(st.integers(0, (1 << top + 1) - 1), min_size=1, max_size=8))
+    for m in masks:
+        assert _scatter(m, runs) == sum(1 << place[j] for j in range(k) if m >> j & 1)
+        assert _gather(_scatter(m, runs), runs) == m
+    for g in wide:  # bits outside place are dropped
+        assert _gather(g, runs) == sum(1 << j for j in range(k) if g >> place[j] & 1)
+    if top <= 62:  # the int64 array form agrees with the int form on every element
+        local, glob = (np.array(xs, dtype=np.int64) for xs in (masks, wide))
+        lifts = _scatter(local, runs)
+        assert lifts.tolist() == [_scatter(m, runs) for m in masks]
+        assert _gather(glob, runs).tolist() == [_gather(g, runs) for g in wide]
+        # rank keys, k bits wide, sort local masks as their lifts sort
+        keys = _rank_keys(local, place)
+        assert int(keys.max()) < 1 << k
+        assert (np.argsort(keys, kind="stable") == np.argsort(lifts, kind="stable")).all()
+
+
 def _reference_heredity_scan(table, n, place):
     """Least (B, A=B∖{c}, element) violating Heredity, in (B, c) order.
 
@@ -585,12 +617,12 @@ def _reference_report(agg: Aggregate) -> PlottReport:
         hit = _reference_heredity_scan(table, k, block)
         if hit is not None:
             b, a, element = hit
-            hits.append((0, _lift(b, block), _lift(a, block), block[element]))
+            hits.append((0, _scatter(b, _runs(block)), _scatter(a, _runs(block)), block[element]))
             continue
         hit = _reference_outcast_scan(table, k, block)
         if hit is not None:
             x, y = hit
-            hits.append((1, _lift(x, block), _lift(y, block)))
+            hits.append((1, _scatter(x, _runs(block)), _scatter(y, _runs(block))))
     if not hits:
         return PlottReport(True)
     n, hit = agg.universe_size, min(hits)

@@ -240,7 +240,7 @@ def test_compare_rejects_unstable_sets(capsys):
 
 def test_compare_rejects_unknown_labels(capsys):
     code, out, err = run(capsys, "compare", POLAR2, "{z}", "{a}")
-    assert code == 1 and err == "error: unknown contract label 'z'\n"
+    assert code == 1 and err == "error: unknown contract id 'z'\n"
 
 
 def test_statics_weakened(capsys):

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plottmatch import ContractSet, ParseError, UniverseMismatch, format_set, parse_set
+from plottmatch import (
+    ContractSet,
+    ParseError,
+    UniverseMismatch,
+    format_set,
+    parse_instance,
+    parse_set,
+)
 from plottmatch.choice import _bits
 
 masks8 = st.integers(min_value=0, max_value=255)
@@ -88,8 +97,34 @@ def test_format_without_labels_uses_indices():
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError, match="^expected a brace-delimited set, got 'a,c'$"):
         parse_set("a,c", ("a", "b", "c"), 3)
-    with pytest.raises(ParseError, match="^unknown contract label 'z'$"):
+    with pytest.raises(ParseError, match="^unknown contract id 'z'$"):
         parse_set("{z}", ("a", "b", "c"), 3)
+
+
+LABELS = ("a", "b", "c")
+# one firm and one worker, who share the three contracts a, b, c
+MARKET = "[firms] f\n[workers] w\n[contracts]\na f w\nb f w\nc f w\n[choice w] kind=order\na b c\n"
+
+
+def _read(read):
+    """What a reader returns, or its ParseError's message without the line prefix."""
+    try:
+        return read()
+    except ParseError as error:
+        return re.sub(r"^line \d+: ", "", str(error))
+
+
+@pytest.mark.parametrize("literal", ("{}", "{ }", " {a} ", "{a,a}", "{a, b}", "{a,}", "{,}",
+                                     "{z}", "a", "{a", "{a}}", "{{a}", "{a b}", "{c,b,a}"))
+def test_parse_set_reads_a_literal_as_the_instance_file_does(literal):
+    expected = _read(lambda: parse_set(literal, LABELS, 3).mask)
+    if not any(ch.isspace() for ch in literal):  # a header token holds no whitespace
+        header = MARKET + f"[choice f] kind=order acceptable={literal}\na b c\n"
+        assert _read(lambda: parse_instance(header).spec_of("f").cf.acceptable_mask) == expected
+    # a table row takes any literal: that row chooses itself, every other row nothing
+    rows = [f"{format_set(ContractSet(3, x), LABELS)} -> {{}}" for x in range(8) if x != expected]
+    table = MARKET + "[choice f] kind=explicit\n" + "\n".join([f"{literal} -> {literal}", *rows])
+    assert _read(lambda: max(parse_instance(table).spec_of("f").cf.table)) == expected
 
 
 @given(masks8, masks8)

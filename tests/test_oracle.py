@@ -243,6 +243,17 @@ def test_verify_lattice_reports_a_broken_matrix():
     assert any("no unique join bound" in f for f in report.failures)
 
 
+def test_verify_lattice_refuses_the_sides_of_another_market():
+    catalog = enumerate_stable_sets(generate_instance(3, 6, 2))
+    message = "^sides differ from the market that the catalog enumerated$"
+    with pytest.raises(ValueError, match=message):
+        verify_lattice(catalog, generate_instance(4, 6, 2))
+    again = generate_instance(3, 6, 2)  # the same market, aggregated again
+    assert again is not catalog.sides and again == catalog.sides
+    report = verify_lattice(catalog, again)
+    assert report.passed and report.sets == len(catalog.stable_sets)
+
+
 def test_join_and_meet_do_not_depend_on_the_order_of_their_sets():
     for sides in (POLAR2, EX1, QUOTA, DIAMOND):
         sets = enumerate_stable_sets(sides).stable_sets

@@ -6,7 +6,8 @@ package itself (a name or attribute in one of its modules, not counting
 ``__init__.py``), by the benchmark, or in the README. A definition is not a
 use. Likewise every error class but the base is raised somewhere, and only
 ``errors`` defines error classes. Only the exhaustive layer (``choice``,
-``oracle``, ``hyperorders``) imports numpy.
+``oracle``, ``hyperorders``) imports numpy. Every module-level private
+function or class is defined once and read by some other statement.
 """
 
 from __future__ import annotations
@@ -109,3 +110,24 @@ def test_only_the_exhaustive_layer_imports_numpy():
     # whole tables live in choice, oracle and hyperorders; every other query is on bitmasks
     users = {path.stem for path in PACKAGE.glob("*.py") if _imports_numpy(path)}
     assert users == {"choice", "oracle", "hyperorders"}
+
+
+def _read_name(node: ast.AST) -> str | None:
+    """The name a node reads, bare or as an attribute, else None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_private_helper_is_read():
+    # a module-level _name that no other top-level statement of the package reads is dead code
+    reads = [(stmt, {_read_name(sub) for sub in ast.walk(stmt)})
+             for path in sorted(PACKAGE.glob("*.py")) for stmt in ast.parse(path.read_text()).body]
+    helpers = [stmt for stmt, _ in reads if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and stmt.name.startswith("_")]
+    assert len(helpers) >= 40, "no private helpers parsed"
+    names = [helper.name for helper in helpers]
+    assert sorted(names) == sorted(set(names)), "a helper is defined in two modules"
+    dead = [helper.name for helper in helpers
+            if not any(helper.name in read for stmt, read in reads if stmt is not helper)]
+    assert dead == []
