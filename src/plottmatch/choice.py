@@ -138,9 +138,9 @@ def format_set(X: ContractSet, labels=None) -> str:
     return "{" + ",".join(labels[i] for i in X) + "}"
 
 
-def parse_set(text: str, labels, universe_size: int) -> ContractSet:
-    """Parse a ``{a,b}`` literal against a label list; ParseError if it is malformed."""
-    return ContractSet(universe_size, _set_mask(text, dict(zip(labels, count())), None, ()))
+def parse_set(text: str, labels) -> ContractSet:
+    """Parse a ``{a,b}`` literal over a label list's universe; ParseError if it is malformed."""
+    return ContractSet(len(labels), _set_mask(text, dict(zip(labels, count())), None, ()))
 
 
 _SET_SYNTAX = re.compile(r"[,{}]|->")  # what a contract id may not contain
@@ -460,9 +460,10 @@ def _cache_info(*stores: _Rows) -> CacheInfo:
 class Aggregate(ChoiceFunction):
     """Blockwise choice: a partition of the universe with one function per block.
 
-    ``blocks[i]`` lists the global indices owned by part i, in the order that
-    maps them onto that part's local universe 0..len(block)-1. The choice on X
-    is the disjoint union of each part's choice on its slice of X.
+    ``blocks[i]`` lists the global indices owned by part i in ascending
+    order: local index j of that part's universe 0..len(block)-1 is the
+    block's j-th smallest contract, so local order is global order. The
+    choice on X is the disjoint union of each part's choice on its slice of X.
 
     Each part is compiled once, through its ``_kernels``, into a choice and a
     gains kernel on global masks. A re-evaluation (``_rechoose``) visits only
@@ -491,6 +492,8 @@ class Aggregate(ChoiceFunction):
         for block, part in zip(self.blocks, self.parts):
             if part.universe_size != len(block):
                 raise ValueError("part universe must match its block size")
+            if list(block) != sorted(block):
+                raise ValueError("each block must list its contracts in ascending order")
             mask = 0
             for g in block:
                 if not 0 <= g < n or owner[g] is not None:  # outside, or owned already
@@ -710,30 +713,18 @@ class PlottReport:
     outcast_witness: tuple[ContractSet, ContractSet] | None = None
 
 
-def _rank_keys(masks: np.ndarray, place) -> np.ndarray:
-    """Renumber local masks so that integer order is the order of their lifts.
-
-    Local index j becomes its rank among ``place``; a lifted mask compares by
-    its highest global bit, so ranks preserve that order in k bits.
-    """
-    if list(place) == sorted(place):
-        return masks
-    return _scatter(masks, _runs(np.argsort(np.argsort(place)).tolist()))
-
-
-def _violation_scan(table: np.ndarray, n: int, place):
-    """The least Plott violation in a table, lifted through ``place``.
+def _violation_scan(table: np.ndarray, n: int):
+    """The least Plott violation in a table of n contracts.
 
     One pass over the one-element removals A = B∖{c} of every row B ∋ c
     records the least violation of each axiom: Heredity fails when some
     element of G(B) ∩ A is not in G(A), Outcast when c ∉ G(B) yet G(A) ≠
-    G(B). Rows are ordered by their lifts, ties broken by ``place[c]``; the
-    Heredity witness names its lowest offending element in that order.
-    Returns ``_plott_witness``'s tuples: Heredity first, then Outcast.
+    G(B). Rows are ordered by mask, ties broken by c; the Heredity witness
+    names its lowest offending element. Returns ``_plott_witness``'s tuples:
+    Heredity first, then Outcast.
     """
     masks = np.arange(1 << n, dtype=np.int64)
-    keys = _rank_keys(masks, place)
-    least = [None, None]  # per axiom: (row key, place[c], row, c)
+    least = [None, None]  # per axiom: (row, c) of the least row, the least c on ties
     for c in range(n):
         bit = 1 << c
         rows = masks[(masks & bit) != 0]
@@ -741,33 +732,35 @@ def _violation_scan(table: np.ndarray, n: int, place):
         chosen, kept = table[rows], table[subs]
         for axiom, bad in enumerate(((chosen & subs & ~kept) != 0,
                                      ((chosen & bit) == 0) & (kept != chosen))):
-            hits = rows[bad]
-            if hits.size:
-                row = int(hits[np.argmin(keys[hits])])
-                hit = (int(keys[row]), place[c], row, c)
-                if least[axiom] is None or hit < least[axiom]:
-                    least[axiom] = hit
+            hits = rows[bad]  # ascending, so the least row of this c comes first
+            if hits.size and (least[axiom] is None or hits[0] < least[axiom][0]):
+                least[axiom] = int(hits[0]), c
     heredity, outcast = least
     if heredity is not None:
-        *_, b, c = heredity
+        b, c = heredity
         a = b ^ (1 << c)
-        element = min(_bits(int(table[b]) & a & ~int(table[a])), key=place.__getitem__)
-        return 0, _scatter(b, _runs(place)), _scatter(a, _runs(place)), place[element]
+        offending = int(table[b]) & a & ~int(table[a])
+        return 0, b, a, (offending & -offending).bit_length() - 1
     if outcast is not None:
-        *_, x, c = outcast
-        return 1, _scatter(x, _runs(place)), _scatter(x ^ (1 << c), _runs(place))
+        x, c = outcast
+        return 1, x, x ^ (1 << c)
     return None
 
 
-@partial(_Memo, lambda cf, clean: 1 << cf.universe_size)
-def _proven(cf: ChoiceFunction):
-    """True when cf's own table is path independent, else None, which is not kept."""
-    n = cf.universe_size
-    return _violation_scan(choice_table(cf), n, range(n)) is None or None
+@partial(_Memo, lambda cf, witness: 1 << cf.universe_size)
+def _verdict(cf: ChoiceFunction):
+    """The least Plott violation of cf's own table, or () when it is clean; kept either way."""
+    return _violation_scan(choice_table(cf), cf.universe_size) or ()
 
 
-def _plott_witness(cf: ChoiceFunction, place):
-    """The least Plott violation of cf, with masks lifted through ``place``.
+def _lifted(hit, block):
+    """A part's witness in global indices: masks scattered through its block, the element mapped."""
+    runs = _runs(block)
+    return (hit[0], _scatter(hit[1], runs), _scatter(hit[2], runs), *map(block.__getitem__, hit[3:]))
+
+
+def _plott_witness(cf: ChoiceFunction):
+    """The least Plott violation of cf.
 
     Returns None when cf is path independent, else ``(0, B, A, element)``
     for Heredity or ``(1, X, Y)`` for Outcast, so that tuple order puts
@@ -775,26 +768,22 @@ def _plott_witness(cf: ChoiceFunction, place):
     independent by construction, and so is any union of path
     independent functions (Aizerman–Malishevski). An aggregate acts on each
     block alone, G(X) = ∪ G_i(X ∩ block_i), so it is path independent
-    exactly when every part is, and each violation of a part, with the
-    other blocks empty, is the least violation of the whole with that
-    contract. Everything else is scanned over its own table, which must fit
-    under EXHAUSTIVE_CAP; a clean table's verdict is kept (see
-    _proven), and only a table that fails there is scanned for its witness.
+    exactly when every part is; its blocks ascend, so each part's least
+    violation, lifted with the other blocks empty, is the least violation
+    of the whole with a contract there. Everything else is scanned over its
+    own table, which must fit under EXHAUSTIVE_CAP; its verdict, clean or
+    failing, is kept by value (see _verdict).
     """
     if type(cf) is OrderChoice:
         return None
     if type(cf) is Aggregate:
-        hits = (_plott_witness(part, tuple(map(place.__getitem__, block)))
-                for block, part in zip(cf.blocks, cf.parts) if type(part) is not OrderChoice)
-        return min((w for w in hits if w is not None), default=None)
-    if type(cf) is UnionChoice and all(
-            _plott_witness(part, place) is None for part in cf.parts):
+        hits = ((block, _plott_witness(part)) for block, part in zip(cf.blocks, cf.parts)
+                if type(part) is not OrderChoice)
+        return min((_lifted(hit, block) for block, hit in hits if hit), default=None)
+    if type(cf) is UnionChoice and all(_plott_witness(part) is None for part in cf.parts):
         return None
-    n = cf.universe_size
-    _fit("exhaustive check", n)
-    if _proven(cf):
-        return None
-    return _violation_scan(choice_table(cf), n, place)
+    _fit("exhaustive check", cf.universe_size)
+    return _verdict(cf) or None
 
 
 def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
@@ -818,7 +807,7 @@ def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
     for block, p, q in pairs:
         bad = (choice_table(p) & ~choice_table(q)).nonzero()[0]
         if bad.size:
-            x = _scatter(int(bad[np.argmin(_rank_keys(bad, block))]), _runs(block))
+            x = _scatter(int(bad[0]), _runs(block))  # nonzero ascends
             least = x if least is None else min(least, x)
     return least
 
@@ -833,14 +822,13 @@ def is_plott(cf: ChoiceFunction) -> PlottReport:
     (explicit ones, failing unions, other functions) are scanned, every
     one-element removal over their own 2^k rows, which by induction decides
     both axioms over all subset pairs; each scanned table must fit under
-    the limit, EXHAUSTIVE_CAP, on every call. Tables found path independent
-    are memoized by value (see _Memo); a failing one is scanned on every
-    call, so that its witness is placed by that call. The witness is the one
-    a scan of the whole function's table would return: heredity first, then
-    the least set.
+    the limit, EXHAUSTIVE_CAP, on every call. A scanned table's verdict,
+    clean or failing, is kept by value (see _Memo), so a table is scanned
+    once while it is kept. The witness is the one a scan of the whole
+    function's table would return: heredity first, then the least set.
     """
     n = cf.universe_size
-    hit = _plott_witness(cf, range(n))
+    hit = _plott_witness(cf)
     if hit is None:
         return PlottReport(True)
     if hit[0] == 0:

@@ -134,8 +134,8 @@ def cmd_lattice(m: MarketInstance, args) -> int:
 def cmd_compare(m: MarketInstance, args) -> int:
     sides = aggregate_sides(m)
     sides.require_certified()
-    S = parse_set(args.set_a, m.labels, m.universe_size)
-    T = parse_set(args.set_b, m.labels, m.universe_size)
+    S = parse_set(args.set_a, m.labels)
+    T = parse_set(args.set_b, m.labels)
     print(blair_compare_stable(sides, S, T))
     return 0
 
@@ -147,7 +147,7 @@ def cmd_statics(m: MarketInstance, args) -> int:
     sides = aggregate_sides(m)
     sides.require_certified()
     f_prime = aggregate_sides(m2, certify=False).F
-    S = parse_set(args.stable_set, m.labels, m.universe_size)
+    S = parse_set(args.stable_set, m.labels)
     s_prime = comparative_statics(sides, f_prime, S)
     print(format_set(s_prime, m.labels))
     weakened_sides = side_pair(f_prime, sides.G, certify=False)

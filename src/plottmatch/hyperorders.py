@@ -271,6 +271,6 @@ def _rebuilt(rel) -> ExplicitTable:
             raise InternalError("lehmann-true pair with choose(A∪B) != choose(B)")
     l_masks = ((~essential[:, None] | below) * bits[:, None]).sum(axis=0)
     table = masks & ~l_masks
-    if _violation_scan(table, n, range(n)) is not None:
+    if _violation_scan(table, n) is not None:
         raise InternalError("reconstructed table is not path-independent")
     return ExplicitTable(n, tuple(table.tolist()))

@@ -53,8 +53,8 @@ class Contract:
 class ChoiceSpec:
     """One agent's choice function over its local block.
 
-    ``block`` lists the global contract indices owned by the agent in
-    declaration order; ``cf`` lives on the local universe 0..len(block)-1.
+    ``block`` lists the agent's global contract indices in ascending order;
+    ``cf`` lives on the local universe 0..len(block)-1, index j at block[j].
     """
 
     agent: str
@@ -118,8 +118,10 @@ def _parse_number(token: str, lineno: int):
 
 
 def _parse_keyvals(rest: str, lineno: int) -> dict[str, str]:
-    out = {}
-    for token in rest.split():
+    out, tokens = {}, iter(rest.split())
+    for token in tokens:
+        while token.count("{") > token.count("}") and (more := next(tokens, None)):
+            token += " " + more  # a set literal with spaces, joined up to its "}" or the line end
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ParseError(f"expected key=value, got {token!r}", lineno)
@@ -324,13 +326,14 @@ def aggregate_sides(m: MarketInstance, *, certify: bool = True) -> SidePair:
 
     Blocks follow agent declaration order, each read off the agent's spec,
     which parse_instance builds from the contract lines (a hand-built
-    instance's specs must agree with its contracts); agents without
-    contracts get the empty choice function, and an agent with contracts
-    but no spec raises UnknownAgent. Certification is exact at any size: a
-    side chooses block by block, so it is path independent exactly when
-    every agent's function is, and only explicit tables are scanned, each
-    over its own 2^k rows, and a table that recurs, in one market or across
-    markets, once while its verdict is kept (see is_plott).
+    instance's specs must agree with its contracts, and a block that does
+    not ascend raises ValueError); agents without contracts get the empty
+    choice function, and an agent with contracts but no spec raises
+    UnknownAgent. Certification is exact at any size: a side chooses block
+    by block, so it is path independent exactly when every agent's function
+    is, and only explicit tables are scanned, each over its own 2^k rows,
+    and a table that recurs, in one market or across markets, once while
+    its verdict, clean or failing, is kept (see is_plott).
     """
     def one_side(agents):
         specs = [m._specs.get(a) for a in agents]

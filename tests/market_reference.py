@@ -52,8 +52,10 @@ def _parse_number(token: str, lineno: int):
 
 
 def _parse_keyvals(rest: str, lineno: int) -> dict[str, str]:
-    out = {}
-    for token in rest.split():
+    out, tokens = {}, iter(rest.split())
+    for token in tokens:
+        while token.count("{") > token.count("}") and (more := next(tokens, None)):
+            token += " " + more  # a set literal with spaces, joined up to its "}" or the line end
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ParseError(f"expected key=value, got {token!r}", lineno)

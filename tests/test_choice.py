@@ -39,7 +39,7 @@ from plottmatch import (
     union,
 )
 from plottmatch import choice, hyperorders
-from plottmatch.choice import _gather, _rank_keys, _runs, _scatter
+from plottmatch.choice import _gather, _runs, _scatter
 from plottmatch.hyperorders import DerivedLehmann, reconstruct_choice
 from plottmatch.oracle import generate_instance
 
@@ -189,10 +189,14 @@ def test_aggregate_validation():
     with pytest.raises(ValueError):
         Aggregate(2, ((0,),), (one, one))
     two = OrderChoice(2, (0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^blocks must partition the universe$"):
         Aggregate(2, ((0, 0),), (two,))  # repeated inside one block
     with pytest.raises(ValueError):
         Aggregate(2, ((0, 2),), (two,))  # index outside the universe
+    ascending = "^each block must list its contracts in ascending order$"
+    for blocks in (((1, 0),), ((0, 2), (3, 1))):  # local order must be global order
+        with pytest.raises(ValueError, match=ascending):
+            Aggregate(2 * len(blocks), blocks, (two,) * len(blocks))
 
 
 def test_aggregate_rejects_blocks_that_overlap_yet_cover():
@@ -327,29 +331,39 @@ def test_is_plott_has_one_mode_and_a_fixed_limit():
 def _counted_scans(monkeypatch) -> list:
     """Record the size n of every table that the scan checks."""
     calls, scan = [], choice._violation_scan
-    monkeypatch.setattr(choice, "_violation_scan", lambda table, n, place: (
-        calls.append(n) or scan(table, n, place)))
+    monkeypatch.setattr(choice, "_violation_scan", lambda table, n: (
+        calls.append(n) or scan(table, n)))
     return calls
 
 
-def test_a_failing_table_is_placed_by_each_call_and_never_kept(monkeypatch):
+def test_a_failing_table_is_scanned_once_per_value_and_kept(monkeypatch):
     scans = _counted_scans(monkeypatch)
     other = OrderChoice(2, (1, 0))
-    for blocks in (((0, 1), (2, 3)), ((3, 1), (2, 0)), ((2, 0), (1, 3))):
-        agg = Aggregate(4, blocks, (EX2_F, other))
-        before = len(scans)
-        report = is_plott(agg)
-        assert not report.is_plott  # checked, then scanned for its witness, on every call
-        assert scans[before:] == [2, 2]
+    aggs = [Aggregate(4, blocks, (EX2_F, other)) for blocks in (((0, 1), (2, 3)), ((1, 3), (0, 2)))]
+    reports = [[is_plott(agg) for _ in range(3)] for agg in aggs]
+    assert scans == [2]  # EX2_F's verdict, its witness in local indices, serves all six calls
+    assert (choice._verdict, EX2_F) in _kept()
+    for agg, (report, *again) in zip(aggs, reports):
+        assert not report.is_plott and again == [report, report]
         assert report == is_plott(_as_table(agg))  # the whole table's own witness
         b, a, element = report.heredity_witness
-        assert element == blocks[0][1] and b.mask == (1 << blocks[0][0]) | (1 << element)
-    assert not choice._proven
+        block = agg.blocks[0]
+        assert element == block[1] and b.mask == (1 << block[0]) | (1 << element)
+
+
+def test_a_nested_aggregate_lifts_its_part_witness_twice():
+    inner = Aggregate(4, ((0, 2), (1, 3)), (OrderChoice(2, (1, 0)), EX2_F))
+    outer = Aggregate(6, ((0, 5), (1, 2, 3, 4)), (OrderChoice(2, (0, 1)), inner))
+    report = is_plott(outer)
+    assert not report.is_plott and report == is_plott(_as_table(outer))
+    # EX2_F's B = {0, 1}, A = {1}, element 1 sit at inner (1, 3), then at outer (2, 4)
+    b, a, element = report.heredity_witness
+    assert (b, a, element) == (cs(6, 2, 4), cs(6, 4), 4)
 
 
 def test_a_proven_table_is_scanned_once_per_value(monkeypatch):
     scans = _counted_scans(monkeypatch)
-    assert choice._proven.cache_info().maxsize == choice.MEMO_ENTRIES
+    assert choice._verdict.cache_info().maxsize == choice.MEMO_ENTRIES
     pair = ExplicitTable(2, (0, 1, 2, 3))
     three = _as_table(OrderChoice(3, (2, 0, 1), 2))
     blocks = ((0, 5), (1, 2, 3), (4, 6), (7, 9), (8, 10, 11))
@@ -359,7 +373,7 @@ def test_a_proven_table_is_scanned_once_per_value(monkeypatch):
     assert sorted(scans) == [2, 3]  # one scan per distinct table
     assert is_plott(side).is_plott and is_plott(three).is_plott
     assert sorted(scans) == [2, 3]
-    assert len(choice._proven) == 2
+    assert len(choice._verdict) == 2
 
 
 def _kept():
@@ -383,18 +397,18 @@ def test_verdicts_are_bounded_in_functions_and_in_table_rows(monkeypatch):
         assert choice._Memo._rows == _charged() <= choice.MEMO_ROWS
     # 2^19 rows: the last two tables (2^17 rows each) and the last three verdicts (2^16)
     assert choice.MEMO_ROWS == 8 * rows
-    assert (len(choice_table), len(choice._proven)) == (2, 3)
+    assert (len(choice_table), len(choice._verdict)) == (2, 3)
     assert is_plott(tables[-1]).is_plott and len(scans) == 6  # the newest is kept
     assert is_plott(tables[0]).is_plott and len(scans) == 7  # the oldest is not
     small = [EX2_G, _as_table(ORD3_G), _as_table(EX1_F)]
-    choice._proven.cache_clear()
+    choice._verdict.cache_clear()
     choice_table.cache_clear()
     assert choice._Memo._rows == 0
     monkeypatch.setattr(choice, "MEMO_ENTRIES", 2)
     for table in small:
         assert is_plott(table).is_plott
     # the two newest: the 6-contract table and its verdict; each check keeps its table first
-    assert _kept() == [(choice_table, small[2]), (choice._proven, small[2])]
+    assert _kept() == [(choice_table, small[2]), (choice._verdict, small[2])]
     assert choice._Memo._rows == _charged() == 2 * 64 + 64
 
 
@@ -403,18 +417,18 @@ def test_verdicts_are_bounded_in_functions_and_in_table_rows(monkeypatch):
     lambda n: st.one_of(selection_tables(n), structural_functions(n))))
 def test_the_scan_agrees_with_the_definition(cf):
     n = cf.universe_size
-    clean = choice._violation_scan(choice_table(cf), n, range(n)) is None
+    clean = choice._violation_scan(choice_table(cf), n) is None
     assert clean == _definition_plott(cf)
 
 
-def test_threads_sharing_the_verdict_store_keep_only_clean_tables_within_its_bounds():
+def test_threads_sharing_the_verdict_store_keep_it_within_its_bounds():
     tables = [EX2_F, EX2_G, _as_table(ORD3_G), _as_table(EX1_F), _as_table(EX1_G),
               _as_table(OrderChoice(7, (6, 0, 5, 1, 4, 2, 3), 2))]
     verdicts = [is_plott(t) for t in tables]
     answers = [(choice_table(t), None, None) if not v.is_plott else
                (choice_table(t), decompose_into_orders(t), reconstruct_choice(DerivedLehmann(t)))
                for t, v in zip(tables, verdicts)]
-    for memo in (choice._proven, choice_table, choice._decomposition):
+    for memo in (choice._verdict, choice_table, choice._decomposition):
         memo.cache_clear()
 
     def ask(seed):
@@ -435,9 +449,9 @@ def test_threads_sharing_the_verdict_store_keep_only_clean_tables_within_its_bou
             list(pool.map(ask, range(4)))  # evicting on nearly every miss
     finally:
         sys.setswitchinterval(interval)
-    assert len(_kept()) == len(choice._Memo._store) <= 2 and (choice._proven, EX2_F) not in _kept()
+    assert len(_kept()) == len(choice._Memo._store) <= 2
     assert choice._Memo._rows == _charged()
-    memos = (choice._proven, choice_table, choice._decomposition,
+    memos = (choice._verdict, choice_table, choice._decomposition,
              hyperorders._audited, hyperorders._rebuilt)
     assert sum(memo.cache_info().currsize for memo in memos) == len(_kept())
 
@@ -450,7 +464,7 @@ def test_a_table_over_the_cap_is_refused_on_every_call():
         for cf in (wide, aggregate):
             with pytest.raises(CapExceeded, match=refused):
                 is_plott(cf)
-    assert choice._proven.cache_info().misses == 0  # refused before the memo is read
+    assert choice._verdict.cache_info().misses == 0  # refused before the memo is read
 
 
 def test_non_plott_agent_in_a_large_aggregate_is_rejected_under_every_seed():
@@ -504,13 +518,13 @@ def test_by_construction_verdict_matches_a_table_scan(cf):
 
 @st.composite
 def aggregates_with_a_bad_block(draw):
-    """Aggregates of at most 12 contracts, blocks in shuffled global order."""
+    """Aggregates of at most 12 contracts, ascending blocks interleaved in global order."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     n = sum(sizes)
     places = draw(st.permutations(range(n)))
     blocks, parts, start = [], [], 0
     for k in sizes:
-        blocks.append(tuple(places[start:start + k]))
+        blocks.append(tuple(sorted(places[start:start + k])))
         start += k
         if draw(st.booleans()):
             parts.append(draw(selection_tables(k)))
@@ -551,23 +565,17 @@ def test_scatter_and_gather_are_the_one_lift(top, data):
         assert _gather(g, runs) == sum(1 << j for j in range(k) if g >> place[j] & 1)
     if top <= 62:  # the int64 array form agrees with the int form on every element
         local, glob = (np.array(xs, dtype=np.int64) for xs in (masks, wide))
-        lifts = _scatter(local, runs)
-        assert lifts.tolist() == [_scatter(m, runs) for m in masks]
+        assert _scatter(local, runs).tolist() == [_scatter(m, runs) for m in masks]
         assert _gather(glob, runs).tolist() == [_gather(g, runs) for g in wide]
-        # rank keys, k bits wide, sort local masks as their lifts sort
-        keys = _rank_keys(local, place)
-        assert int(keys.max()) < 1 << k
-        assert (np.argsort(keys, kind="stable") == np.argsort(lifts, kind="stable")).all()
 
 
-def _reference_heredity_scan(table, n, place):
-    """Least (B, A=B∖{c}, element) violating Heredity, in (B, c) order.
+def _reference_heredity_scan(table, n):
+    """Least (B, A=B∖{c}, element) violating Heredity, in (B, c) order, the least element.
 
     The separate Heredity scan that the one-pass scan replaced, kept as the
     reference for its witnesses.
     """
     masks = np.arange(1 << n, dtype=np.int64)
-    keys = _rank_keys(masks, place)
     best = None
     for c in range(n):
         bit = 1 << c
@@ -576,21 +584,20 @@ def _reference_heredity_scan(table, n, place):
         bad = table[rows] & subs & ~table[subs]
         hits = np.nonzero(bad)[0]
         if hits.size:
-            k = hits[np.argmin(keys[rows[hits]])]
+            k = hits[np.argmin(rows[hits])]
             b = int(rows[k])
-            if best is None or (keys[b], place[c]) < (keys[best[0]], place[best[1]]):
+            if best is None or (b, c) < best[:2]:
                 best = (b, c, int(bad[k]))
     if best is None:
         return None
     b, c, offending = best
-    element = min((j for j in range(n) if offending >> j & 1), key=place.__getitem__)
+    element = min(j for j in range(n) if offending >> j & 1)
     return b, b ^ (1 << c), element
 
 
-def _reference_outcast_scan(table, n, place):
-    """Least (X, Y=X∖{c}) violating Outcast, in (X, c) order of ``place``."""
+def _reference_outcast_scan(table, n):
+    """Least (X, Y=X∖{c}) violating Outcast, in (X, c) order."""
     masks = np.arange(1 << n, dtype=np.int64)
-    keys = _rank_keys(masks, place)
     best = None
     for c in range(n):
         bit = 1 << c
@@ -599,8 +606,8 @@ def _reference_outcast_scan(table, n, place):
         bad = table[subs] != table[rows]
         hits = np.nonzero(bad)[0]
         if hits.size:
-            x = int(rows[hits[np.argmin(keys[rows[hits]])]])
-            if best is None or (keys[x], place[c]) < (keys[best[0]], place[best[1]]):
+            x = int(rows[hits[np.argmin(rows[hits])]])
+            if best is None or (x, c) < best:
                 best = (x, c)
     if best is None:
         return None
@@ -614,12 +621,12 @@ def _reference_report(agg: Aggregate) -> PlottReport:
     hits = []
     for block, part in zip(agg.blocks, agg.parts):
         table, k = choice_table(part), part.universe_size
-        hit = _reference_heredity_scan(table, k, block)
+        hit = _reference_heredity_scan(table, k)
         if hit is not None:
             b, a, element = hit
             hits.append((0, _scatter(b, _runs(block)), _scatter(a, _runs(block)), block[element]))
             continue
-        hit = _reference_outcast_scan(table, k, block)
+        hit = _reference_outcast_scan(table, k)
         if hit is not None:
             x, y = hit
             hits.append((1, _scatter(x, _runs(block)), _scatter(y, _runs(block))))
@@ -645,7 +652,7 @@ def dominance_tables(draw, n):
 
 @st.composite
 def table_parts_aggregates(draw):
-    """Aggregates of explicit tables of up to 6 contracts, blocks shuffled.
+    """Aggregates of explicit tables of up to 6 contracts, ascending blocks interleaved.
 
     Two in five tables are random, and then rarely path independent; the
     rest satisfy Heredity by construction, choose all of any set of at
@@ -658,7 +665,7 @@ def table_parts_aggregates(draw):
     places = draw(st.permutations(range(n)))
     blocks, parts, start = [], [], 0
     for k in sizes:
-        blocks.append(tuple(places[start:start + k]))
+        blocks.append(tuple(sorted(places[start:start + k])))
         start += k
         kind = draw(st.sampled_from(("random", "random", "dominance", "threshold",
                                      "structural")))
@@ -703,15 +710,15 @@ def test_generated_unions_are_path_independent(sides):
 def mixed_aggregates(draw):
     """Aggregates of at most 12 contracts over every kind of part.
 
-    Blocks lie in shuffled global order; empty agents, as aggregate_sides
-    builds them, are mixed in.
+    Ascending blocks interleave in global order; empty agents, as
+    aggregate_sides builds them, are mixed in.
     """
     sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
     n = sum(sizes)
     places = draw(st.permutations(range(n)))
     blocks, parts, start = [], [], 0
     for k in sizes:
-        blocks.append(tuple(places[start:start + k]))
+        blocks.append(tuple(sorted(places[start:start + k])))
         start += k
         if k == 0:
             parts.append(ExplicitTable(0, (0,)))
@@ -779,7 +786,7 @@ def test_cached_rows_equal_uncached_evaluation_past_the_bound(agg, rng):
 
 
 def _ten_contracts() -> Aggregate:
-    return Aggregate(10, (tuple(range(0, 10, 2)), tuple(range(9, 0, -2))),
+    return Aggregate(10, (tuple(range(0, 10, 2)), tuple(range(1, 10, 2))),
                      (OrderChoice(5, (3, 1, 4, 0, 2), 2),
                       OrderChoice.by_utility((4, -1, 2, 7, 0))))
 
@@ -845,7 +852,7 @@ def test_a_copied_aggregate_carries_its_fields_not_its_kernels_or_rows(market_te
 def table_aggregates(draw):
     """Aggregates of at most 12 contracts, for whole side tables (`Aggregate._table`).
 
-    Blocks lie in shuffled global order and may be empty, or be absent
+    Ascending blocks interleave in global order and may be empty, or be absent
     (n = 0); a part is a selection table, an order, quota, utility or union
     function, the generic fallback, or an aggregate of two sub-blocks.
     """
@@ -854,7 +861,7 @@ def table_aggregates(draw):
     places = draw(st.permutations(range(n)))
     blocks, parts, start = [], [], 0
     for k in sizes:
-        blocks.append(tuple(places[start:start + k]))
+        blocks.append(tuple(sorted(places[start:start + k])))
         start += k
         kind = draw(st.sampled_from(("table", "structural", "generic", "aggregate")))
         if kind == "table":
@@ -865,7 +872,7 @@ def table_aggregates(draw):
             parts.append(_Identity(k))
         else:
             local, cut = draw(st.permutations(range(k))), draw(st.integers(0, k))
-            parts.append(Aggregate(k, (tuple(local[:cut]), tuple(local[cut:])),
+            parts.append(Aggregate(k, (tuple(sorted(local[:cut])), tuple(sorted(local[cut:]))),
                                    (draw(selection_tables(cut)),
                                     draw(structural_functions(k - cut)))))
     return Aggregate(n, tuple(blocks), tuple(parts))
@@ -873,14 +880,14 @@ def table_aggregates(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(table_aggregates())
-# blocks made of several runs of consecutive contracts, in and out of global order
-@example(Aggregate(8, ((5, 6, 0, 1), (2, 3, 4), (7,)),
+# blocks made of several runs of consecutive contracts, interleaved
+@example(Aggregate(8, ((0, 1, 5, 6), (2, 3, 4), (7,)),
                    (OrderChoice(4, (2, 0, 3, 1), 2, 0b1011),
                     ExplicitTable(3, (0, 1, 0, 1, 4, 5, 4, 2)), _Identity(1))))
-@example(Aggregate(9, ((7,), (8, 2, 3, 4), (5, 6, 0, 1)),
+@example(Aggregate(9, ((7,), (2, 3, 4, 8), (0, 1, 5, 6)),
                    (OrderChoice(1, (0,)), union([OrderChoice(4, (3, 1, 0, 2), 1, 0b1110),
                                                  OrderChoice(4, (0, 1, 2, 3), 3)]),
-                    Aggregate(4, ((2, 3), (1, 0)), (_Identity(2), EX2_F)))))
+                    Aggregate(4, ((2, 3), (0, 1)), (_Identity(2), EX2_F)))))
 def test_aggregate_table_matches_each_subset(agg):
     size = 1 << agg.universe_size
     table = agg._table(np.arange(size, dtype=np.int64))
@@ -892,7 +899,7 @@ def test_compiled_quota_edges():
     order = (2, 0, 1)
     for q, acceptable in ((0, 0b111), (1, 0b011), (3, 0b110), (5, 0b111)):
         part = OrderChoice(3, order, q, acceptable)
-        agg = Aggregate(5, ((4, 1, 3), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
+        agg = Aggregate(5, ((1, 3, 4), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
         for x in range(32):
             assert agg._choose_mask(x) == _reference_choice(agg, x)
     assert ORD3_G._gains(0b010) == 0b100
@@ -926,7 +933,7 @@ def test_gains_edges():
     order = (2, 0, 1)
     for q, acceptable in ((0, 0b111), (3, 0b111), (5, 0b101), (2, 0), (1, 0b010)):
         part = OrderChoice(3, order, q, acceptable)
-        agg = Aggregate(5, ((4, 1, 3), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
+        agg = Aggregate(5, ((1, 3, 4), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
         for cf in (part, union([part, ORD3_G]), agg):
             _assert_gains_on_every_mask(cf)
     assert OrderChoice(3, order, 0)._gains(0) == 0
@@ -973,11 +980,11 @@ def order_choices(draw):
 def test_order_choice_matches_an_independent_reference(case, data):
     cf, reference = case
     n = cf.universe_size
-    # compiled inside an aggregate, shuffled among two contracts of another agent
-    place = data.draw(st.permutations(range(n + 2)))
-    other = sum(1 << g for g in place[n:])
-    agg = Aggregate(n + 2, (tuple(place[:n]), tuple(place[n:])),
-                    (cf, OrderChoice(2, (1, 0))))
+    # compiled inside an aggregate, interleaved with two contracts of another agent
+    shuffled = data.draw(st.permutations(range(n + 2)))
+    place, rest = tuple(sorted(shuffled[:n])), tuple(sorted(shuffled[n:]))
+    other = sum(1 << g for g in rest)
+    agg = Aggregate(n + 2, (place, rest), (cf, OrderChoice(2, (1, 0))))
     table = choice_table(cf)
 
     def lift(m):

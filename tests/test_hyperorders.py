@@ -441,7 +441,7 @@ def test_reconstruct_puts_no_table_into_the_cache():
 def test_a_failed_certification_is_raised_on_every_call(monkeypatch):
     rel = DerivedLehmann(QUOTA)
     audit_lehmann_axioms(rel)
-    monkeypatch.setattr(hyperorders, "_violation_scan", lambda table, n, place: (1, 3, 1))
+    monkeypatch.setattr(hyperorders, "_violation_scan", lambda table, n: (1, 3, 1))
     for _ in range(2):
         with pytest.raises(InternalError, match="reconstructed table is not path-independent"):
             reconstruct_choice(rel)

@@ -112,6 +112,14 @@ def test_a_hand_built_agent_with_contracts_but_no_spec_is_unknown():
         aggregate_sides(hand_built)
 
 
+def test_a_hand_built_spec_whose_block_descends_is_refused():
+    m = parse_instance(TWO_BY_TWO)
+    specs = tuple(market.ChoiceSpec(s.agent, s.kind, s.block[::-1], s.cf) if s.agent == "w2"
+                  else s for s in m.specs)
+    with pytest.raises(ValueError, match="^each block must list its contracts in ascending order$"):
+        aggregate_sides(MarketInstance(m.firms, m.workers, m.contracts, specs))
+
+
 def test_comments_and_blank_lines_are_ignored():
     m = parse_instance("# header\n\n[firms] f1\n[workers] w1  # inline\n"
                        "[contracts]\n a f1 w1 # tail\n[choice f1] kind=order\na\n"
@@ -361,7 +369,9 @@ def _missing_row(lines, rng):
 def _bad_key(lines, rng):
     at = _pick(rng, lines, "header")
     lines[at] += rng.choice((" color=red", " q=2", " q=-1", " acceptable={}", " kind=order",
-                             " q", " =x", " acceptable={zz}", " acceptable=c0"))
+                             " q", " =x", " acceptable={zz}", " acceptable=c0",
+                             " acceptable={c0, c1}", " acceptable={ }", " acceptable={c0 c1",
+                             " acceptable={c0, zz} q=1"))
 
 
 def _bad_number(lines, rng):

@@ -47,7 +47,7 @@ def _fill_every_memo():
 
 def test_every_per_value_memo_is_one_of_the_store():
     memos = module_memos()
-    assert sorted(memos) == ["_audited", "_decomposition", "_proven", "_rebuilt", "choice_table"]
+    assert sorted(memos) == ["_audited", "_decomposition", "_rebuilt", "_verdict", "choice_table"]
     _fill_every_memo()
     for name, memo in memos.items():
         assert type(memo) is choice._Memo, name
