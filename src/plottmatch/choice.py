@@ -127,15 +127,12 @@ class ContractSet:
         return self.mask != 0
 
     def __repr__(self) -> str:
-        inner = ",".join(str(i) for i in self)
-        return f"ContractSet(n={self.universe_size}, {{{inner}}})"
+        return f"ContractSet(n={self.universe_size}, {format_set(self)})"
 
 
 def format_set(X: ContractSet, labels=None) -> str:
-    """Render a set as ``{a,b}`` using labels, in declaration (index) order."""
-    if labels is None:
-        return "{" + ",".join(str(i) for i in X) + "}"
-    return "{" + ",".join(labels[i] for i in X) + "}"
+    """Render a set as ``{a,b}`` using labels (else indices), in declaration (index) order."""
+    return "{" + ",".join(str(i) if labels is None else labels[i] for i in X) + "}"
 
 
 def parse_set(text: str, labels) -> ContractSet:

@@ -20,7 +20,7 @@ from .choice import (
     is_plott,
     parse_set,
 )
-from .errors import CapExceeded, NotCertified, ParseError, PlottmatchError
+from .errors import CapExceeded, NotCertified, NotDominated, ParseError, PlottmatchError
 from .hyperorders import DerivedLehmann, audit_lehmann_axioms, reconstruct_choice
 from .market import MarketInstance, aggregate_sides, parse_instance
 from .oracle import enumerate_stable_sets, format_catalog, verify_lattice
@@ -46,11 +46,19 @@ def _load(path: str) -> MarketInstance:
 def _targets(m: MarketInstance, args, *, default_both: bool):
     """Resolve --agent/--side into (name, cf, labels) triples."""
     if args.agent is not None:
-        spec = m.spec_of(args.agent)
-        return [(f"agent {args.agent}", spec.cf, tuple(m.labels[g] for g in spec.block))]
+        labels = tuple(m.labels[g] for g in m.block_of(args.agent))
+        return [(f"agent {args.agent}", m.spec_of(args.agent).cf, labels)]
     sides = aggregate_sides(m, certify=False)
     names = (args.side,) if args.side else ("F", "G") if default_both else ("G",)
     return [(f"side {s}", sides.F if s == "F" else sides.G, m.labels) for s in names]
+
+
+def _plott_target(m: MarketInstance, args):
+    """The one target of lehmann and decompose, refused unless it is path-independent."""
+    [(name, cf, labels)] = _targets(m, args, default_both=False)
+    if not is_plott(cf).is_plott:
+        raise NotCertified(f"{name} is not path-independent")
+    return cf, labels
 
 
 def _audit_lines(cf, labels) -> list[str]:
@@ -105,12 +113,11 @@ def cmd_enumerate(m: MarketInstance, args) -> int:
     catalog = enumerate_stable_sets(aggregate_sides(m))
     if args.catalog:
         print(format_catalog(catalog, m.labels), end="")
-        return 0
-    if not catalog.stable_sets:
+    elif not catalog.stable_sets:
         print("no stable sets")
-        return 0
-    for s in catalog.stable_sets:
-        print(format_set(s, m.labels))
+    else:
+        for s in catalog.stable_sets:
+            print(format_set(s, m.labels))
     return 0
 
 
@@ -148,7 +155,11 @@ def cmd_statics(m: MarketInstance, args) -> int:
     sides.require_certified()
     f_prime = aggregate_sides(m2, certify=False).F
     S = parse_set(args.stable_set, m.labels)
-    s_prime = comparative_statics(sides, f_prime, S)
+    try:
+        s_prime = comparative_statics(sides, f_prime, S)
+    except NotDominated as exc:  # the library names the witness by index, the CLI by label
+        at = format_set(exc.witness, m.labels)
+        raise NotDominated(f"choose(F,X) not within choose(F',X) at X={at}", exc.witness) from None
     print(format_set(s_prime, m.labels))
     weakened_sides = side_pair(f_prime, sides.G, certify=False)
     preserved = bool(is_stable_set(weakened_sides, S))
@@ -157,23 +168,18 @@ def cmd_statics(m: MarketInstance, args) -> int:
 
 
 def cmd_lehmann(m: MarketInstance, args) -> int:
-    [(name, cf, labels)] = _targets(m, args, default_both=False)
-    if not is_plott(cf).is_plott:
-        raise NotCertified(f"{name} is not path-independent")
+    cf, labels = _plott_target(m, args)
     print(*_audit_lines(cf, labels), sep="\n")
     if args.roundtrip:  # over the audit limit this raises after the skip line
         rebuilt = reconstruct_choice(DerivedLehmann(cf))
         total = 1 << cf.universe_size
         bad = int((choice_table(cf) != rebuilt.table).sum())
-        if bad == 0:
-            print(f"round-trip OK ({total}/{total} subsets)")
-        else:
-            print(f"round-trip FAILED ({total - bad}/{total} subsets)")
+        print(f"round-trip {'FAILED' if bad else 'OK'} ({total - bad}/{total} subsets)")
     return 0
 
 
 def cmd_decompose(m: MarketInstance, args) -> int:
-    [(_, cf, labels)] = _targets(m, args, default_both=False)
+    cf, labels = _plott_target(m, args)
     orders = decompose_into_orders(cf)
     n = cf.universe_size
     full = (1 << n) - 1

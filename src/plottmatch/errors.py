@@ -18,10 +18,7 @@ class EmptyList(PlottmatchError):
 
 
 class AxiomsFail(PlottmatchError):
-    """A Lehmann relation failed its axiom audit.
-
-    Carries the offending report on the ``report`` attribute.
-    """
+    """A Lehmann relation failed its axiom audit, whose report is the ``report`` attribute."""
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -41,7 +38,11 @@ class NotStable(PlottmatchError):
 
 
 class NotDominated(PlottmatchError):
-    """Pointwise dominance between two choice functions does not hold."""
+    """Pointwise dominance between two choice functions fails at the ContractSet ``witness``."""
+
+    def __init__(self, message, witness):
+        super().__init__(message)
+        self.witness = witness
 
 
 class InternalError(PlottmatchError):

@@ -51,15 +51,14 @@ class Contract:
 
 @dataclass(frozen=True, slots=True)
 class ChoiceSpec:
-    """One agent's choice function over its local block.
+    """One agent's name, the kind of its spec, and its choice function.
 
-    ``block`` lists the agent's global contract indices in ascending order;
-    ``cf`` lives on the local universe 0..len(block)-1, index j at block[j].
+    ``cf`` lives on the agent's local universe: local index j is the agent's
+    j-th contract in declaration order, that is ``block_of(agent)[j]``.
     """
 
     agent: str
     kind: str
-    block: tuple[int, ...]
     cf: ChoiceFunction
 
 
@@ -85,16 +84,24 @@ class MarketInstance:
         """Each agent's choice spec by name, the first one when repeated."""
         return {s.agent: s for s in reversed(self.specs)}
 
+    @cached_property
+    def _blocks(self) -> dict[str, list[int]]:
+        """Each agent's contracts in one pass over the contract lines, a firm's over a worker's."""
+        firms, workers = {a: [] for a in self.firms}, {a: [] for a in self.workers}
+        for i, c in enumerate(self.contracts):
+            if c.firm not in firms:
+                raise UnknownAgent(f"no firm named {c.firm!r}")
+            if c.worker not in workers:
+                raise UnknownAgent(f"no worker named {c.worker!r}")
+            firms[c.firm].append(i)
+            workers[c.worker].append(i)
+        return {**workers, **firms}
+
     def block_of(self, agent: str) -> tuple[int, ...]:
-        """The agent's contracts: its spec's block, else found on the contract lines."""
-        spec = self._specs.get(agent)
-        if spec is not None:
-            return spec.block
-        if agent in self.firms:
-            return tuple(i for i, c in enumerate(self.contracts) if c.firm == agent)
-        if agent in self.workers:
-            return tuple(i for i, c in enumerate(self.contracts) if c.worker == agent)
-        raise UnknownAgent(f"no agent named {agent!r}")
+        """The agent's contracts, ascending, off the contract lines: a firm's, else a worker's."""
+        if agent not in self._blocks:
+            raise UnknownAgent(f"no agent named {agent!r}")
+        return tuple(self._blocks[agent])
 
     def spec_of(self, agent: str) -> ChoiceSpec:
         spec = self._specs.get(agent)
@@ -177,8 +184,8 @@ def parse_instance(text: str) -> MarketInstance:
     A malformed document raises ParseError, whose message carries the
     offending line number; a reference to an undeclared agent raises its
     subclass UnknownAgent. An explicit table over EXHAUSTIVE_CAP contracts
-    raises CapExceeded before its rows are read. Blocks are built while the
-    contract lines are read, as contract id -> local position dicts.
+    raises CapExceeded before its rows are read. Each agent's local numbering
+    is built as the contract lines are read, a contract id -> position dict.
     """
     # agent id -> {contract id: local position}, in declaration order
     firms: dict[str, dict[str, int]] = {}
@@ -273,7 +280,6 @@ def parse_instance(text: str) -> MarketInstance:
     for agent, (keyvals, header, body) in raw_specs.items():
         side_is_firm = agent in firms
         position = firms[agent] if side_is_firm else workers[agent]
-        block = tuple(map(index.__getitem__, position))
         kind = keyvals.pop("kind")
         acceptable_text = keyvals.pop("acceptable", None)
         quota_text = keyvals.pop("q", None)
@@ -297,20 +303,20 @@ def parse_instance(text: str) -> MarketInstance:
                 q = _parse_number(quota_text, header)
                 if not isinstance(q, int) or q < 0:
                     raise ParseError("q= must be a non-negative integer", header)
-            cf = OrderChoice(len(block), order, q, acceptable)
+            cf = OrderChoice(len(position), order, q, acceptable)
         elif kind == "utility":
             if body:
                 raise ParseError("kind=utility takes no body", body[0][0])
-            utilities = [contracts[g].u_firm if side_is_firm else contracts[g].u_worker
-                         for g in block]
+            owned = [contracts[index[cid]] for cid in position]
+            utilities = [c.u_firm if side_is_firm else c.u_worker for c in owned]
             if None in utilities:
                 raise ParseError(
-                    f"contract {contracts[block[utilities.index(None)]].id!r} has no "
+                    f"contract {owned[utilities.index(None)].id!r} has no "
                     f"utilities but agent {agent!r} uses kind=utility", header)
             cf = OrderChoice.by_utility(utilities)
         else:
             raise ParseError(f"unknown kind {kind!r}", header)
-        specs.append(ChoiceSpec(agent, kind, block, cf))
+        specs.append(ChoiceSpec(agent, kind, cf))
 
     for agents, name in ((firms, "firms"), (workers, "workers")):
         for agent, position in agents.items():
@@ -324,27 +330,16 @@ def parse_instance(text: str) -> MarketInstance:
 def aggregate_sides(m: MarketInstance, *, certify: bool = True) -> SidePair:
     """Build the two aggregate sides: G from the firms, F from the workers.
 
-    Blocks follow agent declaration order, each read off the agent's spec,
-    which parse_instance builds from the contract lines (a hand-built
-    instance's specs must agree with its contracts, and a block that does
-    not ascend raises ValueError); agents without contracts get the empty
-    choice function, and an agent with contracts but no spec raises
-    UnknownAgent. Certification is exact at any size: a side chooses block
-    by block, so it is path independent exactly when every agent's function
-    is, and only explicit tables are scanned, each over its own 2^k rows,
-    and a table that recurs, in one market or across markets, once while
-    its verdict, clean or failing, is kept (see is_plott).
+    Blocks follow agent declaration order, each read by block_of. An agent
+    with contracts takes its spec's function (UnknownAgent without one),
+    an agent without contracts the empty one. Certification is exact at any
+    size: a side is path independent exactly when every agent's function
+    is, and only explicit tables are scanned (see is_plott).
     """
     def one_side(agents):
-        specs = [m._specs.get(a) for a in agents]
-        blocks = tuple(s.block if s else () for s in specs)
-        if sum(map(len, blocks)) != m.universe_size:  # some contracts have no spec
-            for a, s in zip(agents, specs):
-                if s is None and m.block_of(a):
-                    m.spec_of(a)
-        parts = tuple(s.cf if s and s.block else ExplicitTable(0, (0,)) for s in specs)
+        blocks = tuple(map(m.block_of, agents))
+        parts = tuple(m.spec_of(a).cf if block else ExplicitTable(0, (0,))
+                      for a, block in zip(agents, blocks))
         return Aggregate(m.universe_size, blocks, parts)
 
-    G = one_side(m.firms)
-    F = one_side(m.workers)
-    return side_pair(F, G, certify=certify)
+    return side_pair(one_side(m.workers), one_side(m.firms), certify=certify)

@@ -436,8 +436,8 @@ def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
         raise UniverseMismatch("weakened side outside the market universe")
     witness = _dominates(sides.F, f_prime)
     if witness is not None:
-        raise NotDominated(
-            f"choose(F,X) not within choose(F',X) at X mask {witness}")
+        X = ContractSet(sides.universe_size, witness)
+        raise NotDominated(f"choose(F,X) not within choose(F',X) at X={format_set(X)}", X)
     if not is_plott(f_prime).is_plott:
         raise NotCertified("weakened side is not path-independent")
     n = sides.universe_size

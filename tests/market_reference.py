@@ -2,9 +2,9 @@
 
 ``reference_parse`` and its helpers are the parser as it was before
 contract blocks were built while the contract lines are read, word for
-word, except that the stub instance it asks for blocks is ``_Blocks``:
-that stub's block walk over the contracts, which the instance class no
-longer has. ``tests/test_market.py`` requires the package's parser to
+word, except that the stub instance it asks for blocks is ``_Blocks``, a
+block walk over the contracts of its own, and that a spec no longer
+carries its block. ``tests/test_market.py`` requires the package's parser to
 return an equal instance, or to raise the same error class with the same
 message, on generated and corrupted documents.
 """
@@ -273,7 +273,7 @@ def reference_parse(text: str) -> MarketInstance:
             cf = OrderChoice.by_utility(utilities)
         else:
             raise ParseError(f"unknown kind {kind!r}", header_line)
-        specs.append(ChoiceSpec(agent, kind, block, cf))
+        specs.append(ChoiceSpec(agent, kind, cf))
 
     for agent in (*firms, *workers):
         if agent not in spec_agents and instance_stub.block_of(agent):

@@ -255,6 +255,15 @@ def test_statics_identity(capsys):
     assert out == "{a}\npreserved: yes\n"
 
 
+def test_statics_names_the_undominated_set_in_contract_labels(capsys, tmp_path):
+    # worker1 ranking b above a keeps b where polar2's worker keeps a: no weakening
+    weak = tmp_path / "swapped.mkt"
+    weak.write_text(Path(POLAR2).read_text().replace("[choice worker1] kind=order\na b",
+                                                      "[choice worker1] kind=order\nb a"))
+    assert run(capsys, "statics", POLAR2, str(weak), "{a}") == (
+        1, "", "error: choose(F,X) not within choose(F',X) at X={a,b}\n")
+
+
 def test_statics_rejects_mismatched_contracts(capsys):
     code, out, err = run(capsys, "statics", POLAR2, ORD3, "{a}")
     assert code == 1
@@ -340,6 +349,14 @@ def test_decompose_a_twelve_contract_quota_agent(capsys, tmp_path):
     for o in orders:
         union |= choice_table(OrderChoice(12, tuple(ids.index(c) for c in o)))
     assert np.array_equal(union, choice_table(OrderChoice(12, tuple(range(12)), 3)))
+
+
+def test_decompose_refuses_non_plott_targets(capsys):
+    # in lehmann's words (test_lehmann_refuses_non_plott_targets), naming the target
+    assert run(capsys, "decompose", EX2, "--side", "F") == (
+        1, "", "error: side F is not path-independent\n")
+    assert run(capsys, "decompose", EX2, "--agent", "worker1") == (
+        1, "", "error: agent worker1 is not path-independent\n")
 
 
 def test_decompose_defaults_to_the_firm_side(capsys):

@@ -64,7 +64,7 @@ def test_parse_ex2():
     assert m.firms == ("firm1",) and m.workers == ("worker1",)
     assert m.labels == ("a", "b") and m.universe_size == 2
     worker = m.spec_of("worker1")
-    assert worker.kind == "explicit" and worker.block == (0, 1)
+    assert worker.kind == "explicit" and m.block_of("worker1") == (0, 1)
     assert worker.cf == ExplicitTable(2, (0, 1, 0, 3))
     assert m.spec_of("firm1").cf == ExplicitTable(2, (0, 1, 2, 2))
 
@@ -88,8 +88,8 @@ def test_parse_quota_and_orders():
 
 def test_block_and_spec_lookup():
     m = parse_instance(TWO_BY_TWO)
-    assert m.block_of("f2") == m.spec_of("f2").block == (2, 3)
-    assert m.block_of("w1") == m.spec_of("w1").block == (0, 2)
+    assert m.block_of("f2") == (2, 3) and m.spec_of("f2").cf == OrderChoice(2, (1, 0))
+    assert m.block_of("w1") == (0, 2) and m.spec_of("w1").cf == OrderChoice(2, (1, 0))
     with pytest.raises(UnknownAgent):
         m.block_of("nobody")
     with pytest.raises(UnknownAgent):
@@ -112,12 +112,26 @@ def test_a_hand_built_agent_with_contracts_but_no_spec_is_unknown():
         aggregate_sides(hand_built)
 
 
-def test_a_hand_built_spec_whose_block_descends_is_refused():
+def test_a_hand_built_instance_takes_its_blocks_from_the_contract_lines():
     m = parse_instance(TWO_BY_TWO)
-    specs = tuple(market.ChoiceSpec(s.agent, s.kind, s.block[::-1], s.cf) if s.agent == "w2"
-                  else s for s in m.specs)
-    with pytest.raises(ValueError, match="^each block must list its contracts in ascending order$"):
-        aggregate_sides(MarketInstance(m.firms, m.workers, m.contracts, specs))
+    hand_built = MarketInstance(m.firms, m.workers, m.contracts, tuple(
+        market.ChoiceSpec(s.agent, s.kind, s.cf) for s in m.specs))
+    assert hand_built == m
+    sides = aggregate_sides(hand_built)
+    assert sides.certified
+    assert sides.F.blocks == ((0, 2), (1, 3)) and sides.G.blocks == ((0, 1), (2, 3))
+    assert hand_built.block_of("w1") == (0, 2) and hand_built.block_of("f1") == (0, 1)
+
+
+def test_a_hand_built_contract_with_an_undeclared_owner_is_unknown():
+    m = parse_instance(TWO_BY_TWO)
+    for stray, message in ((market.Contract("e", "f9", "w1"), "no firm named 'f9'"),
+                           (market.Contract("e", "f1", "w9"), "no worker named 'w9'")):
+        hand_built = MarketInstance(m.firms, m.workers, m.contracts + (stray,), m.specs)
+        with pytest.raises(UnknownAgent, match=f"^{message}$"):
+            hand_built.block_of("w1")
+        with pytest.raises(UnknownAgent, match=f"^{message}$"):
+            aggregate_sides(hand_built)
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -23,11 +23,12 @@ EXEMPT = {"oracle", "errors"}
 
 
 def _used_names(path: Path) -> set[str]:
+    """The names and attributes a file reads; an assignment target is not a read."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
     return names
 

@@ -60,7 +60,7 @@ def _as_generated(m) -> Market:
 
     def agent(name):
         spec = m.spec_of(name)
-        block, cf = spec.block, spec.cf
+        block, cf = m.block_of(name), spec.cf
         acceptable = sum(1 << g for j, g in enumerate(block) if cf.acceptable_mask >> j & 1)
         return Agent(name, spec.kind, block,
                      ((tuple(block[j] for j in cf.order), acceptable, cf.quota),))

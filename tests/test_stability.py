@@ -469,8 +469,14 @@ def test_statics_on_the_polarized_pair():
 
 def test_statics_rejects_non_dominating_input():
     shrunk = OrderChoice(2, (0, 1), 1, 0b01)
-    with pytest.raises(NotDominated):
+    message = r"^choose\(F,X\) not within choose\(F',X\) at X=\{1\}$"
+    with pytest.raises(NotDominated, match=message) as caught:
         comparative_statics(POLAR2, shrunk, cs(2, 0))
+    assert caught.value.witness == cs(2, 1)
+    # the worker ranking the other way keeps b from {a,b}, where F keeps a
+    with pytest.raises(NotDominated, match=r"at X=\{0,1\}$") as caught:
+        comparative_statics(POLAR2, OrderChoice(2, (1, 0)), cs(2, 0))
+    assert caught.value.witness == cs(2, 0, 1)
 
 
 def test_statics_rejects_non_plott_weakening():
