@@ -1,0 +1,102 @@
+"""Run the benchmark on a parent tree and a changed tree in pairs, and compare them.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N
+
+Each tree runs its own ``bench/run.py`` with the run length from the change's
+``BENCHMARK.json`` (16 s), one run at a time. Pair k gives both sides seed k;
+the change runs first on odd pairs and the parent first on even ones.
+
+Standard output is one JSON object in the layout of a ``series`` entry of a
+``BENCH_*.json`` file: the workload, the order of the runs, a summary of
+each end-to-end metric and every run. A summary gives each side's median
+and quartiles (``statistics.quantiles(n=4, method="inclusive")``), the
+number of pairs the change won (a tie counts for neither side), and
+``change_worse_by``, the change's median against the parent's as a
+fraction of the parent's, positive when worse, beside the metric's bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _round(x: float) -> float:
+    return float(f"{x:.7g}")
+
+
+def _quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": _round(median), "q1": _round(q1), "q3": _round(q3)}
+
+
+def summarize(runs, end_to_end):
+    """Each end-to-end metric's quartiles per side, pairs won by the change, and its loss.
+
+    ``runs`` are flat run records (``side``, ``pair`` and one value per
+    metric), two per pair; ``end_to_end`` is BENCHMARK.json's list.
+    """
+    by_pair = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run
+    summary = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        parent = [p["parent"][name] for p in by_pair.values()]
+        change = [p["change"][name] for p in by_pair.values()]
+        won = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+        worse_by = sign * (statistics.median(parent) - statistics.median(change))
+        summary[name] = {
+            "parent": _quartiles(parent),
+            "change": _quartiles(change),
+            "change_worse_by": round(worse_by / statistics.median(parent), 4),
+            "bound": metric["bound"],
+            "change_better_in_pairs": f"{won}/{len(parent)}",
+        }
+    return summary
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, side: str, pair: int):
+    """One bench/run.py process in ``tree``: its outcome and end-to-end metrics, flat."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {side} run of pair {pair} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"side": side, "pair": pair, "failed": result["failed"],
+            "correct": result["correct"],
+            **{k: _round(v["value"]) for k, v in result["metrics"].items()}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    runs = []
+    for pair in range(1, args.pairs + 1):
+        sides = (("change", args.change), ("parent", args.parent))
+        for side, tree in sides if pair % 2 else sides[::-1]:
+            runs.append(run_once(tree, args.workload, pair, spec["run_seconds"], side, pair))
+            print(f"# {json.dumps(runs[-1])}", file=sys.stderr, flush=True)
+    print(json.dumps({"workload": args.workload,
+                      "order": f"{args.pairs} pairs, seed k for pair k, the change first "
+                               "on odd pairs",
+                      "summary": summarize(runs, spec["end_to_end"]), "runs": runs}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -434,12 +434,12 @@ def _scatter(local, runs):
 
 
 class _Rows(dict):
-    """Up to ``maxsize`` rows (ints) by set mask, emptied when full, with hit and miss counts."""
+    """Up to ``maxsize`` masks or mask pairs by key, emptied when full, with hit and miss counts."""
 
     maxsize, hits, misses = 256, 0, 0
 
-    def add(self, key: int, row: int) -> int:
-        """Keep a row computed on a miss; a hit is counted where it is read."""
+    def add(self, key, row):
+        """Keep an answer computed on a miss; a hit is counted where it is read."""
         self.misses += 1
         if len(self) >= self.maxsize:
             self.clear()

@@ -85,9 +85,11 @@ class MarketInstance:
         return {s.agent: s for s in reversed(self.specs)}
 
     @cached_property
-    def _blocks(self) -> dict[str, list[int]]:
-        """Each agent's contracts in one pass over the contract lines, a firm's over a worker's."""
+    def _blocks(self) -> dict[str, tuple[int, ...]]:
+        """Each agent's contracts in one pass over the contract lines; no id may name two agents."""
         firms, workers = {a: [] for a in self.firms}, {a: [] for a in self.workers}
+        if shared := firms.keys() & workers.keys():
+            raise ParseError(f"agent id on both sides: {sorted(shared)[0]!r}")
         for i, c in enumerate(self.contracts):
             if c.firm not in firms:
                 raise UnknownAgent(f"no firm named {c.firm!r}")
@@ -95,13 +97,13 @@ class MarketInstance:
                 raise UnknownAgent(f"no worker named {c.worker!r}")
             firms[c.firm].append(i)
             workers[c.worker].append(i)
-        return {**workers, **firms}
+        return {a: tuple(block) for a, block in (*workers.items(), *firms.items())}
 
     def block_of(self, agent: str) -> tuple[int, ...]:
-        """The agent's contracts, ascending, off the contract lines: a firm's, else a worker's."""
+        """The agent's contracts, ascending, off the contract lines."""
         if agent not in self._blocks:
             raise UnknownAgent(f"no agent named {agent!r}")
-        return tuple(self._blocks[agent])
+        return self._blocks[agent]
 
     def spec_of(self, agent: str) -> ChoiceSpec:
         spec = self._specs.get(agent)

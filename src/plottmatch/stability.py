@@ -47,20 +47,23 @@ class SidePair:
     """The two sides of a market: F (workers) and G (firms) on one universe.
 
     ``f_report`` and ``g_report`` are the sides' path-independence checks;
-    the dynamics and everything built on it refuse to run uncertified.
+    the dynamics and everything built on it refuse to run uncertified. The
+    fixed facts ``universe_size`` and ``certified`` (both reports present
+    and path independent) are set once when the pair is built, not fields.
 
     A pair answers a query once, for either side proposing: stability and
     both closures do not depend on which side is called F, and σ's keys
-    carry the proposer in one bit. Two stores, made on first use and not
-    fields (equality, hash and repr are the four fields'), keep σ's stable
-    set by start and proposer (``_fixpoints``; run_to_fixpoint does not
-    read it) and the closures of each set that has passed is_stable_set
+    carry the proposer. Two stores, made on first use and not fields
+    (equality, hash and repr are the four fields'), keep σ's stable set
+    mask by the key (y, z, flip), flip when G proposes (``_fixpoints``;
+    run_to_fixpoint does not read it), and the mask pair (closure_star(G,S),
+    closure_star(F,S)) by the mask of each S that has passed is_stable_set
     (``_pairs``). Each holds up to 256 answers, is emptied when full and
-    counts hits and misses (``cache_info``). A key and its answer are ints
-    of about 3|C| bits in all, so a full store holds 1.8 MiB at |C| =
-    20,001 (2.0 MiB traced). Checks run before a store is read, and no
-    failure is kept. Store steps are single dict calls: threads may compute
-    an answer twice or lose a count, never read a wrong one.
+    counts hits and misses (``cache_info``). A key and its answer are three
+    masks of |C| bits, so a full store holds 1.8 MiB at |C| = 20,001 (2.0
+    MiB traced). Checks run before a store is read, and no failure is kept.
+    Store steps are single dict calls: threads may compute an answer twice
+    or lose a count, never read a wrong one.
     """
 
     F: ChoiceFunction
@@ -71,16 +74,9 @@ class SidePair:
     def __post_init__(self):
         if self.F.universe_size != self.G.universe_size:
             raise UniverseMismatch("both sides must share one universe")
-
-    @property
-    def universe_size(self) -> int:
-        return self.F.universe_size
-
-    @property
-    def certified(self) -> bool:
-        """Both sides were checked, and both are path independent."""
         f, g = self.f_report, self.g_report
-        return f is not None and g is not None and f.is_plott and g.is_plott
+        object.__setattr__(self, "universe_size", self.F.universe_size)
+        object.__setattr__(self, "certified", bool(f and g and f.is_plott and g.is_plott))
 
     def swap(self) -> "SidePair":
         """The same market with the roles of the two sides exchanged, with empty stores."""
@@ -88,12 +84,12 @@ class SidePair:
 
     @cached_property
     def _fixpoints(self) -> _Rows:
-        """σ's stable set by start (y, z) and proposer, keyed (y << |C| | z) << 1 | G proposes."""
+        """σ's stable set by start and proposer, keyed (y, z, flip); flip means G proposes."""
         return _Rows()
 
     @cached_property
     def _pairs(self) -> _Rows:
-        """closure_star(G,S) << |C| | closure_star(F,S) by stable set S."""
+        """(closure_star(G,S), closure_star(F,S)) as a mask pair, by stable set S."""
         return _Rows()
 
     def cache_info(self) -> CacheInfo:
@@ -106,11 +102,12 @@ class SidePair:
 
     def require_certified(self):
         """Raise NotCertified unless both sides are certified, naming a failed side."""
+        if self.certified:
+            return
         for name, report in (("F", self.f_report), ("G", self.g_report)):
             if report is not None and not report.is_plott:
                 raise NotCertified(f"side {name} is not path-independent")
-        if not self.certified:
-            raise NotCertified("operation requires both sides certified path-independent")
+        raise NotCertified("operation requires both sides certified path-independent")
 
 
 def side_pair(F: ChoiceFunction, G: ChoiceFunction, *, certify: bool = True) -> SidePair:
@@ -289,7 +286,7 @@ def _sigma(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int) -> tuple[tuple,
 
 def _fixpoint(sides: SidePair, y: int, z: int, flip: bool = False) -> int:
     """σ's stable set from masks (y, z), as ``_sigma`` finds it (G proposing if flip); kept."""
-    key, store = (y << sides.universe_size | z) << 1 | flip, sides._fixpoints
+    key, store = (y, z, flip), sides._fixpoints
     s = store.get(key)
     if s is None:
         F, G = (sides.G, sides.F) if flip else (sides.F, sides.G)
@@ -331,8 +328,7 @@ def _closures(sides: SidePair, S: ContractSet) -> tuple[int, int]:
     an aggregate side answers the closure from its row cache. Only a set
     that has passed is kept, so a stored mask of this universe is stable.
     """
-    n = sides.universe_size
-    if S.universe_size != n:
+    if S.universe_size != sides.universe_size:
         raise UniverseMismatch("set outside the market universe")
     store = sides._pairs
     pair = store.get(S.mask)
@@ -340,10 +336,10 @@ def _closures(sides: SidePair, S: ContractSet) -> tuple[int, int]:
         check = is_stable_set(sides, S)
         if not check:
             raise NotStable(f"set fails {check.condition}")
-        pair = store.add(S.mask, closure_star(sides.G, S).mask << n | closure_star(sides.F, S).mask)
+        pair = store.add(S.mask, (closure_star(sides.G, S).mask, closure_star(sides.F, S).mask))
     else:
         store.hits += 1
-    return pair >> n, pair & ((1 << n) - 1)
+    return pair
 
 
 def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:

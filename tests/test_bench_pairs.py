@@ -1,0 +1,68 @@
+"""The parent/change pair summary of ``scripts/bench_pairs.py``, on canned runs."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+           {"name": "op_p50_s", "better": "lower", "bound": 0.25}]
+
+
+def _runs(parent, change):
+    """Flat records for pairs 1, 2, ...: (ops_per_s, op_p50_s) per side, change first on odd."""
+    runs = []
+    for pair, (a, b) in enumerate(zip(parent, change), 1):
+        both = [{"side": "change", "pair": pair, "ops_per_s": b[0], "op_p50_s": b[1]},
+                {"side": "parent", "pair": pair, "ops_per_s": a[0], "op_p50_s": a[1]}]
+        runs += both if pair % 2 else both[::-1]
+    return runs
+
+
+def test_quartiles_wins_and_loss_per_metric():
+    parent = [(100, 0.010), (110, 0.012), (90, 0.011), (120, 0.010), (100, 0.013)]
+    change = [(105, 0.010), (110, 0.011), (99, 0.012), (118, 0.009), (130, 0.012)]
+    summary = bench_pairs.summarize(_runs(parent, change), METRICS)
+    assert list(summary) == ["ops_per_s", "op_p50_s"]
+    ops, p50 = summary["ops_per_s"], summary["op_p50_s"]
+    # inclusive quartiles of 90, 100, 100, 110, 120 and of 99, 105, 110, 118, 130
+    assert ops["parent"] == {"median": 100, "q1": 100, "q3": 110}
+    assert ops["change"] == {"median": 110, "q1": 105, "q3": 118}
+    assert ops["change_better_in_pairs"] == "3/5"  # pair 2 ties and counts for neither
+    assert ops["change_worse_by"] == -0.1 and ops["bound"] == 0.25
+    assert p50["parent"] == {"median": 0.011, "q1": 0.01, "q3": 0.012}
+    assert p50["change_better_in_pairs"] == "3/5"  # pair 1 ties
+    assert p50["change_worse_by"] == pytest.approx(0.0) and p50["change"]["median"] == 0.011
+
+
+def test_a_loss_is_positive_for_either_direction():
+    summary = bench_pairs.summarize(_runs([(200, 0.004)] * 2, [(150, 0.005)] * 2), METRICS)
+    assert summary["ops_per_s"]["change_worse_by"] == 0.25
+    assert summary["op_p50_s"]["change_worse_by"] == 0.25
+    assert {s["change_better_in_pairs"] for s in summary.values()} == {"0/2"}
+
+
+def test_the_summary_names_every_end_to_end_metric_of_the_benchmark():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    runs = [{"side": side, "pair": pair, **{n: 1.0 + pair for n in names}}
+            for pair in (1, 2) for side in ("change", "parent")]
+    summary = bench_pairs.summarize(runs, spec["end_to_end"])
+    assert list(summary) == names
+    assert all(s["change_worse_by"] == 0 and s["change_better_in_pairs"] == "0/2"
+               for s in summary.values())
+
+
+def test_fewer_than_two_pairs_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main([str(ROOT), str(ROOT), "--workload", "solve-cold", "--pairs", "1"])
+    assert exited.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err

@@ -134,6 +134,25 @@ def test_a_hand_built_contract_with_an_undeclared_owner_is_unknown():
             aggregate_sides(hand_built)
 
 
+def test_a_hand_built_id_on_both_sides_is_refused_by_every_reader_of_ownership():
+    m = parse_instance(TWO_BY_TWO)
+    for renamed in ({"w1": "f1"}, {"w1": "f2", "w2": "f1"}):  # the least shared id is named
+        workers = tuple(renamed.get(w, w) for w in m.workers)
+        contracts = tuple(market.Contract(c.id, c.firm, renamed.get(c.worker, c.worker))
+                          for c in m.contracts)
+        hand_built = MarketInstance(m.firms, workers, contracts, m.specs)
+        for call in (lambda: hand_built.block_of("f1"), lambda: aggregate_sides(hand_built)):
+            with pytest.raises(ParseError, match=r"^agent id on both sides: 'f1'$") as caught:
+                call()
+            assert caught.type is ParseError and caught.value.line is None
+
+
+def test_block_of_returns_the_block_built_once():
+    m = parse_instance(TWO_BY_TWO)
+    assert m.block_of("f1") is m.block_of("f1") and m.block_of("w2") is m.block_of("w2")
+    assert type(m.block_of("w2")) is tuple
+
+
 def test_comments_and_blank_lines_are_ignored():
     m = parse_instance("# header\n\n[firms] f1\n[workers] w1  # inline\n"
                        "[contracts]\n a f1 w1 # tail\n[choice f1] kind=order\na\n"

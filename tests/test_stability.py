@@ -160,6 +160,32 @@ def test_swap_keeps_certification():
         assert sides.swap().swap() == sides
 
 
+def _derived_facts(sides):
+    """universe_size and certified as read-time properties defined them from the fields."""
+    f, g = sides.f_report, sides.g_report
+    return sides.F.universe_size, f is not None and g is not None and f.is_plott and g.is_plott
+
+
+def test_fixed_facts_are_set_once_and_stay_out_of_the_fields():
+    failing, passing = is_plott(EX2.F), PlottReport(True)
+    assert not hasattr(SidePair, "universe_size") and not hasattr(SidePair, "certified")
+    for sides in (POLAR2, EX2, SidePair(POLAR2.F, POLAR2.G),
+                  SidePair(EX2.F, POLAR2.G, failing, passing),
+                  SidePair(POLAR2.F, EX2.F, passing, failing)):
+        copies = (sides.swap(), sides.swap().swap(), pickle.loads(pickle.dumps(sides)),
+                  copy.copy(sides), copy.deepcopy(sides))
+        for kept in (sides, *copies):
+            assert (kept.universe_size, kept.certified) == _derived_facts(kept)
+            assert type(kept.certified) is bool
+        with pytest.raises(AttributeError):
+            sides.certified = not sides.certified
+        forged = SidePair(sides.F, sides.G, sides.f_report, sides.g_report)
+        object.__setattr__(forged, "universe_size", -1)
+        object.__setattr__(forged, "certified", not sides.certified)
+        assert (forged, hash(forged), repr(forged)) == (sides, hash(sides), repr(sides))
+    assert [f.name for f in fields(SidePair)] == ["F", "G", "f_report", "g_report"]
+
+
 # ---------------------------------------------------------------------------
 # stability of sets
 # ---------------------------------------------------------------------------
