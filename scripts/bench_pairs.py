@@ -13,6 +13,9 @@ and quartiles (``statistics.quantiles(n=4, method="inclusive")``), the
 number of pairs the change won (a tie counts for neither side), and
 ``change_worse_by``, the change's median against the parent's as a
 fraction of the parent's, positive when worse, beside the metric's bound.
+``faults`` counts, per side, the runs that reported themselves incorrect
+and the operations that failed; the script exits 1, after printing, if
+either count is nonzero on either side.
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ def summarize(runs, end_to_end):
     return summary
 
 
+def faults(runs):
+    """Per side, the runs whose checks failed and the operations that raised, over all pairs."""
+    return {side: {"incorrect_runs": sum(not r["correct"] for r in runs if r["side"] == side),
+                   "failed_ops": sum(r["failed"] for r in runs if r["side"] == side)}
+            for side in ("parent", "change")}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, side: str, pair: int):
     """One bench/run.py process in ``tree``: its outcome and end-to-end metrics, flat."""
     proc = subprocess.run(
@@ -91,10 +101,15 @@ def main(argv=None) -> int:
         for side, tree in sides if pair % 2 else sides[::-1]:
             runs.append(run_once(tree, args.workload, pair, spec["run_seconds"], side, pair))
             print(f"# {json.dumps(runs[-1])}", file=sys.stderr, flush=True)
+    broken = faults(runs)
     print(json.dumps({"workload": args.workload,
                       "order": f"{args.pairs} pairs, seed k for pair k, the change first "
                                "on odd pairs",
-                      "summary": summarize(runs, spec["end_to_end"]), "runs": runs}, indent=1))
+                      "summary": summarize(runs, spec["end_to_end"]), "faults": broken,
+                      "runs": runs}, indent=1))
+    if any(n for counts in broken.values() for n in counts.values()):
+        print(f"error: incorrect runs or failed operations: {json.dumps(broken)}", file=sys.stderr)
+        return 1
     return 0
 
 

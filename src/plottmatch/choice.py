@@ -283,6 +283,11 @@ class OrderChoice(ChoiceFunction):
             object.__setattr__(self, "acceptable_mask", (1 << n) - 1)
         if not 0 <= self.acceptable_mask < (1 << n):
             raise ValueError("acceptable_mask outside the universe")
+        # hashed once, as ExplicitTable is, with the mask normalised; not a field
+        object.__setattr__(self, "_hash", hash((n, self.order, self.quota, self.acceptable_mask)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def by_utility(cls, utilities) -> "OrderChoice":
@@ -545,8 +550,10 @@ class Aggregate(ChoiceFunction):
         return self._chosen.add(new, chosen)
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
-        agents = _agents(self)
-        return _choose(agents, _slices(agents, masks), masks)
+        table = np.zeros_like(masks)
+        for runs, part in zip(map(_runs, self.blocks), self.parts):
+            table |= _scatter(choice_table(part)[_gather(masks, runs)], runs)
+        return table
 
 
 def union(cfs) -> UnionChoice:
@@ -570,7 +577,8 @@ class _Memo:
     MEMO_ENTRIES entries and MEMO_ROWS table rows are left. Each is charged
     ``charge(key, value)``, the rows it keeps alive: 2^k for a k-contract
     key (what an ExplicitTable holds) plus the value's own (2^k for a table,
-    4^k for a relation matrix, 16 per order of about 330 bytes). A row
+    4^k for a relation matrix, 16 per order of about 330 bytes, 3 per kept
+    slice and its gains, about 120). A row
     takes at most 40 bytes (a pointer and an int in a table's tuple) and an
     entry at most 4 KiB more, so the store holds at most 24 MiB in all. A
     value is computed outside the lock that guards every step, so memos may
@@ -658,35 +666,13 @@ def _blocks(cf: ChoiceFunction) -> list[tuple[tuple[int, ...], ChoiceFunction]]:
     return [(tuple(range(cf.universe_size)), cf)]
 
 
-def _agents(cf: ChoiceFunction) -> list[tuple[tuple[int, ...], list, np.ndarray, np.ndarray]]:
-    """Each agent of a side (see _blocks) as (block, runs, its table, the table on global bits)."""
-    agents = []
-    for block, part in _blocks(cf):
-        runs, table = _runs(block), choice_table(part)
-        agents.append((block, runs, table, _scatter(table, runs)))
-    return agents
-
-
-def _slices(agents, xs: np.ndarray) -> list[np.ndarray]:
-    """Each agent's local masks of its slice of every global mask in xs."""
-    return [_gather(xs, runs) for _, runs, _, _ in agents]
-
-
-def _choose(agents, slices, xs: np.ndarray) -> np.ndarray:
-    """A side's choice on each mask in xs, from its agents' slices: their choices' union."""
-    chosen = np.zeros_like(xs)
-    for (_, _, _, lifted), local in zip(agents, slices):
-        chosen |= lifted[local]
-    return chosen
-
-
-def _gains(agents, slices, xs: np.ndarray) -> np.ndarray:
-    """For each mask in xs, the contracts c outside it chosen from it plus c alone."""
-    gains = np.zeros_like(xs)
-    for (block, _, _, lifted), local in zip(agents, slices):
-        for j, g in enumerate(block):
-            gains |= lifted[local | 1 << j] & 1 << g
-    return gains & ~xs
+@partial(_Memo, lambda cf, kept: (1 << cf.universe_size) + 3 * len(kept))
+def _kept(cf: ChoiceFunction) -> tuple[tuple[int, int], ...]:
+    """cf's fixed points x = cf(x), ascending, each with its gains: c ∉ x chosen from x + c."""
+    table = choice_table(cf)
+    xs = np.flatnonzero(table == np.arange(table.size))
+    gains = sum(table[xs | 1 << j] & 1 << j for j in range(cf.universe_size))  # one bit each
+    return tuple(zip(xs.tolist(), (gains & ~xs).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -23,11 +24,12 @@ from .choice import (
     ContractSet,
     OrderChoice,
     UnionChoice,
-    _agents,
-    _choose,
+    _blocks,
     _fit,
-    _gains,
-    _slices,
+    _gather,
+    _kept,
+    _runs,
+    _scatter,
     choice_table,
     closure_star,
     format_set,
@@ -90,14 +92,14 @@ def enumerate_stable_sets(sides: SidePair) -> StableSetCatalog:
     """Find every stable set agent by agent and assemble the catalog.
 
     A side chooses agent by agent, so S1 holds exactly when every agent
-    keeps its own slice of S. The candidates are the products of what each
-    worker-side agent keeps (masks t[x] = x of its table), lifted to global
-    bits and filtered by the firm side's choice; they number at most
-    2^|C|. Each agent gathers its slice of every candidate once, by shifts
-    and masks, and S2 and the Blair matrix are read off the same per-agent
-    tables at those slices (the slice of a union is the union of slices).
-    Only ``choice_table`` of each agent is read, and no whole-side table
-    is built. Stable sets come in ascending mask order.
+    keeps its slice of S (a mask x = t[x] of its own table), and S2 fails
+    at c exactly when c's owners on both sides gain it. A depth-first walk
+    (see _walk) gives each agent with contracts of the side whose kept
+    slices have the smaller product (F on a tie) one kept slice in turn,
+    and looks up each agent of the other side once its contracts are all
+    decided; it is at most |C| deep. The Blair matrix is read off each
+    agent's table at its slices of S_i ∪ S_j. Only per-agent
+    ``choice_table``s are read, never a whole side's. Stable sets ascend.
 
     For certified sides the catalog is nonempty (finite form of the
     existence theorem), the matrix is antisymmetric, and its transpose
@@ -105,40 +107,67 @@ def enumerate_stable_sets(sides: SidePair) -> StableSetCatalog:
     """
     n = sides.universe_size
     _fit("enumeration", n)  # the fingerprint needs whole tables; masks stay int64
-    f_agents, g_agents = _agents(sides.F), _agents(sides.G)
-    sets = np.zeros(1, dtype=np.int64)
-    for _, _, table, lifted in f_agents:
-        kept = lifted[table == np.arange(table.size)]
-        sets = (sets[:, None] | kept[None, :]).reshape(-1)
-    g_slices = _slices(g_agents, sets)
-    at = np.flatnonzero(_choose(g_agents, g_slices, sets) == sets)
-    at = at[np.argsort(sets[at])]  # S1 holds on both sides; ascending
-    sets, g_slices = sets[at], [local[at] for local in g_slices]
-    f_slices = _slices(f_agents, sets)
-    at = np.flatnonzero((_gains(f_agents, f_slices, sets) & _gains(g_agents, g_slices, sets)) == 0)
-    stable = sets[at]
+    walked, checked = _kept_slices(sides.F), _kept_slices(sides.G)
+    if prod(len(kept) for _, kept in checked) < prod(len(kept) for _, kept in walked):
+        walked, checked = checked, walked
+    steps = [(kept.items(), []) for _, kept in walked]
+    for block, kept in checked:  # after the last walked agent that shares a contract with it
+        steps[max(i for i, (b, _) in enumerate(walked) if b & block)][1].append((block, kept))
+    stable = []
+    _walk(steps, 0, 0, 0, stable)
+    stable.sort()
 
-    if sides.certified and not stable.size:
+    if sides.certified and not stable:
         raise InternalError("certified sides with no stable set")
-    pairs = stable[:, None] | stable[None, :]
 
-    def below(agents, slices):
-        """[i][j]: the side's choice on S_i ∪ S_j lies within S_j."""
-        pair_slices = [s[:, None] | s[None, :] for s in (local[at] for local in slices)]
-        return (_choose(agents, pair_slices, pairs) & ~stable) == 0
+    def below(cf):
+        """[i][j]: each agent's choice on its slice of S_i ∪ S_j lies within its slice of S_j."""
+        matrix = np.ones((len(stable), len(stable)), dtype=bool)
+        for block, part in _blocks(cf):
+            runs = _runs(block)
+            local = [_gather(s, runs) for s in stable]
+            if len(set(local)) > 1:  # else S_i ∪ S_j has the slice of S_j, which the agent keeps
+                table = choice_table(part)
+                matrix &= [[not table[x | y] & ~y for y in local] for x in local]
+        return matrix
 
-    g_matrix = below(g_agents, g_slices)
+    g_matrix = below(sides.G)
     if sides.certified:
-        f_matrix = below(f_agents, f_slices)
-        if (g_matrix & g_matrix.T & ~np.eye(stable.size, dtype=bool)).any():
+        f_matrix = below(sides.F)
+        if (g_matrix & g_matrix.T & ~np.eye(len(stable), dtype=bool)).any():
             raise InternalError("Blair matrix not antisymmetric")
         if (g_matrix != f_matrix.T).any():
             raise InternalError("Blair matrix transpose is not the worker matrix")
-    return StableSetCatalog(
-        sides,
-        tuple(ContractSet(n, m) for m in stable.tolist()),
-        tuple(tuple(row) for row in g_matrix.tolist()),
-    )
+    return StableSetCatalog(sides, tuple(ContractSet(n, m) for m in stable),
+                            tuple(tuple(row) for row in g_matrix.tolist()))
+
+
+def _kept_slices(cf) -> list[tuple[int, dict[int, int]]]:
+    """Each agent with contracts of a side: (block mask, {kept slice: its gains}), global bits."""
+    return [(_scatter((1 << len(block)) - 1, runs),
+             {_scatter(x, runs): _scatter(gains, runs) for x, gains in _kept(part)})
+            for block, part in _blocks(cf) if block for runs in [_runs(block)]]
+
+
+def _walk(steps, at: int, s: int, ours: int, stable: list) -> None:
+    """Extend s by each kept slice of walked agent ``at``, whose gains join ``ours``.
+
+    An agent looked up here owns no contract of a later walked agent, so a
+    branch ends at the first one that rejects its slice (S1) or gains a
+    contract that ``ours`` holds (S2).
+    """
+    if at == len(steps):
+        stable.append(s)
+        return
+    kept, checks = steps[at]
+    for x, gains in kept:
+        t, mine = s | x, ours | gains
+        for block, slices in checks:
+            theirs = slices.get(t & block)
+            if theirs is None or theirs & mine:
+                break
+        else:
+            _walk(steps, at + 1, t, mine, stable)
 
 
 def format_catalog(catalog: StableSetCatalog, labels=None) -> str:

@@ -66,3 +66,48 @@ def test_fewer_than_two_pairs_is_a_usage_error(capsys):
         bench_pairs.main([str(ROOT), str(ROOT), "--workload", "solve-cold", "--pairs", "1"])
     assert exited.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def _run(side, pair, correct=True, failed=0):
+    """A flat run record with every end-to-end metric of the benchmark."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {"side": side, "pair": pair, "correct": correct, "failed": failed,
+            **{m["name"]: 1.0 + pair for m in spec["end_to_end"]}}
+
+
+def test_faults_count_incorrect_runs_and_failed_operations_per_side():
+    clean = [_run(side, pair) for pair in (1, 2) for side in ("change", "parent")]
+    assert bench_pairs.faults(clean) == {"parent": {"incorrect_runs": 0, "failed_ops": 0},
+                                         "change": {"incorrect_runs": 0, "failed_ops": 0}}
+    broken = [_run("change", 1, failed=3), _run("parent", 1, correct=False),
+              _run("parent", 2, correct=False, failed=1), _run("change", 2, failed=2)]
+    assert bench_pairs.faults(broken) == {"parent": {"incorrect_runs": 2, "failed_ops": 1},
+                                          "change": {"incorrect_runs": 0, "failed_ops": 5}}
+
+
+def _main_on(canned, monkeypatch, capsys):
+    """main() over canned runs, keyed by (side, pair): its exit code and printed summary."""
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda tree, workload, seed, seconds, side, pair: canned[side, pair])
+    code = bench_pairs.main([str(ROOT), str(ROOT), "--workload", "desk-exact", "--pairs", "2"])
+    out = capsys.readouterr()
+    return code, json.loads(out.out), out.err
+
+
+@pytest.mark.parametrize("fault", [{"correct": False}, {"failed": 1}])
+def test_a_broken_run_is_summarised_then_exits_1(fault, monkeypatch, capsys):
+    canned = {(side, pair): _run(side, pair) for side in ("change", "parent") for pair in (1, 2)}
+    canned["parent", 2] = {**canned["parent", 2], **fault}
+    code, printed, err = _main_on(canned, monkeypatch, capsys)
+    assert code == 1 and "incorrect runs or failed operations" in err
+    assert printed["faults"]["change"] == {"incorrect_runs": 0, "failed_ops": 0}
+    assert sum(printed["faults"]["parent"].values()) == 1
+    assert printed["summary"]["ops_per_s"]["change_better_in_pairs"] == "0/2"
+    assert len(printed["runs"]) == 4
+
+
+def test_clean_runs_exit_0(monkeypatch, capsys):
+    canned = {(side, pair): _run(side, pair) for side in ("change", "parent") for pair in (1, 2)}
+    code, printed, err = _main_on(canned, monkeypatch, capsys)
+    assert code == 0 and "error" not in err
+    assert printed["faults"] == bench_pairs.faults(list(canned.values()))

@@ -7,7 +7,7 @@ import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from unittest import mock
 
@@ -232,6 +232,20 @@ def test_explicit_table_hash():
     hits = choice_table.cache_info().hits
     assert choice_table(b) is table
     assert choice_table.cache_info().hits == hits + 1
+
+
+def test_order_choice_hash_is_kept_and_follows_the_normalised_mask():
+    default, full = OrderChoice(3, (2, 0, 1), 2, -1), OrderChoice(3, (2, 0, 1), 2, 0b111)
+    assert default == full and default is not full and hash(default) == hash(full)
+    assert repr(default) == ("OrderChoice(universe_size=3, order=(2, 0, 1), quota=2, "
+                             "acceptable_mask=7)")
+    assert [f.name for f in fields(default)] == ["universe_size", "order", "quota",
+                                                 "acceptable_mask"]
+    assert default._choose_mask(0b111) == 0b101  # compiles the kernels, which copies carry
+    for copied in (pickle.loads(pickle.dumps(default)), copy.copy(default), copy.deepcopy(default),
+                   pickle.loads(pickle.dumps(full)), copy.copy(full)):
+        assert copied == full and hash(copied) == hash(full) == hash(default)
+    assert OrderChoice(3, (2, 0, 1), 2, 0b011) != full
 
 
 def test_table_cache_keeps_no_failure():

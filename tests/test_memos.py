@@ -1,10 +1,10 @@
 """Every per-value memo of an exhaustive result lives in one bounded store.
 
-``choice_table``, the Plott verdicts, the order decompositions, the Lehmann
-audits and the rebuilt tables are memos of ``choice._Memo``, which share one
-store bounded in entries and in table rows; no ``lru_cache`` is left. The
-benchmark's tracer and the ``_empty_memos`` fixture read each memo's counters
-in ``functools``' shape.
+``choice_table``, the Plott verdicts, the kept slices of enumeration, the
+order decompositions, the Lehmann audits and the rebuilt tables are memos of
+``choice._Memo``, which share one store bounded in entries and in table rows;
+no ``lru_cache`` is left. The benchmark's tracer and the ``_empty_memos``
+fixture read each memo's counters in ``functools``' shape.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from plottmatch import (
     audit_lehmann_axioms,
     choice_table,
     decompose_into_orders,
+    enumerate_stable_sets,
     is_plott,
     reconstruct_choice,
+    side_pair,
     union,
 )
 from plottmatch import choice
@@ -40,6 +42,7 @@ def _stated_mib() -> int:
 def _fill_every_memo():
     cf = ExplicitTable(3, tuple(choice_table(OrderChoice(3, (2, 0, 1), 2)).tolist()))
     assert is_plott(cf).is_plott
+    enumerate_stable_sets(side_pair(cf, cf))
     decompose_into_orders(cf)
     audit_lehmann_axioms(DerivedLehmann(cf))
     reconstruct_choice(DerivedLehmann(cf))
@@ -47,7 +50,8 @@ def _fill_every_memo():
 
 def test_every_per_value_memo_is_one_of_the_store():
     memos = module_memos()
-    assert sorted(memos) == ["_audited", "_decomposition", "_rebuilt", "_verdict", "choice_table"]
+    assert sorted(memos) == ["_audited", "_decomposition", "_kept", "_rebuilt", "_verdict",
+                            "choice_table"]
     _fill_every_memo()
     for name, memo in memos.items():
         assert type(memo) is choice._Memo, name

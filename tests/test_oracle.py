@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,38 @@ def test_one_block_unions_match_the_whole_table_scan(seed, n, k):
        st.booleans())
 def test_explicit_tables_match_the_whole_table_scan(tables, certify):
     _assert_matches_the_whole_table_scan(side_pair(*tables, certify=certify))
+
+
+@settings(max_examples=80, deadline=None)
+@given(aggregate_pairs())
+def test_the_walk_from_either_side_matches_the_whole_table_scan(sides):
+    _assert_matches_the_whole_table_scan(sides)
+    _assert_matches_the_whole_table_scan(sides.swap())
+
+
+def test_agents_without_contracts_add_no_depth_to_the_walk():
+    rng = random.Random(31)
+    firms = [f"f{i}" for i in range(1003)]
+    workers = [f"w{i}" for i in range(1004)]  # 2,000 of them hold no contract
+    lines = ["[firms] " + " ".join(firms), "[workers] " + " ".join(workers), "[contracts]"]
+    lines += [f"c{f}{w} f{f} w{w} {rng.randint(-2, 9)} {rng.randint(-2, 9)}"
+              for f in range(3) for w in range(4)]
+    lines += [f"[choice {agent}] kind=utility" for agent in firms[:3] + workers[:4]]
+    sides = aggregate_sides(parse_instance("\n".join(lines) + "\n"))
+    assert sides.universe_size == 12 and len(sides.F.blocks) + len(sides.G.blocks) == 2007
+    _assert_matches_the_whole_table_scan(sides)
+    _assert_matches_the_whole_table_scan(sides.swap())
+
+
+@pytest.mark.parametrize("quota", [1, 8, 16])
+def test_one_firm_with_sixteen_workers_matches_the_whole_table_scan(quota):
+    order = tuple(random.Random(quota).sample(range(16), 16))
+    firm = Aggregate(16, (tuple(range(16)),), (OrderChoice(16, order, quota),))
+    workers = Aggregate(16, tuple((c,) for c in range(16)),
+                        (OrderChoice.by_utility((1,)),) * 16)
+    sides = side_pair(workers, firm)
+    _assert_matches_the_whole_table_scan(sides)
+    _assert_matches_the_whole_table_scan(sides.swap())
 
 
 PINNED = {"ex1.mkt": "baa722402c2cd462", "ex2.mkt": "635662ceda52918c",
