@@ -13,6 +13,10 @@ and quartiles (``statistics.quantiles(n=4, method="inclusive")``), the
 number of pairs the change won (a tie counts for neither side), and
 ``change_worse_by``, the change's median against the parent's as a
 fraction of the parent's, positive when worse, beside the metric's bound.
+It also applies the benchmark's gain rule: ``parent_spread`` is the
+parent's (q3 - q1) / median, and ``gain_rule_met`` is true when the change
+won at least 9 in 10 of all pairs and its median moved the better way by
+more than the parent's q3 - q1.
 ``faults`` counts, per side, the runs that reported themselves incorrect
 and the operations that failed; the script exits 1, after printing, if
 either count is nonzero on either side.
@@ -38,7 +42,7 @@ def _quartiles(values):
 
 
 def summarize(runs, end_to_end):
-    """Each end-to-end metric's quartiles per side, pairs won by the change, and its loss.
+    """Each end-to-end metric's quartiles per side, pairs won by the change, its loss, the gain rule.
 
     ``runs`` are flat run records (``side``, ``pair`` and one value per
     metric), two per pair; ``end_to_end`` is BENCHMARK.json's list.
@@ -52,13 +56,16 @@ def summarize(runs, end_to_end):
         parent = [p["parent"][name] for p in by_pair.values()]
         change = [p["change"][name] for p in by_pair.values()]
         won = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
-        worse_by = sign * (statistics.median(parent) - statistics.median(change))
+        q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        worse_by = sign * (median - statistics.median(change))
         summary[name] = {
             "parent": _quartiles(parent),
             "change": _quartiles(change),
-            "change_worse_by": round(worse_by / statistics.median(parent), 4),
+            "change_worse_by": round(worse_by / median, 4),
             "bound": metric["bound"],
             "change_better_in_pairs": f"{won}/{len(parent)}",
+            "parent_spread": round((q3 - q1) / median, 4),
+            "gain_rule_met": 10 * won >= 9 * len(parent) and -worse_by > q3 - q1,
         }
     return summary
 

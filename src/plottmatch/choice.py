@@ -411,30 +411,19 @@ def _local(kernel, bit_pairs, xmask: int) -> int:
     return out
 
 
-def _runs(place) -> list[tuple[int, int, int]]:
-    """(global start, local start, length) of each run of consecutive global indices in place."""
-    runs = []
-    for j, g in enumerate(place):
-        if runs and runs[-1][0] + runs[-1][2] == g:
-            runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1)
-        else:
-            runs.append((g, j, 1))
-    return runs
-
-
-def _gather(xs, runs):
-    """The local masks of global masks xs, an int or an int64 array: a pext, run by run."""
+def _gather(xs, block):
+    """The local masks of global masks xs, an int or an int64 array: bit block[j] moves to bit j."""
     local = xs & 0
-    for g, j, k in runs:
-        local |= (xs >> g & ((1 << k) - 1)) << j
+    for j, g in enumerate(block):
+        local |= (xs >> g & 1) << j
     return local
 
 
-def _scatter(local, runs):
-    """The global masks of local masks, an int or an int64 array: a pdep, run by run."""
+def _scatter(local, block):
+    """The global masks of local masks, an int or an int64 array: bit j moves to bit block[j]."""
     out = local & 0
-    for g, j, k in runs:
-        out |= (local >> j & ((1 << k) - 1)) << g
+    for j, g in enumerate(block):
+        out |= (local >> j & 1) << g
     return out
 
 
@@ -472,7 +461,8 @@ class Aggregate(ChoiceFunction):
     the blocks where the new set differs from the old, so an evaluation, a
     re-evaluation from the empty set, visits only the blocks that X touches.
     ``_gains`` makes one kernel call per nonempty block; a block inside X
-    gains none. A whole table is gathered agent by agent (``_table``).
+    gains none. A whole table (``_table``) reads each part's own table, its
+    rows gathered and its choices scattered through the block.
 
     A row cache keeps up to 256 answers by set mask in each of two
     stores, choices (``_choose_mask``, and ``_rechoose``, whose hint is
@@ -551,8 +541,8 @@ class Aggregate(ChoiceFunction):
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
         table = np.zeros_like(masks)
-        for runs, part in zip(map(_runs, self.blocks), self.parts):
-            table |= _scatter(choice_table(part)[_gather(masks, runs)], runs)
+        for block, part in zip(self.blocks, self.parts):
+            table |= _scatter(choice_table(part)[_gather(masks, block)], block)
         return table
 
 
@@ -736,12 +726,6 @@ def _verdict(cf: ChoiceFunction):
     return _violation_scan(choice_table(cf), cf.universe_size) or ()
 
 
-def _lifted(hit, block):
-    """A part's witness in global indices: masks scattered through its block, the element mapped."""
-    runs = _runs(block)
-    return (hit[0], _scatter(hit[1], runs), _scatter(hit[2], runs), *map(block.__getitem__, hit[3:]))
-
-
 def _plott_witness(cf: ChoiceFunction):
     """The least Plott violation of cf.
 
@@ -752,9 +736,10 @@ def _plott_witness(cf: ChoiceFunction):
     independent functions (Aizerman–Malishevski). An aggregate acts on each
     block alone, G(X) = ∪ G_i(X ∩ block_i), so it is path independent
     exactly when every part is; its blocks ascend, so each part's least
-    violation, lifted with the other blocks empty, is the least violation
-    of the whole with a contract there. Everything else is scanned over its
-    own table, which must fit under EXHAUSTIVE_CAP; its verdict, clean or
+    violation, scattered through its block with the other blocks empty (its
+    element mapped to the block's contract), is the least violation of the
+    whole with a contract there. Everything else is scanned over its own
+    table, which must fit under EXHAUSTIVE_CAP; its verdict, clean or
     failing, is kept by value (see _verdict).
     """
     if type(cf) is OrderChoice:
@@ -762,7 +747,8 @@ def _plott_witness(cf: ChoiceFunction):
     if type(cf) is Aggregate:
         hits = ((block, _plott_witness(part)) for block, part in zip(cf.blocks, cf.parts)
                 if type(part) is not OrderChoice)
-        return min((_lifted(hit, block) for block, hit in hits if hit), default=None)
+        return min(((kind, _scatter(x, block), _scatter(y, block), *map(block.__getitem__, rest))
+                    for block, hit in hits if hit for kind, x, y, *rest in [hit]), default=None)
     if type(cf) is UnionChoice and all(_plott_witness(part) is None for part in cf.parts):
         return None
     _fit("exhaustive check", cf.universe_size)
@@ -790,7 +776,7 @@ def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
     for block, p, q in pairs:
         bad = (choice_table(p) & ~choice_table(q)).nonzero()[0]
         if bad.size:
-            x = _scatter(int(bad[0]), _runs(block))  # nonzero ascends
+            x = _scatter(int(bad[0]), block)  # nonzero ascends
             least = x if least is None else min(least, x)
     return least
 

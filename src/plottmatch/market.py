@@ -199,7 +199,7 @@ def parse_instance(text: str) -> MarketInstance:
     raw_specs: dict[str, tuple[dict[str, str], int, list]] = {}
     section = body = None
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):  # drop a byte-order mark
         if "#" in raw:
             raw = raw[:raw.index("#")]
         line = raw.strip()

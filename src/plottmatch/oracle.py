@@ -28,7 +28,6 @@ from .choice import (
     _fit,
     _gather,
     _kept,
-    _runs,
     _scatter,
     choice_table,
     closure_star,
@@ -124,8 +123,7 @@ def enumerate_stable_sets(sides: SidePair) -> StableSetCatalog:
         """[i][j]: each agent's choice on its slice of S_i ∪ S_j lies within its slice of S_j."""
         matrix = np.ones((len(stable), len(stable)), dtype=bool)
         for block, part in _blocks(cf):
-            runs = _runs(block)
-            local = [_gather(s, runs) for s in stable]
+            local = [_gather(s, block) for s in stable]
             if len(set(local)) > 1:  # else S_i ∪ S_j has the slice of S_j, which the agent keeps
                 table = choice_table(part)
                 matrix &= [[not table[x | y] & ~y for y in local] for x in local]
@@ -144,9 +142,9 @@ def enumerate_stable_sets(sides: SidePair) -> StableSetCatalog:
 
 def _kept_slices(cf) -> list[tuple[int, dict[int, int]]]:
     """Each agent with contracts of a side: (block mask, {kept slice: its gains}), global bits."""
-    return [(_scatter((1 << len(block)) - 1, runs),
-             {_scatter(x, runs): _scatter(gains, runs) for x, gains in _kept(part)})
-            for block, part in _blocks(cf) if block for runs in [_runs(block)]]
+    return [(_scatter((1 << len(block)) - 1, block),
+             {_scatter(x, block): _scatter(gains, block) for x, gains in _kept(part)})
+            for block, part in _blocks(cf) if block]
 
 
 def _walk(steps, at: int, s: int, ours: int, stable: list) -> None:
@@ -202,7 +200,8 @@ def verify_lattice(catalog: StableSetCatalog, sides: SidePair,
     """Check that every pair has a lub and glb and the engine returns them.
 
     Mismatches and missing bounds are reported as failures with witnesses
-    rather than raised, so a report is always produced. Join and meet are
+    rather than raised. Both sides must be certified: on an uncertified pair
+    the engine's first join raises NotCertified. Join and meet are
     symmetric in their two sets, so the matrix bound is found and the engine
     asked once per unordered pair, k(k+1)/2 of the k² ordered pairs counted
     in ``pairs_checked``; that the engine ignores the order of its arguments
@@ -241,8 +240,8 @@ def verify_lattice(catalog: StableSetCatalog, sides: SidePair,
 def generate_instance(seed: int, universe_size: int, side_spec) -> SidePair:
     """Deterministically generate a certified two-sided market.
 
-    Each side is a union of k random total orders (Fisher-Yates under one
-    seeded generator) with independent random acceptable sets; k comes
+    Each side is a union of k random total orders (``random.shuffle`` under
+    one seeded generator) with independent random acceptable sets; k comes
     from side_spec as (k_workers, k_firms), or one int for both. Unions of
     order maximizers are path-independent by construction
     (Aizerman–Malishevski), which the exact check of side_pair recognises
@@ -258,9 +257,7 @@ def generate_instance(seed: int, universe_size: int, side_spec) -> SidePair:
         parts = []
         for _ in range(max(1, k)):
             order = list(range(n))
-            for i in range(n - 1, 0, -1):
-                j = rng.randrange(i + 1)
-                order[i], order[j] = order[j], order[i]
+            rng.shuffle(order)
             acceptable = rng.getrandbits(n) if n else 0
             parts.append(OrderChoice(n, tuple(order), 1, acceptable))
         return UnionChoice(n, tuple(parts))

@@ -111,3 +111,35 @@ def test_clean_runs_exit_0(monkeypatch, capsys):
     code, printed, err = _main_on(canned, monkeypatch, capsys)
     assert code == 0 and "error" not in err
     assert printed["faults"] == bench_pairs.faults(list(canned.values()))
+
+
+def _gain_summary(parent_ops, change_ops):
+    """summarize over ten pairs whose op_p50_s is 1 / ops_per_s, so both metrics move together."""
+    return bench_pairs.summarize(_runs([(a, 1 / a) for a in parent_ops],
+                                       [(b, 1 / b) for b in change_ops]), METRICS)
+
+
+PARENT_OPS = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # q1 102.25, q3 106.75
+
+
+def test_nine_wins_beyond_the_parents_spread_meet_the_gain_rule():
+    summary = _gain_summary(PARENT_OPS, [a + 10 for a in PARENT_OPS[:9]] + [108])
+    ops = summary["ops_per_s"]
+    assert ops["change_better_in_pairs"] == "9/10"
+    assert ops["parent_spread"] == round(4.5 / 104.5, 4)
+    assert ops["gain_rule_met"] and summary["op_p50_s"]["gain_rule_met"]
+
+
+def test_eight_wins_miss_the_gain_rule_however_far_the_median_moves():
+    summary = _gain_summary(PARENT_OPS, [a + 50 for a in PARENT_OPS[:8]] + [107, 108])
+    assert summary["ops_per_s"]["change_better_in_pairs"] == "8/10"
+    assert not any(s["gain_rule_met"] for s in summary.values())
+
+
+def test_nine_wins_inside_the_parents_spread_miss_the_gain_rule():
+    parent = [100 + 20 * i for i in range(10)]  # q1 145, q3 235
+    summary = _gain_summary(parent, [a + 5 for a in parent[:9]] + [279])
+    ops = summary["ops_per_s"]
+    assert ops["change_better_in_pairs"] == "9/10" and ops["parent_spread"] == round(90 / 190, 4)
+    assert not any(s["gain_rule_met"] for s in summary.values())
+

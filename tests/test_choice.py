@@ -39,7 +39,7 @@ from plottmatch import (
     union,
 )
 from plottmatch import choice, hyperorders
-from plottmatch.choice import _gather, _runs, _scatter
+from plottmatch.choice import _gather, _scatter
 from plottmatch.hyperorders import DerivedLehmann, reconstruct_choice
 from plottmatch.oracle import generate_instance
 
@@ -569,18 +569,18 @@ def places(draw, top):
 @pytest.mark.parametrize("top", (200, 62))
 def test_scatter_and_gather_are_the_one_lift(top, data):
     place = data.draw(places(top))
-    runs, k = _runs(place), len(place)
+    k = len(place)
     masks = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=8))
     wide = data.draw(st.lists(st.integers(0, (1 << top + 1) - 1), min_size=1, max_size=8))
     for m in masks:
-        assert _scatter(m, runs) == sum(1 << place[j] for j in range(k) if m >> j & 1)
-        assert _gather(_scatter(m, runs), runs) == m
+        assert _scatter(m, place) == sum(1 << place[j] for j in range(k) if m >> j & 1)
+        assert _gather(_scatter(m, place), place) == m
     for g in wide:  # bits outside place are dropped
-        assert _gather(g, runs) == sum(1 << j for j in range(k) if g >> place[j] & 1)
+        assert _gather(g, place) == sum(1 << j for j in range(k) if g >> place[j] & 1)
     if top <= 62:  # the int64 array form agrees with the int form on every element
         local, glob = (np.array(xs, dtype=np.int64) for xs in (masks, wide))
-        assert _scatter(local, runs).tolist() == [_scatter(m, runs) for m in masks]
-        assert _gather(glob, runs).tolist() == [_gather(g, runs) for g in wide]
+        assert _scatter(local, place).tolist() == [_scatter(m, place) for m in masks]
+        assert _gather(glob, place).tolist() == [_gather(g, place) for g in wide]
 
 
 def _reference_heredity_scan(table, n):
@@ -638,12 +638,12 @@ def _reference_report(agg: Aggregate) -> PlottReport:
         hit = _reference_heredity_scan(table, k)
         if hit is not None:
             b, a, element = hit
-            hits.append((0, _scatter(b, _runs(block)), _scatter(a, _runs(block)), block[element]))
+            hits.append((0, _scatter(b, block), _scatter(a, block), block[element]))
             continue
         hit = _reference_outcast_scan(table, k)
         if hit is not None:
             x, y = hit
-            hits.append((1, _scatter(x, _runs(block)), _scatter(y, _runs(block))))
+            hits.append((1, _scatter(x, block), _scatter(y, block)))
     if not hits:
         return PlottReport(True)
     n, hit = agg.universe_size, min(hits)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from plottmatch import OrderChoice, choice_table, hyperorders
+from plottmatch import OrderChoice, choice_table, hyperorders, parse_instance
 from plottmatch.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -193,6 +193,14 @@ def test_enumerate_ex1(capsys):
 
 def test_enumerate_without_stable_sets(capsys):
     assert run(capsys, "enumerate", EX2) == (0, "no stable sets\n", "")
+
+
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path):
+    text = Path(EX1).read_text(encoding="utf-8")
+    marked = tmp_path / "ex1.mkt"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_instance(marked.read_text(encoding="utf-8")) == parse_instance(text)
+    assert run(capsys, "enumerate", str(marked)) == (0, "{a}\n{b}\n{c}\n", "")
 
 
 def test_enumerate_catalog(capsys):

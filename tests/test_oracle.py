@@ -30,7 +30,7 @@ from plottmatch import (
     verify_lattice,
 )
 from plottmatch.choice import choice_table
-from plottmatch.errors import NotSemiStable
+from plottmatch.errors import NotCertified, NotSemiStable
 from plottmatch.oracle import StableSetCatalog
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -285,6 +285,15 @@ def test_verify_lattice_refuses_the_sides_of_another_market():
     assert again is not catalog.sides and again == catalog.sides
     report = verify_lattice(catalog, again)
     assert report.passed and report.sets == len(catalog.stable_sets)
+
+
+def test_verify_lattice_needs_certified_sides():
+    sides = aggregate_sides(parse_instance((FIXTURES / "ex1.mkt").read_text()), certify=False)
+    catalog = enumerate_stable_sets(sides)
+    assert not sides.certified and catalog.stable_sets
+    message = "^operation requires both sides certified path-independent$"
+    with pytest.raises(NotCertified, match=message):
+        verify_lattice(catalog, sides)
 
 
 def test_join_and_meet_do_not_depend_on_the_order_of_their_sets():
