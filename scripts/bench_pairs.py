@@ -16,7 +16,11 @@ fraction of the parent's, positive when worse, beside the metric's bound.
 It also applies the benchmark's gain rule: ``parent_spread`` is the
 parent's (q3 - q1) / median, and ``gain_rule_met`` is true when the change
 won at least 9 in 10 of all pairs and its median moved the better way by
-more than the parent's q3 - q1.
+more than the parent's q3 - q1. ``regression`` is the no-regression verdict,
+decided in this order: ``"unresolved"`` when ``parent_spread`` exceeds the
+bound, so that the parent's own runs cannot tell a shift of the bound,
+unless every change run is strictly better than every parent run;
+``"worse"`` when ``change_worse_by`` exceeds the bound; ``"none"`` otherwise.
 ``faults`` counts, per side, the runs that reported themselves incorrect
 and the operations that failed; the script exits 1, after printing, if
 either count is nonzero on either side.
@@ -42,7 +46,7 @@ def _quartiles(values):
 
 
 def summarize(runs, end_to_end):
-    """Each end-to-end metric's quartiles per side, pairs won by the change, its loss, the gain rule.
+    """Each end-to-end metric's quartiles per side, pairs won, its loss, the gain and regression rules.
 
     ``runs`` are flat run records (``side``, ``pair`` and one value per
     metric), two per pair; ``end_to_end`` is BENCHMARK.json's list.
@@ -58,14 +62,19 @@ def summarize(runs, end_to_end):
         won = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
         q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
         worse_by = sign * (median - statistics.median(change))
+        worse, spread = round(worse_by / median, 4), round((q3 - q1) / median, 4)
+        bound = metric["bound"]
+        apart = min(sign * b for b in change) > max(sign * a for a in parent)
         summary[name] = {
             "parent": _quartiles(parent),
             "change": _quartiles(change),
-            "change_worse_by": round(worse_by / median, 4),
-            "bound": metric["bound"],
+            "change_worse_by": worse,
+            "bound": bound,
             "change_better_in_pairs": f"{won}/{len(parent)}",
-            "parent_spread": round((q3 - q1) / median, 4),
+            "parent_spread": spread,
             "gain_rule_met": 10 * won >= 9 * len(parent) and -worse_by > q3 - q1,
+            "regression": ("unresolved" if spread > bound and not apart
+                           else "worse" if worse > bound else "none"),
         }
     return summary
 

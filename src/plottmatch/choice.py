@@ -174,10 +174,10 @@ class ChoiceFunction:
     """Base class: a total selection map over subsets of one universe.
 
     Subclasses implement ``_choose_mask``; they are immutable and hashable,
-    so full tables are memoized by value, and an aggregate keeps the rows
-    it computes in a bounded cache. ``_gains`` tells for every c outside X whether
-    c is chosen from X ∪ {c}: one chooser call per c by default, one kernel
-    call per aggregate block.
+    so full tables are memoized by value, and an aggregate keeps the choice
+    rows it computes in a bounded cache. ``_gains`` tells for every c
+    outside X whether c is chosen from X ∪ {c}: one chooser call per c by
+    default, one kernel call per aggregate block.
     """
 
     universe_size: int
@@ -464,11 +464,11 @@ class Aggregate(ChoiceFunction):
     gains none. A whole table (``_table``) reads each part's own table, its
     rows gathered and its choices scattered through the block.
 
-    A row cache keeps up to 256 answers by set mask in each of two
-    stores, choices (``_choose_mask``, and ``_rechoose``, whose hint is
-    trusted) and gains, and empties a full store before adding a row. A row
-    is two ints of at most |C| bits: at most 2.7 MiB per aggregate at |C| =
-    20,001 and 13.1 MiB at 100,002. Store steps are single dict calls, so
+    A row cache keeps up to 256 choices by set mask (``_choose_mask``, and
+    ``_rechoose``, whose hint is trusted) in one store, emptied when full
+    before a row is added: 1.3 MiB of full-width rows at |C| = 20,001
+    (traced). Gains are not kept; the pair that asks for them keeps what it
+    builds from them (see SidePair). Store steps are single dict calls, so
     threads may compute a row twice or lose a count, never read a wrong row.
     """
 
@@ -504,11 +504,10 @@ class Aggregate(ChoiceFunction):
         object.__setattr__(self, "_owner", tuple(owner))
         object.__setattr__(self, "_gain_kernels", tuple(gain_kernels))
         object.__setattr__(self, "_chosen", _Rows())
-        object.__setattr__(self, "_gained", _Rows())
 
     def cache_info(self) -> CacheInfo:
-        """The row cache's hits, misses, bound and entries, both stores summed."""
-        return _cache_info(self._chosen, self._gained)
+        """The row cache's hits, misses, bound and entries."""
+        return _cache_info(self._chosen)
 
     def __reduce__(self):
         """A copy or a pickle carries the three fields, not the kernels or the row stores."""
@@ -518,14 +517,10 @@ class Aggregate(ChoiceFunction):
         return self._rechoose(0, 0, xmask)
 
     def _gains(self, xmask: int) -> int:
-        gains = self._gained.get(xmask)
-        if gains is not None:
-            self._gained.hits += 1
-            return gains
         gains = 0
         for gain in self._gain_kernels:  # each reads only its own block's bits of xmask
             gains |= gain(xmask)
-        return self._gained.add(xmask, gains)
+        return gains
 
     def _rechoose(self, old: int, chosen: int, new: int) -> int:
         row = self._chosen.get(new)

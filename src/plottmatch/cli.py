@@ -47,7 +47,7 @@ def _targets(m: MarketInstance, args, *, default_both: bool):
     """Resolve --agent/--side into (name, cf, labels) triples."""
     if args.agent is not None:
         labels = tuple(m.labels[g] for g in m.block_of(args.agent))
-        return [(f"agent {args.agent}", m.spec_of(args.agent).cf, labels)]
+        return [(f"agent {args.agent}", m.choice_of(args.agent), labels)]
     sides = aggregate_sides(m, certify=False)
     names = (args.side,) if args.side else ("F", "G") if default_both else ("G",)
     return [(f"side {s}", sides.F if s == "F" else sides.G, m.labels) for s in names]

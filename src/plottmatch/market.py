@@ -105,6 +105,10 @@ class MarketInstance:
             raise UnknownAgent(f"no agent named {agent!r}")
         return self._blocks[agent]
 
+    def choice_of(self, agent: str) -> ChoiceFunction:
+        """The agent's function: its spec's, or the empty one for an agent without contracts."""
+        return self.spec_of(agent).cf if self.block_of(agent) else ExplicitTable(0, (0,))
+
     def spec_of(self, agent: str) -> ChoiceSpec:
         spec = self._specs.get(agent)
         if spec is None:
@@ -332,16 +336,14 @@ def parse_instance(text: str) -> MarketInstance:
 def aggregate_sides(m: MarketInstance, *, certify: bool = True) -> SidePair:
     """Build the two aggregate sides: G from the firms, F from the workers.
 
-    Blocks follow agent declaration order, each read by block_of. An agent
-    with contracts takes its spec's function (UnknownAgent without one),
-    an agent without contracts the empty one. Certification is exact at any
-    size: a side is path independent exactly when every agent's function
-    is, and only explicit tables are scanned (see is_plott).
+    Blocks follow agent declaration order, each read by block_of, and each
+    agent's part by choice_of (UnknownAgent for an agent with contracts but
+    no spec). Certification is exact at any size: a side is path
+    independent exactly when every agent's function is, and only explicit
+    tables are scanned (see is_plott).
     """
     def one_side(agents):
-        blocks = tuple(map(m.block_of, agents))
-        parts = tuple(m.spec_of(a).cf if block else ExplicitTable(0, (0,))
-                      for a, block in zip(agents, blocks))
-        return Aggregate(m.universe_size, blocks, parts)
+        return Aggregate(m.universe_size, tuple(map(m.block_of, agents)),
+                         tuple(map(m.choice_of, agents)))
 
     return side_pair(one_side(m.workers), one_side(m.firms), certify=certify)

@@ -26,7 +26,6 @@ from .choice import (
     _cache_info,
     _dominates,
     _Rows,
-    closure_star,
     format_set,
     is_plott,
 )
@@ -53,17 +52,19 @@ class SidePair:
 
     A pair answers a query once, for either side proposing: stability and
     both closures do not depend on which side is called F, and σ's keys
-    carry the proposer. Two stores, made on first use and not fields
+    carry the proposer. Two stores, made with the pair and not fields
     (equality, hash and repr are the four fields'), keep σ's stable set
     mask by the key (y, z, flip), flip when G proposes (``_fixpoints``;
-    run_to_fixpoint does not read it), and the mask pair (closure_star(G,S),
-    closure_star(F,S)) by the mask of each S that has passed is_stable_set
-    (``_pairs``). Each holds up to 256 answers, is emptied when full and
-    counts hits and misses (``cache_info``). A key and its answer are three
-    masks of |C| bits, so a full store holds 1.8 MiB at |C| = 20,001 (2.0
-    MiB traced). Checks run before a store is read, and no failure is kept.
-    Store steps are single dict calls: threads may compute an answer twice
-    or lose a count, never read a wrong one.
+    run_to_fixpoint does not read it), and the mask pair (C − G's gains,
+    C − F's gains) that is_stable_set's S2 scan built, by the mask of each
+    S that passed (``_pairs``). Only on a certified pair are those
+    (closure_star(G,S), closure_star(F,S)), so its other readers check
+    certification first. Each holds up to 256 answers, is emptied when full
+    and counts hits and misses (``cache_info``). A key and its answer are
+    three masks of |C| bits, so a full store holds 1.8 MiB at |C| = 20,001
+    (2.0 MiB traced). Checks run before a store is read, and no failure is
+    kept. Store steps are single dict calls: threads may compute an answer
+    twice or lose a count, never read a wrong one.
     """
 
     F: ChoiceFunction
@@ -77,20 +78,12 @@ class SidePair:
         f, g = self.f_report, self.g_report
         object.__setattr__(self, "universe_size", self.F.universe_size)
         object.__setattr__(self, "certified", bool(f and g and f.is_plott and g.is_plott))
+        object.__setattr__(self, "_fixpoints", _Rows())  # σ's stable set by (y, z, flip)
+        object.__setattr__(self, "_pairs", _Rows())  # the mask pair of each stable set
 
     def swap(self) -> "SidePair":
         """The same market with the roles of the two sides exchanged, with empty stores."""
         return SidePair(self.G, self.F, self.g_report, self.f_report)
-
-    @cached_property
-    def _fixpoints(self) -> _Rows:
-        """σ's stable set by start and proposer, keyed (y, z, flip); flip means G proposes."""
-        return _Rows()
-
-    @cached_property
-    def _pairs(self) -> _Rows:
-        """(closure_star(G,S), closure_star(F,S)) as a mask pair, by stable set S."""
-        return _Rows()
 
     def cache_info(self) -> CacheInfo:
         """The stores' hits, misses, bound and entries, both summed."""
@@ -181,25 +174,40 @@ class StabilityCheck:
         return self.stable
 
 
-def is_stable_set(sides: SidePair, S: ContractSet) -> StabilityCheck:
-    """Check S1 (both sides keep S) and S2 (no outside contract blocks).
+def _scan(sides: SidePair, S: ContractSet):
+    """S's mask pair (C − G's gains, C − F's gains), kept by S, if S is stable; else its failure.
 
-    S1 is checked for F before G. S2 is its definition, the contracts c
-    outside S that both sides choose from S ∪ {c}: one ``_gains`` call per
-    side, one kernel call per block of an aggregate. The lowest is the
-    witness; the check is exact whether or not the sides are path independent.
+    S2 is its definition, the contracts c outside S that both sides choose
+    from S ∪ {c}: one ``_gains`` call per side. A kept set is one lookup,
+    neither side evaluated; the pair returned is the one added, never read back.
     """
     if S.universe_size != sides.universe_size:
         raise UniverseMismatch("set outside the market universe")
-    F, G, s = sides.F, sides.G, S.mask
-    if F._choose_mask(s) != s:
+    store, s = sides._pairs, S.mask
+    pair = store.get(s)
+    if pair is not None:
+        store.hits += 1
+        return pair
+    if sides.F._choose_mask(s) != s:
         return StabilityCheck(False, "S1", side="F")
-    if G._choose_mask(s) != s:
+    if sides.G._choose_mask(s) != s:
         return StabilityCheck(False, "S1", side="G")
-    blocking = F._gains(s) & G._gains(s)
-    if blocking:
+    f, g = sides.F._gains(s), sides.G._gains(s)
+    if blocking := f & g:
         return StabilityCheck(False, "S2", contract=(blocking & -blocking).bit_length() - 1)
-    return StabilityCheck(True)
+    full = (1 << sides.universe_size) - 1
+    return store.add(s, (full ^ g, full ^ f))
+
+
+def is_stable_set(sides: SidePair, S: ContractSet) -> StabilityCheck:
+    """Check S1 (both sides keep S) and S2 (no outside contract blocks).
+
+    S1 is checked for F before G; the lowest blocking contract is the S2
+    witness. Exact whether or not the sides are path independent. A set
+    that passes keeps the stable pair its scan built (see SidePair).
+    """
+    found = _scan(sides, S)
+    return StabilityCheck(True) if type(found) is tuple else found
 
 
 def _ssp_check(n: int, y: int, z: int, gy: int, fz: int):
@@ -323,23 +331,14 @@ def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
 def _closures(sides: SidePair, S: ContractSet) -> tuple[int, int]:
     """The masks of (closure_star(G,S), closure_star(F,S)) of a stable set S, kept by S.
 
-    Raises NotStable naming the condition is_stable_set finds failing. Its
-    S2 scan asks each side for the gains that its closure is built from, so
-    an aggregate side answers the closure from its row cache. Only a set
-    that has passed is kept, so a stored mask of this universe is stable.
+    Read off is_stable_set's scan: by Outcast each closure is C minus that
+    side's gains, which S2 computes. Raises NotStable naming the condition
+    that fails. Only a certified pair's masks are closures (see SidePair).
     """
-    if S.universe_size != sides.universe_size:
-        raise UniverseMismatch("set outside the market universe")
-    store = sides._pairs
-    pair = store.get(S.mask)
-    if pair is None:
-        check = is_stable_set(sides, S)
-        if not check:
-            raise NotStable(f"set fails {check.condition}")
-        pair = store.add(S.mask, (closure_star(sides.G, S).mask, closure_star(sides.F, S).mask))
-    else:
-        store.hits += 1
-    return pair
+    found = _scan(sides, S)
+    if type(found) is not tuple:
+        raise NotStable(f"set fails {found.condition}")
+    return found
 
 
 def set_to_pair(sides: SidePair, S: ContractSet) -> StablePair:

@@ -143,3 +143,24 @@ def test_nine_wins_inside_the_parents_spread_miss_the_gain_rule():
     assert ops["change_better_in_pairs"] == "9/10" and ops["parent_spread"] == round(90 / 190, 4)
     assert not any(s["gain_rule_met"] for s in summary.values())
 
+
+
+def test_a_parent_spread_past_the_bound_leaves_the_regression_unresolved():
+    parent = [100 + 20 * i for i in range(10)]  # spread 90 / 190, past the bound of 0.25
+    for change in (parent, [a - 1 for a in parent], [a + 100 for a in parent]):
+        assert _gain_summary(parent, change)["ops_per_s"]["regression"] == "unresolved"
+    clear = _gain_summary(parent, [281 + i for i in range(10)])  # every run beats every parent run
+    assert {s["regression"] for s in clear.values()} == {"none"}
+
+
+def test_a_loss_past_the_bound_is_a_regression():
+    summary = _gain_summary(PARENT_OPS, [a * 0.7 for a in PARENT_OPS])
+    assert summary["ops_per_s"]["change_worse_by"] == pytest.approx(0.3)
+    assert {s["regression"] for s in summary.values()} == {"worse"}
+
+
+def test_a_loss_inside_the_bound_is_no_regression():
+    summary = _gain_summary(PARENT_OPS, [a * 0.9 for a in PARENT_OPS])
+    assert summary["ops_per_s"]["change_worse_by"] == pytest.approx(0.1)
+    assert {s["regression"] for s in summary.values()} == {"none"}
+    assert _gain_summary(PARENT_OPS, PARENT_OPS)["ops_per_s"]["regression"] == "none"

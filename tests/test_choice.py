@@ -796,7 +796,7 @@ def test_cached_rows_equal_uncached_evaluation_past_the_bound(agg, rng):
             assert agg._gains(x) == _reference_gains(agg, x)
             old, chosen = new, expected
         info = agg.cache_info()
-    assert info.hits > 0 and info.currsize <= info.maxsize == 6
+    assert info.hits > 0 and info.currsize <= info.maxsize == 3
 
 
 def _ten_contracts() -> Aggregate:
@@ -807,22 +807,22 @@ def _ten_contracts() -> Aggregate:
 
 def test_row_cache_counts_in_the_functools_shape():
     agg = _ten_contracts()
-    maxsize = 2 * choice._Rows.maxsize
+    maxsize = choice._Rows.maxsize
     assert type(agg.cache_info())._fields == type(choice_table.cache_info())._fields
     assert agg.cache_info() == (0, 0, maxsize, 0)
     assert agg._choose_mask(0b1011) == agg._choose_mask(0b1011) == _reference_choice(agg, 0b1011)
-    assert agg._gains(0b1011) == _reference_gains(agg, 0b1011)
-    assert agg.cache_info() == (1, 2, maxsize, 2)
-    for x in range(1 << 10):  # four times the bound of each store; 0b1011 hits
+    assert agg._gains(0b1011) == _reference_gains(agg, 0b1011)  # gains are not kept
+    assert agg.cache_info() == (1, 1, maxsize, 1)
+    for x in range(1 << 10):  # four times the bound of the store; 0b1011 hits
         assert agg._choose_mask(x) == _reference_choice(agg, x)
         assert agg._gains(x) == _reference_gains(agg, x)
-    assert agg.cache_info() == (3, 2 * 1024, maxsize, maxsize)
+    assert agg.cache_info() == (2, 1024, maxsize, maxsize)
     for x in range(1024 - choice._Rows.maxsize, 1024):  # the latest rows stay
         agg._rechoose(0, 0, x)
         agg._gains(x)
-    assert agg.cache_info().hits == 3 + maxsize
+    assert agg.cache_info().hits == 2 + maxsize
     agg._choose_mask(0b1011)  # dropped when its store was emptied
-    assert agg.cache_info().misses == 2 * 1024 + 1
+    assert agg.cache_info().misses == 1024 + 1
 
 
 def test_threads_sharing_an_aggregate_read_only_its_rows():
@@ -844,7 +844,7 @@ def test_threads_sharing_an_aggregate_read_only_its_rows():
             list(pool.map(ask, range(4)))  # emptying a store on nearly every miss
     finally:
         sys.setswitchinterval(interval)
-    assert agg.cache_info().currsize <= 4
+    assert agg.cache_info().currsize <= 2
 
 
 def test_a_copied_aggregate_carries_its_fields_not_its_kernels_or_rows(market_text):
@@ -853,7 +853,7 @@ def test_a_copied_aggregate_carries_its_fields_not_its_kernels_or_rows(market_te
     assert n == 2700
     masks = [0, 0b1011, (1 << n) - 1, random.Random(n).getrandbits(n)]
     answers = [(side._choose_mask(x), side._gains(x)) for x in masks]
-    assert side.cache_info().currsize == 2 * len(masks)
+    assert side.cache_info().currsize == len(masks)
     fields = (side.universe_size, side.blocks, side.parts)
     assert len(pickle.dumps(side)) <= 2 * len(pickle.dumps(fields))
     for copied in (pickle.loads(pickle.dumps(side)), copy.copy(side), copy.deepcopy(side)):

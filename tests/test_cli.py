@@ -53,6 +53,19 @@ def test_check_one_agent(capsys):
     assert out == f"PLOTT (exhaustive)\n{AUDIT_OK}\n"
 
 
+def test_an_agent_without_contracts_is_the_empty_function(capsys, tmp_path):
+    path = tmp_path / "idle.mkt"
+    path.write_text("[firms] f1 f2\n[workers] w1 w2\n[contracts]\na f1 w1\nb f1 w2\n"
+                    "[choice f1] kind=quota q=2\na b\n"
+                    "[choice w1] kind=order\na\n[choice w2] kind=order\nb\n")
+    assert run(capsys, "check", str(path), "--agent", "f2") == (
+        0, f"PLOTT (exhaustive)\n{AUDIT_OK}\n", "")
+    assert run(capsys, "decompose", str(path), "--agent", "f2") == (
+        0, "union verified on 1/1 subsets\n", "")
+    assert run(capsys, "lehmann", str(path), "--agent", "f2", "--roundtrip") == (
+        0, f"{AUDIT_OK}\nround-trip OK (1/1 subsets)\n", "")
+
+
 def test_check_outcast_witness_wording(capsys, tmp_path):
     doc = ("[firms] f1\n[workers] w1\n[contracts]\na f1 w1\nb f1 w1\n"
            "[choice f1] kind=explicit\n"

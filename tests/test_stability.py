@@ -668,11 +668,12 @@ def test_a_swapped_pair_reads_the_rows_of_its_sides(market_text):
         assert is_stable_set(sides, S) and set_to_pair(sides, S)
         before = sides.F.cache_info(), sides.G.cache_info()
         assert is_stable_set(swapped, S)
+        pairs = choice._cache_info(swapped._pairs)
         pair = set_to_pair(swapped, S)
         assert (pair.Y, pair.Z) == (closure_star(sides.F, S), closure_star(sides.G, S))
         after = swapped.G.cache_info(), swapped.F.cache_info()
         assert [a.misses for a in after] == [b.misses for b in before]
-        assert all(a.hits > b.hits for a, b in zip(after, before))
+        assert choice._cache_info(swapped._pairs) == pairs._replace(hits=pairs.hits + 1)
 
 def _iterate_phi_step(sides, p):
     steps = [p]
@@ -836,20 +837,35 @@ def test_forged_certification_trips_the_same_checks_as_full_steps():
 
 
 def test_set_to_pair_fails_exactly_where_is_stable_set_does(market_text):
-    for sides in _small_markets(market_text):
-        n = sides.universe_size
-        for m in range(1 << n):
-            S = ContractSet(n, m)
-            check = is_stable_set(sides, S)
-            if check:
-                assert set_to_pair(sides, S) == StablePair(
-                    closure_star(sides.G, S), closure_star(sides.F, S), S)
-                assert is_stable_set_via_closure(sides, S)
-                continue
-            with pytest.raises(NotStable, match=f"^set fails {check.condition}$"):
-                set_to_pair(sides, S)
-            if check.condition == "S2":
-                assert not is_stable_set_via_closure(sides, S)
+    for market in _small_markets(market_text):
+        for sides in (market, market.swap()):  # the stored pair, read from either side
+            n = sides.universe_size
+            for m in range(1 << n):
+                S = ContractSet(n, m)
+                check = is_stable_set(sides, S)
+                if check:
+                    assert set_to_pair(sides, S) == StablePair(
+                        closure_star(sides.G, S), closure_star(sides.F, S), S)
+                    assert is_stable_set_via_closure(sides, S)
+                    continue
+                with pytest.raises(NotStable, match=f"^set fails {check.condition}$"):
+                    set_to_pair(sides, S)
+                if check.condition == "S2":
+                    assert not is_stable_set_via_closure(sides, S)
+
+
+def test_a_stored_set_is_answered_without_evaluating_either_side():
+    sides = _polarized((3, 2, 2))
+    for S in (side_optimal(sides, "F"), side_optimal(sides, "G")):
+        assert set_to_pair(sides, S)
+        rows, pairs = (sides.F.cache_info(), sides.G.cache_info()), choice._cache_info(sides._pairs)
+        assert is_stable_set(sides, S) == StabilityCheck(True)
+        assert (sides.F.cache_info(), sides.G.cache_info()) == rows
+        assert choice._cache_info(sides._pairs) == pairs._replace(hits=pairs.hits + 1)
+    bare = SidePair(sides.F, sides.G)  # a stored pair of an uncertified market is not read
+    assert is_stable_set(bare, S) and S.mask in bare._pairs
+    with pytest.raises(NotCertified):
+        set_to_pair(bare, S)
 
 
 def _trace_join(sides, stable_sets):
@@ -1080,12 +1096,11 @@ def test_compare_reads_stability_from_the_pair_store():
     n = sides.universe_size
     worst, best = side_optimal(sides, "F"), side_optimal(sides, "G")
     assert set_to_pair(sides, worst) and set_to_pair(sides, best)
-    f_info, g_gains = sides.F.cache_info(), choice._cache_info(sides.G._gained)
-    pairs = choice._cache_info(sides._pairs)
+    f_info, pairs = sides.F.cache_info(), choice._cache_info(sides._pairs)
     assert blair_compare_stable(sides, worst, best) == "less"
     assert blair_compare_stable(sides, best, worst) == "greater"
-    assert blair_compare_stable(sides, best, best) == "equal"
-    assert sides.F.cache_info() == f_info and choice._cache_info(sides.G._gained) == g_gains
+    assert blair_compare_stable(sides, best, best) == "equal"  # G's choice rows serve blair_leq
+    assert sides.F.cache_info() == f_info
     assert choice._cache_info(sides._pairs) == pairs._replace(hits=pairs.hits + 6)
 
     unstable = ContractSet.full(n)
