@@ -563,11 +563,14 @@ class _Memo:
     ``charge(key, value)``, the rows it keeps alive: 2^k for a k-contract
     key (what an ExplicitTable holds) plus the value's own (2^k for a table,
     4^k for a relation matrix, 16 per order of about 330 bytes, 3 per kept
-    slice and its gains, about 120). A row
-    takes at most 40 bytes (a pointer and an int in a table's tuple) and an
-    entry at most 4 KiB more, so the store holds at most 24 MiB in all. A
-    value is computed outside the lock that guards every step, so memos may
-    call each other. An exception or a None is never kept.
+    slice and its gains, about 120; a parsed agent, _interned's, 2^k as a
+    table and 2k + k²/512 as an order with kernels, 1 KiB + 80k + k²/16
+    bytes by tracemalloc). A row takes at most 40 bytes (a pointer and an
+    int in a table's tuple) and an entry at most 4 KiB more, so the store
+    holds at most 24 MiB in all. A hit takes no lock, as with _Rows: threads
+    may lose a count or a move, never read a wrong value. The lock guards
+    misses, additions and evictions; values are computed outside it, so
+    memos may call each other. No exception or None is kept.
     """
 
     # (memo, key) -> (value, rows, ticket), and ticket -> (memo, key) least recently used first:
@@ -584,12 +587,15 @@ class _Memo:
 
     def __call__(self, key):
         at = self, key
-        with self._lock:
-            entry = self._store.get(at)
-            if entry is not None:
+        entry = self._store.get(at)
+        if entry is not None:
+            try:
                 self._order.move_to_end(entry[2])
-                self.hits += 1
-                return entry[0]
+            except KeyError:  # another thread has just dropped the entry
+                pass
+            self.hits += 1
+            return entry[0]
+        with self._lock:
             self.misses += 1
         value = self.__wrapped__(key)
         if value is None:
@@ -617,6 +623,13 @@ class _Memo:
                 del self._order[ticket]
                 _Memo._rows -= rows
             self.hits = self.misses = self.currsize = 0
+
+
+@partial(_Memo, lambda key, cf: 1 << cf.universe_size if type(cf) is ExplicitTable
+         else 2 * cf.universe_size + cf.universe_size ** 2 // 512)
+def _interned(key: tuple) -> ChoiceFunction:
+    """``key[0](*key[1:])``, one object per equal key: the parser builds every agent by it."""
+    return key[0](*key[1:])
 
 
 @partial(_Memo, lambda cf, table: 2 << cf.universe_size)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .choice import (_SET_SYNTAX, Aggregate, ChoiceFunction, ExplicitTable, OrderChoice, _fit,
-                     _missing, _set_mask)
+                     _interned, _missing, _set_mask)
 from .errors import ParseError, UnknownAgent
 from .stability import SidePair, side_pair
 
@@ -165,7 +165,7 @@ def _build_explicit(agent, position, body, header_line, index):
         raise ParseError(
             f"agent {agent!r}: table covers {len(rows)} of {1 << k} subsets",
             header_line)
-    return ExplicitTable(k, tuple(map(rows.__getitem__, range(1 << k))))
+    return _interned((ExplicitTable, k, tuple(map(rows.__getitem__, range(1 << k)))))
 
 
 def _parse_order_ids(body, position, agent, header_line, index):
@@ -192,6 +192,8 @@ def parse_instance(text: str) -> MarketInstance:
     subclass UnknownAgent. An explicit table over EXHAUSTIVE_CAP contracts
     raises CapExceeded before its rows are read. Each agent's local numbering
     is built as the contract lines are read, a contract id -> position dict.
+    Agents are built through the memo store (choice._interned): equal ones,
+    of this market or another, share one object while the store keeps it.
     """
     # agent id -> {contract id: local position}, in declaration order
     firms: dict[str, dict[str, int]] = {}
@@ -309,7 +311,7 @@ def parse_instance(text: str) -> MarketInstance:
                 q = _parse_number(quota_text, header)
                 if not isinstance(q, int) or q < 0:
                     raise ParseError("q= must be a non-negative integer", header)
-            cf = OrderChoice(len(position), order, q, acceptable)
+            cf = _interned((OrderChoice, len(position), order, q, acceptable))
         elif kind == "utility":
             if body:
                 raise ParseError("kind=utility takes no body", body[0][0])
@@ -319,7 +321,7 @@ def parse_instance(text: str) -> MarketInstance:
                 raise ParseError(
                     f"contract {owned[utilities.index(None)].id!r} has no "
                     f"utilities but agent {agent!r} uses kind=utility", header)
-            cf = OrderChoice.by_utility(utilities)
+            cf = _interned((OrderChoice.by_utility, tuple(utilities)))
         else:
             raise ParseError(f"unknown kind {kind!r}", header)
         specs.append(ChoiceSpec(agent, kind, cf))

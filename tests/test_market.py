@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import pickle
 import random
 import re
 from pathlib import Path
 
 import pytest
-from conftest import make_market_text
+from conftest import empty_memos, make_market_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from market_reference import reference_parse
@@ -101,6 +102,37 @@ def test_labels_are_built_once_and_leave_equality_alone():
     assert m.labels is m.labels
     assert m.labels == ("a", "b", "c", "d")
     assert m == twin and hash(m) == hash(twin)  # one has read its labels, the other not
+
+
+MIXED_KINDS = ("order", "utility", "explicit", "quota")
+
+
+def test_parsing_a_text_twice_gives_one_object_per_agent_function():
+    for text in (*map(read, ("ex1.mkt", "ex2.mkt", "ord3.mkt", "quota.mkt")),
+                 make_market_text(6, 3, 2, 7, MIXED_KINDS, MIXED_KINDS)):
+        m, twin = parse_instance(text), parse_instance(text)
+        assert {spec.kind for spec in m.specs} <= set(MIXED_KINDS)
+        assert all(a.cf is b.cf for a, b in zip(m.specs, twin.specs))
+
+
+def test_equal_agents_owning_differently_labelled_contracts_share_one_object():
+    text = make_market_text(6, 3, 2, 11, MIXED_KINDS, MIXED_KINDS)
+    relabelled = re.sub(r"\bc(\d+)\b", r"deal_\1", text)
+    m, other = parse_instance(text), parse_instance(relabelled)
+    assert m != other and other.labels == tuple(f"deal_{i}" for i in range(12))
+    assert {spec.kind for spec in m.specs} == set(MIXED_KINDS)
+    assert all(a.cf is b.cf for a, b in zip(m.specs, other.specs))
+
+
+def test_shared_agents_leave_market_equality_hash_repr_and_pickle_alone():
+    text = make_market_text(6, 3, 2, 13, MIXED_KINDS, MIXED_KINDS)
+    m = parse_instance(text)
+    empty_memos()
+    fresh = parse_instance(text)  # built anew, not shared with m
+    assert all(a.cf is not b.cf for a, b in zip(m.specs, fresh.specs))
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    for copied in (pickle.loads(pickle.dumps(m)), pickle.loads(pickle.dumps(fresh))):
+        assert copied == m and hash(copied) == hash(m) and repr(copied) == repr(m)
 
 
 def test_a_hand_built_agent_with_contracts_but_no_spec_is_unknown():
