@@ -1,0 +1,137 @@
+"""Time one tree's large-market path at the given sizes, one fresh process per size.
+
+    python3 scripts/scale_probe.py TREE --sizes N [N ...]
+
+The market of size N is ``make_market_text(w, w // 3, 3, seed=1)`` of this
+repository's ``tests/conftest.py`` with w = N // 3: 3w contracts, order
+workers and quota firms with q = 2. For each size a fresh Python process
+imports TREE's ``src/plottmatch`` and ``bench``, reads the market text on
+standard input, and runs parse → ``aggregate_sides`` (which certifies) →
+``side_optimal`` for F and for G → ``is_stable_set`` on both optima.
+
+Standard output is one JSON object per size: ``contracts``; the wall time
+of each step (``parse_s``, ``aggregate_s``, ``optimum_F_s``,
+``optimum_G_s``, ``stable_s`` for both checks, and ``total_s``);
+``aggregate_rss_mib``, the rise of the peak resident set across
+``aggregate_sides``; ``peak_rss_mib`` after the last step;
+``openssl_loaded``, whether ``_hashlib`` was imported by then;
+``optima_stable``; and ``matches_reference``. Up to REFERENCE_LIMIT contracts both optima are
+compared with ``bench.reference``'s deferred acceptance, proposed by the
+workers for F's optimum and by the firms for G's (``null`` above it); that
+runs after every measurement. The script exits 1, after printing, when an
+optimum differs from deferred acceptance or fails its stability check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_LIMIT = 20_001
+SMALLEST = 27  # w // 3 = 3 firms, as each worker contracts with 3 of them
+
+
+def _as_generated(m):
+    """The parsed baseline market as generator data: each agent's order, acceptable set
+    and quota on global indices."""
+    from bench.markets import Agent, Market
+
+    firm_of = {a: i for i, a in enumerate(m.firms)}
+    worker_of = {a: i for i, a in enumerate(m.workers)}
+
+    def agent(name):
+        spec = m.spec_of(name)
+        block, cf = m.block_of(name), spec.cf
+        acceptable = sum(1 << g for j, g in enumerate(block) if cf.acceptable_mask >> j & 1)
+        return Agent(name, spec.kind, block,
+                     ((tuple(block[j] for j in cf.order), acceptable, cf.quota),))
+
+    contracts = tuple((firm_of[c.firm], worker_of[c.worker], c.u_worker, c.u_firm)
+                      for c in m.contracts)
+    return Market(m.firms, m.workers, contracts, tuple(map(agent, m.firms)),
+                  tuple(map(agent, m.workers)))
+
+
+def _peak_mib() -> float:
+    """This process's peak resident set, VmHWM: unlike ``ru_maxrss``, it starts afresh at exec
+    rather than at the peak of the process that forked it (Linux)."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+
+
+def probe(text: str) -> dict:
+    """Run and measure the path on one market text in this process (see the module doc)."""
+    import plottmatch as pm
+
+    times = {}
+
+    def timed(name, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        times[name] = time.perf_counter() - start
+        return out
+
+    m = timed("parse_s", pm.parse_instance, text)
+    before = _peak_mib()
+    sides = timed("aggregate_s", pm.aggregate_sides, m)
+    rise = _peak_mib() - before
+    worst = timed("optimum_F_s", pm.side_optimal, sides, "F")
+    best = timed("optimum_G_s", pm.side_optimal, sides, "G")
+    stable = timed("stable_s", lambda: [pm.is_stable_set(sides, s).stable for s in (worst, best)])
+    n = sides.universe_size
+    result = {"contracts": n, **{name: float(f"{t:.4g}") for name, t in times.items()},
+              "total_s": float(f"{sum(times.values()):.4g}"),
+              "aggregate_rss_mib": round(rise, 2), "peak_rss_mib": round(_peak_mib(), 2),
+              "openssl_loaded": "_hashlib" in sys.modules, "optima_stable": all(stable),
+              "matches_reference": None}
+    if n <= REFERENCE_LIMIT:
+        from bench.reference import Reference
+
+        ref = Reference(_as_generated(m))
+        result["matches_reference"] = (worst.mask == ref.deferred_acceptance("workers")
+                                       and best.mask == ref.deferred_acceptance("firms"))
+    return result
+
+
+def run_size(tree: Path, text: str) -> dict:
+    """``probe`` of one market text in a fresh process that imports ``tree``'s package."""
+    path = os.pathsep.join(map(str, (tree / "src", tree, ROOT / "scripts")))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, scale_probe; print(json.dumps(scale_probe.probe(sys.stdin.read())))"],
+        input=text, capture_output=True, text=True, cwd=tree,
+        env={**os.environ, "PYTHONPATH": path})
+    if done.returncode != 0:
+        raise SystemExit(f"error: the probe process exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("tree", type=Path)
+    parser.add_argument("--sizes", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    if not (args.tree / "src" / "plottmatch").is_dir():
+        parser.error(f"{args.tree} has no src/plottmatch")
+    if min(args.sizes) < SMALLEST:
+        parser.error(f"--sizes must be at least {SMALLEST}")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from conftest import make_market_text
+
+    failed = False
+    for size in args.sizes:
+        w = size // 3
+        result = run_size(args.tree.resolve(), make_market_text(w, w // 3, 3, seed=1))
+        print(json.dumps(result), flush=True)
+        failed |= result["matches_reference"] is False or not result["optima_stable"]
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -567,10 +567,12 @@ class _Memo:
     table and 2k + k²/512 as an order with kernels, 1 KiB + 80k + k²/16
     bytes by tracemalloc). A row takes at most 40 bytes (a pointer and an
     int in a table's tuple) and an entry at most 4 KiB more, so the store
-    holds at most 24 MiB in all. A hit takes no lock, as with _Rows: threads
-    may lose a count or a move, never read a wrong value. The lock guards
-    misses, additions and evictions; values are computed outside it, so
-    memos may call each other. No exception or None is kept.
+    holds at most 24 MiB in all. A value charged more than MEMO_ROWS, which
+    would evict every other entry and then itself, is returned as a miss and
+    never kept. A hit takes no lock, as with _Rows: threads may lose a count
+    or a move, never read a wrong value. The lock guards misses, additions
+    and evictions; values are computed outside it, so memos may call each
+    other. No exception or None is kept.
     """
 
     # (memo, key) -> (value, rows, ticket), and ticket -> (memo, key) least recently used first:
@@ -598,9 +600,9 @@ class _Memo:
         with self._lock:
             self.misses += 1
         value = self.__wrapped__(key)
-        if value is None:
-            return None
-        entry = value, self.charge(key, value), next(self._tickets)
+        if value is None or (rows := self.charge(key, value)) > MEMO_ROWS:
+            return value
+        entry = value, rows, next(self._tickets)
         with self._lock:
             kept = self._store.setdefault(at, entry)  # another thread's, if it kept one first
             if kept is entry:

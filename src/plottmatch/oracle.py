@@ -12,7 +12,6 @@ answers.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,8 +47,8 @@ class StableSetCatalog:
     ``sides`` is the market the catalog was enumerated from; equality
     compares it by value together with the sets and the matrix.
     ``fingerprint`` hashes the full choice tables of both sides, so equal
-    fingerprints mean literally the same market behavior; it is computed
-    when first read.
+    fingerprints mean literally the same market behavior; it is computed,
+    and hashlib with OpenSSL loaded, when first read, not at import.
     """
 
     sides: SidePair = field(repr=False)
@@ -63,6 +62,8 @@ class StableSetCatalog:
     @cached_property
     def fingerprint(self) -> str:
         """16 hex digits of SHA-256 over |C| and both sides' full tables."""
+        import hashlib  # maps OpenSSL's libcrypto: here, not in every process that imports us
+
         digest = hashlib.sha256()
         digest.update(self.universe_size.to_bytes(4, "little"))
         digest.update(choice_table(self.sides.F))  # int64 tables, hashed in place

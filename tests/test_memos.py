@@ -189,3 +189,30 @@ def test_a_hit_takes_no_lock(monkeypatch):
 
     monkeypatch.setattr(choice._Memo, "_lock", Refused())
     assert parse_instance(TEXTS[0]).specs[0].cf is cf and choice_table(cf) is table
+
+
+def test_a_value_charged_past_the_row_bound_is_returned_and_not_kept(monkeypatch):
+    table = choice_table(OrderChoice(2, (1, 0)))  # charged 2 << 2 rows
+    rows = choice._Memo._rows
+    monkeypatch.setattr(choice, "MEMO_ROWS", 64)
+    key = (OrderChoice, 40, tuple(range(40)), 1, -1)  # charged 2·40 + 40²/512 = 83 rows
+    for misses in (1, 2):
+        assert choice._interned(key) == OrderChoice(40, tuple(range(40)))
+        assert choice._interned.cache_info()[:2] == (0, misses)
+    assert choice._interned.cache_info().currsize == 0 and choice._Memo._rows == rows
+    assert choice_table(OrderChoice(2, (1, 0))) is table
+    assert choice_table.cache_info()[::3] == (1, 1)  # one hit, one entry
+
+
+def test_parsing_an_order_agent_past_the_row_bound_keeps_the_store():
+    k = 16_500  # 2k + k²/512 = 564,738 rows, past MEMO_ROWS = 2^19
+    table = choice_table(OrderChoice(2, (1, 0)))
+    ids = " ".join(f"c{i}" for i in range(k))
+    text = "\n".join(["[firms] f", "[workers] w", "[contracts]",
+                      *(f"c{i} f w 1 1" for i in range(k)),
+                      "[choice f] kind=order", ids, "[choice w] kind=order", ids]) + "\n"
+    m = parse_instance(text)
+    assert m.spec_of("f").cf.universe_size == k and m.spec_of("w").cf == m.spec_of("f").cf
+    assert choice._interned.cache_info().currsize == 0
+    assert len(choice._Memo._store) == choice_table.cache_info().currsize == 1
+    assert choice_table(OrderChoice(2, (1, 0))) is table

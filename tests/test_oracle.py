@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +248,46 @@ def test_enumeration_builds_no_whole_side_table(monkeypatch):
         catalogs["ex1.mkt"].fingerprint
     monkeypatch.undo()
     assert {name: c.fingerprint for name, c in catalogs.items()} == PINNED
+
+
+# Every desk step but the fingerprint, then the fingerprint, in a fresh interpreter:
+# pytest and hypothesis import hashlib themselves.
+DESK_STEPS = """
+import sys
+from pathlib import Path
+
+import plottmatch as pm
+
+fixtures, catalogs = Path(sys.argv[1]), {}
+for name in sys.argv[2:]:
+    market = pm.parse_instance((fixtures / name).read_text())
+    sides = pm.aggregate_sides(market)
+    catalogs[name] = catalog = pm.enumerate_stable_sets(sides)
+    if sides.certified:
+        optima = pm.side_optimal(sides, "F"), pm.side_optimal(sides, "G")
+        assert all(pm.is_stable_set(sides, s).stable for s in optima)
+        assert pm.verify_lattice(catalog, sides).passed
+        for spec in market.specs:
+            relation = pm.DerivedLehmann(spec.cf)
+            assert pm.audit_lehmann_axioms(relation).overall
+            assert pm.reconstruct_choice(relation).universe_size == spec.cf.universe_size
+            pm.decompose_into_orders(spec.cf)
+polar = pm.aggregate_sides(pm.parse_instance((fixtures / "polar2.mkt").read_text()))
+weak = pm.aggregate_sides(pm.parse_instance((fixtures / "polar2_weak.mkt").read_text()),
+                          certify=False).F
+pm.comparative_statics(polar, weak, catalogs["polar2.mkt"].bottom())
+print("_hashlib" in sys.modules, catalogs["ex1.mkt"].fingerprint, "_hashlib" in sys.modules)
+"""
+
+
+def test_openssl_is_loaded_by_the_first_fingerprint_read_alone():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", DESK_STEPS, str(FIXTURES),
+         *sorted(path.name for path in FIXTURES.glob("*.mkt"))],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", PINNED["ex1.mkt"], "True"]
 
 
 def test_format_catalog():

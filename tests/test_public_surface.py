@@ -6,8 +6,9 @@ package itself (a name or attribute in one of its modules, not counting
 ``__init__.py``), by the benchmark, or in the README. A definition is not a
 use. Likewise every error class but the base is raised somewhere, and only
 ``errors`` defines error classes. Only the exhaustive layer (``choice``,
-``oracle``, ``hyperorders``) imports numpy. Every module-level private
-function or class is defined once and read by some other statement.
+``oracle``, ``hyperorders``) imports numpy, and only ``oracle`` imports
+hashlib, inside a function. Every module-level private function or class
+is defined once and read by some other statement.
 """
 
 from __future__ import annotations
@@ -94,23 +95,41 @@ def test_every_error_class_is_raised_and_defined_in_errors():
     assert elsewhere == []
 
 
-def _imports_numpy(path: Path) -> bool:
-    for node in ast.walk(ast.parse(path.read_text())):
+def _imports_of(tree: ast.AST, module: str) -> list[ast.stmt]:
+    """The import statements under ``tree`` that import ``module`` or a submodule of it."""
+    found = []
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module]
         else:
             continue
-        if any(name.partition(".")[0] == "numpy" for name in names):
-            return True
-    return False
+        if any(name.partition(".")[0] == module for name in names):
+            found.append(node)
+    return found
+
+
+def _imports_numpy(path: Path) -> bool:
+    return bool(_imports_of(ast.parse(path.read_text()), "numpy"))
 
 
 def test_only_the_exhaustive_layer_imports_numpy():
     # whole tables live in choice, oracle and hyperorders; every other query is on bitmasks
     users = {path.stem for path in PACKAGE.glob("*.py") if _imports_numpy(path)}
     assert users == {"choice", "oracle", "hyperorders"}
+
+
+def test_only_the_fingerprint_imports_hashlib():
+    # hashlib maps OpenSSL's libcrypto into the process, so only a fingerprint read may load it
+    users = {}
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        local = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in _imports_of(fn, "hashlib")}
+        if found := _imports_of(tree, "hashlib"):
+            users[path.stem] = all(id(node) in local for node in found)
+    assert users == {"oracle": True}
 
 
 def _read_name(node: ast.AST) -> str | None:

@@ -10,8 +10,10 @@ never imports the package. F is the workers' side, G the firms'.
 The baseline family, ``make_market_text`` with order workers and quota
 q = 2 firms, gets the same checks at 2,001 and 6,669 contracts. Its agents
 are handed to the reference as generated ``Market`` agents, each parsed
-order, acceptable set and quota on global indices. Its random preferences
-leave one stable set, so there the two optima coincide.
+order, acceptable set and quota on global indices, by ``_as_generated`` of
+``scripts/scale_probe.py``, which times this family's path in a fresh
+process per size and is smoke-run here at 300 contracts. Its random
+preferences leave one stable set, so there the two optima coincide.
 
 A third market, built in the library, gives each agent a union of seeded
 orders. Unions are path independent but need not be size-monotone, so its
@@ -20,13 +22,18 @@ optima are checked against the definitions, not against deferred acceptance.
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from conftest import make_market_text
 
-from bench.markets import Agent, Market, Shape, generate
+from bench.markets import Shape, generate
 from bench.reference import Reference
 from bench.workloads import MIXED_FIRMS, MIXED_WORKERS
 from plottmatch import (
@@ -47,28 +54,15 @@ from plottmatch import (
     side_pair,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("scale_probe", ROOT / "scripts" / "scale_probe.py")
+scale_probe = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scale_probe)
+_as_generated = scale_probe._as_generated
+
 SHAPES = (Shape((3,) * 222, 2, MIXED_WORKERS, MIXED_FIRMS),   # 2,000 contracts
           Shape((3,) * 741, 1, MIXED_WORKERS, MIXED_FIRMS))   # 6,670 contracts
 BASELINE = ((667, 222), (2223, 741))  # workers, firms: 2,001 and 6,669 contracts
-
-
-def _as_generated(m) -> Market:
-    """The parsed baseline market as generator data: each agent's order, acceptable set
-    and quota on global indices."""
-    firm_of = {a: i for i, a in enumerate(m.firms)}
-    worker_of = {a: i for i, a in enumerate(m.workers)}
-
-    def agent(name):
-        spec = m.spec_of(name)
-        block, cf = m.block_of(name), spec.cf
-        acceptable = sum(1 << g for j, g in enumerate(block) if cf.acceptable_mask >> j & 1)
-        return Agent(name, spec.kind, block,
-                     ((tuple(block[j] for j in cf.order), acceptable, cf.quota),))
-
-    contracts = tuple((firm_of[c.firm], worker_of[c.worker], c.u_worker, c.u_firm)
-                      for c in m.contracts)
-    return Market(m.firms, m.workers, contracts, tuple(map(agent, m.firms)),
-                  tuple(map(agent, m.workers)))
 
 
 @pytest.fixture(scope="module", params=SHAPES + BASELINE,
@@ -254,3 +248,25 @@ def test_union_market_sets_one_contract_away_get_the_definition_verdict(union_ma
         assert _verdict(is_stable_set(sides, ContractSet(ref.n, t))) == expected
         verdicts.append(expected[1])
     assert {"S1", "S2"} <= set(verdicts)
+
+
+def test_the_scale_probe_prints_one_checked_line_per_size():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), str(ROOT),
+                           "--sizes", "300", "90"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [line["contracts"] for line in lines] == [300, 90]
+    for line in lines:
+        assert line["matches_reference"] is line["optima_stable"] is True
+        assert line["openssl_loaded"] is False  # nothing on the path reads a fingerprint
+        steps = ("parse_s", "aggregate_s", "optimum_F_s", "optimum_G_s", "stable_s")
+        assert all(0 < line[step] <= line["total_s"] for step in steps)
+        assert 0 <= line["aggregate_rss_mib"] < line["peak_rss_mib"]
+
+
+def test_the_scale_probe_exits_1_after_printing_a_mismatch(monkeypatch, capsys):
+    wrong = {"contracts": 27, "optima_stable": True, "matches_reference": False}
+    monkeypatch.setattr(scale_probe, "run_size", lambda tree, text: wrong)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the market generator on it
+    assert scale_probe.main([str(ROOT), "--sizes", "27"]) == 1
+    assert json.loads(capsys.readouterr().out) == wrong
