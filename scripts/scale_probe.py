@@ -1,10 +1,13 @@
 """Time one tree's large-market path at the given sizes, one fresh process per size.
 
-    python3 scripts/scale_probe.py TREE --sizes N [N ...]
+    python3 scripts/scale_probe.py TREE --sizes N [N ...] [--family terms --terms T]
 
-The market of size N is ``make_market_text(w, w // 3, 3, seed=1)`` of this
-repository's ``tests/conftest.py`` with w = N // 3: 3w contracts, order
-workers and quota firms with q = 2. For each size a fresh Python process
+The market of size N is, in the default family, ``make_market_text(w, w //
+3, 3, seed=1)`` of this repository's ``tests/conftest.py`` with w = N // 3:
+3w contracts, order workers and quota firms with q = 2. In the ``terms``
+family it is ``make_terms_market_text(w, T, seed=1)`` with w = N // (3T):
+3wT contracts, each worker–firm pair with T terms, whose Φ runs are long.
+For each size a fresh Python process
 imports TREE's ``src/plottmatch`` and ``bench``, reads the market text on
 standard input, and runs parse → ``aggregate_sides`` (which certifies) →
 ``side_optimal`` for F and for G → ``is_stable_set`` on both optima.
@@ -15,7 +18,9 @@ of each step (``parse_s``, ``aggregate_s``, ``optimum_F_s``,
 ``aggregate_rss_mib``, the rise of the peak resident set across
 ``aggregate_sides``; ``peak_rss_mib`` after the last step;
 ``openssl_loaded``, whether ``_hashlib`` was imported by then;
-``optima_stable``; and ``matches_reference``. Up to REFERENCE_LIMIT contracts both optima are
+``optima_stable``; ``phi_steps_F`` and ``phi_steps_G``, the Φ steps of
+each side's run from (∅, C), counted after every measurement; and
+``matches_reference``. Up to REFERENCE_LIMIT contracts both optima are
 compared with ``bench.reference``'s deferred acceptance, proposed by the
 workers for F's optimum and by the firms for G's (``null`` above it); that
 runs after every measurement. The script exits 1, after printing, when an
@@ -34,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_LIMIT = 20_001
-SMALLEST = 27  # w // 3 = 3 firms, as each worker contracts with 3 of them
+SMALLEST = 27  # contracts per term: w // 3 = 3 firms, as each worker contracts with 3 of them
 
 
 def _as_generated(m):
@@ -88,8 +93,11 @@ def probe(text: str) -> dict:
     result = {"contracts": n, **{name: float(f"{t:.4g}") for name, t in times.items()},
               "total_s": float(f"{sum(times.values()):.4g}"),
               "aggregate_rss_mib": round(rise, 2), "peak_rss_mib": round(_peak_mib(), 2),
-              "openssl_loaded": "_hashlib" in sys.modules, "optima_stable": all(stable),
-              "matches_reference": None}
+              "openssl_loaded": "_hashlib" in sys.modules, "optima_stable": all(stable)}
+    bottom = pm.SemiStablePair(pm.ContractSet.empty(n), pm.ContractSet.full(n))
+    for side, frame in (("F", sides), ("G", sides.swap())):
+        result[f"phi_steps_{side}"] = pm.run_to_fixpoint(frame, bottom).terminated_at
+    result["matches_reference"] = None
     if n <= REFERENCE_LIMIT:
         from bench.reference import Reference
 
@@ -116,18 +124,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("tree", type=Path)
     parser.add_argument("--sizes", type=int, nargs="+", required=True)
+    parser.add_argument("--family", choices=("baseline", "terms"), default="baseline")
+    parser.add_argument("--terms", type=int, default=1, help="terms per worker–firm pair (terms)")
     args = parser.parse_args(argv)
     if not (args.tree / "src" / "plottmatch").is_dir():
         parser.error(f"{args.tree} has no src/plottmatch")
-    if min(args.sizes) < SMALLEST:
-        parser.error(f"--sizes must be at least {SMALLEST}")
+    per_worker = 3 * (args.terms if args.family == "terms" else 1)
+    if args.terms < 1 or min(args.sizes) < SMALLEST * per_worker // 3:
+        parser.error(f"--terms must be at least 1 and --sizes at least {SMALLEST * per_worker // 3}")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from conftest import make_market_text
+    from conftest import make_market_text, make_terms_market_text
 
     failed = False
     for size in args.sizes:
-        w = size // 3
-        result = run_size(args.tree.resolve(), make_market_text(w, w // 3, 3, seed=1))
+        w = size // per_worker
+        text = (make_terms_market_text(w, args.terms, seed=1) if args.family == "terms"
+                else make_market_text(w, w // 3, 3, seed=1))
+        result = run_size(args.tree.resolve(), text)
         print(json.dumps(result), flush=True)
         failed |= result["matches_reference"] is False or not result["optima_stable"]
     return int(failed)

@@ -3,13 +3,10 @@
 A contract universe is the index range 0..n-1; subsets are bitmasks wrapped
 in :class:`ContractSet`. A :class:`ChoiceFunction` maps every subset X to a
 selection G(X) ⊆ X. Path independence (G(X∪Y) = G(G(X)∪Y), the Plott
-condition) is equivalent to the pair Heredity + Outcast, which is what
-:func:`is_plott` verifies. On top of that sit the closure operator G*, the
-Nil-set of never-chosen contracts, unions of choice functions, and the
-decomposition of a path-independent function into a union of linear-order
-maximizers, built one order per uncovered demand (X, x) with x ∈ G(X), up
-to the table cap. Orders, quotas and utility maximizers are one class,
-:class:`OrderChoice`: the top q acceptable contracts along a linear order.
+condition) is Heredity + Outcast, which :func:`is_plott` verifies. On top
+sit the closure G*, the Nil-set, unions, and the decomposition of a
+path-independent function into linear-order maximizers. Orders, quotas and
+utility maximizers are one class, :class:`OrderChoice`.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import re
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, partial, update_wrapper
-from itertools import count
+from itertools import compress, count
 from numbers import Integral
 from threading import Lock
 
@@ -33,13 +30,12 @@ MEMO_ROWS = 1 << 19
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])  # as functools'
 
 
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int):
-    """Yield set-bit indices of mask in ascending order, in time linear in its width."""
-    digits = bin(mask)[:1:-1]  # digit i is bit i
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
+    """The set-bit indices of mask in ascending order, in time linear in its width."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS))  # digit i is bit i
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,10 +170,8 @@ class ChoiceFunction:
     """Base class: a total selection map over subsets of one universe.
 
     Subclasses implement ``_choose_mask``; they are immutable and hashable,
-    so full tables are memoized by value, and an aggregate keeps the choice
-    rows it computes in a bounded cache. ``_gains`` tells for every c
-    outside X whether c is chosen from X ∪ {c}: one chooser call per c by
-    default, one kernel call per aggregate block.
+    so full tables are memoized by value. ``_gains`` tells for every c
+    outside X whether c is chosen from X ∪ {c}, by default one call each.
     """
 
     universe_size: int
@@ -194,23 +188,10 @@ class ChoiceFunction:
             rest ^= bit
         return gains
 
-    def _rechoose(self, old: int, chosen: int, new: int) -> int:
-        """The choice on ``new``; ``chosen`` must be the exact choice on ``old``."""
-        return self._choose_mask(new)
-
     def _table(self, masks: np.ndarray) -> np.ndarray:
         """The choice on every mask of ``masks`` (all subsets, ascending)."""
         return np.fromiter((self._choose_mask(m) for m in range(masks.size)),
                            dtype=np.int64, count=masks.size)
-
-    def _kernels(self, place):
-        """This function's choice and gains on global masks, local index j sitting at ``place[j]``.
-
-        An aggregate compiles each part through it once; the default gathers
-        the mask into local indices, applies the method, and lifts the result back.
-        """
-        pairs = tuple((1 << g, 1 << j) for j, g in enumerate(place))
-        return partial(_local, self._choose_mask, pairs), partial(_local, self._gains, pairs)
 
     def choose(self, X: ContractSet) -> ContractSet:
         """Evaluate the function on X. The result is always a subset of X."""
@@ -301,22 +282,20 @@ class OrderChoice(ChoiceFunction):
         return cls(n, order, 1, sum(1 << i for i, u in enumerate(utilities) if u >= 0))
 
     @cached_property
-    def _own(self):
-        """The kernels on this function's own masks, built on first use."""
-        return self._kernels(range(self.universe_size))
-
-    def _choose_mask(self, xmask: int) -> int:
-        return self._own[0](xmask)
-
-    def _gains(self, xmask: int) -> int:
-        return self._own[1](xmask)
-
-    def _kernels(self, place):
-        """Choice and gains straight on global bits, the acceptable ones best first; none at quota 0."""
-        bits = tuple([1 << place[j] for j in self.order if self.acceptable_mask >> j & 1])
+    def _kernels(self):
+        """Choice and gains on local masks, the acceptable bits best first (none at quota 0)."""
+        bits = tuple([1 << j for j in self.order if self.acceptable_mask >> j & 1])
         q = self.quota
         return (partial(_top_choice, bits, sum(bits) if q else 0, q),
                 partial(_top_gains, bits if q else (), q))
+
+    @cached_property
+    def _choose_mask(self):  # the kernel itself, kept on first use
+        return self._kernels[0]
+
+    @cached_property
+    def _gains(self):
+        return self._kernels[1]
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
         table = np.zeros_like(masks)
@@ -397,18 +376,39 @@ def _top_gains(bits, quota: int, xmask: int) -> int:
     return gains
 
 
-def _local(kernel, bit_pairs, xmask: int) -> int:
-    """Gather xmask by (global, local) ``bit_pairs``, apply a part's kernel, lift back."""
-    local = 0
-    for gbit, lbit in bit_pairs:
-        if xmask & gbit:
-            local |= lbit
-    picked = kernel(local)
-    out = 0
-    for gbit, lbit in bit_pairs:
-        if picked & lbit:
-            out |= gbit
-    return out
+def _split(side, xmask: int) -> list:
+    """Each agent's local slice of a global mask, read through a side's record (see _coords)."""
+    blocks, _, agent, position = side
+    if xmask == (1 << len(agent)) - 1:  # the whole universe: every agent's whole block
+        return [(1 << len(block)) - 1 for block in blocks]
+    slices = [0] * len(blocks)
+    for c in _bits(xmask) if xmask else ():
+        slices[agent[c]] |= 1 << position[c]
+    return slices
+
+
+def _members(blocks, picks) -> list:
+    """The contracts of (agent, local mask) pairs, local bit j of agent a being blocks[a][j]."""
+    members = []
+    for a, local in picks:
+        block = blocks[a]
+        while local:
+            members.append(block[(local & -local).bit_length() - 1])
+            local &= local - 1
+    return members
+
+
+def _lift(n: int, blocks, picks) -> int:
+    """The global mask of (agent, local mask) pairs (see _members)."""
+    return _mask(n, _members(blocks, picks))
+
+
+def _mask(n: int, contracts) -> int:
+    """The global mask of some contracts, set one by one in a byte buffer."""
+    buf = bytearray((n >> 3) + 1)
+    for c in contracts:
+        buf[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _gather(xs, block):
@@ -456,20 +456,13 @@ class Aggregate(ChoiceFunction):
     block's j-th smallest contract, so local order is global order. The
     choice on X is the disjoint union of each part's choice on its slice of X.
 
-    Each part is compiled once, through its ``_kernels``, into a choice and a
-    gains kernel on global masks. A re-evaluation (``_rechoose``) visits only
-    the blocks where the new set differs from the old, so an evaluation, a
-    re-evaluation from the empty set, visits only the blocks that X touches.
-    ``_gains`` makes one kernel call per nonempty block; a block inside X
-    gains none. A whole table (``_table``) reads each part's own table, its
-    rows gathered and its choices scattered through the block.
-
-    A row cache keeps up to 256 choices by set mask (``_choose_mask``, and
-    ``_rechoose``, whose hint is trusted) in one store, emptied when full
-    before a row is added: 1.3 MiB of full-width rows at |C| = 20,001
-    (traced). Gains are not kept; the pair that asks for them keeps what it
-    builds from them (see SidePair). Store steps are single dict calls, so
-    threads may compute a row twice or lose a count, never read a wrong row.
+    Each contract has one record, its agent (block index) and its position
+    there. ``_choose_mask`` and ``_gains`` split X into the agents' slices
+    through it and ask each agent's own function (see _split and _lift);
+    σ moves single contracts between agents by the same records (see
+    stability._chain). Nothing here grows faster than |C|. Up to 256
+    choices are kept by set mask, the store emptied when full (1.3 MiB at
+    |C| = 20,001); threads may compute a row twice, never read a wrong one.
     """
 
     universe_size: int
@@ -480,29 +473,20 @@ class Aggregate(ChoiceFunction):
         if len(self.blocks) != len(self.parts):
             raise ValueError("one choice function per block required")
         n = self.universe_size
-        owner, gain_kernels = [None] * n, []
-        for block, part in zip(self.blocks, self.parts):
+        agent, position = [None] * n, [0] * n
+        for a, (block, part) in enumerate(zip(self.blocks, self.parts)):
             if part.universe_size != len(block):
                 raise ValueError("part universe must match its block size")
             if list(block) != sorted(block):
                 raise ValueError("each block must list its contracts in ascending order")
-            mask = 0
-            for g in block:
-                if not 0 <= g < n or owner[g] is not None:  # outside, or owned already
+            for j, g in enumerate(block):
+                if not 0 <= g < n or agent[g] is not None:  # outside, or owned already
                     raise ValueError("blocks must partition the universe")
-                owner[g] = ()  # claimed; the block's entry replaces it below
-                mask |= 1 << g
-            if block:
-                choose, gains = part._kernels(block)
-                gain_kernels.append(gains)
-                entry = (mask, choose)
-                for g in block:
-                    owner[g] = entry
-        if None in owner:
+                agent[g], position[g] = a, j
+        if None in agent:
             raise ValueError("blocks must cover the whole universe")
-        # contract -> (its block's global mask, that block's choice kernel); not fields
-        object.__setattr__(self, "_owner", tuple(owner))
-        object.__setattr__(self, "_gain_kernels", tuple(gain_kernels))
+        # the blocks, parts and per-contract record, as _coords gives them; not a field
+        object.__setattr__(self, "_side", (self.blocks, self.parts, agent, position))
         object.__setattr__(self, "_chosen", _Rows())
 
     def cache_info(self) -> CacheInfo:
@@ -510,35 +494,36 @@ class Aggregate(ChoiceFunction):
         return _cache_info(self._chosen)
 
     def __reduce__(self):
-        """A copy or a pickle carries the three fields, not the kernels or the row stores."""
+        """A copy or a pickle carries the three fields, not the record or the row store."""
         return Aggregate, (self.universe_size, self.blocks, self.parts)
 
     def _choose_mask(self, xmask: int) -> int:
-        return self._rechoose(0, 0, xmask)
-
-    def _gains(self, xmask: int) -> int:
-        gains = 0
-        for gain in self._gain_kernels:  # each reads only its own block's bits of xmask
-            gains |= gain(xmask)
-        return gains
-
-    def _rechoose(self, old: int, chosen: int, new: int) -> int:
-        row = self._chosen.get(new)
+        row = self._chosen.get(xmask)
         if row is not None:
             self._chosen.hits += 1
             return row
-        owner, diff = self._owner, old ^ new
-        while diff:
-            block, choose = owner[diff.bit_length() - 1]
-            chosen ^= (chosen & block) ^ choose(new & block)
-            diff ^= diff & block
-        return self._chosen.add(new, chosen)
+        slices = _split(self._side, xmask)
+        chosen = [part._choose_mask(x) if x else 0 for part, x in zip(self.parts, slices)]
+        return self._chosen.add(xmask, _lift(self.universe_size, self.blocks, enumerate(chosen)))
+
+    def _gains(self, xmask: int) -> int:
+        gains = [part._gains(x) for part, x in zip(self.parts, _split(self._side, xmask))]
+        return _lift(self.universe_size, self.blocks, enumerate(gains))
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
         table = np.zeros_like(masks)
         for block, part in zip(self.blocks, self.parts):
             table |= _scatter(choice_table(part)[_gather(masks, block)], block)
         return table
+
+
+def _coords(cf: ChoiceFunction):
+    """(blocks, parts, agent of each contract, its position in its block): an aggregate's own,
+    and any other function as one agent over range(n)."""
+    if isinstance(cf, Aggregate):
+        return cf._side
+    n = cf.universe_size
+    return (tuple(range(n)),), (cf,), [0] * n, list(range(n))
 
 
 def union(cfs) -> UnionChoice:
@@ -561,18 +546,15 @@ class _Memo:
     least recently used first, and drops the oldest until at most
     MEMO_ENTRIES entries and MEMO_ROWS table rows are left. Each is charged
     ``charge(key, value)``, the rows it keeps alive: 2^k for a k-contract
-    key (what an ExplicitTable holds) plus the value's own (2^k for a table,
-    4^k for a relation matrix, 16 per order of about 330 bytes, 3 per kept
-    slice and its gains, about 120; a parsed agent, _interned's, 2^k as a
-    table and 2k + k²/512 as an order with kernels, 1 KiB + 80k + k²/16
-    bytes by tracemalloc). A row takes at most 40 bytes (a pointer and an
-    int in a table's tuple) and an entry at most 4 KiB more, so the store
-    holds at most 24 MiB in all. A value charged more than MEMO_ROWS, which
-    would evict every other entry and then itself, is returned as a miss and
-    never kept. A hit takes no lock, as with _Rows: threads may lose a count
-    or a move, never read a wrong value. The lock guards misses, additions
-    and evictions; values are computed outside it, so memos may call each
-    other. No exception or None is kept.
+    key plus the value's own (2^k for a table, 4^k for a relation matrix, 16
+    per order of about 330 bytes, 3 per kept slice and its gains; a parsed
+    agent 2^k as a table and 2k + k²/512 as an order with its kernels, 1 KiB
+    + 80k + k²/16 bytes by tracemalloc). A row takes at most 40 bytes and an
+    entry at most 4 KiB more, so the store holds at most 24 MiB in all. A
+    value charged more than MEMO_ROWS is returned as a miss and never kept.
+    A hit takes no lock: threads may lose a count or a move, never read a
+    wrong value. The lock guards misses, additions and evictions; values are
+    computed outside it. No exception or None is kept.
     """
 
     # (memo, key) -> (value, rows, ticket), and ticket -> (memo, key) least recently used first:
@@ -638,13 +620,10 @@ def _interned(key: tuple) -> ChoiceFunction:
 def choice_table(cf: ChoiceFunction) -> np.ndarray:
     """The function's full table as a read-only array indexed by subset mask.
 
-    Only available up to EXHAUSTIVE_CAP contracts; each class builds its
-    own in ``_table``. The exhaustive checks read the table of the function
-    they check, and enumeration reads one table per agent, never a whole
-    side's (a catalog's fingerprint does, when it is read). Tables are kept
-    by value (see _Memo), so an agent that recurs from one market to the
-    next is looked up, not rebuilt. A function over the cap is refused on
-    every call.
+    Only available up to EXHAUSTIVE_CAP contracts, checked on every call;
+    each class builds its own in ``_table``. Enumeration reads one table per
+    agent, never a whole side's (a catalog's fingerprint does). Tables are
+    kept by value (see _Memo), so a recurring agent is looked up, not rebuilt.
     """
     n = cf.universe_size
     _fit("full table", n)
@@ -657,13 +636,6 @@ def _fit(what: str, n: int, limit: int = EXHAUSTIVE_CAP) -> None:
     """Refuse ``what`` over n contracts above ``limit``: every exhaustive size check."""
     if n > limit:
         raise CapExceeded(f"{what} needs universe_size <= {limit}, got {n}")
-
-
-def _blocks(cf: ChoiceFunction) -> list[tuple[tuple[int, ...], ChoiceFunction]]:
-    """An aggregate's (block, part) pairs; any other function is one agent over range(n)."""
-    if isinstance(cf, Aggregate):
-        return list(zip(cf.blocks, cf.parts))
-    return [(tuple(range(cf.universe_size)), cf)]
 
 
 @partial(_Memo, lambda cf, kept: (1 << cf.universe_size) + 3 * len(kept))
@@ -742,15 +714,12 @@ def _plott_witness(cf: ChoiceFunction):
     Returns None when cf is path independent, else ``(0, B, A, element)``
     for Heredity or ``(1, X, Y)`` for Outcast, so that tuple order puts
     Heredity first and then the least set. An OrderChoice is path
-    independent by construction, and so is any union of path
-    independent functions (Aizerman–Malishevski). An aggregate acts on each
-    block alone, G(X) = ∪ G_i(X ∩ block_i), so it is path independent
-    exactly when every part is; its blocks ascend, so each part's least
-    violation, scattered through its block with the other blocks empty (its
-    element mapped to the block's contract), is the least violation of the
-    whole with a contract there. Everything else is scanned over its own
-    table, which must fit under EXHAUSTIVE_CAP; its verdict, clean or
-    failing, is kept by value (see _verdict).
+    independent by construction, and so is any union of path independent
+    functions (Aizerman–Malishevski). An aggregate is exactly when every
+    part is; its blocks ascend, so each part's least violation, scattered
+    through its block, is the least of the whole with a contract there.
+    Anything else is scanned over its own table, within EXHAUSTIVE_CAP, and
+    its verdict kept by value (see _verdict).
     """
     if type(cf) is OrderChoice:
         return None
@@ -769,17 +738,17 @@ def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
     """Check choose(F,X) ⊆ choose(F2,X) everywhere; returns the least failing X mask or None.
 
     Exact at any size when F and F2 choose over the same blocks (see
-    _blocks): both choose block by block, so dominance holds exactly when it
+    _coords): both choose block by block, so dominance holds exactly when it
     holds on every block whose parts differ, and a block's least failing
     slice, with the other blocks empty, is the least failing set of the
     whole with a contract there. Those blocks, and two functions over
     different blocks, are compared through whole tables, which must fit
     under the table limit.
     """
-    ours, theirs = _blocks(F), _blocks(F2)
-    if [block for block, _ in ours] != [block for block, _ in theirs]:
-        ours, theirs = [(range(F.universe_size), F)], [(range(F.universe_size), F2)]
-    pairs = [(block, p, q) for (block, p), (_, q) in zip(ours, theirs) if p != q]
+    (blocks, ours, *_), (their_blocks, theirs, *_) = _coords(F), _coords(F2)
+    if blocks != their_blocks:
+        blocks, ours, theirs = (range(F.universe_size),), (F,), (F2,)
+    pairs = [(block, p, q) for block, p, q in zip(blocks, ours, theirs) if p != q]
     for block, _, _ in pairs:
         _fit("dominance check", len(block))
     least = None
@@ -794,17 +763,12 @@ def _dominates(F: ChoiceFunction, F2: ChoiceFunction):
 def is_plott(cf: ChoiceFunction) -> PlottReport:
     """Check Heredity and Outcast, whose conjunction is path independence.
 
-    Exact at any universe size. The check walks the structure of cf: an
-    OrderChoice passes by construction, a union passes when its parts do,
-    and an aggregate is path independent exactly when every block's part
-    is, because it chooses block by block. Only the remaining tables
-    (explicit ones, failing unions, other functions) are scanned, every
-    one-element removal over their own 2^k rows, which by induction decides
-    both axioms over all subset pairs; each scanned table must fit under
-    the limit, EXHAUSTIVE_CAP, on every call. A scanned table's verdict,
-    clean or failing, is kept by value (see _Memo), so a table is scanned
-    once while it is kept. The witness is the one a scan of the whole
-    function's table would return: heredity first, then the least set.
+    Exact at any universe size, by the structural walk of _plott_witness:
+    only tables that no structure certifies are scanned, every one-element
+    removal over their own 2^k rows, which by induction decides both axioms
+    over all subset pairs; each must fit under EXHAUSTIVE_CAP, and its
+    verdict is kept by value (see _Memo). The witness is the one a scan of
+    the whole function's table would return: heredity first, then the least set.
     """
     n = cf.universe_size
     hit = _plott_witness(cf)
@@ -829,7 +793,7 @@ def closure_star(cf: ChoiceFunction, X: ContractSet) -> ContractSet:
     whose addition leaves the choice unchanged; callers must certify path
     independence themselves, the behavior is undefined otherwise. By
     Outcast those are the contracts c not chosen from X ∪ {c}, so the
-    closure is all but ``_gains(X)``: one kernel call per aggregate block.
+    closure is all but ``_gains(X)``.
     """
     if X.universe_size != cf.universe_size:
         raise UniverseMismatch("closure over a foreign universe")
@@ -871,26 +835,20 @@ def decompose_into_orders(cf: ChoiceFunction) -> list[OrderChoice]:
 
     The orders are built, not searched for. The demands (X, x) with x ∈ f(X)
     are walked with X, then x, ascending, and each one that no order so far
-    covers gets a new order. (Such an X holds no Nil contract: the order
-    that covers X minus them covers X too.) The order starts from R = the
-    non-Nil contracts and ranks next, and removes from R, the lowest member
-    of f(R) outside X, until f(R) ⊆ X ⊆ R. Outcast then gives f(X) = f(R),
-    so x ∈ f(R) is ranked next (checked), and the lowest member of f(R)
-    follows each time until R is empty. Each step ranks a member of f(R)
-    above the rest of R, so the order is pointwise inferior to f, and it
-    picks x from X. A forward pass then drops every order whose demands the
-    others still cover. Each order is marked by its own table, kept as one
-    byte per subset and out of the choice-table cache.
+    covers gets a new order (such an X holds no Nil contract). The order
+    starts from R = the non-Nil contracts and ranks next, and removes from
+    R, the lowest member of f(R) outside X, until f(R) ⊆ X ⊆ R; Outcast then
+    gives f(X) = f(R), so x ∈ f(R) is ranked next (checked), and the lowest
+    member of f(R) follows each time until R is empty. So the order is
+    pointwise inferior to f and picks x from X. A forward pass then drops
+    every order whose demands the others still cover.
 
-    Every returned order ranks all contracts, the Nil ones last, accepts
-    exactly the non-Nil ones, and is pointwise inferior to f; their union
-    reproduces f on every subset (asserted when it is built). The result is
-    deterministic but neither canonical nor minimum-size.
-
-    The limit, EXHAUSTIVE_CAP, is checked on every call. Behind it the
-    orders are built once per function value (see _Memo); each call returns
-    a new list of them. A function that is not path independent raises
-    NotCertified on every call.
+    Every returned order ranks all contracts, the Nil ones last, and accepts
+    exactly the non-Nil ones; their union reproduces f on every subset
+    (asserted). The result is deterministic but neither canonical nor
+    minimum-size. EXHAUSTIVE_CAP is checked on every call; behind it the
+    orders are built once per function value (see _Memo). A function that
+    is not path independent raises NotCertified on every call.
     """
     _fit("decomposition", cf.universe_size)
     return list(_decomposition(cf))

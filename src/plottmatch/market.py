@@ -340,9 +340,7 @@ def aggregate_sides(m: MarketInstance, *, certify: bool = True) -> SidePair:
 
     Blocks follow agent declaration order, each read by block_of, and each
     agent's part by choice_of (UnknownAgent for an agent with contracts but
-    no spec). Certification is exact at any size: a side is path
-    independent exactly when every agent's function is, and only explicit
-    tables are scanned (see is_plott).
+    no spec). Certification is exact at any size (see is_plott).
     """
     def one_side(agents):
         return Aggregate(m.universe_size, tuple(map(m.block_of, agents)),

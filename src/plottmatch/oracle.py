@@ -23,7 +23,7 @@ from .choice import (
     ContractSet,
     OrderChoice,
     UnionChoice,
-    _blocks,
+    _coords,
     _fit,
     _gather,
     _kept,
@@ -123,7 +123,7 @@ def enumerate_stable_sets(sides: SidePair) -> StableSetCatalog:
     def below(cf):
         """[i][j]: each agent's choice on its slice of S_i ∪ S_j lies within its slice of S_j."""
         matrix = np.ones((len(stable), len(stable)), dtype=bool)
-        for block, part in _blocks(cf):
+        for block, part in zip(*_coords(cf)[:2]):
             local = [_gather(s, block) for s in stable]
             if len(set(local)) > 1:  # else S_i ∪ S_j has the slice of S_j, which the agent keeps
                 table = choice_table(part)
@@ -145,7 +145,7 @@ def _kept_slices(cf) -> list[tuple[int, dict[int, int]]]:
     """Each agent with contracts of a side: (block mask, {kept slice: its gains}), global bits."""
     return [(_scatter((1 << len(block)) - 1, block),
              {_scatter(x, block): _scatter(gains, block) for x, gains in _kept(part)})
-            for block, part in _blocks(cf) if block]
+            for block, part in zip(*_coords(cf)[:2]) if block]
 
 
 def _walk(steps, at: int, s: int, ours: int, stable: list) -> None:

@@ -1,16 +1,11 @@
 """Stability of contract sets and the improvement dynamics on semi-stable pairs.
 
-A two-sided market is a pair of choice functions F (the worker side) and G
-(the firm side) over one contract universe. A set S is stable when both
-sides keep it (S1) and no outside contract is wanted by both (S2). Stable
-sets correspond to stable pairs (Y, Z) of closures; the Φ update
-
-    Y' = Y ∪ F(Z),   Z' = (Z ∖ F(Z)) ∪ G(F(Z))
-
-maps semi-stable pairs to semi-stable pairs, grows Y, shrinks Z, and
+A market is a pair of choice functions F (workers) and G (firms) over one
+contract universe. A set S is stable when both sides keep it (S1) and no
+outside contract is wanted by both (S2). The Φ update Y' = Y ∪ F(Z),
+Z' = (Z ∖ F(Z)) ∪ G(F(Z)) maps semi-stable pairs to semi-stable pairs and
 reaches a fixpoint whose set F(Z) = G(Y) is stable. On top of σ (the
-fixpoint map) sit side-optimal solutions, the lattice operations on stable
-sets, and comparative statics under a weakened worker side.
+fixpoint map) sit side optima, the lattice operations and comparative statics.
 """
 
 from __future__ import annotations
@@ -24,8 +19,13 @@ from .choice import (
     ContractSet,
     PlottReport,
     _cache_info,
+    _coords,
     _dominates,
+    _lift,
+    _mask,
+    _members,
     _Rows,
+    _split,
     format_set,
     is_plott,
 )
@@ -46,25 +46,17 @@ class SidePair:
     """The two sides of a market: F (workers) and G (firms) on one universe.
 
     ``f_report`` and ``g_report`` are the sides' path-independence checks;
-    the dynamics and everything built on it refuse to run uncertified. The
-    fixed facts ``universe_size`` and ``certified`` (both reports present
-    and path independent) are set once when the pair is built, not fields.
-
-    A pair answers a query once, for either side proposing: stability and
-    both closures do not depend on which side is called F, and σ's keys
-    carry the proposer. Two stores, made with the pair and not fields
-    (equality, hash and repr are the four fields'), keep σ's stable set
-    mask by the key (y, z, flip), flip when G proposes (``_fixpoints``;
-    run_to_fixpoint does not read it), and the mask pair (C − G's gains,
-    C − F's gains) that is_stable_set's S2 scan built, by the mask of each
-    S that passed (``_pairs``). Only on a certified pair are those
-    (closure_star(G,S), closure_star(F,S)), so its other readers check
-    certification first. Each holds up to 256 answers, is emptied when full
-    and counts hits and misses (``cache_info``). A key and its answer are
-    three masks of |C| bits, so a full store holds 1.8 MiB at |C| = 20,001
-    (2.0 MiB traced). Checks run before a store is read, and no failure is
-    kept. Store steps are single dict calls: threads may compute an answer
-    twice or lose a count, never read a wrong one.
+    the dynamics refuse to run uncertified. ``universe_size``, ``certified``
+    (both reports present and path independent) and three stores are not
+    fields. A pair answers a query once, for either side proposing: the
+    stores keep σ's stable set by (y, z, flip), flip when G proposes
+    (``_fixpoints``); the mask pair (C − G's gains, C − F's gains) of each S
+    that passed is_stable_set (``_pairs``), its closures on a certified
+    pair; and σ's rounds by (z, flip) (``_chains``, see _sigma). Each holds
+    up to 256 answers, emptied when full; ``cache_info`` counts the first
+    two (1.8 MiB full at |C| = 20,001), and a kept chain holds a pointer per
+    contract it moves. No failure is kept; threads may compute an answer
+    twice, never read a wrong one.
     """
 
     F: ChoiceFunction
@@ -80,6 +72,7 @@ class SidePair:
         object.__setattr__(self, "certified", bool(f and g and f.is_plott and g.is_plott))
         object.__setattr__(self, "_fixpoints", _Rows())  # σ's stable set by (y, z, flip)
         object.__setattr__(self, "_pairs", _Rows())  # the mask pair of each stable set
+        object.__setattr__(self, "_chains", _Rows())  # σ's Z chain by (z, flip)
 
     def swap(self) -> "SidePair":
         """The same market with the roles of the two sides exchanged, with empty stores."""
@@ -104,13 +97,10 @@ class SidePair:
 
 
 def side_pair(F: ChoiceFunction, G: ChoiceFunction, *, certify: bool = True) -> SidePair:
-    """Pair two sides, checking path independence of both unless told not to.
-
-    The check is exact at any size: a side that acts block by block is path
-    independent exactly when every agent's function is (see is_plott).
-    """
-    sides = SidePair(F, G)  # the universes are checked before either side is certified
-    return SidePair(F, G, is_plott(F), is_plott(G)) if certify else sides
+    """Pair two sides, checking path independence of both (exactly, see is_plott) unless told
+    not to; the universes are checked first."""
+    certify = certify and F.universe_size == G.universe_size  # else SidePair refuses the pair
+    return SidePair(F, G, is_plott(F), is_plott(G)) if certify else SidePair(F, G)
 
 
 @dataclass(frozen=True)
@@ -132,29 +122,36 @@ class StablePair:
 
 @dataclass(frozen=True)
 class ProcessTrace:
-    """A full Φ run as σ found it: the masks of each visited (Y, Z) and of the stable set.
+    """A full Φ run as σ found it: its first and last (Y, Z) masks, each step's changes, S.
 
-    ``steps`` and ``result`` are built from the masks when first read.
+    Step t+1 adds the contracts of ``changes[t][0]`` to Y and drops those of
+    ``changes[t][1]`` from Z. ``steps`` and ``result`` are built when first read.
     """
 
     universe_size: int
-    masks: tuple[tuple[int, int], ...]
+    start: tuple[int, int]
+    changes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    end: tuple[int, int]
     stable_mask: int
 
     @cached_property
     def steps(self) -> tuple[SemiStablePair, ...]:
-        n = self.universe_size
-        return tuple(SemiStablePair(ContractSet(n, y), ContractSet(n, z)) for y, z in self.masks)
+        n, (y, z) = self.universe_size, self.start
+        steps = [(y, z)]
+        for offered, rejected in self.changes:
+            y, z = y | _mask(n, offered), z & ~_mask(n, rejected)
+            steps.append((y, z))
+        return tuple(SemiStablePair(ContractSet(n, y), ContractSet(n, z)) for y, z in steps)
 
     @cached_property
     def result(self) -> StablePair:
-        n, (y, z) = self.universe_size, self.masks[-1]
+        n, (y, z) = self.universe_size, self.end
         return StablePair(ContractSet(n, y), ContractSet(n, z), ContractSet(n, self.stable_mask))
 
     @property
     def terminated_at(self) -> int:
         """The index of the fixpoint in ``steps``."""
-        return len(self.masks) - 1
+        return len(self.changes)
 
 
 @dataclass(frozen=True)
@@ -177,26 +174,29 @@ class StabilityCheck:
 def _scan(sides: SidePair, S: ContractSet):
     """S's mask pair (C − G's gains, C − F's gains), kept by S, if S is stable; else its failure.
 
-    S2 is its definition, the contracts c outside S that both sides choose
-    from S ∪ {c}: one ``_gains`` call per side. A kept set is one lookup,
-    neither side evaluated; the pair returned is the one added, never read back.
+    Each agent's own function runs on its slice of S: S1 holds when every
+    agent keeps its slice, and S2 is its definition, the contracts outside S
+    that both sides' agents gain. A kept set is one lookup.
     """
-    if S.universe_size != sides.universe_size:
+    n = sides.universe_size
+    if S.universe_size != n:
         raise UniverseMismatch("set outside the market universe")
     store, s = sides._pairs, S.mask
     pair = store.get(s)
     if pair is not None:
         store.hits += 1
         return pair
-    if sides.F._choose_mask(s) != s:
-        return StabilityCheck(False, "S1", side="F")
-    if sides.G._choose_mask(s) != s:
-        return StabilityCheck(False, "S1", side="G")
-    f, g = sides.F._gains(s), sides.G._gains(s)
+    gains = []
+    for side, cf in (("F", sides.F), ("G", sides.G)):
+        blocks, parts, *_ = record = _coords(cf)
+        slices = _split(record, s)
+        if any(part._choose_mask(x) != x for part, x in zip(parts, slices) if x):
+            return StabilityCheck(False, "S1", side=side)
+        gains.append(_lift(n, blocks, enumerate(part._gains(x) for part, x in zip(parts, slices))))
+    f, g = gains
     if blocking := f & g:
         return StabilityCheck(False, "S2", contract=(blocking & -blocking).bit_length() - 1)
-    full = (1 << sides.universe_size) - 1
-    return store.add(s, (full ^ g, full ^ f))
+    return store.add(s, (((1 << n) - 1) ^ g, ((1 << n) - 1) ^ f))
 
 
 def is_stable_set(sides: SidePair, S: ContractSet) -> StabilityCheck:
@@ -227,16 +227,6 @@ def semi_stable_pair(sides: SidePair, Y: ContractSet, Z: ContractSet) -> SemiSta
     return SemiStablePair(Y, Z)
 
 
-def _checked(n: int, py: int, pz: int, y: int, z: int, gy: int, fz: int):
-    """Check that Φ's output (y, z), where G(y) = gy and F(z) = fz, is semi-stable and above."""
-    try:
-        _ssp_check(n, y, z, gy, fz)
-    except NotSemiStable as exc:
-        raise InternalError("update left the semi-stable family") from exc
-    if py & ~y or z & ~pz:
-        raise InternalError("update left the componentwise order")
-
-
 def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     """One update Y' = Y ∪ F(Z), Z' = (Z ∖ F(Z)) ∪ G(F(Z)).
 
@@ -246,50 +236,100 @@ def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     """
     sides.require_certified()
     semi_stable_pair(sides, p.Y, p.Z)
-    F, G, n = sides.F, sides.G, sides.universe_size
-    fz = F._choose_mask(p.Z.mask)
-    y, z = p.Y.mask | fz, (p.Z.mask & ~fz) | G._choose_mask(fz)
-    _checked(n, p.Y.mask, p.Z.mask, y, z, G._choose_mask(y), F._choose_mask(z))
+    F, G, n, (py, pz) = sides.F, sides.G, sides.universe_size, (p.Y.mask, p.Z.mask)
+    fz = F._choose_mask(pz)
+    y, z = py | fz, (pz & ~fz) | G._choose_mask(fz)
+    try:
+        _ssp_check(n, y, z, G._choose_mask(y), F._choose_mask(z))
+    except NotSemiStable as exc:
+        raise InternalError("update left the semi-stable family") from exc
+    if py & ~y or z & ~pz:
+        raise InternalError("update left the componentwise order")
     return SemiStablePair(ContractSet(n, y), ContractSet(n, z))
 
 
-def _sigma(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int) -> tuple[tuple, int]:
-    """σ on masks, F proposing, from a semi-stable (y, z): every (Y, Z) visited, and the stable set.
+def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int):
+    """Φ from (y, z), where gy = G(y), F proposing, on agent slices, with phi_step's checks.
 
-    Z can strictly shrink at most |C| times and Y absorbs choose(F,Z) in one
-    further step, so more than |C|+2 applications raise InternalError, as
-    does a fixpoint without choose(G,choose(F,Z)) = choose(G,Y) = choose(F,Z),
-    which make S = choose(F,Z) stable with stable pair (Y, Z). Each
-    application makes phi_step's checks, but only the start is evaluated in
-    full: the run carries choose(G,Y), choose(F,Z) and choose(G,F(Z)), and
-    re-evaluates each through ``_rechoose`` from the nearest carried set
-    (the first on a tie), so an aggregate asks only the agents whose slice
-    changed; from (∅, C), choose(G,Y') = choose(G,F(Z)) costs nothing.
+    Agents hold their slices as local ints (see Aggregate). A round drops the
+    rejected contracts from their workers' Z slices, re-chooses only those
+    workers, and re-chooses only the firms whose slice of F(Z) or Y changed.
+    Y gains the contracts first offered: all of F(Z₀), then those joining
+    F(Z) outside Y. The start is validated (NotSemiStable), each round checks
+    SSP2 at each changed firm (SSP1 and the order hold by construction), the
+    end G(F(Z)) = F(Z) = G(Y) at every firm; over |C|+2 rounds raise
+    InternalError. Returns (F(Z₀), the rounds' offered and rejected contracts,
+    and the last Y ∖ Y₀, Z and S).
     """
     n = F.universe_size
-    gy, fz = G._choose_mask(y), F._choose_mask(z)
+    f_blocks, f_parts, f_agent, f_position = f_side = _coords(F)
+    g_blocks, g_parts, g_agent, g_position = g_side = _coords(G)
+    fz = F._choose_mask(z)
     _ssp_check(n, y, z, gy, fz)
-    gfz = G._rechoose(y, gy, fz)
-    steps = [(y, z)]
+    zs, fs = _split(f_side, z), _split(f_side, fz)
+    gs, ys, yg = _split(g_side, fz), _split(g_side, y), _split(g_side, gy)
+    held = [part._choose_mask(x) if x else 0 for part, x in zip(g_parts, gs)]  # G(F(Z)) by firm
+    firms, offers, rounds = range(len(g_parts)), {b: x for b, x in enumerate(gs) if x}, []
     while True:
-        y2, z2 = y | fz, (z & ~fz) | gfz
-        old, chosen = (y, gy) if (y ^ y2).bit_count() <= (fz ^ y2).bit_count() else (fz, gfz)
-        gy2 = G._rechoose(old, chosen, y2)
-        fz2 = F._rechoose(z, fz, z2)
-        _checked(n, y, z, y2, z2, gy2, fz2)
-        if y2 == y and z2 == z:
+        rejected = _members(g_blocks, [(b, gs[b] ^ held[b]) for b in firms if gs[b] != held[b]])
+        if not rejected and not offers:
             break
-        steps.append((y2, z2))
-        if len(steps) > n + 2:
+        if len(rounds) > n + 1:
             raise InternalError("dynamics exceeded the |C|+2 step bound")
-        old, chosen = (fz, gfz) if (fz ^ fz2).bit_count() <= (y2 ^ fz2).bit_count() else (y2, gy2)
-        gfz = G._rechoose(old, chosen, fz2)
-        y, z, gy, fz = y2, z2, gy2, fz2
-    if gfz != fz:
+        rounds.append((tuple(_members(g_blocks, offers.items())), tuple(rejected)))
+        grown, firms = {b for b, x in offers.items() if x & ~ys[b]}, set()  # firms whose Y grows
+        for b in grown:
+            ys[b] |= offers[b]
+        for c in rejected:
+            zs[f_agent[c]] &= ~(1 << f_position[c])
+        offers = {}
+        for a in {f_agent[c] for c in rejected}:
+            new, block = f_parts[a]._choose_mask(zs[a]), f_blocks[a]
+            flips, fs[a] = new ^ fs[a], new
+            while flips:  # each changed pick moves to its firm
+                low = flips & -flips
+                flips ^= low
+                c = block[low.bit_length() - 1]
+                firms.add(b := g_agent[c])
+                gs[b] ^= (bit := 1 << g_position[c])
+                if new & low and not ys[b] & bit:
+                    offers[b] = offers.get(b, 0) | bit
+        for b in firms:
+            held[b] = g_parts[b]._choose_mask(gs[b])
+        for b in grown:
+            yg[b] = held[b] if ys[b] == gs[b] else g_parts[b]._choose_mask(ys[b])
+        if any(yg[b] & ~gs[b] for b in firms | grown):
+            raise InternalError("update left the semi-stable family")
+    if held != gs:
         raise InternalError("fixpoint reached with choose(G,choose(F,Z)) != choose(F,Z)")
-    if gy != fz:
+    if yg != gs:
         raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
-    return tuple(steps), fz
+    return (fz, tuple(rounds), fz | _mask(n, [c for o, _ in rounds[1:] for c in o]),
+            z & ~_mask(n, [c for _, r in rounds for c in r]), _lift(n, f_blocks, enumerate(fs)))
+
+
+def _sigma(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, chains: _Rows, flip: bool):
+    """σ on masks, F proposing, from a semi-stable (y, z): (each step's changes, the last (Y, Z), S).
+
+    Z′ = Z ∖ (F(Z) ∖ G(F(Z))) reads Z alone, so every start with Y₀ within
+    F(Z₀) has Y_t = F(Z₀) ∪ … ∪ F(Z_{t−1}) from step 1 on: the rounds of one
+    (see _chain) are kept in ``chains`` by (z, flip), and the others read
+    them, their start alone checked.
+    """
+    gy, chain = G._choose_mask(y), chains.get((z, flip))
+    if chain is None or y & ~chain[0]:
+        chain = _chain(F, G, y, z, gy)
+        if not y & ~chain[0]:
+            chains.add((z, flip), chain)
+    else:
+        chains.hits += 1
+        _ssp_check(F.universe_size, y, z, gy, chain[0])
+    fz, rounds, u, z_end, s = chain
+    if len(rounds) == 1 and not rounds[0][1] and not fz & ~y:  # (y, z) is the fixpoint
+        if gy != fz:
+            raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
+        return (), (y, z), s
+    return rounds, (y | u, z_end), s
 
 
 def _fixpoint(sides: SidePair, y: int, z: int, flip: bool = False) -> int:
@@ -298,7 +338,7 @@ def _fixpoint(sides: SidePair, y: int, z: int, flip: bool = False) -> int:
     s = store.get(key)
     if s is None:
         F, G = (sides.G, sides.F) if flip else (sides.F, sides.G)
-        return store.add(key, _sigma(F, G, y, z)[1])
+        return store.add(key, _sigma(F, G, y, z, sides._chains, flip)[2])
     store.hits += 1
     return s
 
@@ -306,14 +346,15 @@ def _fixpoint(sides: SidePair, y: int, z: int, flip: bool = False) -> int:
 def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
     """Iterate Φ from p0 until it stops moving; the fixpoint yields a stable set.
 
-    σ runs on masks (``_sigma``), and the trace keeps them; step objects are
-    built only when the trace's steps are read.
+    σ runs on masks (``_sigma``), and the trace keeps each step's changed
+    contracts; masks and step objects are built only when they are read.
     """
     sides.require_certified()
     n = sides.universe_size
     if p0.Y.universe_size != n or p0.Z.universe_size != n:
         raise UniverseMismatch("pair outside the market universe")
-    return ProcessTrace(n, *_sigma(sides.F, sides.G, p0.Y.mask, p0.Z.mask))
+    start = p0.Y.mask, p0.Z.mask
+    return ProcessTrace(n, start, *_sigma(sides.F, sides.G, *start, sides._chains, False))
 
 
 def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
@@ -381,10 +422,8 @@ def lattice_join(sides: SidePair, stable_sets) -> ContractSet:
 
     Forms Y = ∪ closure_star(G,S_i), Z = ∩ closure_star(F,S_i), which is
     semi-stable, and runs σ; minimality of σ among stable sets above the
-    start makes the result the join. σ runs on masks and builds no steps.
-    The pair keeps each stable set's closures and σ's answer by start (see
-    SidePair). Certification and universes are checked on every call, and
-    stability on each call until a set passes.
+    start makes the result the join. The pair keeps the closures and σ's
+    answer (see SidePair); certification and universes are checked every call.
     """
     return _join(sides, stable_sets, False)
 
@@ -439,7 +478,7 @@ def comparative_statics(sides: SidePair, f_prime: ChoiceFunction,
     y, z = _closures(sides, S)
     z = ((1 << n) - 1) ^ f_prime._gains(z)  # closure_star(F′, z)
     try:
-        s_prime = ContractSet(n, _sigma(f_prime, sides.G, y, z)[1])
+        s_prime = ContractSet(n, _sigma(f_prime, sides.G, y, z, _Rows(), False)[2])
     except NotSemiStable as exc:
         raise InternalError("statics start pair not semi-stable") from exc
     if not blair_leq(sides.G, S, s_prime):

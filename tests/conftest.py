@@ -86,6 +86,40 @@ def make_market_text(workers: int, firms: int, per_worker: int, seed: int,
     return "\n".join(lines) + "\n"
 
 
+def make_terms_market_text(workers: int, terms: int, seed: int) -> str:
+    """A seeded market of contracts with terms, the setting of Kelso–Crawford (1982) and
+    Hatfield–Milgrom (2005).
+
+    Each worker meets 3 random firms of ``workers // 3``, and each worker–firm
+    pair has one contract per term t = 0..terms−1. Workers take one contract
+    (kind=order), by term from high to low and then by a random rank of their
+    firms; firms take two (kind=quota q=2), by term from low to high and then
+    by a random rank of their workers.
+    """
+    rng = random.Random(seed)
+    firms = workers // 3
+    lines = ["[firms] " + " ".join(f"f{i}" for i in range(firms)),
+             "[workers] " + " ".join(f"w{i}" for i in range(workers)),
+             "[contracts]"]
+    of_firm = [[] for _ in range(firms)]  # (term, worker, id) of each firm's contracts
+    specs = []
+    for w in range(workers):
+        mine = []  # (−term, firm rank, id)
+        for rank, f in enumerate(rng.sample(range(firms), 3)):
+            for t in range(terms):
+                cid = f"c{len(lines) - 3}"
+                lines.append(f"{cid} f{f} w{w} {t} {terms - 1 - t}")
+                mine.append((-t, rank, cid))
+                of_firm[f].append((t, w, cid))
+        specs += [f"[choice w{w}] kind=order", " ".join(cid for *_, cid in sorted(mine))]
+    for f, owned in enumerate(of_firm):
+        if owned:
+            rank = {w: rng.random() for w in sorted({w for _, w, _ in owned})}
+            specs += [f"[choice f{f}] kind=quota q=2",
+                      " ".join(cid for *_, cid in sorted(owned, key=lambda o: (o[0], rank[o[1]])))]
+    return "\n".join(lines + specs) + "\n"
+
+
 @pytest.fixture
 def market_text():
     """The seeded market generator, ``make_market_text``."""

@@ -767,10 +767,15 @@ def test_compiled_aggregate_matches_the_local_choices(agg):
 @settings(max_examples=120, deadline=None)
 @given(mixed_aggregates(), st.data())
 def test_rechoose_equals_a_full_evaluation(agg, data):
-    full = (1 << agg.universe_size) - 1
+    full, n = (1 << agg.universe_size) - 1, agg.universe_size
+    blocks, parts, agent, position = side = choice._coords(agg)
     for _ in range(8):
         old, new = data.draw(st.integers(0, full)), data.draw(st.integers(0, full))
-        assert agg._rechoose(old, agg._choose_mask(old), new) == agg._choose_mask(new)
+        olds, news = choice._split(side, old), choice._split(side, new)
+        chosen = [part._choose_mask(x) for part, x in zip(parts, olds)]
+        for a in {agent[c] for c in ContractSet(n, old ^ new)}:  # only the agents whose slice changed
+            chosen[a] = parts[a]._choose_mask(news[a])
+        assert choice._mask(n, choice._members(blocks, enumerate(chosen))) == agg._choose_mask(new)
 
 
 def _reference_gains(agg, x: int) -> int:
@@ -784,17 +789,12 @@ def _reference_gains(agg, x: int) -> int:
 def test_cached_rows_equal_uncached_evaluation_past_the_bound(agg, rng):
     full = (1 << agg.universe_size) - 1
     pool = [rng.randint(0, full) for _ in range(10)]  # revisited past the bound of 3
-    old = rng.choice(pool)
-    chosen = _reference_choice(agg, old)
     with mock.patch.object(choice._Rows, "maxsize", 3):
         for _ in range(40):
             new, x = rng.choice(pool), rng.choice(pool)
-            expected = _reference_choice(agg, new)
-            assert agg._rechoose(old, chosen, new) == expected
-            assert agg._choose_mask(new) == expected
+            assert agg._choose_mask(new) == _reference_choice(agg, new)
             assert agg._choose_mask(x) == _reference_choice(agg, x)
             assert agg._gains(x) == _reference_gains(agg, x)
-            old, chosen = new, expected
         info = agg.cache_info()
     assert info.hits > 0 and info.currsize <= info.maxsize == 3
 
@@ -818,7 +818,7 @@ def test_row_cache_counts_in_the_functools_shape():
         assert agg._gains(x) == _reference_gains(agg, x)
     assert agg.cache_info() == (2, 1024, maxsize, maxsize)
     for x in range(1024 - choice._Rows.maxsize, 1024):  # the latest rows stay
-        agg._rechoose(0, 0, x)
+        agg._choose_mask(x)
         agg._gains(x)
     assert agg.cache_info().hits == 2 + maxsize
     agg._choose_mask(0b1011)  # dropped when its store was emptied
@@ -835,7 +835,7 @@ def test_threads_sharing_an_aggregate_read_only_its_rows():
         for _ in range(2000):
             x, y = rng.choice(masks), rng.choice(masks)
             assert (agg._choose_mask(x), agg._gains(x)) == rows[x]
-            assert agg._rechoose(x, rows[x][0], y) == rows[y][0]
+            assert agg._choose_mask(y) == rows[y][0]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import pickle
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -559,3 +561,24 @@ def test_certifying_a_large_market_evaluates_no_side(market_text, monkeypatch):
     monkeypatch.setattr(Aggregate, "_choose_mask", counted)
     sides = aggregate_sides(m)
     assert sides.certified and calls == []
+
+
+def _retained_per_contract(workers: int) -> float:
+    """The bytes that aggregate_sides retains per contract (tracemalloc) on a parsed market."""
+    m = parse_instance(make_market_text(workers, workers // 3, 3, seed=1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sides = aggregate_sides(m)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sides.certified
+    return retained / m.universe_size
+
+
+def test_the_aggregates_retain_memory_linear_in_the_contracts():
+    # one record per contract, no global-width mask per agent: 6,000 and 20,001 contracts
+    small, large = _retained_per_contract(2000), _retained_per_contract(6667)
+    assert large <= 1.25 * small, (small, large)

@@ -8,7 +8,9 @@ reference reads each agent's choice from the generator's own data and
 never imports the package. F is the workers' side, G the firms'.
 
 The baseline family, ``make_market_text`` with order workers and quota
-q = 2 firms, gets the same checks at 2,001 and 6,669 contracts. Its agents
+q = 2 firms, gets the same checks at 2,001 and 6,669 contracts, and so
+does a market of contracts with terms, ``make_terms_market_text`` with 100
+workers and 10 terms (3,000 contracts), whose Φ runs are long. Their agents
 are handed to the reference as generated ``Market`` agents, each parsed
 order, acceptable set and quota on global indices, by ``_as_generated`` of
 ``scripts/scale_probe.py``, which times this family's path in a fresh
@@ -31,7 +33,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import make_market_text
+from conftest import make_market_text, make_terms_market_text
 
 from bench.markets import Shape, generate
 from bench.reference import Reference
@@ -63,17 +65,25 @@ _as_generated = scale_probe._as_generated
 SHAPES = (Shape((3,) * 222, 2, MIXED_WORKERS, MIXED_FIRMS),   # 2,000 contracts
           Shape((3,) * 741, 1, MIXED_WORKERS, MIXED_FIRMS))   # 6,670 contracts
 BASELINE = ((667, 222), (2223, 741))  # workers, firms: 2,001 and 6,669 contracts
+TERMS = (("terms", 100, 10),)  # workers, terms: 3,000 contracts
 
 
-@pytest.fixture(scope="module", params=SHAPES + BASELINE,
-                ids=lambda p: str(p.contracts) if isinstance(p, Shape) else f"baseline-{3 * p[0]}")
+def _market_id(p) -> str:
+    if isinstance(p, Shape):
+        return str(p.contracts)
+    return f"terms-{3 * p[1] * p[2]}" if p[0] == "terms" else f"baseline-{3 * p[0]}"
+
+
+@pytest.fixture(scope="module", params=SHAPES + BASELINE + TERMS, ids=_market_id)
 def market(request):
     """(reference, sides, F-optimum mask, G-optimum mask) of one seeded market."""
     if isinstance(request.param, Shape):
         generated = generate(request.param, f"scale:{request.param.contracts}")
         m = parse_instance(generated.text())
     else:
-        m = parse_instance(make_market_text(*request.param, 3, seed=1))
+        text = (make_terms_market_text(*request.param[1:], seed=1) if request.param[0] == "terms"
+                else make_market_text(*request.param, 3, seed=1))
+        m = parse_instance(text)
         generated = _as_generated(m)
     sides = aggregate_sides(m)
     assert sides.certified and sides.universe_size == generated.size
@@ -251,17 +261,20 @@ def test_union_market_sets_one_contract_away_get_the_definition_verdict(union_ma
 
 
 def test_the_scale_probe_prints_one_checked_line_per_size():
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), str(ROOT),
-                           "--sizes", "300", "90"], capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    lines = [json.loads(line) for line in done.stdout.splitlines()]
-    assert [line["contracts"] for line in lines] == [300, 90]
-    for line in lines:
-        assert line["matches_reference"] is line["optima_stable"] is True
-        assert line["openssl_loaded"] is False  # nothing on the path reads a fingerprint
-        steps = ("parse_s", "aggregate_s", "optimum_F_s", "optimum_G_s", "stable_s")
-        assert all(0 < line[step] <= line["total_s"] for step in steps)
-        assert 0 <= line["aggregate_rss_mib"] < line["peak_rss_mib"]
+    for args, sizes in ((["--sizes", "300", "90"], [300, 90]),
+                        (["--sizes", "300", "--family", "terms", "--terms", "4"], [300])):
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), str(ROOT),
+                               *args], capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [line["contracts"] for line in lines] == sizes
+        for line in lines:
+            assert line["matches_reference"] is line["optima_stable"] is True
+            assert line["openssl_loaded"] is False  # nothing on the path reads a fingerprint
+            steps = ("parse_s", "aggregate_s", "optimum_F_s", "optimum_G_s", "stable_s")
+            assert all(0 < line[step] <= line["total_s"] for step in steps)
+            assert 0 <= line["aggregate_rss_mib"] < line["peak_rss_mib"]
+            assert all(0 < line[f"phi_steps_{side}"] <= line["contracts"] + 2 for side in "FG")
 
 
 def test_the_scale_probe_exits_1_after_printing_a_mismatch(monkeypatch, capsys):

@@ -8,7 +8,7 @@ import sys
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 from unittest import mock
 
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from plottmatch import (
     Aggregate,
     CapExceeded,
+    ChoiceFunction,
     ContractSet,
     EmptyList,
     ExplicitTable,
@@ -30,7 +31,6 @@ from plottmatch import (
     OrderChoice,
     PlottReport,
     PlottmatchError,
-    ProcessTrace,
     SemiStablePair,
     SidePair,
     StabilityCheck,
@@ -731,55 +731,58 @@ def test_large_market_evaluations_stay_within_one_agent(market_text, monkeypatch
         assert sum(calls) <= 1
 
 
-def test_phi_steps_ask_only_the_agents_whose_slices_changed(market_text, monkeypatch):
-    calls = []  # the block of every choice kernel call; None marks a checked step
-    compile_order = OrderChoice._kernels
+@dataclass(frozen=True)
+class _Recorded(ChoiceFunction):
+    """An agent's function that records its block each time it chooses."""
 
-    def recording(self, place):
-        (choose, gains), block = compile_order(self, place), tuple(place)
+    universe_size: int
+    part: ChoiceFunction
+    block: tuple[int, ...]
+    calls: list = field(compare=False)
 
-        def counted(xmask):
-            calls.append(block)
-            return choose(xmask)
-        return counted, gains
+    def _choose_mask(self, xmask: int) -> int:
+        self.calls.append(self.block)
+        return self.part._choose_mask(xmask)
 
-    monkeypatch.setattr(OrderChoice, "_kernels", recording)
-    sides = aggregate_sides(parse_instance(market_text(300, 300, 3, seed=5)))
-    checked = stability._checked
-    monkeypatch.setattr(stability, "_checked",
-                        lambda *args: calls.append(None) or checked(*args))
+    def _gains(self, xmask: int) -> int:
+        return self.part._gains(xmask)
+
+
+def test_phi_steps_ask_only_the_agents_whose_slices_changed(market_text):
+    calls = []  # the block of every call of an agent's own function
+
+    def recorded(agg):
+        return Aggregate(agg.universe_size, agg.blocks,
+                         tuple(_Recorded(len(b), p, b, calls) for b, p in zip(agg.blocks, agg.parts)))
+
+    plain = aggregate_sides(parse_instance(market_text(300, 300, 3, seed=5)))
+    sides = SidePair(recorded(plain.F), recorded(plain.G), plain.f_report, plain.g_report)
     n = sides.universe_size
     for frame in (sides, sides.swap()):
         start = semi_stable_pair(frame, ContractSet.empty(n), ContractSet.full(n))
         calls.clear()
         trace = run_to_fixpoint(frame, start)
-        segments = [[]]
-        for block in calls:
-            if block is None:
-                segments.append([])
-            else:
-                segments[-1].append(block)
-        steps = trace.steps + trace.steps[-1:]  # the last application repeats the fixpoint
-        assert len(segments) == len(steps)
+        asked = Counter(calls)
 
-        def changed(agg, a, b):
-            """The blocks of agg whose slices of a and b differ."""
+        def changed(agg, sets):
+            """For each block of agg, the number of steps at which its slice of the sets changes."""
             owner = {g: block for block in agg.blocks for g in block}
-            return {owner[g] for g in ContractSet(n, a.mask ^ b.mask)}
+            return Counter(block for a, b in zip(sets, sets[1:])
+                           for block in {owner[g] for g in ContractSet(n, a.mask ^ b.mask)})
 
-        offers = [frame.F.choose(p.Z) for p in steps]
-        # the first application asks each agent of G(F(Z)) once: G(Y') = G(F(Z)) is free
-        first = Counter(segments[0])
-        assert all(first[block] == 1 for block in changed(frame.G, start.Y, offers[0]))
-        # after check j (step j is built): choose(G,F(Z_j)), then step j+1's
-        # choose(G,Y_j+1) and choose(F,Z_j+1); each asks only changed agents
-        for j in range(1, len(steps) - 1):
-            allowed = (changed(frame.G, offers[j - 1], offers[j])
-                       | changed(frame.G, steps[j].Y, steps[j + 1].Y)
-                       | changed(frame.F, steps[j].Z, steps[j + 1].Z))
-            assert set(segments[j]) <= allowed
-            assert max(Counter(segments[j]).values(), default=0) <= 2
-        assert segments[-1] == []
+        offers = [frame.F.choose(p.Z) for p in trace.steps]
+        # one first choice each, then one per step where the agent's slice of Z, F(Z) or Y changed
+        z_steps = changed(frame.F, [p.Z for p in trace.steps])
+        assert all(asked[block] <= 1 + z_steps[block] for block in frame.F.blocks if block)
+        g_steps = changed(frame.G, offers) + changed(frame.G, [p.Y for p in trace.steps])
+        assert all(asked[block] <= 1 + g_steps[block] for block in frame.G.blocks if block)
+        # the pair keeps Z's chain: σ again from the start, or from Y₀ within F(C), asks no agent
+        y0 = ContractSet(n, offers[0].mask & random.Random(n).getrandbits(n))
+        warm = semi_stable_pair(frame, y0, ContractSet.full(n))
+        calls.clear()
+        assert run_to_fixpoint(frame, start) == trace
+        assert run_to_fixpoint(frame, warm).result.S == trace.result.S
+        assert calls == []
 
 
 def _random_explicit_aggregate(rng, n):
@@ -796,7 +799,8 @@ def _random_explicit_aggregate(rng, n):
 
 
 def _reference_run(sides, p):
-    """run_to_fixpoint restated on phi_step, whose choices are all full evaluations."""
+    """run_to_fixpoint restated on phi_step, whose choices are all full evaluations: the masks of
+    every step and the stable set."""
     steps = [p]
     while (nxt := phi_step(sides, p)) != p:
         steps.append(nxt)
@@ -808,14 +812,16 @@ def _reference_run(sides, p):
         raise InternalError("fixpoint reached with choose(G,choose(F,Z)) != choose(F,Z)")
     if sides.G.choose(p.Y) != fz:
         raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
-    return ProcessTrace(sides.universe_size, tuple((q.Y.mask, q.Z.mask) for q in steps), fz.mask)
+    return tuple((q.Y.mask, q.Z.mask) for q in steps), fz.mask
 
 
 def _outcome(run, sides, p):
     try:
-        return run(sides, p)
+        trace = run(sides, p)
     except (InternalError, NotSemiStable) as exc:
         return type(exc), str(exc)
+    return trace if type(trace) is tuple else (tuple((q.Y.mask, q.Z.mask) for q in trace.steps),
+                                               trace.stable_mask)
 
 
 def test_forged_certification_trips_the_same_checks_as_full_steps():
@@ -830,7 +836,7 @@ def test_forged_certification_trips_the_same_checks_as_full_steps():
             p = SemiStablePair(ContractSet(n, ymask), ContractSet(n, zmask))
             outcome = _outcome(run_to_fixpoint, forged, p)
             assert outcome == _outcome(_reference_run, forged, p)
-            seen.add(outcome[1] if isinstance(outcome, tuple) else "stable")
+            seen.add(outcome[1] if isinstance(outcome[0], type) else "stable")
     assert seen == {"stable", "SSP2 fails: choose(G,Y) is not within choose(F,Z)",
                     "update left the semi-stable family",
                     "fixpoint reached with choose(G,Y) != choose(F,Z)"}
