@@ -15,8 +15,10 @@ standard input, and runs parse → ``aggregate_sides`` (which certifies) →
 Standard output is one JSON object per size: ``contracts``; the wall time
 of each step (``parse_s``, ``aggregate_s``, ``optimum_F_s``,
 ``optimum_G_s``, ``stable_s`` for both checks, and ``total_s``);
-``aggregate_rss_mib``, the rise of the peak resident set across
-``aggregate_sides``; ``peak_rss_mib`` after the last step;
+``peak_rss_mib`` after the last step; ``aggregate_rss_mib``, the memory
+that one more, untimed ``aggregate_sides`` on the parsed market retains
+(tracemalloc; the timed build's certification verdicts are read from
+their memo), run after every timed step and after the peak is read;
 ``openssl_loaded``, whether ``_hashlib`` was imported by then;
 ``optima_stable``; ``phi_steps_F`` and ``phi_steps_G``, the Φ steps of
 each side's run from (∅, C), counted after every measurement; and
@@ -30,11 +32,13 @@ optimum differs from deferred acceptance or fails its stability check.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +74,19 @@ def _peak_mib() -> float:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 
 
+def _retained_mib(build, *args) -> float:
+    """The memory, traced by tracemalloc, that ``build(*args)`` holds while its result lives."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build(*args)  # held while the memory is read
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return round(retained / 2**20, 2)
+
+
 def probe(text: str) -> dict:
     """Run and measure the path on one market text in this process (see the module doc)."""
     import plottmatch as pm
@@ -83,16 +100,15 @@ def probe(text: str) -> dict:
         return out
 
     m = timed("parse_s", pm.parse_instance, text)
-    before = _peak_mib()
     sides = timed("aggregate_s", pm.aggregate_sides, m)
-    rise = _peak_mib() - before
     worst = timed("optimum_F_s", pm.side_optimal, sides, "F")
     best = timed("optimum_G_s", pm.side_optimal, sides, "G")
     stable = timed("stable_s", lambda: [pm.is_stable_set(sides, s).stable for s in (worst, best)])
-    n = sides.universe_size
+    n, peak = sides.universe_size, _peak_mib()
     result = {"contracts": n, **{name: float(f"{t:.4g}") for name, t in times.items()},
               "total_s": float(f"{sum(times.values()):.4g}"),
-              "aggregate_rss_mib": round(rise, 2), "peak_rss_mib": round(_peak_mib(), 2),
+              "aggregate_rss_mib": _retained_mib(pm.aggregate_sides, m),
+              "peak_rss_mib": round(peak, 2),
               "openssl_loaded": "_hashlib" in sys.modules, "optima_stable": all(stable)}
     bottom = pm.SemiStablePair(pm.ContractSet.empty(n), pm.ContractSet.full(n))
     for side, frame in (("F", sides), ("G", sides.swap())):

@@ -100,6 +100,9 @@ def enumerate_stable_sets(sides: SidePair) -> StableSetCatalog:
     decided; it is at most |C| deep. The Blair matrix is read off each
     agent's table at its slices of S_i ∪ S_j. Only per-agent
     ``choice_table``s are read, never a whole side's. Stable sets ascend.
+    The walk also sums both sides' gains, so each stable set's pair (C − G's
+    gains, C − F's gains) goes into the pair's store as is_stable_set would
+    keep it (see SidePair): joins, meets and closures on the catalog read it.
 
     For certified sides the catalog is nonempty (finite form of the
     existence theorem), the matrix is antisymmetric, and its transpose
@@ -108,14 +111,19 @@ def enumerate_stable_sets(sides: SidePair) -> StableSetCatalog:
     n = sides.universe_size
     _fit("enumeration", n)  # the fingerprint needs whole tables; masks stay int64
     walked, checked = _kept_slices(sides.F), _kept_slices(sides.G)
-    if prod(len(kept) for _, kept in checked) < prod(len(kept) for _, kept in walked):
+    flip = prod(len(kept) for _, kept in checked) < prod(len(kept) for _, kept in walked)
+    if flip:
         walked, checked = checked, walked
     steps = [(kept.items(), []) for _, kept in walked]
     for block, kept in checked:  # after the last walked agent that shares a contract with it
         steps[max(i for i, (b, _) in enumerate(walked) if b & block)][1].append((block, kept))
-    stable = []
-    _walk(steps, 0, 0, 0, stable)
-    stable.sort()
+    found = []
+    _walk(steps, 0, 0, 0, 0, found)
+    full = (1 << n) - 1
+    for s, ours, theirs in found:  # each stable set's pair, as is_stable_set's scan keeps it
+        f, g = (theirs, ours) if flip else (ours, theirs)
+        sides._pairs.add(s, (full ^ g, full ^ f))
+    stable = sorted(s for s, _, _ in found)
 
     if sides.certified and not stable:
         raise InternalError("certified sides with no stable set")
@@ -148,25 +156,27 @@ def _kept_slices(cf) -> list[tuple[int, dict[int, int]]]:
             for block, part in zip(*_coords(cf)[:2]) if block]
 
 
-def _walk(steps, at: int, s: int, ours: int, stable: list) -> None:
+def _walk(steps, at: int, s: int, ours: int, theirs: int, found: list) -> None:
     """Extend s by each kept slice of walked agent ``at``, whose gains join ``ours``.
 
     An agent looked up here owns no contract of a later walked agent, so a
     branch ends at the first one that rejects its slice (S1) or gains a
-    contract that ``ours`` holds (S2).
+    contract that ``ours`` holds (S2); the gains of those that pass join
+    ``theirs``. A stable s is found with both sides' gains: (s, ours, theirs).
     """
     if at == len(steps):
-        stable.append(s)
+        found.append((s, ours, theirs))
         return
     kept, checks = steps[at]
     for x, gains in kept:
-        t, mine = s | x, ours | gains
+        t, mine, other = s | x, ours | gains, theirs
         for block, slices in checks:
-            theirs = slices.get(t & block)
-            if theirs is None or theirs & mine:
+            looked = slices.get(t & block)
+            if looked is None or looked & mine:
                 break
+            other |= looked
         else:
-            _walk(steps, at + 1, t, mine, stable)
+            _walk(steps, at + 1, t, mine, other, found)
 
 
 def format_catalog(catalog: StableSetCatalog, labels=None) -> str:

@@ -51,12 +51,13 @@ class SidePair:
     fields. A pair answers a query once, for either side proposing: the
     stores keep σ's stable set by (y, z, flip), flip when G proposes
     (``_fixpoints``); the mask pair (C − G's gains, C − F's gains) of each S
-    that passed is_stable_set (``_pairs``), its closures on a certified
-    pair; and σ's rounds by (z, flip) (``_chains``, see _sigma). Each holds
-    up to 256 answers, emptied when full; ``cache_info`` counts the first
-    two (1.8 MiB full at |C| = 20,001), and a kept chain holds a pointer per
-    contract it moves. No failure is kept; threads may compute an answer
-    twice, never read a wrong one.
+    that passed is_stable_set or enumerate_stable_sets found (``_pairs``),
+    its closures on a certified pair; and σ's rounds by (z, flip)
+    (``_chains``, see _sigma). Each holds up to 256 answers, emptied when
+    full; ``cache_info`` counts the first two (1.8 MiB full at |C| =
+    20,001), and a kept chain holds a pointer per contract it moves. No
+    failure is kept; threads may compute an answer twice, never read a
+    wrong one.
     """
 
     F: ChoiceFunction
@@ -248,24 +249,21 @@ def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     return SemiStablePair(ContractSet(n, y), ContractSet(n, z))
 
 
-def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int):
-    """Φ from (y, z), where gy = G(y), F proposing, on agent slices, with phi_step's checks.
+def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int, fz: int):
+    """Φ from a semi-stable (y, z), where gy = G(y) and fz = F(z), F proposing, on agent slices.
 
     Agents hold their slices as local ints (see Aggregate). A round drops the
     rejected contracts from their workers' Z slices, re-chooses only those
     workers, and re-chooses only the firms whose slice of F(Z) or Y changed.
     Y gains the contracts first offered: all of F(Z₀), then those joining
-    F(Z) outside Y. The start is validated (NotSemiStable), each round checks
-    SSP2 at each changed firm (SSP1 and the order hold by construction), the
-    end G(F(Z)) = F(Z) = G(Y) at every firm; over |C|+2 rounds raise
-    InternalError. Returns (F(Z₀), the rounds' offered and rejected contracts,
-    and the last Y ∖ Y₀, Z and S).
+    F(Z) outside Y. Each round checks SSP2 at each changed firm (SSP1 and the
+    order hold by construction), the end G(F(Z)) = F(Z) = G(Y) at every firm;
+    over |C|+2 rounds raise InternalError. Returns (F(Z₀), the rounds'
+    offered and rejected contracts, and the last Y ∖ Y₀, Z and S).
     """
     n = F.universe_size
     f_blocks, f_parts, f_agent, f_position = f_side = _coords(F)
     g_blocks, g_parts, g_agent, g_position = g_side = _coords(G)
-    fz = F._choose_mask(z)
-    _ssp_check(n, y, z, gy, fz)
     zs, fs = _split(f_side, z), _split(f_side, fz)
     gs, ys, yg = _split(g_side, fz), _split(g_side, y), _split(g_side, gy)
     held = [part._choose_mask(x) if x else 0 for part, x in zip(g_parts, gs)]  # G(F(Z)) by firm
@@ -314,21 +312,28 @@ def _sigma(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, chains: _Rows, 
     Z′ = Z ∖ (F(Z) ∖ G(F(Z))) reads Z alone, so every start with Y₀ within
     F(Z₀) has Y_t = F(Z₀) ∪ … ∪ F(Z_{t−1}) from step 1 on: the rounds of one
     (see _chain) are kept in ``chains`` by (z, flip), and the others read
-    them, their start alone checked.
+    them, their start alone checked. A start that no kept chain serves and
+    that is Φ's fixpoint already (F(Z₀) ⊆ Y₀ and G(F(Z₀)) = F(Z₀), as a
+    stable set's own pair is) is checked and answered without rounds.
     """
     gy, chain = G._choose_mask(y), chains.get((z, flip))
-    if chain is None or y & ~chain[0]:
-        chain = _chain(F, G, y, z, gy)
-        if not y & ~chain[0]:
-            chains.add((z, flip), chain)
-    else:
+    if chain is not None and not y & ~chain[0]:
         chains.hits += 1
-        _ssp_check(F.universe_size, y, z, gy, chain[0])
-    fz, rounds, u, z_end, s = chain
-    if len(rounds) == 1 and not rounds[0][1] and not fz & ~y:  # (y, z) is the fixpoint
+        fz, rounds, u, z_end, s = chain
+        _ssp_check(F.universe_size, y, z, gy, fz)
+        fixed = len(rounds) == 1 and not rounds[0][1] and not fz & ~y
+    else:
+        fz = F._choose_mask(z)
+        _ssp_check(F.universe_size, y, z, gy, fz)
+        fixed = not fz & ~y and G._choose_mask(fz) == fz
+        if not fixed:
+            fz, rounds, u, z_end, s = chain = _chain(F, G, y, z, gy, fz)
+            if not y & ~fz:
+                chains.add((z, flip), chain)
+    if fixed:  # (y, z) is the fixpoint
         if gy != fz:
             raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
-        return (), (y, z), s
+        return (), (y, z), fz
     return rounds, (y | u, z_end), s
 
 

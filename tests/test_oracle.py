@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from plottmatch import (
     EmptyList,
     InternalError,
     OrderChoice,
+    SidePair,
     aggregate_sides,
     enumerate_stable_sets,
     format_catalog,
@@ -29,9 +31,11 @@ from plottmatch import (
     parse_instance,
     semi_stable_masks,
     semi_stable_pair,
+    set_to_pair,
     side_pair,
     verify_lattice,
 )
+from plottmatch import choice, stability
 from plottmatch.choice import choice_table
 from plottmatch.errors import NotCertified, NotSemiStable
 from plottmatch.oracle import StableSetCatalog
@@ -201,6 +205,42 @@ def test_explicit_tables_match_the_whole_table_scan(tables, certify):
 def test_the_walk_from_either_side_matches_the_whole_table_scan(sides):
     _assert_matches_the_whole_table_scan(sides)
     _assert_matches_the_whole_table_scan(sides.swap())
+
+
+def _assert_keeps_the_scanned_pairs(sides) -> StableSetCatalog:
+    """Enumerate, then compare each stable set's stored pair with a scan on a fresh pair."""
+    catalog = enumerate_stable_sets(sides)
+    fresh = SidePair(sides.F, sides.G, sides.f_report, sides.g_report)
+    for S in catalog.stable_sets:
+        assert sides._pairs[S.mask] == stability._scan(fresh, S)
+    return catalog
+
+
+@settings(max_examples=80, deadline=None)
+@given(aggregate_pairs())
+def test_enumeration_keeps_the_pair_that_the_scan_computes(sides):
+    _assert_keeps_the_scanned_pairs(sides)
+    _assert_keeps_the_scanned_pairs(sides.swap())
+
+
+def test_lattice_checks_after_enumeration_read_every_closure_from_the_store():
+    for seed in range(20):
+        made = generate_instance(seed, 10, 3)
+        _assert_keeps_the_scanned_pairs(SidePair(made.F, made.G))  # uncertified
+        catalog = _assert_keeps_the_scanned_pairs(made)
+        misses = made._pairs.misses
+        assert verify_lattice(catalog, made).passed
+        assert [set_to_pair(made, S).S for S in catalog.stable_sets] == list(catalog.stable_sets)
+        assert made._pairs.misses == misses
+        expected = catalog, verify_lattice(catalog, made)
+        with mock.patch.object(choice._Rows, "maxsize", 2):  # the store emptied as it fills
+            small = SidePair(made.F, made.G, made.f_report, made.g_report)
+            bounded = enumerate_stable_sets(small)
+            assert (bounded, verify_lattice(bounded, small)) == expected
+            assert len(small._pairs) <= 2
+            fresh = SidePair(made.F, made.G, made.f_report, made.g_report)
+            assert all(pair == stability._scan(fresh, ContractSet(10, m))
+                       for m, pair in small._pairs.items())
 
 
 def test_agents_without_contracts_add_no_depth_to_the_walk():

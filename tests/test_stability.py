@@ -842,6 +842,38 @@ def test_forged_certification_trips_the_same_checks_as_full_steps():
                     "fixpoint reached with choose(G,Y) != choose(F,Z)"}
 
 
+def test_sigma_answers_a_stable_pair_without_rounds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("σ ran rounds from a fixpoint")
+
+    markets = [_polarized((3, 2, 2)), _polarized((2, 2)),
+               *(generate_instance(seed, 10, 3) for seed in range(12))]
+    catalogs = [(frame, _stable_sets(frame))
+                for sides in markets for frame in (sides, sides.swap())]
+    monkeypatch.setattr(stability, "_chain", refuse)
+    for frame, stable in catalogs:
+        for S in stable:
+            pair = set_to_pair(_fresh(frame), S)
+            trace = run_to_fixpoint(_fresh(frame), SemiStablePair(pair.Y, pair.Z))
+            assert trace.terminated_at == 0 and trace.result == pair
+            assert lattice_join(frame, [S, S]) == lattice_meet(frame, [S, S]) == S
+            for T in stable:  # a comparable pair's join and meet start at a stable pair
+                verdict = blair_compare_stable(frame, S, T)
+                if verdict != "incomparable":
+                    low, high = (S, T) if verdict == "less" else (T, S)
+                    assert lattice_join(frame, [S, T]) == high
+                    assert lattice_meet(frame, [S, T]) == low
+
+
+def test_a_forged_fixpoint_start_fails_the_stable_set_check():
+    forged = SidePair(ExplicitTable(2, (0, 1, 0, 1)), ExplicitTable(2, (0, 1, 0, 0)),
+                      PlottReport(True), PlottReport(True))
+    start = SemiStablePair(cs(2, 0, 1), cs(2, 0))  # F(Z) ⊆ Y and G(F(Z)) = F(Z), but G(Y) = ∅
+    message = "fixpoint reached with choose(G,Y) != choose(F,Z)"
+    assert _outcome(run_to_fixpoint, forged, start) == (InternalError, message)
+    assert _outcome(_reference_run, forged, start) == (InternalError, message)
+
+
 def test_set_to_pair_fails_exactly_where_is_stable_set_does(market_text):
     for market in _small_markets(market_text):
         for sides in (market, market.swap()):  # the stored pair, read from either side
