@@ -10,11 +10,15 @@ family it is ``make_terms_market_text(w, T, seed=1)`` with w = N // (3T):
 For each size a fresh Python process
 imports TREE's ``src/plottmatch`` and ``bench``, reads the market text on
 standard input, and runs parse → ``aggregate_sides`` (which certifies) →
-``side_optimal`` for F and for G → ``is_stable_set`` on both optima.
+``side_optimal`` for F and for G → ``is_stable_set`` on both optima, and
+then times a warm re-solve: ``semi_stable_pair`` and ``run_to_fixpoint``
+from (Y₀, C), where Y₀ is F(C) masked by ``random.Random(1).getrandbits``.
 
 Standard output is one JSON object per size: ``contracts``; the wall time
 of each step (``parse_s``, ``aggregate_s``, ``optimum_F_s``,
-``optimum_G_s``, ``stable_s`` for both checks, and ``total_s``);
+``optimum_G_s``, ``stable_s`` for both checks, and ``total_s``); ``warm_s``,
+the warm re-solve, which ``total_s`` leaves out, and
+``warm_matches_optimum_F``, whether it returned F's optimum;
 ``peak_rss_mib`` after the last step; ``aggregate_rss_mib``, the memory
 that one more, untimed ``aggregate_sides`` on the parsed market retains
 (tracemalloc; the timed build's certification verdicts are read from
@@ -26,7 +30,8 @@ each side's run from (∅, C), counted after every measurement; and
 compared with ``bench.reference``'s deferred acceptance, proposed by the
 workers for F's optimum and by the firms for G's (``null`` above it); that
 runs after every measurement. The script exits 1, after printing, when an
-optimum differs from deferred acceptance or fails its stability check.
+optimum differs from deferred acceptance or fails its stability check, or
+the warm re-solve differs from F's optimum.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import argparse
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -104,9 +110,14 @@ def probe(text: str) -> dict:
     worst = timed("optimum_F_s", pm.side_optimal, sides, "F")
     best = timed("optimum_G_s", pm.side_optimal, sides, "G")
     stable = timed("stable_s", lambda: [pm.is_stable_set(sides, s).stable for s in (worst, best)])
-    n, peak = sides.universe_size, _peak_mib()
+    n, full = sides.universe_size, pm.ContractSet.full(sides.universe_size)
+    y0 = pm.ContractSet(n, sides.F.choose(full).mask & random.Random(1).getrandbits(n))
+    start = time.perf_counter()
+    warm = pm.run_to_fixpoint(sides, pm.semi_stable_pair(sides, y0, full)).result.S
+    warm_s, peak = time.perf_counter() - start, _peak_mib()
     result = {"contracts": n, **{name: float(f"{t:.4g}") for name, t in times.items()},
-              "total_s": float(f"{sum(times.values()):.4g}"),
+              "total_s": float(f"{sum(times.values()):.4g}"), "warm_s": float(f"{warm_s:.4g}"),
+              "warm_matches_optimum_F": warm == worst,
               "aggregate_rss_mib": _retained_mib(pm.aggregate_sides, m),
               "peak_rss_mib": round(peak, 2),
               "openssl_loaded": "_hashlib" in sys.modules, "optima_stable": all(stable)}
@@ -158,7 +169,8 @@ def main(argv=None) -> int:
                 else make_market_text(w, w // 3, 3, seed=1))
         result = run_size(args.tree.resolve(), text)
         print(json.dumps(result), flush=True)
-        failed |= result["matches_reference"] is False or not result["optima_stable"]
+        failed |= (result["matches_reference"] is False or not result["optima_stable"]
+                   or not result["warm_matches_optimum_F"])
     return int(failed)
 
 

@@ -172,6 +172,8 @@ class ChoiceFunction:
     Subclasses implement ``_choose_mask``; they are immutable and hashable,
     so full tables are memoized by value. ``_gains`` tells for every c
     outside X whether c is chosen from X ∪ {c}, by default one call each.
+    A subclass must choose within X: semi_stable_pair and σ's kept chains
+    rely on it to skip G(Y) when Y ⊆ F(Z) (see stability._sigma).
     """
 
     universe_size: int

@@ -220,20 +220,27 @@ def _ssp_check(n: int, y: int, z: int, gy: int, fz: int):
 
 
 def semi_stable_pair(sides: SidePair, Y: ContractSet, Z: ContractSet) -> SemiStablePair:
-    """Validate SSP1 (Y ∪ Z = C) and SSP2 (choose(G,Y) ⊆ choose(F,Z))."""
-    n = sides.universe_size
+    """Validate SSP1 (Y ∪ Z = C) and SSP2 (choose(G,Y) ⊆ choose(F,Z)).
+
+    F(Z) is read first, and G is asked only when Y ⊄ F(Z): otherwise
+    G(Y) ⊆ Y ⊆ F(Z), since a choice lies within its argument (see
+    ChoiceFunction).
+    """
+    n, y, z = sides.universe_size, Y.mask, Z.mask
     if Y.universe_size != n or Z.universe_size != n:
         raise UniverseMismatch("pair outside the market universe")
-    _ssp_check(n, Y.mask, Z.mask, sides.G._choose_mask(Y.mask), sides.F._choose_mask(Z.mask))
+    fz = sides.F._choose_mask(z)
+    _ssp_check(n, y, z, sides.G._choose_mask(y) if y & ~fz else 0, fz)
     return SemiStablePair(Y, Z)
 
 
 def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     """One update Y' = Y ∪ F(Z), Z' = (Z ∖ F(Z)) ∪ G(F(Z)).
 
-    The input is revalidated; the output is again semi-stable and moves up
-    in the (Y grows, Z shrinks) order, both enforced. Every choice is a
-    full evaluation.
+    The input is revalidated by semi_stable_pair, which asks G only when
+    Y ⊄ F(Z); the output is again semi-stable and moves up in the (Y grows,
+    Z shrinks) order, both enforced. The step's choices and the output's
+    checks are full evaluations.
     """
     sides.require_certified()
     semi_stable_pair(sides, p.Y, p.Z)
@@ -312,18 +319,21 @@ def _sigma(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, chains: _Rows, 
     Z′ = Z ∖ (F(Z) ∖ G(F(Z))) reads Z alone, so every start with Y₀ within
     F(Z₀) has Y_t = F(Z₀) ∪ … ∪ F(Z_{t−1}) from step 1 on: the rounds of one
     (see _chain) are kept in ``chains`` by (z, flip), and the others read
-    them, their start alone checked. A start that no kept chain serves and
-    that is Φ's fixpoint already (F(Z₀) ⊆ Y₀ and G(F(Z₀)) = F(Z₀), as a
-    stable set's own pair is) is checked and answered without rounds.
+    them, their start alone checked: by containment, since G(Y₀) ⊆ Y₀ ⊆
+    F(Z₀), so G is asked only when the start is the chain's fixpoint. A
+    start that no kept chain serves and that is Φ's fixpoint already
+    (F(Z₀) ⊆ Y₀ and G(F(Z₀)) = F(Z₀), as a stable set's own pair is) is
+    checked and answered without rounds.
     """
-    gy, chain = G._choose_mask(y), chains.get((z, flip))
+    chain = chains.get((z, flip))
     if chain is not None and not y & ~chain[0]:
         chains.hits += 1
         fz, rounds, u, z_end, s = chain
-        _ssp_check(F.universe_size, y, z, gy, fz)
+        _ssp_check(F.universe_size, y, z, 0, fz)  # G(y) ⊆ y ⊆ fz: SSP2 holds
         fixed = len(rounds) == 1 and not rounds[0][1] and not fz & ~y
+        gy = G._choose_mask(y) if fixed else None  # read only by the fixpoint check
     else:
-        fz = F._choose_mask(z)
+        gy, fz = G._choose_mask(y), F._choose_mask(z)
         _ssp_check(F.universe_size, y, z, gy, fz)
         fixed = not fz & ~y and G._choose_mask(fz) == fz
         if not fixed:

@@ -275,11 +275,14 @@ def test_the_scale_probe_prints_one_checked_line_per_size():
             assert all(0 < line[step] <= line["total_s"] for step in steps)
             assert 0 <= line["aggregate_rss_mib"] < line["peak_rss_mib"]
             assert all(0 < line[f"phi_steps_{side}"] <= line["contracts"] + 2 for side in "FG")
+            assert line["warm_s"] > 0 and line["warm_matches_optimum_F"] is True
 
 
 def test_the_scale_probe_exits_1_after_printing_a_mismatch(monkeypatch, capsys):
-    wrong = {"contracts": 27, "optima_stable": True, "matches_reference": False}
-    monkeypatch.setattr(scale_probe, "run_size", lambda tree, text: wrong)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the market generator on it
-    assert scale_probe.main([str(ROOT), "--sizes", "27"]) == 1
-    assert json.loads(capsys.readouterr().out) == wrong
+    for wrong in ({"contracts": 27, "optima_stable": True, "matches_reference": False},
+                  {"contracts": 27, "optima_stable": True, "matches_reference": True,
+                   "warm_matches_optimum_F": False}):
+        monkeypatch.setattr(scale_probe, "run_size", lambda tree, text: wrong)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the market generator on it
+        assert scale_probe.main([str(ROOT), "--sizes", "27"]) == 1
+        assert json.loads(capsys.readouterr().out) == wrong

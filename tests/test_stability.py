@@ -785,6 +785,46 @@ def test_phi_steps_ask_only_the_agents_whose_slices_changed(market_text):
         assert calls == []
 
 
+def test_a_warm_start_within_the_offers_asks_no_firm(market_text):
+    calls = {}  # the blocks asked, by side
+
+    def recorded(agg):
+        asked = []
+        parts = tuple(_Recorded(len(b), p, b, asked) for b, p in zip(agg.blocks, agg.parts))
+        agg = Aggregate(agg.universe_size, agg.blocks, parts)
+        calls[id(agg)] = asked
+        return agg
+
+    plain = aggregate_sides(parse_instance(market_text(300, 300, 3, seed=5)))
+    n, full, rng = plain.universe_size, ContractSet.full(plain.universe_size), random.Random(38)
+    # firms whose quota covers their block take every offer: G(F(C)) = F(C)
+    takers = Aggregate(n, plain.G.blocks, tuple(OrderChoice(len(b), tuple(range(len(b))), len(b))
+                                                for b in plain.G.blocks))
+    sides = SidePair(recorded(plain.F), recorded(plain.G), plain.f_report, plain.g_report)
+    for frame in (sides, sides.swap()):
+        firms = calls[id(frame.G)]
+        cold = run_to_fixpoint(frame, SemiStablePair(ContractSet.empty(n), full))
+        offers = frame.F.choose(full)
+        y0, y1 = (ContractSet(n, offers.mask & rng.getrandbits(n)) for _ in range(2))
+        assert y0 < offers and y1 < offers and y1.mask not in frame.G._chosen  # never asked
+        firms.clear()
+        assert semi_stable_pair(frame, y0, full) == SemiStablePair(y0, full)
+        assert firms == []
+        warm = run_to_fixpoint(frame, SemiStablePair(y1, full))
+        assert firms == []
+        fresh = run_to_fixpoint(_fresh(frame), SemiStablePair(y1, full))
+        assert (warm.result, warm.terminated_at) == (fresh.result, fresh.terminated_at)
+        assert warm.result.S == cold.result.S
+    open_market = SidePair(recorded(plain.F), recorded(takers), plain.f_report, is_plott(takers))
+    firms = calls[id(open_market.G)]
+    cold = run_to_fixpoint(open_market, SemiStablePair(ContractSet.empty(n), full))
+    assert cold.terminated_at == 1 and cold.result.S == open_market.F.choose(full)
+    firms.clear()  # σ from Y₀ = F(C) reads the one-round chain and asks G at its fixpoint
+    trace = run_to_fixpoint(open_market, SemiStablePair(cold.result.S, full))
+    assert trace.terminated_at == 0 and trace.result == cold.result
+    assert firms != []
+
+
 def _random_explicit_aggregate(rng, n):
     """Random selection tables on blocks of 1–3 contracts, rarely path independent."""
     places = rng.sample(range(n), n)
@@ -872,6 +912,51 @@ def test_a_forged_fixpoint_start_fails_the_stable_set_check():
     message = "fixpoint reached with choose(G,Y) != choose(F,Z)"
     assert _outcome(run_to_fixpoint, forged, start) == (InternalError, message)
     assert _outcome(_reference_run, forged, start) == (InternalError, message)
+
+
+def _semi_stable_by_definition(sides, Y, Z):
+    """SSP1 and SSP2 with both G(Y) and F(Z) evaluated in full."""
+    gy, fz = sides.G.choose(Y), sides.F.choose(Z)
+    if Y | Z != ContractSet.full(sides.universe_size):
+        raise NotSemiStable("SSP1 fails: Y and Z do not cover the universe")
+    if not gy <= fz:
+        raise NotSemiStable("SSP2 fails: choose(G,Y) is not within choose(F,Z)")
+    return SemiStablePair(Y, Z)
+
+
+def test_semi_stable_verdicts_are_the_definitions():
+    rng = random.Random(38)
+    markets = [_polarized((3, 2, 2)), _polarized((4, 3, 3)),
+               *(generate_instance(seed, rng.randint(1, 10), 3) for seed in range(20))]
+    for _ in range(40):  # uncertified, rarely path independent
+        n = rng.randint(1, 10)
+        markets.append(SidePair(_random_explicit_aggregate(rng, n),
+                                _random_explicit_aggregate(rng, n)))
+    seen = Counter()
+    for sides in markets:
+        for frame in (sides, sides.swap()):
+            n, full = frame.universe_size, (1 << frame.universe_size) - 1
+            for way in (0, 1, 2) * 6:
+                z = full if way == 0 and rng.random() < 0.7 else rng.getrandbits(n)
+                fz = frame.F._choose_mask(z)
+                if way == 0:  # Y within F(Z)
+                    y = fz & rng.getrandbits(n)
+                elif way == 1:  # Y not within F(Z), Y ∪ Z = C
+                    y, outside = (full & ~z) | rng.getrandbits(n), full & ~fz
+                    y |= 0 if y & outside else outside & -outside  # none when F(Z) = C
+                else:  # Y ∪ Z ≠ C
+                    missing = 1 << rng.randrange(n)
+                    y, z = rng.getrandbits(n) & ~missing, z & ~missing
+                Y, Z = ContractSet(n, y), ContractSet(n, z)
+                answer = _answer(semi_stable_pair, frame, Y, Z)
+                assert answer == _answer(_semi_stable_by_definition, frame, Y, Z)
+                within = not y & ~frame.F._choose_mask(z)
+                seen[within, answer[1][:4] if type(answer) is tuple else "pair"] += 1
+                if way == 2 and not frame.G.choose(Y) <= frame.F.choose(Z):
+                    seen["SSP1 before SSP2"] += 1
+    assert {(True, "pair"), (True, "SSP1"), (False, "pair"), (False, "SSP1"), (False, "SSP2"),
+            "SSP1 before SSP2"} <= set(seen)
+    assert (True, "SSP2") not in seen  # G(Y) ⊆ Y ⊆ F(Z)
 
 
 def test_set_to_pair_fails_exactly_where_is_stable_set_does(market_text):
