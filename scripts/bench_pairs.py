@@ -23,7 +23,8 @@ unless every change run is strictly better than every parent run;
 ``"worse"`` when ``change_worse_by`` exceeds the bound; ``"none"`` otherwise.
 ``faults`` counts, per side, the runs that reported themselves incorrect
 and the operations that failed; the script exits 1, after printing, if
-either count is nonzero on either side.
+either count is nonzero on either side. ``package_lines`` is each tree's
+line total of ``src/plottmatch/*.py``, as ``wc -l`` counts it.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ def faults(runs):
             for side in ("parent", "change")}
 
 
+def package_lines(tree: Path) -> int:
+    """The newlines in ``tree``'s package source files, summed."""
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/plottmatch/*.py"))
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, side: str, pair: int):
     """One bench/run.py process in ``tree``: its outcome and end-to-end metrics, flat."""
     proc = subprocess.run(
@@ -122,6 +128,8 @@ def main(argv=None) -> int:
                       "order": f"{args.pairs} pairs, seed k for pair k, the change first "
                                "on odd pairs",
                       "summary": summarize(runs, spec["end_to_end"]), "faults": broken,
+                      "package_lines": {"parent": package_lines(args.parent),
+                                        "change": package_lines(args.change)},
                       "runs": runs}, indent=1))
     if any(n for counts in broken.values() for n in counts.values()):
         print(f"error: incorrect runs or failed operations: {json.dumps(broken)}", file=sys.stderr)

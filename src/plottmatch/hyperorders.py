@@ -128,12 +128,6 @@ class AxiomReport:
     checks: tuple[AxiomCheck, ...]
     overall: bool
 
-    def check(self, name: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _relation_matrix(rel, n: int) -> np.ndarray:
     """The full ≺ table as a bool matrix indexed [amask, bmask]."""

@@ -52,12 +52,10 @@ class SidePair:
     stores keep σ's stable set by (y, z, flip), flip when G proposes
     (``_fixpoints``); the mask pair (C − G's gains, C − F's gains) of each S
     that passed is_stable_set or enumerate_stable_sets found (``_pairs``),
-    its closures on a certified pair; and σ's rounds by (z, flip)
-    (``_chains``, see _sigma). Each holds up to 256 answers, emptied when
-    full; ``cache_info`` counts the first two (1.8 MiB full at |C| =
-    20,001), and a kept chain holds a pointer per contract it moves. No
-    failure is kept; threads may compute an answer twice, never read a
-    wrong one.
+    its closures on a certified pair; and σ's rounds from C, one per
+    proposer (``_chains``, see _sigma). Each holds up to 256 answers,
+    emptied when full, and ``cache_info`` sums all three. No failure is
+    kept; threads may compute an answer twice, never read a wrong one.
     """
 
     F: ChoiceFunction
@@ -73,15 +71,15 @@ class SidePair:
         object.__setattr__(self, "certified", bool(f and g and f.is_plott and g.is_plott))
         object.__setattr__(self, "_fixpoints", _Rows())  # σ's stable set by (y, z, flip)
         object.__setattr__(self, "_pairs", _Rows())  # the mask pair of each stable set
-        object.__setattr__(self, "_chains", _Rows())  # σ's Z chain by (z, flip)
+        object.__setattr__(self, "_chains", _Rows())  # σ's rounds by (C, flip)
 
     def swap(self) -> "SidePair":
         """The same market with the roles of the two sides exchanged, with empty stores."""
         return SidePair(self.G, self.F, self.g_report, self.f_report)
 
     def cache_info(self) -> CacheInfo:
-        """The stores' hits, misses, bound and entries, both summed."""
-        return _cache_info(self._fixpoints, self._pairs)
+        """The three stores' hits, misses, bounds and entries, summed."""
+        return _cache_info(self._fixpoints, self._pairs, self._chains)
 
     def __reduce__(self):
         """A copy or a pickle carries the four fields, not the stores."""
@@ -222,9 +220,8 @@ def _ssp_check(n: int, y: int, z: int, gy: int, fz: int):
 def semi_stable_pair(sides: SidePair, Y: ContractSet, Z: ContractSet) -> SemiStablePair:
     """Validate SSP1 (Y ∪ Z = C) and SSP2 (choose(G,Y) ⊆ choose(F,Z)).
 
-    F(Z) is read first, and G is asked only when Y ⊄ F(Z): otherwise
-    G(Y) ⊆ Y ⊆ F(Z), since a choice lies within its argument (see
-    ChoiceFunction).
+    σ's start rule (see _sigma): F(Z) first, then G(Y) only when Y ⊄ F(Z),
+    since a choice lies within its argument (see ChoiceFunction).
     """
     n, y, z = sides.universe_size, Y.mask, Z.mask
     if Y.universe_size != n or Z.universe_size != n:
@@ -256,24 +253,25 @@ def phi_step(sides: SidePair, p: SemiStablePair) -> SemiStablePair:
     return SemiStablePair(ContractSet(n, y), ContractSet(n, z))
 
 
-def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int, fz: int):
-    """Φ from a semi-stable (y, z), where gy = G(y) and fz = F(z), F proposing, on agent slices.
+def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int | None, fz: int):
+    """Φ from a semi-stable (y, z) that is not its fixpoint, F proposing, on agent slices.
 
-    Agents hold their slices as local ints (see Aggregate). A round drops the
-    rejected contracts from their workers' Z slices, re-chooses only those
-    workers, and re-chooses only the firms whose slice of F(Z) or Y changed.
-    Y gains the contracts first offered: all of F(Z₀), then those joining
-    F(Z) outside Y. Each round checks SSP2 at each changed firm (SSP1 and the
-    order hold by construction), the end G(F(Z)) = F(Z) = G(Y) at every firm;
-    over |C|+2 rounds raise InternalError. Returns (F(Z₀), the rounds'
-    offered and rejected contracts, and the last Y ∖ Y₀, Z and S).
+    fz = F(z), and gy = G(y) or None when y ⊆ fz; then a firm's G(Y) starts
+    as its G(F(Z₀)), re-chosen in round 1 if its Y grows. Agents hold local
+    slices (see Aggregate). A round drops the rejected contracts from their
+    workers' Z and re-chooses those workers, then the firms whose F(Z) or Y
+    changed; as Y ⊇ F(Z) after a round, the next offers are their F(Z)
+    outside Y. Each round checks SSP2 there, the end G(F(Z)) = F(Z) = G(Y)
+    everywhere; over |C|+2 rounds raise InternalError. Returns (fz, each
+    round's offered and rejected contracts, the last Y ∖ Y₀, Z and S).
     """
     n = F.universe_size
     f_blocks, f_parts, f_agent, f_position = f_side = _coords(F)
     g_blocks, g_parts, g_agent, g_position = g_side = _coords(G)
     zs, fs = _split(f_side, z), _split(f_side, fz)
-    gs, ys, yg = _split(g_side, fz), _split(g_side, y), _split(g_side, gy)
+    gs, ys = _split(g_side, fz), _split(g_side, y)
     held = [part._choose_mask(x) if x else 0 for part, x in zip(g_parts, gs)]  # G(F(Z)) by firm
+    yg = list(held) if gy is None else _split(g_side, gy)  # G(Y) by firm
     firms, offers, rounds = range(len(g_parts)), {b: x for b, x in enumerate(gs) if x}, []
     while True:
         rejected = _members(g_blocks, [(b, gs[b] ^ held[b]) for b in firms if gs[b] != held[b]])
@@ -287,7 +285,6 @@ def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int, fz: in
             ys[b] |= offers[b]
         for c in rejected:
             zs[f_agent[c]] &= ~(1 << f_position[c])
-        offers = {}
         for a in {f_agent[c] for c in rejected}:
             new, block = f_parts[a]._choose_mask(zs[a]), f_blocks[a]
             flips, fs[a] = new ^ fs[a], new
@@ -296,9 +293,8 @@ def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int, fz: in
                 flips ^= low
                 c = block[low.bit_length() - 1]
                 firms.add(b := g_agent[c])
-                gs[b] ^= (bit := 1 << g_position[c])
-                if new & low and not ys[b] & bit:
-                    offers[b] = offers.get(b, 0) | bit
+                gs[b] ^= 1 << g_position[c]
+        offers = {b: x for b in firms if (x := gs[b] & ~ys[b])}
         for b in firms:
             held[b] = g_parts[b]._choose_mask(gs[b])
         for b in grown:
@@ -316,34 +312,31 @@ def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int, fz: in
 def _sigma(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, chains: _Rows, flip: bool):
     """σ on masks, F proposing, from a semi-stable (y, z): (each step's changes, the last (Y, Z), S).
 
-    Z′ = Z ∖ (F(Z) ∖ G(F(Z))) reads Z alone, so every start with Y₀ within
-    F(Z₀) has Y_t = F(Z₀) ∪ … ∪ F(Z_{t−1}) from step 1 on: the rounds of one
-    (see _chain) are kept in ``chains`` by (z, flip), and the others read
-    them, their start alone checked: by containment, since G(Y₀) ⊆ Y₀ ⊆
-    F(Z₀), so G is asked only when the start is the chain's fixpoint. A
-    start that no kept chain serves and that is Φ's fixpoint already
-    (F(Z₀) ⊆ Y₀ and G(F(Z₀)) = F(Z₀), as a stable set's own pair is) is
-    checked and answered without rounds.
+    Every start is checked by one rule: F(Z₀) is read first, from a kept
+    chain when one serves the start, and G(Y₀) is asked only when Y₀ ⊄ F(Z₀)
+    (else G(Y₀) ⊆ Y₀ ⊆ F(Z₀), see ChoiceFunction). A start with F(Z₀) ⊆ Y₀
+    and G(F(Z₀)) = F(Z₀) is Φ's fixpoint, answered without rounds. Since
+    Z′ = Z ∖ (F(Z) ∖ G(F(Z))) reads Z alone, the rounds (see _chain) of a
+    start that did not ask G(Y₀) serve every start within F(Z₀) with that
+    Z₀; they are kept in ``chains`` by (z, flip), and SSP1 makes z = C.
     """
     chain = chains.get((z, flip))
     if chain is not None and not y & ~chain[0]:
         chains.hits += 1
-        fz, rounds, u, z_end, s = chain
-        _ssp_check(F.universe_size, y, z, 0, fz)  # G(y) ⊆ y ⊆ fz: SSP2 holds
-        fixed = len(rounds) == 1 and not rounds[0][1] and not fz & ~y
-        gy = G._choose_mask(y) if fixed else None  # read only by the fixpoint check
+        fz = chain[0]
     else:
-        gy, fz = G._choose_mask(y), F._choose_mask(z)
-        _ssp_check(F.universe_size, y, z, gy, fz)
-        fixed = not fz & ~y and G._choose_mask(fz) == fz
-        if not fixed:
-            fz, rounds, u, z_end, s = chain = _chain(F, G, y, z, gy, fz)
-            if not y & ~fz:
-                chains.add((z, flip), chain)
-    if fixed:  # (y, z) is the fixpoint
-        if gy != fz:
+        chain, fz = None, F._choose_mask(z)
+    gy = G._choose_mask(y) if y & ~fz else None
+    _ssp_check(F.universe_size, y, z, gy or 0, fz)
+    if not fz & ~y and G._choose_mask(fz) == fz:  # (y, z) is the fixpoint
+        if gy is not None and gy != fz:
             raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
         return (), (y, z), fz
+    if chain is None:
+        chain = _chain(F, G, y, z, gy, fz)
+        if gy is None:
+            chains.add((z, flip), chain)
+    _, rounds, u, z_end, s = chain
     return rounds, (y | u, z_end), s
 
 

@@ -111,6 +111,8 @@ def test_clean_runs_exit_0(monkeypatch, capsys):
     code, printed, err = _main_on(canned, monkeypatch, capsys)
     assert code == 0 and "error" not in err
     assert printed["faults"] == bench_pairs.faults(list(canned.values()))
+    lines = sum(len(path.read_text().splitlines()) for path in ROOT.glob("src/plottmatch/*.py"))
+    assert printed["package_lines"] == {"parent": lines, "change": lines} and lines > 0
 
 
 def _gain_summary(parent_ops, change_ops):

@@ -146,7 +146,7 @@ def test_extensional_total_and_partial():
     assert listed == total
     assert lehmann_prec(listed, cs(2, 1), cs(2, 0, 1))
     assert not lehmann_prec(listed, cs(2, 0), cs(2, 1))
-    assert audit_lehmann_axioms(listed).check("L0").passed
+    assert _check(audit_lehmann_axioms(listed), "L0").passed
 
 
 @pytest.mark.parametrize("pair", [(-1, 1), (5, 1), (1, 4)])
@@ -168,6 +168,11 @@ def test_extensional_rejects_sets_of_another_universe():
 # ---------------------------------------------------------------------------
 
 
+def _check(report, name):
+    """The audited axiom of that name."""
+    return {c.name: c for c in report.checks}[name]
+
+
 def test_audit_passes_derived_relations():
     for cf in SMALL_PLOTT + (EX1_F, EX1_G):
         report = audit_lehmann_axioms(DerivedLehmann(cf))
@@ -182,23 +187,21 @@ def test_audit_flags_the_fabricated_breach():
     rel = ExtensionalLehmann.from_true_pairs(2, [(2, 3)])
     report = audit_lehmann_axioms(rel)
     assert not report.overall
-    l1 = report.check("L1")
+    l1 = _check(report, "L1")
     assert not l1.passed
     assert l1.witness == (cs(2), cs(2, 1), cs(2, 0, 1))
-    l4 = report.check("L4")
+    l4 = _check(report, "L4")
     assert not l4.passed
     assert l4.witness == (cs(2, 1), cs(2, 0))
     for name in ("L0", "L2", "L3", "L5", "transitivity"):
-        assert report.check(name).passed
-    with pytest.raises(KeyError):
-        report.check("L9")
+        assert _check(report, name).passed
 
 
 def test_audit_flags_a_reflexive_pair():
     rel = ExtensionalLehmann.from_true_pairs(1, [(1, 1)])
     report = audit_lehmann_axioms(rel)
-    assert not report.check("L0").passed
-    assert report.check("L0").witness == (cs(1, 0),)
+    assert not _check(report, "L0").passed
+    assert _check(report, "L0").witness == (cs(1, 0),)
 
 
 def test_audit_cap():

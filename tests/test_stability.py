@@ -354,12 +354,20 @@ def test_side_optimal_evaluates_each_side_once_for_its_start(market_text, monkey
         return original(self, xmask)
 
     monkeypatch.setattr(Aggregate, "_choose_mask", counted)
-    for favored in ("F", "G"):
+    for favored, proposer in (("F", sides.F), ("G", sides.G)):
         evaluated.clear()
         S = side_optimal(sides, favored)
-        # validating (∅, C) takes choose(G,∅) and choose(F,C) of the frame, once each
-        assert Counter(map(id, evaluated)) == {id(sides.F): 1, id(sides.G): 1}
+        # validating (∅, C) takes the proposer's choose(F,C) alone: ∅ ⊆ F(C) makes SSP2 hold
+        assert Counter(map(id, evaluated)) == {id(proposer): 1}
         assert is_stable_set(sides, S)
+    fc = sides.F._choose_mask((1 << sides.universe_size) - 1)
+    start = SemiStablePair(ContractSet(sides.universe_size, fc & -fc), ContractSet.full(900))
+    assert 0 < start.Y.mask != fc  # ∅ ≠ Y₀ ⊊ F(C): G(Y₀) is not asked either
+    evaluated.clear()
+    trace = run_to_fixpoint(_fresh(sides), start)
+    assert id(sides.G) not in map(id, evaluated)
+    steps, stable = _reference_run(sides, start)
+    assert (trace.stable_mask, trace.terminated_at) == (stable, len(steps) - 1)
 
 
 def test_join_and_statics_report_a_start_that_is_not_semi_stable():
@@ -905,6 +913,41 @@ def test_sigma_answers_a_stable_pair_without_rounds(monkeypatch):
                     assert lattice_meet(frame, [S, T]) == low
 
 
+def test_only_sigma_from_the_whole_universe_keeps_a_chain():
+    rng = random.Random(39)
+    markets = [_polarized((3, 2, 2)), _polarized((2, 2)),
+               *(generate_instance(seed, 8, 3) for seed in range(6))]
+    kinds = Counter()
+    for sides in (frame for market in markets for frame in (market, market.swap())):
+        n, full = sides.universe_size, (1 << sides.universe_size) - 1
+        stable, starts = _stable_sets(sides), semi_stable_masks(sides)
+        fc = sides.F._choose_mask(full)
+        order = OrderChoice(n, tuple(rng.sample(range(n), n)), 1, rng.getrandbits(n))
+        weakened = union([sides.F, order])
+        assert is_plott(weakened).is_plott
+        for _ in range(40):
+            S, T = rng.choice(stable), rng.choice(stable)
+            kind = rng.randrange(6)
+            kinds[kind] += 1
+            if kind == 0:
+                side_optimal(sides, rng.choice("FG"))
+            elif kind == 1:  # a warm run from within F(C)
+                run_to_fixpoint(sides, SemiStablePair(ContractSet(n, fc & rng.getrandbits(n)),
+                                                      ContractSet.full(n)))
+            elif kind == 2:
+                y, z = rng.choice(starts)
+                kinds["z below C"] += z != full
+                run_to_fixpoint(sides, SemiStablePair(ContractSet(n, y), ContractSet(n, z)))
+            elif kind == 3:
+                lattice_join(sides, [S, T])
+            elif kind == 4:
+                lattice_meet(sides, [S, T])
+            else:
+                comparative_statics(sides, weakened, S)
+        assert sides._chains and set(sides._chains) <= {(full, False), (full, True)}
+    assert kinds["z below C"] > 0 and all(kinds[kind] for kind in range(6))
+
+
 def test_a_forged_fixpoint_start_fails_the_stable_set_check():
     forged = SidePair(ExplicitTable(2, (0, 1, 0, 1)), ExplicitTable(2, (0, 1, 0, 0)),
                       PlottReport(True), PlottReport(True))
@@ -1151,7 +1194,7 @@ def test_stored_answers_equal_fresh_ones_past_the_bound(sides, rng):
                 assert _answer(comparative_statics, stored, weakened, S) == _answer(
                     _trace_statics, fresh, weakened, S)
         info = stored.cache_info()
-    assert info.currsize <= info.maxsize == 6
+    assert info.currsize <= info.maxsize == 9
 
 
 def test_every_check_runs_before_a_stored_answer_and_no_failure_is_kept():
@@ -1194,24 +1237,24 @@ def test_every_check_runs_before_a_stored_answer_and_no_failure_is_kept():
             lattice_join(sides, [best, unstable])
     assert sides.cache_info() == before._replace(hits=before.hits + 3)  # best's closures
 
-    maxsize = 2 * choice._Rows.maxsize
+    maxsize = 3 * choice._Rows.maxsize
     assert type(fresh.cache_info())._fields == ("hits", "misses", "maxsize", "currsize")
     assert fresh.cache_info() == (0, 0, maxsize, 0)
+    assert side_optimal(fresh, "F") == worst  # its stable set and its chain from C
+    assert fresh.cache_info() == (0, 2, maxsize, 2)
     assert side_optimal(fresh, "F") == worst
-    assert fresh.cache_info() == (0, 1, maxsize, 1)
-    assert side_optimal(fresh, "F") == worst
-    assert fresh.cache_info() == (1, 1, maxsize, 1)
-    assert side_optimal(fresh, "G") == best  # kept by the same pair, under its own key
     assert fresh.cache_info() == (1, 2, maxsize, 2)
+    assert side_optimal(fresh, "G") == best  # kept by the same pair, under its own keys
+    assert fresh.cache_info() == (1, 4, maxsize, 4)
     assert side_optimal(fresh, "G") == best
-    assert fresh.cache_info() == (2, 2, maxsize, 2)
+    assert fresh.cache_info() == (2, 4, maxsize, 4)
     assert fresh.swap().cache_info() == (0, 0, maxsize, 0)
     assert lattice_join(fresh, [worst, best]) == best  # two closures and one start missed
-    assert choice._cache_info(fresh._pairs) == (0, 2, maxsize // 2, 2)
-    assert fresh.cache_info() == (2, 5, maxsize, 5)
+    assert choice._cache_info(fresh._pairs) == (0, 2, maxsize // 3, 2)
+    assert fresh.cache_info() == (2, 7, maxsize, 7)
     assert lattice_meet(fresh, [worst, best]) == worst  # the join's closures, exchanged
-    assert choice._cache_info(fresh._pairs) == (2, 2, maxsize // 2, 2)
-    assert fresh.cache_info() == (4, 6, maxsize, 6)
+    assert choice._cache_info(fresh._pairs) == (2, 2, maxsize // 3, 2)
+    assert fresh.cache_info() == (4, 8, maxsize, 8)
 
 
 def test_compare_reads_stability_from_the_pair_store():
@@ -1249,7 +1292,7 @@ def test_a_pair_that_answered_both_directions_is_freed_without_the_cyclic_collec
         assert worst == side_optimal(sides.swap(), "G") and best == side_optimal(sides.swap(), "F")
         assert lattice_join(sides, [worst, best]) == best
         assert lattice_meet(sides, [worst, best]) == worst
-        assert sides.cache_info().currsize == 6
+        assert sides.cache_info().currsize == 8  # with one chain from C per proposer
         dropped = weakref.ref(sides)
         del sides
         assert dropped() is None
@@ -1289,4 +1332,4 @@ def test_threads_sharing_a_pair_read_only_its_answers():
     finally:
         sys.setswitchinterval(interval)
     assert shared.swap().swap() == shared
-    assert shared.cache_info().currsize <= 4
+    assert shared.cache_info().currsize <= 6
