@@ -1,18 +1,21 @@
 """Time one tree's large-market path at the given sizes, one fresh process per size.
 
-    python3 scripts/scale_probe.py TREE --sizes N [N ...] [--family terms --terms T]
+    python3 scripts/scale_probe.py TREE --sizes N [N ...] [--family terms --terms T | long]
 
 The market of size N is, in the default family, ``make_market_text(w, w //
 3, 3, seed=1)`` of this repository's ``tests/conftest.py`` with w = N // 3:
 3w contracts, order workers and quota firms with q = 2. In the ``terms``
 family it is ``make_terms_market_text(w, T, seed=1)`` with w = N // (3T):
 3wT contracts, each worker–firm pair with T terms, whose Φ runs are long.
-For each size a fresh Python process
-imports TREE's ``src/plottmatch`` and ``bench``, reads the market text on
-standard input, and runs parse → ``aggregate_sides`` (which certifies) →
-``side_optimal`` for F and for G → ``is_stable_set`` on both optima, and
-then times a warm re-solve: ``semi_stable_pair`` and ``run_to_fixpoint``
-from (Y₀, C), where Y₀ is F(C) masked by ``random.Random(1).getrandbits``.
+In the ``long`` family it is ``make_long_run_market_text(n, seed=1)`` with
+n = isqrt(N): n² contracts, a complete one-to-one market whose
+worker-proposing Φ runs n² − 3n + 4 steps. For each size a fresh Python
+process imports TREE's ``src/plottmatch`` and ``bench``, reads the market
+text on standard input, and runs parse → ``aggregate_sides`` (which
+certifies) → ``side_optimal`` for F and for G → ``is_stable_set`` on both
+optima, and then times a warm re-solve: ``semi_stable_pair`` and
+``run_to_fixpoint`` from (Y₀, C), where Y₀ is F(C) masked by
+``random.Random(1).getrandbits``.
 
 Standard output is one JSON object per size: ``contracts``; the wall time
 of each step (``parse_s``, ``aggregate_s``, ``optimum_F_s``,
@@ -29,9 +32,12 @@ each side's run from (∅, C), counted after every measurement; and
 ``matches_reference``. Up to REFERENCE_LIMIT contracts both optima are
 compared with ``bench.reference``'s deferred acceptance, proposed by the
 workers for F's optimum and by the firms for G's (``null`` above it); that
-runs after every measurement. The script exits 1, after printing, when an
-optimum differs from deferred acceptance or fails its stability check, or
-the warm re-solve differs from F's optimum.
+runs after every measurement. In the ``long`` family the limit is
+LONG_REFERENCE_LIMIT, 4,900 contracts, since the reference makes one
+whole-side pass per Φ step: on a 2-core machine it took 4 s there and 26 s
+at 10,000. The script exits 1, after printing, when an optimum differs
+from deferred acceptance or fails its stability check, or the warm
+re-solve differs from F's optimum.
 """
 
 from __future__ import annotations
@@ -45,10 +51,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import isqrt
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_LIMIT = 20_001
+LONG_REFERENCE_LIMIT = 4_900  # the long family's n = 70
 SMALLEST = 27  # contracts per term: w // 3 = 3 firms, as each worker contracts with 3 of them
 
 
@@ -93,7 +101,7 @@ def _retained_mib(build, *args) -> float:
     return round(retained / 2**20, 2)
 
 
-def probe(text: str) -> dict:
+def probe(text: str, reference_limit: int = REFERENCE_LIMIT) -> dict:
     """Run and measure the path on one market text in this process (see the module doc)."""
     import plottmatch as pm
 
@@ -125,7 +133,7 @@ def probe(text: str) -> dict:
     for side, frame in (("F", sides), ("G", sides.swap())):
         result[f"phi_steps_{side}"] = pm.run_to_fixpoint(frame, bottom).terminated_at
     result["matches_reference"] = None
-    if n <= REFERENCE_LIMIT:
+    if n <= reference_limit:
         from bench.reference import Reference
 
         ref = Reference(_as_generated(m))
@@ -134,12 +142,13 @@ def probe(text: str) -> dict:
     return result
 
 
-def run_size(tree: Path, text: str) -> dict:
+def run_size(tree: Path, text: str, reference_limit: int = REFERENCE_LIMIT) -> dict:
     """``probe`` of one market text in a fresh process that imports ``tree``'s package."""
     path = os.pathsep.join(map(str, (tree / "src", tree, ROOT / "scripts")))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import json, sys, scale_probe; print(json.dumps(scale_probe.probe(sys.stdin.read())))"],
+         "import json, sys, scale_probe;"
+         f" print(json.dumps(scale_probe.probe(sys.stdin.read(), {reference_limit})))"],
         input=text, capture_output=True, text=True, cwd=tree,
         env={**os.environ, "PYTHONPATH": path})
     if done.returncode != 0:
@@ -151,23 +160,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("tree", type=Path)
     parser.add_argument("--sizes", type=int, nargs="+", required=True)
-    parser.add_argument("--family", choices=("baseline", "terms"), default="baseline")
+    parser.add_argument("--family", choices=("baseline", "terms", "long"), default="baseline")
     parser.add_argument("--terms", type=int, default=1, help="terms per worker–firm pair (terms)")
     args = parser.parse_args(argv)
     if not (args.tree / "src" / "plottmatch").is_dir():
         parser.error(f"{args.tree} has no src/plottmatch")
     per_worker = 3 * (args.terms if args.family == "terms" else 1)
-    if args.terms < 1 or min(args.sizes) < SMALLEST * per_worker // 3:
-        parser.error(f"--terms must be at least 1 and --sizes at least {SMALLEST * per_worker // 3}")
+    smallest = 16 if args.family == "long" else SMALLEST * per_worker // 3  # long: n = 4
+    if args.terms < 1 or min(args.sizes) < smallest:
+        parser.error(f"--terms must be at least 1 and --sizes at least {smallest}")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from conftest import make_market_text, make_terms_market_text
+    from conftest import make_long_run_market_text, make_market_text, make_terms_market_text
 
     failed = False
     for size in args.sizes:
-        w = size // per_worker
-        text = (make_terms_market_text(w, args.terms, seed=1) if args.family == "terms"
-                else make_market_text(w, w // 3, 3, seed=1))
-        result = run_size(args.tree.resolve(), text)
+        w, tree = size // per_worker, args.tree.resolve()
+        if args.family == "long":
+            text = make_long_run_market_text(isqrt(size), seed=1)
+            result = run_size(tree, text, LONG_REFERENCE_LIMIT)
+        else:
+            text = (make_terms_market_text(w, args.terms, seed=1) if args.family == "terms"
+                    else make_market_text(w, w // 3, 3, seed=1))
+            result = run_size(tree, text)
         print(json.dumps(result), flush=True)
         failed |= (result["matches_reference"] is False or not result["optima_stable"]
                    or not result["warm_matches_optimum_F"])

@@ -87,10 +87,6 @@ class ContractSet:
     def remove(self, index: int) -> "ContractSet":
         return ContractSet(self.universe_size, self.mask & ~(1 << index))
 
-    def complement(self) -> "ContractSet":
-        full = (1 << self.universe_size) - 1
-        return ContractSet(self.universe_size, full ^ self.mask)
-
     def __or__(self, other: "ContractSet") -> "ContractSet":
         self._same_universe(other)
         return ContractSet(self.universe_size, self.mask | other.mask)

@@ -104,7 +104,7 @@ def cmd_solve(m: MarketInstance, args) -> int:
     n = m.universe_size
     trace = run_to_fixpoint(frame, SemiStablePair(ContractSet.empty(n), ContractSet.full(n)))
     if args.trace:
-        print(format_trace(frame, trace, m.labels), end="")
+        sys.stdout.writelines(format_trace(trace, m.labels))
     print(format_set(trace.result.S, m.labels))
     return 0
 

@@ -72,20 +72,6 @@ class ExtensionalLehmann:
         if not all(0 <= m < 1 << self.universe_size for pair in self.true_pairs for m in pair):
             raise ValueError("mask references indices outside the universe")
 
-    @classmethod
-    def from_true_pairs(cls, universe_size: int, pairs) -> "ExtensionalLehmann":
-        """Build a total table from the pairs that hold; everything else is false.
-
-        A pair holds masks or ContractSets of this universe (UniverseMismatch
-        for a set of another one).
-        """
-        def mask(s) -> int:
-            if isinstance(s, ContractSet) and s.universe_size != universe_size:
-                raise UniverseMismatch(f"set over universe {s.universe_size}, not {universe_size}")
-            return s.mask if isinstance(s, ContractSet) else s
-
-        return cls(universe_size, frozenset((mask(a), mask(b)) for a, b in pairs))
-
     def _prec_mask(self, amask: int, bmask: int) -> bool:
         return (amask, bmask) in self.true_pairs
 

@@ -301,7 +301,7 @@ def parse_instance(text: str) -> MarketInstance:
             cf = _build_explicit(agent, position, body, header, index)
         elif kind in ("order", "quota"):
             order = _parse_order_ids(body, position, agent, header, index)
-            acceptable = -1
+            acceptable = (1 << len(position)) - 1
             if acceptable_text is not None:
                 acceptable = _set_mask(acceptable_text, position, header, index)
             q = 1

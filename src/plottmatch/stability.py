@@ -123,8 +123,10 @@ class StablePair:
 class ProcessTrace:
     """A full Φ run as σ found it: its first and last (Y, Z) masks, each step's changes, S.
 
-    Step t+1 adds the contracts of ``changes[t][0]`` to Y and drops those of
-    ``changes[t][1]`` from Z. ``steps`` and ``result`` are built when first read.
+    ``changes[t]`` holds step t's picks (the contracts that entered F(Z)
+    there, all of F(Z₀) at step 0) and rejections (F(Z) ∖ G(F(Z))). By
+    Heredity F(Z) loses only rejected contracts, so ``_walk`` reads every
+    step's sets off this record; ``steps`` and ``result`` are built when first read.
     """
 
     universe_size: int
@@ -133,14 +135,21 @@ class ProcessTrace:
     end: tuple[int, int]
     stable_mask: int
 
+    def _walk(self):
+        """Each step's (Y, Z, F(Z), G(F(Z))) masks, no side asked: F(Z) is the last one within Z
+        plus the picks, G(F(Z)) is F(Z) minus the rejections, and both are S at the fixpoint."""
+        n, (y, z), fz = self.universe_size, self.start, 0
+        for picked, rejected in self.changes:
+            fz, dropped = (fz & z) | _mask(n, picked), _mask(n, rejected)
+            yield y, z, fz, fz & ~dropped
+            y, z = y | fz, z & ~dropped
+        yield y, z, self.stable_mask, self.stable_mask
+
     @cached_property
     def steps(self) -> tuple[SemiStablePair, ...]:
-        n, (y, z) = self.universe_size, self.start
-        steps = [(y, z)]
-        for offered, rejected in self.changes:
-            y, z = y | _mask(n, offered), z & ~_mask(n, rejected)
-            steps.append((y, z))
-        return tuple(SemiStablePair(ContractSet(n, y), ContractSet(n, z)) for y, z in steps)
+        n = self.universe_size
+        return tuple(SemiStablePair(ContractSet(n, y), ContractSet(n, z))
+                     for y, z, *_ in self._walk())
 
     @cached_property
     def result(self) -> StablePair:
@@ -263,7 +272,8 @@ def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int | None,
     changed; as Y ⊇ F(Z) after a round, the next offers are their F(Z)
     outside Y. Each round checks SSP2 there, the end G(F(Z)) = F(Z) = G(Y)
     everywhere; over |C|+2 rounds raise InternalError. Returns (fz, each
-    round's offered and rejected contracts, the last Y ∖ Y₀, Z and S).
+    round's picks and rejected contracts as ProcessTrace keeps them, the
+    last Y ∖ Y₀, Z and S).
     """
     n = F.universe_size
     f_blocks, f_parts, f_agent, f_position = f_side = _coords(F)
@@ -273,15 +283,16 @@ def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int | None,
     held = [part._choose_mask(x) if x else 0 for part, x in zip(g_parts, gs)]  # G(F(Z)) by firm
     yg = list(held) if gy is None else _split(g_side, gy)  # G(Y) by firm
     firms, offers, rounds = range(len(g_parts)), {b: x for b, x in enumerate(gs) if x}, []
+    picks = _members(g_blocks, offers.items())
     while True:
         rejected = _members(g_blocks, [(b, gs[b] ^ held[b]) for b in firms if gs[b] != held[b]])
         if not rejected and not offers:
             break
         if len(rounds) > n + 1:
             raise InternalError("dynamics exceeded the |C|+2 step bound")
-        rounds.append((tuple(_members(g_blocks, offers.items())), tuple(rejected)))
-        grown, firms = {b for b, x in offers.items() if x & ~ys[b]}, set()  # firms whose Y grows
-        for b in grown:
+        rounds.append((tuple(picks), tuple(rejected)))
+        grown, firms, picks = {b for b, x in offers.items() if x & ~ys[b]}, set(), []
+        for b in grown:  # the firms whose Y grows
             ys[b] |= offers[b]
         for c in rejected:
             zs[f_agent[c]] &= ~(1 << f_position[c])
@@ -292,6 +303,8 @@ def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int | None,
                 low = flips & -flips
                 flips ^= low
                 c = block[low.bit_length() - 1]
+                if new & low:
+                    picks.append(c)
                 firms.add(b := g_agent[c])
                 gs[b] ^= 1 << g_position[c]
         offers = {b: x for b in firms if (x := gs[b] & ~ys[b])}
@@ -365,16 +378,15 @@ def run_to_fixpoint(sides: SidePair, p0: SemiStablePair) -> ProcessTrace:
     return ProcessTrace(n, start, *_sigma(sides.F, sides.G, *start, sides._chains, False))
 
 
-def format_trace(sides: SidePair, trace: ProcessTrace, labels=None) -> str:
-    """Render a run as one line per step, showing the quantities Φ reads."""
-    lines = []
-    for k, p in enumerate(trace.steps):
-        fz = sides.F.choose(p.Z)
-        lines.append(
-            f"step {k}: Y={format_set(p.Y, labels)} Z={format_set(p.Z, labels)}"
-            f" F(Z)={format_set(fz, labels)} G(F(Z))={format_set(sides.G.choose(fz), labels)}"
-        )
-    return "\n".join(lines) + "\n"
+def format_trace(trace: ProcessTrace, labels=None):
+    """Yield a run's lines, one per step with its newline, showing the quantities Φ reads.
+
+    Every set is read off σ's record (see ProcessTrace); no side is asked.
+    """
+    n = trace.universe_size
+    for k, masks in enumerate(trace._walk()):
+        y, z, fz, gfz = (format_set(ContractSet(n, m), labels) for m in masks)
+        yield f"step {k}: Y={y} Z={z} F(Z)={fz} G(F(Z))={gfz}\n"
 
 
 def _closures(sides: SidePair, S: ContractSet) -> tuple[int, int]:

@@ -120,6 +120,34 @@ def make_terms_market_text(workers: int, terms: int, seed: int) -> str:
     return "\n".join(lines + specs) + "\n"
 
 
+def make_long_run_market_text(n: int, seed: int | None = None) -> str:
+    """A complete one-to-one market of n workers and n firms, n ≥ 4, whose worker-proposing
+    Φ from (∅, C) runs n² − 3n + 4 = |C| − 3√|C| + 4 steps, near the |C|+2 bound.
+
+    Every agent is kind=order, and contract ``w{i}f{j}`` joins worker i and firm j. With
+    m = n − 1, worker i < m ranks firms i, i+1, … mod m and then firm m, worker m ranks
+    firms 0, …, m, firm j < m ranks worker m first and then workers j+1, j+2, … mod m, and
+    firm m ranks workers 0, …, m. A seed shuffles the order in which firms, workers,
+    contracts and [choice] sections are declared, which leaves the market as a matching
+    market unchanged; with no seed every list is in index order.
+    """
+    m = n - 1
+    worker_ranks = [[*range(i, m), *range(i), m] for i in range(m)] + [list(range(n))]
+    firm_ranks = [[m, *range(j + 1, m), *range(j + 1)] for j in range(m)] + [list(range(n))]
+    firms, workers = [f"f{j}" for j in range(n)], [f"w{i}" for i in range(n)]
+    contracts = [f"w{i}f{j} f{j} w{i}" for i in range(n) for j in range(n)]
+    specs = [[f"[choice w{i}] kind=order", " ".join(f"w{i}f{j}" for j in ranks)]
+             for i, ranks in enumerate(worker_ranks)]
+    specs += [[f"[choice f{j}] kind=order", " ".join(f"w{i}f{j}" for i in ranks)]
+              for j, ranks in enumerate(firm_ranks)]
+    if seed is not None:
+        rng = random.Random(seed)
+        for listed in (firms, workers, contracts, specs):
+            rng.shuffle(listed)
+    lines = ["[firms] " + " ".join(firms), "[workers] " + " ".join(workers), "[contracts]"]
+    return "\n".join(lines + contracts + [line for spec in specs for line in spec]) + "\n"
+
+
 @pytest.fixture
 def market_text():
     """The seeded market generator, ``make_market_text``."""

@@ -126,6 +126,18 @@ def test_equal_agents_owning_differently_labelled_contracts_share_one_object():
     assert all(a.cf is b.cf for a, b in zip(m.specs, other.specs))
 
 
+@pytest.mark.parametrize("kind", ["order", "quota q=2"])
+def test_an_omitted_acceptable_and_one_listing_every_contract_share_one_object(kind):
+    head = "[firms] f g\n[workers] w\n[contracts]\na f w\nb f w\nc g w\n"
+    m = parse_instance(head + f"[choice f] kind={kind}\nb a\n"
+                       f"[choice g] kind={kind} acceptable={{c}}\nc\n"
+                       f"[choice w] kind={kind} acceptable={{c,a,b}}\nc a b\n")
+    other = parse_instance(head + f"[choice f] kind={kind} acceptable={{a,b}}\nb a\n"
+                           f"[choice g] kind={kind}\nc\n[choice w] kind={kind}\nc a b\n")
+    assert all(a.cf is b.cf for a, b in zip(m.specs, other.specs))
+    assert m == other
+
+
 def test_shared_agents_leave_market_equality_hash_repr_and_pickle_alone():
     text = make_market_text(6, 3, 2, 13, MIXED_KINDS, MIXED_KINDS)
     m = parse_instance(text)

@@ -4,7 +4,9 @@ import copy
 import gc
 import pickle
 import random
+import shlex
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -57,12 +59,13 @@ from plottmatch import (
     side_pair,
     union,
 )
-from plottmatch import choice, stability
+from plottmatch import choice, cli, stability
 from plottmatch.choice import _dominates, choice_table
 from plottmatch.oracle import enumerate_stable_sets, generate_instance, semi_stable_masks
 
-from conftest import make_market_text
+from conftest import make_long_run_market_text, make_market_text
 from test_choice import mixed_aggregates, selection_tables, structural_functions
+from test_readme import ROOT, TRANSCRIPTS
 
 POLAR2 = side_pair(OrderChoice(2, (0, 1)), OrderChoice(2, (1, 0)))
 ORD3 = side_pair(OrderChoice(3, (0, 1, 2)), OrderChoice(3, (2, 1, 0)))
@@ -279,7 +282,7 @@ def test_run_to_fixpoint_on_ex1():
 def test_format_trace_lines():
     start = semi_stable_pair(POLAR2, cs(2), cs(2, 0, 1))
     trace = run_to_fixpoint(POLAR2, start)
-    assert format_trace(POLAR2, trace, ("a", "b")) == (
+    assert "".join(format_trace(trace, ("a", "b"))) == (
         "step 0: Y={} Z={a,b} F(Z)={a} G(F(Z))={a}\n"
         "step 1: Y={a} Z={a,b} F(Z)={a} G(F(Z))={a}\n")
 
@@ -616,7 +619,7 @@ def _whole_stability(sides, S) -> StabilityCheck:
         return StabilityCheck(False, "S1", side="F")
     if sides.G.choose(S) != S:
         return StabilityCheck(False, "S1", side="G")
-    for c in S.complement():
+    for c in ContractSet.full(S.universe_size) - S:
         added = S.add(c)
         if c in sides.F.choose(added) and c in sides.G.choose(added):
             return StabilityCheck(False, "S2", contract=c)
@@ -658,7 +661,7 @@ def test_wide_sets_keep_the_whole_evaluation_witness(market_text):
     assert sides.universe_size == 120
     seen = set()
     for S in (side_optimal(sides, "F"), side_optimal(sides, "G")):
-        near = [S] + [S.remove(c) for c in S] + [S.add(c) for c in S.complement()]
+        near = [S] + [S.remove(c) for c in S] + [S.add(c) for c in ContractSet.full(120) - S]
         for T in near:
             check = is_stable_set(sides, T)
             assert check == _whole_stability(sides, T)
@@ -1333,3 +1336,79 @@ def test_threads_sharing_a_pair_read_only_its_answers():
         sys.setswitchinterval(interval)
     assert shared.swap().swap() == shared
     assert shared.cache_info().currsize <= 6
+
+
+# ---------------------------------------------------------------------------
+# the long-run family, and the trace read off σ's record
+# ---------------------------------------------------------------------------
+
+
+def _bottom(n: int) -> SemiStablePair:
+    return SemiStablePair(ContractSet.empty(n), ContractSet.full(n))
+
+
+def test_the_long_run_family_runs_n_squared_minus_3n_plus_4_steps():
+    for n in range(5, 13):
+        for seed in (None, n):
+            sides = aggregate_sides(parse_instance(make_long_run_market_text(n, seed)))
+            assert sides.universe_size == n * n
+            worker, firm = (run_to_fixpoint(frame, _bottom(n * n)) for frame in (sides, sides.swap()))
+            assert (worker.terminated_at, firm.terminated_at) == (n * n - 3 * n + 4, 3)
+            assert worker.result.S == firm.result.S  # one stable set: both optima
+
+
+def _walk_as_the_sides_choose(sides, trace) -> int:
+    """Assert each walked step's F(Z) and G(F(Z)) against both sides asked; the steps that
+    re-pick a contract already in Y, which only a start with Y₀ ⊄ F(Z₀) has."""
+    walked, repicks, fz = list(trace._walk()), 0, -1  # step 0 picks all of F(Z₀)
+    for y, z, fz_walked, gfz_walked in walked:
+        repicks += bool(fz_walked & ~fz & y)
+        fz = sides.F._choose_mask(z)
+        assert (fz_walked, gfz_walked) == (fz, sides.G._choose_mask(fz))
+    assert len(walked) == trace.terminated_at + 1 and walked[-1][:2] == trace.end
+    return repicks
+
+
+def test_the_walk_reads_each_step_as_the_sides_choose():
+    rng, repicks, runs = random.Random(42), 0, 0
+    for seed in range(300):
+        sides = generate_instance(seed, rng.randint(2, 6), rng.randint(1, 3))
+        for frame in (sides, sides.swap()):
+            n, starts = frame.universe_size, semi_stable_masks(frame)
+            for y, z in rng.sample(starts, min(12, len(starts))):
+                start = SemiStablePair(ContractSet(n, y), ContractSet(n, z))
+                repicks += _walk_as_the_sides_choose(frame, run_to_fixpoint(frame, start))
+                runs += 1
+    sides = aggregate_sides(parse_instance(make_long_run_market_text(8, seed=3)))
+    for frame in (sides, sides.swap()):
+        offers = frame.F._choose_mask((1 << 64) - 1)
+        for y in (0, offers, offers & rng.getrandbits(64)):
+            start = semi_stable_pair(frame, ContractSet(64, y), ContractSet.full(64))
+            _walk_as_the_sides_choose(frame, run_to_fixpoint(frame, start))
+    assert runs > 4000 and repicks > 0
+
+
+def test_format_trace_streams_in_bounded_memory():
+    m = parse_instance(make_long_run_market_text(30, seed=1))
+    trace = run_to_fixpoint(aggregate_sides(m), _bottom(900))
+    assert trace.terminated_at == 814
+    lines = format_trace(trace, m.labels)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 815 and peak < 256 << 10
+
+
+def test_solve_trace_builds_no_step_objects(capsys, monkeypatch):
+    [(args, expected)] = [(args, out) for args, out in TRANSCRIPTS if "--trace" in args]
+    monkeypatch.chdir(ROOT)
+
+    def refuse(trace):
+        raise AssertionError("solve --trace read ProcessTrace.steps")
+
+    monkeypatch.setattr(stability.ProcessTrace, "steps", property(refuse))
+    assert cli.main(shlex.split(args)) == 0
+    assert capsys.readouterr().out == expected
