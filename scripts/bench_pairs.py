@@ -24,12 +24,14 @@ unless every change run is strictly better than every parent run;
 ``faults`` counts, per side, the runs that reported themselves incorrect
 and the operations that failed; the script exits 1, after printing, if
 either count is nonzero on either side. ``package_lines`` is each tree's
-line total of ``src/plottmatch/*.py``, as ``wc -l`` counts it.
+line total of ``src/plottmatch/*.py``, as ``wc -l`` counts it, and
+``package_classes`` the number of class definitions there, nested ones too.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -92,6 +94,12 @@ def package_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/plottmatch/*.py"))
 
 
+def package_classes(tree: Path) -> int:
+    """The ``class`` statements in ``tree``'s package source files, nested ones too."""
+    return sum(isinstance(node, ast.ClassDef) for path in tree.glob("src/plottmatch/*.py")
+               for node in ast.walk(ast.parse(path.read_bytes())))
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, side: str, pair: int):
     """One bench/run.py process in ``tree``: its outcome and end-to-end metrics, flat."""
     proc = subprocess.run(
@@ -130,6 +138,8 @@ def main(argv=None) -> int:
                       "summary": summarize(runs, spec["end_to_end"]), "faults": broken,
                       "package_lines": {"parent": package_lines(args.parent),
                                         "change": package_lines(args.change)},
+                      "package_classes": {"parent": package_classes(args.parent),
+                                          "change": package_classes(args.change)},
                       "runs": runs}, indent=1))
     if any(n for counts in broken.values() for n in counts.values()):
         print(f"error: incorrect runs or failed operations: {json.dumps(broken)}", file=sys.stderr)

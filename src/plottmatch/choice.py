@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, partial, update_wrapper
+from functools import partial, update_wrapper
 from itertools import compress, count
 from numbers import Integral
 from threading import Lock
@@ -77,9 +77,6 @@ class ContractSet:
             raise UniverseMismatch(
                 f"universe sizes differ: {self.universe_size} vs {other.universe_size}"
             )
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
 
     def add(self, index: int) -> "ContractSet":
         return ContractSet(self.universe_size, self.mask | (1 << index))
@@ -264,6 +261,11 @@ class OrderChoice(ChoiceFunction):
             raise ValueError("acceptable_mask outside the universe")
         # hashed once, as ExplicitTable is, with the mask normalised; not a field
         object.__setattr__(self, "_hash", hash((n, self.order, self.quota, self.acceptable_mask)))
+        # the kernels on local masks, the acceptable bits best first (none at quota 0)
+        bits = tuple([1 << j for j in self.order if self.acceptable_mask >> j & 1])
+        q = self.quota
+        object.__setattr__(self, "_choose_mask", partial(_top_choice, bits, sum(bits) if q else 0, q))
+        object.__setattr__(self, "_gains", partial(_top_gains, bits if q else (), q))
 
     def __hash__(self) -> int:
         return self._hash
@@ -273,27 +275,11 @@ class OrderChoice(ChoiceFunction):
         """The utility maximizer: highest u ≥ 0 first, the lowest index on ties.
 
         That is the order by (−u, index) with exactly the contracts of
-        utility u ≥ 0 acceptable.
+        utility u ≥ 0 acceptable, the one object of that order (see _interned).
         """
         n = len(utilities)
         order = tuple(sorted(range(n), key=[-u for u in utilities].__getitem__))
-        return cls(n, order, 1, sum(1 << i for i, u in enumerate(utilities) if u >= 0))
-
-    @cached_property
-    def _kernels(self):
-        """Choice and gains on local masks, the acceptable bits best first (none at quota 0)."""
-        bits = tuple([1 << j for j in self.order if self.acceptable_mask >> j & 1])
-        q = self.quota
-        return (partial(_top_choice, bits, sum(bits) if q else 0, q),
-                partial(_top_gains, bits if q else (), q))
-
-    @cached_property
-    def _choose_mask(self):  # the kernel itself, kept on first use
-        return self._kernels[0]
-
-    @cached_property
-    def _gains(self):
-        return self._kernels[1]
+        return _interned((cls, n, order, 1, sum(1 << i for i, u in enumerate(utilities) if u >= 0)))
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
         table = np.zeros_like(masks)
@@ -396,11 +382,6 @@ def _members(blocks, picks) -> list:
     return members
 
 
-def _lift(n: int, blocks, picks) -> int:
-    """The global mask of (agent, local mask) pairs (see _members)."""
-    return _mask(n, _members(blocks, picks))
-
-
 def _mask(n: int, contracts) -> int:
     """The global mask of some contracts, set one by one in a byte buffer."""
     buf = bytearray((n >> 3) + 1)
@@ -456,7 +437,7 @@ class Aggregate(ChoiceFunction):
 
     Each contract has one record, its agent (block index) and its position
     there. ``_choose_mask`` and ``_gains`` split X into the agents' slices
-    through it and ask each agent's own function (see _split and _lift);
+    through it and ask each agent's own function (see _split and _members);
     σ moves single contracts between agents by the same records (see
     stability._chain). Nothing here grows faster than |C|. Up to 256
     choices are kept by set mask, the store emptied when full (1.3 MiB at
@@ -501,12 +482,12 @@ class Aggregate(ChoiceFunction):
             self._chosen.hits += 1
             return row
         slices = _split(self._side, xmask)
-        chosen = [part._choose_mask(x) if x else 0 for part, x in zip(self.parts, slices)]
-        return self._chosen.add(xmask, _lift(self.universe_size, self.blocks, enumerate(chosen)))
+        chosen = enumerate([part._choose_mask(x) if x else 0 for part, x in zip(self.parts, slices)])
+        return self._chosen.add(xmask, _mask(self.universe_size, _members(self.blocks, chosen)))
 
     def _gains(self, xmask: int) -> int:
         gains = [part._gains(x) for part, x in zip(self.parts, _split(self._side, xmask))]
-        return _lift(self.universe_size, self.blocks, enumerate(gains))
+        return _mask(self.universe_size, _members(self.blocks, enumerate(gains)))
 
     def _table(self, masks: np.ndarray) -> np.ndarray:
         table = np.zeros_like(masks)

@@ -107,7 +107,7 @@ class MarketInstance:
 
     def choice_of(self, agent: str) -> ChoiceFunction:
         """The agent's function: its spec's, or the empty one for an agent without contracts."""
-        return self.spec_of(agent).cf if self.block_of(agent) else ExplicitTable(0, (0,))
+        return self.spec_of(agent).cf if self.block_of(agent) else _interned((ExplicitTable, 0, (0,)))
 
     def spec_of(self, agent: str) -> ChoiceSpec:
         spec = self._specs.get(agent)

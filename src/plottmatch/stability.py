@@ -21,7 +21,6 @@ from .choice import (
     _cache_info,
     _coords,
     _dominates,
-    _lift,
     _mask,
     _members,
     _Rows,
@@ -200,7 +199,8 @@ def _scan(sides: SidePair, S: ContractSet):
         slices = _split(record, s)
         if any(part._choose_mask(x) != x for part, x in zip(parts, slices) if x):
             return StabilityCheck(False, "S1", side=side)
-        gains.append(_lift(n, blocks, enumerate(part._gains(x) for part, x in zip(parts, slices))))
+        gains.append(_mask(n, _members(blocks, enumerate(
+            part._gains(x) for part, x in zip(parts, slices)))))
     f, g = gains
     if blocking := f & g:
         return StabilityCheck(False, "S2", contract=(blocking & -blocking).bit_length() - 1)
@@ -319,7 +319,8 @@ def _chain(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, gy: int | None,
     if yg != gs:
         raise InternalError("fixpoint reached with choose(G,Y) != choose(F,Z)")
     return (fz, tuple(rounds), fz | _mask(n, [c for o, _ in rounds[1:] for c in o]),
-            z & ~_mask(n, [c for _, r in rounds for c in r]), _lift(n, f_blocks, enumerate(fs)))
+            z & ~_mask(n, [c for _, r in rounds for c in r]),
+            _mask(n, _members(f_blocks, enumerate(fs))))
 
 
 def _sigma(F: ChoiceFunction, G: ChoiceFunction, y: int, z: int, chains: _Rows, flip: bool):

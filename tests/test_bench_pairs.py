@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,9 @@ def test_clean_runs_exit_0(monkeypatch, capsys):
     assert printed["faults"] == bench_pairs.faults(list(canned.values()))
     lines = sum(len(path.read_text().splitlines()) for path in ROOT.glob("src/plottmatch/*.py"))
     assert printed["package_lines"] == {"parent": lines, "change": lines} and lines > 0
+    classes = sum(len(re.findall(r"^ *class \w", path.read_text(), re.M))
+                  for path in ROOT.glob("src/plottmatch/*.py"))
+    assert printed["package_classes"] == {"parent": classes, "change": classes} and classes > 0
 
 
 def _gain_summary(parent_ops, change_ops):

@@ -241,7 +241,7 @@ def test_order_choice_hash_is_kept_and_follows_the_normalised_mask():
                              "acceptable_mask=7)")
     assert [f.name for f in fields(default)] == ["universe_size", "order", "quota",
                                                  "acceptable_mask"]
-    assert default._choose_mask(0b111) == 0b101  # compiles the kernels, which copies carry
+    assert default._choose_mask(0b111) == 0b101  # the kernels, built with it, which copies carry
     for copied in (pickle.loads(pickle.dumps(default)), copy.copy(default), copy.deepcopy(default),
                    pickle.loads(pickle.dumps(full)), copy.copy(full)):
         assert copied == full and hash(copied) == hash(full) == hash(default)
@@ -953,6 +953,19 @@ def test_gains_edges():
     assert OrderChoice(3, order, 0)._gains(0) == 0
     assert OrderChoice(3, order, 2, 0)._gains(0) == 0
     assert OrderChoice(3, order, 5)._gains(0b100) == 0b011  # every outsider joins
+
+
+def test_an_order_is_built_with_kernels_that_its_copies_carry():
+    built = OrderChoice(4, (2, 0, 3, 1), 2, 0b1101)
+    by_utility = OrderChoice.by_utility((3, -1, 3, 7))
+    decomposed = decompose_into_orders(union([OrderChoice(3, (2, 0, 1)), OrderChoice(3, (1, 0, 2))]))
+    assert len(decomposed) == 2
+    for cf in (built, by_utility, *decomposed):
+        table = choice_table(cf)
+        for copied in (cf, pickle.loads(pickle.dumps(cf)), copy.deepcopy(cf)):
+            assert copied == cf
+            assert [copied._choose_mask(x) for x in range(table.size)] == table.tolist()
+            _assert_gains_on_every_mask(copied)
 
 
 def _top_reference(order, quota: int, acceptable: int, x: int) -> int:

@@ -36,12 +36,12 @@ def test_empty_and_full():
 def test_algebra():
     a = ContractSet.from_indices(4, [0, 1])
     b = ContractSet.from_indices(4, [1, 2])
-    assert (a | b).indices() == (0, 1, 2)
-    assert (a & b).indices() == (1,)
-    assert (a - b).indices() == (0,)
-    assert (ContractSet.full(4) - a).indices() == (2, 3)
-    assert a.add(3).indices() == (0, 1, 3)
-    assert a.remove(0).indices() == (1,)
+    assert tuple(a | b) == (0, 1, 2)
+    assert tuple(a & b) == (1,)
+    assert tuple(a - b) == (0,)
+    assert tuple(ContractSet.full(4) - a) == (2, 3)
+    assert tuple(a.add(3)) == (0, 1, 3)
+    assert tuple(a.remove(0)) == (1,)
 
 
 def test_subset_order():

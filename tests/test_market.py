@@ -138,6 +138,20 @@ def test_an_omitted_acceptable_and_one_listing_every_contract_share_one_object(k
     assert m == other
 
 
+def test_an_order_a_quota_of_one_and_a_utility_computing_it_share_one_object():
+    utilities = (5, 7, -1, 5)  # the order by (−u, index): b a d c, with c unacceptable
+    contracts = "".join(f"{c}{w} f {w} {u} 0\n" for w in "uoq" for c, u in zip("abcd", utilities))
+    m = parse_instance("[firms] f\n[workers] u o q e1 e2\n[contracts]\n" + contracts
+                       + "[choice f] kind=order\n" + " ".join(c + w for w in "uoq" for c in "abcd")
+                       + "\n[choice u] kind=utility\n[choice o] kind=order acceptable={ao,bo,do}\n"
+                       "bo ao do co\n[choice q] kind=quota q=1 acceptable={bq,aq,dq}\nbq aq dq cq\n")
+    cf = m.choice_of("u")
+    assert m.choice_of("o") is cf and m.choice_of("q") is cf
+    assert OrderChoice.by_utility(utilities) is cf
+    assert cf == OrderChoice(4, (1, 0, 3, 2), 1, 0b1011)
+    assert m.choice_of("e1") is m.choice_of("e2") == ExplicitTable(0, (0,))
+
+
 def test_shared_agents_leave_market_equality_hash_repr_and_pickle_alone():
     text = make_market_text(6, 3, 2, 13, MIXED_KINDS, MIXED_KINDS)
     m = parse_instance(text)

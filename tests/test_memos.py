@@ -142,7 +142,10 @@ def _repeating_text() -> str:
 def test_threads_parsing_through_an_evicting_store_read_only_its_agents():
     text = _repeating_text()
     expected = parse_instance(text)
-    assert choice._interned.cache_info()[:2] == (9, 4)  # four keys, two entries evict
+    # four keys miss; the utility key's miss finds the order workers' entry, one hit more
+    assert choice._interned.cache_info()[:2] == (10, 4)
+    cfs = {spec.agent: spec.cf for spec in expected.specs}
+    assert all(cfs[f"w{i}"] is cfs["w0"] for i in (1, 4, 5, 6, 7, 10, 11))
     empty_memos()
 
     def parse(_):
