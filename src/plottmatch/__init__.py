@@ -15,7 +15,6 @@ from .choice import (
     is_plott,
     nil_set,
     parse_set,
-    union,
 )
 from .errors import (
     AxiomsFail,

@@ -78,12 +78,6 @@ class ContractSet:
                 f"universe sizes differ: {self.universe_size} vs {other.universe_size}"
             )
 
-    def add(self, index: int) -> "ContractSet":
-        return ContractSet(self.universe_size, self.mask | (1 << index))
-
-    def remove(self, index: int) -> "ContractSet":
-        return ContractSet(self.universe_size, self.mask & ~(1 << index))
-
     def __or__(self, other: "ContractSet") -> "ContractSet":
         self._same_universe(other)
         return ContractSet(self.universe_size, self.mask | other.mask)
@@ -269,6 +263,10 @@ class OrderChoice(ChoiceFunction):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        """A copy or a pickle carries the four fields, not the kernels: loading rebuilds them."""
+        return OrderChoice, (self.universe_size, self.order, self.quota, self.acceptable_mask)
 
     @classmethod
     def by_utility(cls, utilities) -> "OrderChoice":
@@ -505,14 +503,6 @@ def _coords(cf: ChoiceFunction):
     return (tuple(range(n)),), (cf,), [0] * n, list(range(n))
 
 
-def union(cfs) -> UnionChoice:
-    """Union a nonempty list of choice functions over one shared universe."""
-    cfs = tuple(cfs)
-    if not cfs:
-        raise EmptyList("union of zero choice functions")
-    return UnionChoice(cfs[0].universe_size, cfs)
-
-
 # ---------------------------------------------------------------------------
 # Full choice tables
 # ---------------------------------------------------------------------------
@@ -544,9 +534,6 @@ class _Memo:
     def __init__(self, charge, fn):
         self.charge, self.hits, self.misses, self.currsize = charge, 0, 0, 0
         update_wrapper(self, fn)
-
-    def __len__(self) -> int:
-        return self.currsize
 
     def __call__(self, key):
         at = self, key

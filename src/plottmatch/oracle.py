@@ -318,7 +318,7 @@ def invert_closure(cf, X: ContractSet) -> ContractSet:
     """
     if X.universe_size != cf.universe_size:
         raise UniverseMismatch("inversion over a foreign universe")
-    kept = [x for x in X if x not in closure_star(cf, X.remove(x))]
+    kept = [x for x in X if x not in closure_star(cf, X - ContractSet(X.universe_size, 1 << x))]
     return ContractSet.from_indices(cf.universe_size, kept)
 
 

@@ -18,6 +18,7 @@ import pytest
 from plottmatch import (
     ContractSet,
     DerivedLehmann,
+    UnionChoice,
     audit_lehmann_axioms,
     choice_table,
     comparative_statics,
@@ -30,7 +31,6 @@ from plottmatch import (
     semi_stable_masks,
     semi_stable_pair,
     side_pair,
-    union,
     verify_lattice,
 )
 from plottmatch.choice import OrderChoice
@@ -250,7 +250,7 @@ def test_criterion_09_comparative_statics(capsys, corpus, catalogs):
         rng = random.Random(123456 + i)
         extra = OrderChoice(n, tuple(rng.sample(range(n), n)), 1,
                             rng.randrange(1 << n))
-        f_prime = union(sides.F.parts + (extra,))
+        f_prime = UnionChoice(n, sides.F.parts + (extra,))
         stable = cats[i].stable_sets
         s = stable[rng.randrange(len(stable))]
         s_prime = comparative_statics(sides, f_prime, s)

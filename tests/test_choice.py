@@ -36,7 +36,6 @@ from plottmatch import (
     is_plott,
     nil_set,
     parse_instance,
-    union,
 )
 from plottmatch import choice, hyperorders
 from plottmatch.choice import _gather, _scatter
@@ -159,15 +158,13 @@ def test_utility_as_order_equivalence():
 def test_union_choice():
     a = OrderChoice(2, (0, 1))
     b = OrderChoice(2, (1, 0))
-    u = union([a, b])
+    u = UnionChoice(2, (a, b))
     assert u.choose(cs(2, 0, 1)) == cs(2, 0, 1)
     assert u.choose(cs(2, 1)) == cs(2, 1)
     with pytest.raises(EmptyList):
-        union([])
-    with pytest.raises(EmptyList):
         UnionChoice(2, ())
     with pytest.raises(UniverseMismatch):
-        union([a, OrderChoice(3, (0, 1, 2))])
+        UnionChoice(2, (a, OrderChoice(3, (0, 1, 2))))
 
 
 def test_aggregate_blockwise():
@@ -387,7 +384,7 @@ def test_a_proven_table_is_scanned_once_per_value(monkeypatch):
     assert sorted(scans) == [2, 3]  # one scan per distinct table
     assert is_plott(side).is_plott and is_plott(three).is_plott
     assert sorted(scans) == [2, 3]
-    assert len(choice._verdict) == 2
+    assert choice._verdict.cache_info().currsize == 2
 
 
 def _kept():
@@ -411,7 +408,7 @@ def test_verdicts_are_bounded_in_functions_and_in_table_rows(monkeypatch):
         assert choice._Memo._rows == _charged() <= choice.MEMO_ROWS
     # 2^19 rows: the last two tables (2^17 rows each) and the last three verdicts (2^16)
     assert choice.MEMO_ROWS == 8 * rows
-    assert (len(choice_table), len(choice._verdict)) == (2, 3)
+    assert (choice_table.cache_info().currsize, choice._verdict.cache_info().currsize) == (2, 3)
     assert is_plott(tables[-1]).is_plott and len(scans) == 6  # the newest is kept
     assert is_plott(tables[0]).is_plott and len(scans) == 7  # the oldest is not
     small = [EX2_G, _as_table(ORD3_G), _as_table(EX1_F)]
@@ -519,7 +516,7 @@ def structural_functions(draw, n):
     if kind == "utility":
         return OrderChoice.by_utility(draw(st.lists(st.integers(-3, 5), min_size=n,
                                                     max_size=n)))
-    return union(draw(st.lists(structural_functions(n), min_size=1, max_size=3)))
+    return UnionChoice(n, tuple(draw(st.lists(structural_functions(n), min_size=1, max_size=3))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -899,8 +896,8 @@ def table_aggregates(draw):
                    (OrderChoice(4, (2, 0, 3, 1), 2, 0b1011),
                     ExplicitTable(3, (0, 1, 0, 1, 4, 5, 4, 2)), _Identity(1))))
 @example(Aggregate(9, ((7,), (2, 3, 4, 8), (0, 1, 5, 6)),
-                   (OrderChoice(1, (0,)), union([OrderChoice(4, (3, 1, 0, 2), 1, 0b1110),
-                                                 OrderChoice(4, (0, 1, 2, 3), 3)]),
+                   (OrderChoice(1, (0,)), UnionChoice(4, (OrderChoice(4, (3, 1, 0, 2), 1, 0b1110),
+                                                       OrderChoice(4, (0, 1, 2, 3), 3))),
                     Aggregate(4, ((2, 3), (0, 1)), (_Identity(2), EX2_F)))))
 def test_aggregate_table_matches_each_subset(agg):
     size = 1 << agg.universe_size
@@ -948,7 +945,7 @@ def test_gains_edges():
     for q, acceptable in ((0, 0b111), (3, 0b111), (5, 0b101), (2, 0), (1, 0b010)):
         part = OrderChoice(3, order, q, acceptable)
         agg = Aggregate(5, ((1, 3, 4), (0, 2)), (part, ExplicitTable(2, (0, 1, 2, 1))))
-        for cf in (part, union([part, ORD3_G]), agg):
+        for cf in (part, UnionChoice(3, (part, ORD3_G)), agg):
             _assert_gains_on_every_mask(cf)
     assert OrderChoice(3, order, 0)._gains(0) == 0
     assert OrderChoice(3, order, 2, 0)._gains(0) == 0
@@ -958,7 +955,7 @@ def test_gains_edges():
 def test_an_order_is_built_with_kernels_that_its_copies_carry():
     built = OrderChoice(4, (2, 0, 3, 1), 2, 0b1101)
     by_utility = OrderChoice.by_utility((3, -1, 3, 7))
-    decomposed = decompose_into_orders(union([OrderChoice(3, (2, 0, 1)), OrderChoice(3, (1, 0, 2))]))
+    decomposed = decompose_into_orders(UnionChoice(3, (OrderChoice(3, (2, 0, 1)), OrderChoice(3, (1, 0, 2)))))
     assert len(decomposed) == 2
     for cf in (built, by_utility, *decomposed):
         table = choice_table(cf)
@@ -966,6 +963,8 @@ def test_an_order_is_built_with_kernels_that_its_copies_carry():
             assert copied == cf
             assert [copied._choose_mask(x) for x in range(table.size)] == table.tolist()
             _assert_gains_on_every_mask(copied)
+    # a pickle carries the four fields, Θ(k log k), not the kernels' Θ(k²) bits
+    assert len(pickle.dumps(OrderChoice(760, tuple(range(760)), 3))) <= 4096
 
 
 def _top_reference(order, quota: int, acceptable: int, x: int) -> int:
@@ -1070,7 +1069,7 @@ def test_closure_axioms_on_fixtures():
             assert x <= star
             assert closure_star(cf, star) == star
             for c in ContractSet.full(n) - x:
-                assert star <= closure_star(cf, x.add(c))
+                assert star <= closure_star(cf, x | ContractSet(n, 1 << c))
 
 
 @given(plott_sides())
@@ -1171,7 +1170,7 @@ def test_equal_functions_share_one_decomposition(monkeypatch):
     covering = choice._order_covering
     monkeypatch.setattr(choice, "_order_covering",
                         lambda *args: built.append(args) or covering(*args))
-    a, b = (_as_table(union([ORD3_G, OrderChoice(3, (1, 0, 2))])) for _ in range(2))
+    a, b = (_as_table(UnionChoice(3, (ORD3_G, OrderChoice(3, (1, 0, 2))))) for _ in range(2))
     assert a == b and a is not b
     first = decompose_into_orders(a)
     orders_built = len(built)

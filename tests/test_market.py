@@ -301,6 +301,8 @@ def test_structural_parse_errors():
     _expect("junk\n", ParseError, "line 1", "outside any section")
     _expect("[firms f1\n", ParseError, "line 1", "unterminated")
     _expect("[mystery]\n", ParseError, "line 1", "unknown section")
+    _expect("[]\n", ParseError, "line 1: empty section header")
+    _expect("[firms f1]\n", ParseError, "line 1", "[firms] takes its ids after the bracket")
     _expect("[firms] f1\n[firms] f2\n", ParseError, "line 2", "duplicate [firms]")
     _expect("[firms] f1 f1\n", ParseError, "line 1", "duplicate id")
     _expect("[firms] f1\n[workers] w1\n[contracts] extra\n",
@@ -334,6 +336,8 @@ def test_choice_section_errors():
     head = "[firms] f1\n[workers] w1\n[contracts]\na f1 w1\nb f1 w1\n"
     tail = "[choice w1] kind=order\na b\n"
     _expect(head + "[choice f1]\n" + tail, ParseError, "line 6", "requires kind=")
+    for header in ("[choice]", "[choice f1 w1]"):
+        _expect(head + header + "\n" + tail, ParseError, "line 6", "[choice] needs exactly one agent id")
     _expect(head + "[choice f1] kind order\n" + tail, ParseError, "key=value")
     _expect(head + "[choice f1] kind=order kind=order\n" + tail,
             ParseError, "duplicate key")

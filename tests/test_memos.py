@@ -23,6 +23,7 @@ from conftest import empty_memos, make_market_text, module_memos
 from plottmatch import (
     ExplicitTable,
     OrderChoice,
+    UnionChoice,
     audit_lehmann_axioms,
     choice_table,
     decompose_into_orders,
@@ -31,7 +32,6 @@ from plottmatch import (
     parse_instance,
     reconstruct_choice,
     side_pair,
-    union,
 )
 from plottmatch import choice
 from plottmatch.hyperorders import DerivedLehmann
@@ -88,7 +88,7 @@ def test_the_store_retains_at_most_its_stated_total():
             decompose_into_orders(table)
         for _ in range(8):  # audits and rebuilt tables at the audit cap
             pair = [OrderChoice(8, tuple(rng.sample(range(8), 8)), q) for q in (1, 2)]
-            rel = DerivedLehmann(ExplicitTable(8, tuple(choice_table(union(pair)).tolist())))
+            rel = DerivedLehmann(ExplicitTable(8, tuple(choice_table(UnionChoice(8, tuple(pair))).tolist())))
             assert audit_lehmann_axioms(rel).overall
             reconstruct_choice(rel)
         del order, table, pair, rel

@@ -3,12 +3,14 @@
 Every name that ``plottmatch/__init__.py`` re-exports from a module other
 than ``oracle`` (the tests' ground truth) or ``errors`` must be used by the
 package itself (a name or attribute in one of its modules, not counting
-``__init__.py``), by the benchmark, or in the README. A definition is not a
-use. Likewise every error class but the base is raised somewhere, and only
-``errors`` defines error classes. Only the exhaustive layer (``choice``,
-``oracle``, ``hyperorders``) imports numpy, and only ``oracle`` imports
-hashlib, inside a function. Every module-level private function or class
-is defined once and read by some other statement.
+``__init__.py``), by the benchmark (an attribute: it reaches the package
+through a module object), or in the README's code (an inline code span or
+the ``python`` block; prose and transcripts are not code). A definition is
+not a use. Likewise every error class but the base is raised somewhere, and
+only ``errors`` defines error classes. Only the exhaustive layer
+(``choice``, ``oracle``, ``hyperorders``) imports numpy, and only
+``oracle`` imports hashlib, inside a function. Every module-level private
+function or class is defined once and read by some other statement.
 """
 
 from __future__ import annotations
@@ -23,15 +25,19 @@ PACKAGE = ROOT / "src" / "plottmatch"
 EXEMPT = {"oracle", "errors"}
 
 
-def _used_names(path: Path) -> set[str]:
-    """The names and attributes a file reads; an assignment target is not a read."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-    return names
+def _used_names(path: Path, kinds=(ast.Name, ast.Attribute)) -> set[str]:
+    """The names and attributes of ``kinds`` a file reads; an assignment target is not a read."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)}
+
+
+def _readme_code() -> str:
+    """The README's fenced ``python`` block and its inline code spans outside any fence."""
+    text = (ROOT / "README.md").read_text()
+    python = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    return "\n".join(python + re.findall(r"`([^`\n]+)`", prose))
 
 
 def _exports() -> list[tuple[str, str]]:
@@ -42,11 +48,13 @@ def _exports() -> list[tuple[str, str]]:
 
 
 def unused_exports() -> list[str]:
-    """Exports that no package module, bench file or README word uses."""
-    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+    """Exports that no package module, bench attribute or README code word uses."""
+    used = set(re.findall(r"\w+", _readme_code()))
+    for path in PACKAGE.glob("*.py"):
         if path != PACKAGE / "__init__.py":
             used |= _used_names(path)
+    for path in (ROOT / "bench").rglob("*.py"):
+        used |= _used_names(path, ast.Attribute)
     return [name for module, name in _exports() if module not in EXEMPT and name not in used]
 
 

@@ -37,6 +37,7 @@ from plottmatch import (
     SidePair,
     StabilityCheck,
     StablePair,
+    UnionChoice,
     UniverseMismatch,
     aggregate_sides,
     blair_compare_stable,
@@ -57,7 +58,6 @@ from plottmatch import (
     set_to_pair,
     side_optimal,
     side_pair,
-    union,
 )
 from plottmatch import choice, cli, stability
 from plottmatch.choice import _dominates, choice_table
@@ -514,6 +514,8 @@ def test_statics_rejects_non_dominating_input():
     with pytest.raises(NotDominated, match=r"at X=\{0,1\}$") as caught:
         comparative_statics(POLAR2, OrderChoice(2, (1, 0)), cs(2, 0))
     assert caught.value.witness == cs(2, 0, 1)
+    with pytest.raises(UniverseMismatch, match="^weakened side outside the market universe$"):
+        comparative_statics(POLAR2, OrderChoice(3, (0, 1, 2)), cs(2, 0))
 
 
 def test_statics_rejects_non_plott_weakening():
@@ -537,7 +539,7 @@ def test_statics_on_generated_markets():
         order = list(range(5))
         rng.shuffle(order)
         extra = OrderChoice(5, tuple(order), 1, rng.getrandbits(5))
-        f_prime = union(sides.F.parts + (extra,))
+        f_prime = UnionChoice(5, sides.F.parts + (extra,))
         new_sides = side_pair(f_prime, sides.G)
         for s in _stable_sets(sides):
             s_prime = comparative_statics(sides, f_prime, s)
@@ -620,7 +622,7 @@ def _whole_stability(sides, S) -> StabilityCheck:
     if sides.G.choose(S) != S:
         return StabilityCheck(False, "S1", side="G")
     for c in ContractSet.full(S.universe_size) - S:
-        added = S.add(c)
+        added = S | ContractSet(S.universe_size, 1 << c)
         if c in sides.F.choose(added) and c in sides.G.choose(added):
             return StabilityCheck(False, "S2", contract=c)
     return StabilityCheck(True)
@@ -661,7 +663,8 @@ def test_wide_sets_keep_the_whole_evaluation_witness(market_text):
     assert sides.universe_size == 120
     seen = set()
     for S in (side_optimal(sides, "F"), side_optimal(sides, "G")):
-        near = [S] + [S.remove(c) for c in S] + [S.add(c) for c in ContractSet.full(120) - S]
+        near = ([S] + [S - ContractSet(120, 1 << c) for c in S]
+                + [S | ContractSet(120, 1 << c) for c in ContractSet.full(120) - S])
         for T in near:
             check = is_stable_set(sides, T)
             assert check == _whole_stability(sides, T)
@@ -926,7 +929,7 @@ def test_only_sigma_from_the_whole_universe_keeps_a_chain():
         stable, starts = _stable_sets(sides), semi_stable_masks(sides)
         fc = sides.F._choose_mask(full)
         order = OrderChoice(n, tuple(rng.sample(range(n), n)), 1, rng.getrandbits(n))
-        weakened = union([sides.F, order])
+        weakened = UnionChoice(n, (sides.F, order))
         assert is_plott(weakened).is_plott
         for _ in range(40):
             S, T = rng.choice(stable), rng.choice(stable)
@@ -1095,7 +1098,7 @@ def test_sigma_on_masks_answers_as_the_trace_path_does(market_text):
                 assert answer == _answer(_trace_join, frame, [S, T])
                 answers.append(answer)
         order = OrderChoice(n, tuple(rng.sample(range(n), n)), 1, rng.getrandbits(n))
-        weakened = union([sides.F, order])
+        weakened = UnionChoice(n, (sides.F, order))
         if is_plott(weakened).is_plott:  # always when F is path independent
             for S in stable:
                 answer = _answer(comparative_statics, sides, weakened, S)
@@ -1166,7 +1169,7 @@ def test_stored_answers_equal_fresh_ones_past_the_bound(sides, rng):
     stable = [S for S in map(partial(ContractSet, n), range(1 << n)) if is_stable_set(sides, S)]
     pool = rng.sample(stable, min(5, len(stable))) + [ContractSet(n, rng.getrandbits(n))]
     order = OrderChoice(n, tuple(rng.sample(range(n), n)), 1, rng.getrandbits(n))
-    weakened = union([sides.F, order])
+    weakened = UnionChoice(n, (sides.F, order))
     statics = is_plott(weakened).is_plott  # always when F is path independent
     full = (1 << n) - 1
     ys = (0, rng.getrandbits(n), rng.getrandbits(n))  # each with starts that differ in Z alone
